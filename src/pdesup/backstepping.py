@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .core import DIRICHLET, Field, SpatialGrid, Trajectory, sup_norm_space
+from .core import DIRICHLET, Field, SpatialGrid, Trajectory, running_sup
 from .expressions import Expression, parse_expression
 from .gains import closed_loop_iss_bound, kernel_bound_constant
 from .harness import Report, _report_from_samples, default_tolerance
@@ -42,6 +42,7 @@ from .solver import (
     BoundarySpec,
     CallableBoundary,
     Coefficients,
+    ExpressionForcing,
     TimeStepper,
     make_scenario,
     reaction_zero,
@@ -334,13 +335,14 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
     controls[0] = control_of(u)
     f_prov = stepper.forcing
     f_next = f_prov(0.0)
+    d_vals = np.array([[float(d0(t=t)), float(d1(t=t))] for t in times])
     for i in range(scenario.n_steps):
         t0, t1 = times[i], times[i + 1]
         f0, f_next = f_next, f_prov(t1)
-        b0 = np.array([float(d0(t=t0)), float(d1(t=t0)) + controls[i]])
+        b0 = np.array([d_vals[i, 0], d_vals[i, 1] + controls[i]])
         U = control_of(u)
         for _ in range(max(1, control_sweeps)):
-            b1 = np.array([float(d0(t=t1)), float(d1(t=t1)) + U])
+            b1 = np.array([d_vals[i + 1, 0], d_vals[i + 1, 1] + U])
             cand = stepper.step_values(u, t0, dt, f_pair=(f0, f_next), b_pair=(b0, b1))
             U_new = control_of(cand)
             done = abs(U_new - U) <= 1e-13 * (1.0 + abs(U))
@@ -355,12 +357,8 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
 
     observed = u_traj.sup_space_per_sample()
     u0_sup = observed[0]
-    from .harness import running_sup_forcing
-    f_sups = running_sup_forcing(scenario, times)
-    d0_vals = np.abs([float(d0(t=t)) for t in times])
-    d1_vals = np.abs([float(d1(t=t)) for t in times])
-    d0_run = np.maximum.accumulate(d0_vals)
-    d1_run = np.maximum.accumulate(d1_vals)
+    f_sups = running_sup(f_prov, times)
+    d0_run, d1_run = np.maximum.accumulate(np.abs(d_vals), axis=0).T
     if feedback:
         bounds = np.array([closed_loop_iss_bound(t, u0_sup, f_sups[i], d0_run[i],
                                                  d1_run[i], c, sigma)
@@ -405,13 +403,12 @@ def target_residual(result: ClosedLoopResult, c: float, sigma: float,
     dt = float(w.times[1] - w.times[0])
     kernel = result.kernel
     worst = 0.0
-    fw_next = target_forcing(kernel, grid, np.asarray(f(x=grid.x, t=0.0), dtype=float) * np.ones(grid.n_x),
-                             float(d0(t=0.0)))
+    f_prov = ExpressionForcing(grid, f)
+    fw_next = target_forcing(kernel, grid, f_prov(0.0), float(d0(t=0.0)))
     for i in range(w.n_samples - 1):
         t0, t1 = w.times[i], w.times[i + 1]
         fw0 = fw_next
-        fw_next = target_forcing(kernel, grid, np.asarray(f(x=grid.x, t=t1), dtype=float) * np.ones(grid.n_x),
-                                 float(d0(t=t1)))
+        fw_next = target_forcing(kernel, grid, f_prov(t1), float(d0(t=t1)))
         if t0 < t_start:
             continue
         w0, w1 = w.values[i], w.values[i + 1]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DIRICHLET, ROBIN, SpatialGrid, Trajectory
+from .core import DIRICHLET, ROBIN, SpatialGrid, Trajectory, running_sup
 from .expressions import Expression, parse_expression
 from .gains import (
     cascade_bound_dirichlet,
@@ -40,9 +40,11 @@ from .harness import (
     default_tolerance,
 )
 from .solver import (
+    BoundarySpec,
     Coefficients,
     ConfigError,
-    BoundarySpec,
+    ExpressionBoundary,
+    ExpressionForcing,
     ReactionTerm,
     SampledBoundary,
     SampledForcing,
@@ -226,9 +228,7 @@ def _simulate_cycle(spec: CascadeSpec) -> list[Trajectory]:
     out[:, 0] = state
     robin = spec.boundary_kind == ROBIN
     if not robin:
-        bvals = [[np.asarray(sc.boundary.data(
-            x=_bx(spec.grid), t=t, **_by(spec.grid))) * np.ones(bindex.size)
-            for t in times] for sc in spec.scenarios]
+        bvals = [[st.boundary(t) for t in times] for st in steppers]
     for i in range(len(times) - 1):
         t0, t1 = times[i], times[i + 1]
         cand = state.copy()  # lagged initial guess for the t1 fields
@@ -257,37 +257,6 @@ def _simulate_cycle(spec: CascadeSpec) -> list[Trajectory]:
         out[:, i + 1] = state
     return [Trajectory(spec.grid, times, out[j].reshape(times.size, *spec.grid.shape))
             for j in range(k)]
-
-
-def _bx(grid: SpatialGrid):
-    from .solver import _boundary_coords
-    return _boundary_coords(grid)[0]
-
-
-def _by(grid: SpatialGrid):
-    from .solver import _boundary_coords
-    yb = _boundary_coords(grid)[1]
-    return {} if yb is None else {"y": yb}
-
-
-def _running_boundary_sup(expr: Expression, grid: SpatialGrid, times) -> np.ndarray:
-    xb = _bx(grid)
-    extra = _by(grid)
-    sups = np.empty(len(times))
-    for i, t in enumerate(times):
-        v = np.asarray(expr(x=xb, t=t, **extra)) * np.ones_like(xb)
-        sups[i] = np.max(np.abs(v))
-    return np.maximum.accumulate(sups)
-
-
-def _running_forcing_sup(expr: Expression, grid: SpatialGrid, times) -> np.ndarray:
-    X, Y = grid.meshes()
-    env = {"x": X} if Y is None else {"x": X, "y": Y}
-    sups = np.empty(len(times))
-    for i, t in enumerate(times):
-        v = np.asarray(expr(t=t, **env)) * np.ones(grid.shape)
-        sups[i] = np.max(np.abs(v))
-    return np.maximum.accumulate(sups)
 
 
 def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) -> Report:
@@ -324,11 +293,12 @@ def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) ->
 
     robin = spec.boundary_kind == ROBIN
     if spec.topology == ROBIN_OPEN:
-        d_run = _running_boundary_sup(spec.external_d, spec.grid, times)
+        d_run = running_sup(ExpressionBoundary(spec.grid, spec.external_d), times)
     elif spec.topology == DIRICHLET_OPEN:
-        f_run = _running_forcing_sup(spec.external_f, spec.grid, times)
+        f_run = running_sup(ExpressionForcing(spec.grid, spec.external_f), times)
     if not robin:
-        d_runs = [_running_boundary_sup(e, spec.grid, times) for e in spec.boundary_exprs]
+        d_runs = [running_sup(ExpressionBoundary(spec.grid, e), times)
+                  for e in spec.boundary_exprs]
 
     worst = math.inf
     worst_where = None

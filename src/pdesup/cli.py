@@ -28,7 +28,7 @@ from .config import (
     scenario_from_config,
 )
 from .core import DIRICHLET, ROBIN
-from .expressions import ParseError
+from .expressions import ParseError, is_zero
 from .gains import (
     CoefficientBounds,
     closed_loop_forcing_gain,
@@ -124,17 +124,27 @@ def _exit_from_report(rep) -> int:
     return EXIT_PASS
 
 
-def cmd_simulate(cp, out: Path, settings, args) -> int:
-    sc = scenario_from_config(cp)
-    traj = solve(sc)
-    _write_trajectory(out / "trajectory.csv", traj)
+def _iss_gains(sc, settings):
+    """The gain set ``check_iss`` needs, or None when it asserts nothing."""
+    return _gain_set(sc, settings) if harness.iss_hypotheses_met(sc) else None
+
+
+def _write_iss(out: Path, sc, traj, g, settings):
+    """Check ``traj`` against the ISS envelope and write ``supnorms.csv``."""
     f_sups = harness.running_sup_forcing(sc, traj.times)
     d_sups = harness.running_sup_boundary(sc, traj.times)
-    bounds = None
-    if sc.bounds is not None and sc.c_min_raw > 0 and sc.reaction.monotone:
-        rep = harness.check_iss(traj, sc, _gain_set(sc, settings), settings.tol)
-        bounds = [d.bound for d in rep.details]
+    rep = harness.check_iss(traj, sc, g, settings.tol, f_sups=f_sups, d_sups=d_sups)
+    bounds = [d.bound for d in rep.details] if rep.details else None
     _write_supnorms(out / "supnorms.csv", traj, f_sups, d_sups, bounds)
+    return rep
+
+
+def cmd_simulate(cp, out: Path, settings, args) -> int:
+    sc = scenario_from_config(cp)
+    g = _iss_gains(sc, settings)  # a config error here comes before the solve
+    traj = solve(sc)
+    _write_trajectory(out / "trajectory.csv", traj)
+    _write_iss(out, sc, traj, g, settings)
     print(f"simulated {traj.n_samples} samples; final sup-norm "
           f"{traj.sup_space_per_sample()[-1]:.6g}")
     return EXIT_PASS
@@ -182,14 +192,12 @@ def cmd_gains(cp, out: Path, settings, args) -> int:
 
 def cmd_verify_iss(cp, out: Path, settings, args) -> int:
     sc = scenario_from_config(cp)
+    g = _iss_gains(sc, settings)
     traj = solve(sc)
-    rep = harness.check_iss(traj, sc, _gain_set(sc, settings), settings.tol)
-    f_sups = harness.running_sup_forcing(sc, traj.times)
-    d_sups = harness.running_sup_boundary(sc, traj.times)
-    bounds = [d.bound for d in rep.details] if rep.details else None
-    _write_supnorms(out / "supnorms.csv", traj, f_sups, d_sups, bounds)
+    rep = _write_iss(out, sc, traj, g, settings)
     _write_report(out / "report.csv", [rep])
-    print(f"iss: {rep.verdict} (worst margin {_fmt(rep.worst_margin)})")
+    why = f"; {rep.notes}" if rep.notes else ""
+    print(f"iss: {rep.verdict} (worst margin {_fmt(rep.worst_margin)}{why})")
     return _exit_from_report(rep)
 
 
@@ -204,6 +212,12 @@ def cmd_verify_rkes(cp, out: Path, settings, args) -> int:
 
 def cmd_verify_decay(cp, out: Path, settings, args) -> int:
     sc = scenario_from_config(cp)
+    if sc.c_min_raw <= 0:
+        raise ConfigError(f"[coefficients] c: decay check needs c_min > 0 "
+                          f"(minimum {_fmt(sc.c_min_raw)})")
+    for key, expr in (("f", sc.forcing), ("d", sc.boundary.data)):
+        if not is_zero(expr):
+            raise ConfigError(f"[disturbances] {key}: decay check needs zero disturbances")
     traj = solve(sc)
     u0_sup = float(np.max(np.abs(sc.initial_values())))
     rep = harness.check_decay(traj, sc.bounds.c_min, u0_sup, settings.tol, scenario=sc)
@@ -285,10 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out", help="output directory for CSV artifacts")
     p.add_argument("--tol", type=float, default=None,
                    help="override the default check tolerance")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized hypothesis probes")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for independent runs")
     return p
 
 

@@ -70,21 +70,42 @@ def _int(cp, section, key, default=None) -> int | None:
     v = _float(cp, section, key, default)
     if v is None:
         return None
+    if not math.isfinite(v):
+        raise ConfigError(f"[{section}] {key}: not a finite number: {v!r}")
     return int(v)
+
+
+def _positive(cp, section, key, default) -> float:
+    v = _float(cp, section, key, default)
+    if not (math.isfinite(v) and v > 0):
+        raise ConfigError(f"[{section}] {key}: must be positive and finite, got {v!r}")
+    return v
+
+
+def _node_count(cp, key, default) -> int:
+    n = _int(cp, "grid", key, default)
+    if n < 3:
+        raise ConfigError(f"[grid] {key}: must be at least 3, got {n}")
+    return n
+
+
+def _bounds(cp, lo_key, hi_key) -> tuple[float, float]:
+    lo = _float(cp, "domain", lo_key, 0.0)
+    hi = _float(cp, "domain", hi_key, 1.0)
+    if not lo < hi:
+        raise ConfigError(f"[domain] {hi_key}: must exceed {lo_key}, got {lo!r}, {hi!r}")
+    return lo, hi
 
 
 def grid_from_config(cp) -> SpatialGrid:
     kind = cp.get("domain", "kind", fallback="interval").strip()
-    x_lo = _float(cp, "domain", "x_lo", 0.0)
-    x_hi = _float(cp, "domain", "x_hi", 1.0)
-    n_x = _int(cp, "grid", "n_x", 101)
+    x_lo, x_hi = _bounds(cp, "x_lo", "x_hi")
+    n_x = _node_count(cp, "n_x", 101)
     if kind == "interval":
         return grid_1d(n_x, x_lo, x_hi)
     if kind == "rectangle":
-        y_lo = _float(cp, "domain", "y_lo", 0.0)
-        y_hi = _float(cp, "domain", "y_hi", 1.0)
-        n_y = _int(cp, "grid", "n_y", n_x)
-        return grid_2d(n_x, n_y, x_lo, x_hi, y_lo, y_hi)
+        y_lo, y_hi = _bounds(cp, "y_lo", "y_hi")
+        return grid_2d(n_x, _node_count(cp, "n_y", n_x), x_lo, x_hi, y_lo, y_hi)
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
@@ -150,8 +171,8 @@ def _parse_joined(text: str) -> Expression:
 def scenario_from_config(cp, f_key="f", d_key="d") -> Scenario:
     """Assemble the (single-system) scenario a config file describes."""
     grid = grid_from_config(cp)
-    dt = _float(cp, "grid", "dt", 1e-3)
-    horizon = _float(cp, "grid", "T", 1.0)
+    dt = _positive(cp, "grid", "dt", 1e-3)
+    horizon = _positive(cp, "grid", "T", 1.0)
     kind = cp.get("boundary", "kind", fallback="dirichlet").strip().lower()
     if kind not in (ROBIN, DIRICHLET):
         raise ConfigError(f"unknown boundary kind {kind!r}")
@@ -173,8 +194,8 @@ def cascade_from_config(cp) -> CascadeSpec:
     if not cp.has_section("cascade"):
         raise ConfigError("config has no [cascade] section")
     grid = grid_from_config(cp)
-    dt = _float(cp, "grid", "dt", 1e-3)
-    horizon = _float(cp, "grid", "T", 1.0)
+    dt = _positive(cp, "grid", "dt", 1e-3)
+    horizon = _positive(cp, "grid", "T", 1.0)
     k = _int(cp, "cascade", "k")
     if k is None:
         raise ConfigError("[cascade] needs k")

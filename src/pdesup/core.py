@@ -224,6 +224,16 @@ def sup_norm_spacetime(traj: Trajectory) -> float:
     return float(traj.sup_space_per_sample().max())
 
 
+def running_sup(provider, times) -> np.ndarray:
+    """Running max over the samples of the spatial sup of ``provider(t)``.
+
+    ``provider`` is a forcing or boundary data provider: a callable of t
+    returning nodal values.  The difference of two providers is one too.
+    """
+    sups = np.array([np.max(np.abs(provider(t))) for t in times])
+    return np.maximum.accumulate(sups)
+
+
 def diff_trajectory(t1: Trajectory, t2: Trajectory) -> Trajectory:
     """Pointwise t1 - t2; grids and time samples must match exactly."""
     if t1.grid is not t2.grid and t1.grid != t2.grid:

@@ -3,8 +3,16 @@
 Scenario inputs (diffusion/absorption/boundary coefficients, forcings,
 disturbances, initial data) are given as strings over the variables
 ``x``, ``y``, ``t`` (plus ``u`` for custom reaction terms).  A recursive
-descent parser builds a small AST; evaluation is numpy-vectorized so a
-compiled expression can be applied to whole node arrays at once.
+descent parser builds a small AST, which is compiled once, at parse
+time, into nested numpy-vectorized closures: constant subtrees are
+folded and the free variables are recorded, so a call is one
+missing-variable check plus one closure call over whole node arrays.
+:meth:`Expression.bind` compiles again with some variables fixed (the
+node coordinates of a data provider), so every subtree that depends
+only on constants and those coordinates is computed once, at bind time.
+Folding applies the same numpy/Python operation at each node in the
+AST's order, so compiled, bound and tree-walked results agree bit for
+bit.
 
 Precedence, tightest first: ``^`` (right associative), unary minus,
 ``*`` ``/``, ``+`` ``-``.  Functions: sin, cos, exp, ln, sqrt, abs and
@@ -15,6 +23,7 @@ byte offset of the offending token.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +44,14 @@ DEFAULT_VARIABLES = ("x", "y", "t")
 
 
 class ParseError(ValueError):
-    """Raised on malformed expression text; carries the byte offset."""
+    """Raised on malformed expression text; carries the byte offset.
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
+    ``offset`` is None for a constant subexpression that cannot be
+    evaluated (such as ``1/0``), which is found after parsing.
+    """
+
+    def __init__(self, message: str, offset: int | None):
+        super().__init__(message if offset is None else f"{message} (offset {offset})")
         self.offset = offset
 
 
@@ -70,7 +83,6 @@ class Call:
     args: tuple
 
 
-_TWO_CHAR_NONE = ()
 _OPS = set("+-*/^(),")
 
 
@@ -217,27 +229,55 @@ class _Parser:
         return Call(name, tuple(args))
 
 
-def _eval(node, env):
+_BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv, "^": np.power}
+
+
+def _compile(node, bound):
+    """Partially evaluate ``node`` with the variables in ``bound`` fixed.
+
+    Returns ``(True, value)`` for a subtree fixed by constants and
+    ``bound``, else ``(False, fn)`` with ``fn(env)`` computing the
+    subtree from the remaining variables.
+    """
     if isinstance(node, Num):
-        return node.value
+        return True, node.value
     if isinstance(node, Var):
-        return env[node.name]
+        name = node.name
+        if name in bound:
+            return True, bound[name]
+        return False, lambda env: env[name]
     if isinstance(node, Neg):
-        return -_eval(node.arg, env)
+        fixed, a = _compile(node.arg, bound)
+        if fixed:
+            return True, -a
+        return False, lambda env: -a(env)
     if isinstance(node, Bin):
-        a = _eval(node.lhs, env)
-        b = _eval(node.rhs, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return np.power(a, b)
-    fn = _FUNCS_1.get(node.func) or _FUNCS_2[node.func]
-    return fn(*(_eval(a, env) for a in node.args))
+        op, args = _BIN_OPS[node.op], (node.lhs, node.rhs)
+    else:
+        op, args = _FUNCS_1.get(node.func) or _FUNCS_2[node.func], node.args
+    parts = [_compile(a, bound) for a in args]
+    if all(fixed for fixed, _ in parts):
+        try:
+            return True, op(*(v for _, v in parts))
+        except ArithmeticError as e:
+            if bound:
+                raise
+            raise ParseError(f"constant subexpression {_to_string(node)!r} "
+                             f"cannot be evaluated: {e}", None) from None
+    if len(parts) == 1:
+        f = parts[0][1]
+        return False, lambda env: op(f(env))
+    (fixed_a, a), (fixed_b, b) = parts
+    if fixed_a:
+        return False, lambda env: op(a, b(env))
+    if fixed_b:
+        return False, lambda env: op(a(env), b)
+    return False, lambda env: op(a(env), b(env))
+
+
+def _closure(fixed, value):
+    return (lambda env: value) if fixed else value
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -272,21 +312,42 @@ class Expression:
     """A parsed expression over a fixed variable set.
 
     Instances are immutable; evaluation accepts scalars or numpy arrays
-    (broadcast together) for each declared variable.
+    (broadcast together) for each declared variable.  The AST is compiled
+    once, when the instance is made; a constant subexpression that cannot
+    be evaluated raises :class:`ParseError` there.
     """
 
-    __slots__ = ("root", "variables", "source")
+    __slots__ = ("root", "variables", "source", "_used", "_call")
 
     def __init__(self, root, variables, source: str):
         self.root = root
         self.variables = tuple(variables)
         self.source = source
+        self._used = _used_vars(root)
+        self._call = self.bind()
 
     def __call__(self, **env):
-        missing = [v for v in self.variables if v not in env and _uses_var(self.root, v)]
-        if missing:
-            raise ValueError(f"expression {self.source!r} needs variables {missing}")
-        return _eval(self.root, env)
+        return self._call(**env)
+
+    def bind(self, **coords):
+        """A callable of the remaining variables, with ``coords`` fixed.
+
+        Every subtree that depends only on constants and ``coords`` is
+        computed here, once.  The callable may return the same array on
+        every call; callers must not write into it.
+        """
+        fn = _closure(*_compile(self.root, coords))
+        free = tuple(v for v in self.variables if v in self._used and v not in coords)
+        source = self.source
+
+        def call(**env):
+            for v in free:
+                if v not in env:
+                    missing = [w for w in free if w not in env]
+                    raise ValueError(f"expression {source!r} needs variables {missing}")
+            return fn(env)
+
+        return call
 
     def to_string(self) -> str:
         return _to_string(self.root)
@@ -301,16 +362,16 @@ class Expression:
         return hash(self.to_string())
 
 
-def _uses_var(node, name: str) -> bool:
+def _used_vars(node) -> set:
     if isinstance(node, Var):
-        return node.name == name
+        return {node.name}
     if isinstance(node, Neg):
-        return _uses_var(node.arg, name)
+        return _used_vars(node.arg)
     if isinstance(node, Bin):
-        return _uses_var(node.lhs, name) or _uses_var(node.rhs, name)
+        return _used_vars(node.lhs) | _used_vars(node.rhs)
     if isinstance(node, Call):
-        return any(_uses_var(a, name) for a in node.args)
-    return False
+        return set().union(*(_used_vars(a) for a in node.args))
+    return set()
 
 
 def parse_expression(text: str, variables=DEFAULT_VARIABLES) -> Expression:

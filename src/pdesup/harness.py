@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DIRICHLET, ROBIN, SpatialGrid, Trajectory, diff_trajectory
+from .core import ROBIN, SpatialGrid, Trajectory, diff_trajectory, running_sup
 from .expressions import is_zero
 from .gains import GainSet, iss_bound_dirichlet, iss_bound_robin
-from .solver import ReactionTerm, Scenario
+from .solver import ExpressionBoundary, ExpressionForcing, ReactionTerm, Scenario
 
 PASS = "pass"
 FAIL = "fail"
@@ -94,47 +94,40 @@ def _report_from_samples(name: str, traj: Trajectory, observed, bounds, tols) ->
                   details=details)
 
 
-def _nodal_env(grid: SpatialGrid):
-    X, Y = grid.meshes()
-    return {"x": X} if Y is None else {"x": X, "y": Y}
-
-
 def running_sup_forcing(scenario: Scenario, times) -> np.ndarray:
     """Running sup over nodes and samples of |f| up to each sample time."""
-    env = _nodal_env(scenario.grid)
-    sups = np.empty(len(times))
-    for i, t in enumerate(times):
-        vals = np.asarray(scenario.forcing(t=t, **env)) * np.ones(scenario.grid.shape)
-        sups[i] = np.max(np.abs(vals))
-    return np.maximum.accumulate(sups)
+    return running_sup(ExpressionForcing(scenario.grid, scenario.forcing), times)
 
 
 def running_sup_boundary(scenario: Scenario, times) -> np.ndarray:
     """Running sup over boundary nodes and samples of |d|."""
-    from .solver import _boundary_coords
-    xb, yb = _boundary_coords(scenario.grid)
-    sups = np.empty(len(times))
-    for i, t in enumerate(times):
-        env = {"x": xb, "t": t}
-        if yb is not None:
-            env["y"] = yb
-        vals = np.asarray(scenario.boundary.data(**env)) * np.ones_like(xb)
-        sups[i] = np.max(np.abs(vals))
-    return np.maximum.accumulate(sups)
+    return running_sup(ExpressionBoundary(scenario.grid, scenario.boundary.data), times)
 
 
-def check_iss(traj: Trajectory, scenario: Scenario, g: GainSet,
-              tol: float | None = None) -> Report:
-    """Spatial sup-norm at every sample against the exponential ISS envelope."""
-    if g.boundary_kind != scenario.boundary.kind:
-        raise ValueError("gain set boundary kind does not match the scenario")
-    if scenario.c_min_raw <= 0 or not scenario.reaction.monotone:
+def iss_hypotheses_met(scenario: Scenario) -> bool:
+    """Whether :func:`check_iss` asserts its envelope: c_min > 0, monotone h."""
+    return scenario.c_min_raw > 0 and scenario.reaction.monotone
+
+
+def check_iss(traj: Trajectory, scenario: Scenario, g: GainSet | None,
+              tol: float | None = None, f_sups=None, d_sups=None) -> Report:
+    """Spatial sup-norm at every sample against the exponential ISS envelope.
+
+    ``g`` may be None when the hypotheses are not met (the verdict is then
+    "not-asserted").  ``f_sups``/``d_sups`` pass in running sups the
+    caller has already computed over ``traj.times``.
+    """
+    if not iss_hypotheses_met(scenario):
         return Report("iss", NOT_ASSERTED, math.nan, None, 0,
                       notes="hypotheses not met: need c_min > 0 and a monotone reaction")
+    if g.boundary_kind != scenario.boundary.kind:
+        raise ValueError("gain set boundary kind does not match the scenario")
     observed = traj.sup_space_per_sample()
     u0_sup = observed[0]
-    f_sups = running_sup_forcing(scenario, traj.times)
-    d_sups = running_sup_boundary(scenario, traj.times)
+    if f_sups is None:
+        f_sups = running_sup_forcing(scenario, traj.times)
+    if d_sups is None:
+        d_sups = running_sup_boundary(scenario, traj.times)
     bound_fn = iss_bound_robin if g.boundary_kind == ROBIN else iss_bound_dirichlet
     bounds = np.array([bound_fn(t, u0_sup, f_sups[i], d_sups[i], g)
                        for i, t in enumerate(traj.times)])
@@ -166,22 +159,12 @@ def check_rkes(traj_pair, scenario_pair, g: GainSet, tol: float | None = None) -
     _require_same_but_disturbances(sc1, sc2)
     d = diff_trajectory(traj1, traj2)
     observed = np.maximum.accumulate(d.sup_space_per_sample())
-    env = _nodal_env(sc1.grid)
-    f_diffs = np.empty(d.n_samples)
-    for i, t in enumerate(d.times):
-        v1 = np.asarray(sc1.forcing(t=t, **env)) * np.ones(sc1.grid.shape)
-        v2 = np.asarray(sc2.forcing(t=t, **env)) * np.ones(sc1.grid.shape)
-        f_diffs[i] = np.max(np.abs(v1 - v2))
-    from .solver import _boundary_coords
-    xb, yb = _boundary_coords(sc1.grid)
-    benv = {"x": xb} if yb is None else {"x": xb, "y": yb}
-    d_diffs = np.empty(d.n_samples)
-    for i, t in enumerate(d.times):
-        v1 = np.asarray(sc1.boundary.data(t=t, **benv)) * np.ones_like(xb)
-        v2 = np.asarray(sc2.boundary.data(t=t, **benv)) * np.ones_like(xb)
-        d_diffs[i] = np.max(np.abs(v1 - v2))
-    f_run = np.maximum.accumulate(f_diffs)
-    d_run = np.maximum.accumulate(d_diffs)
+    f1 = ExpressionForcing(sc1.grid, sc1.forcing)
+    f2 = ExpressionForcing(sc1.grid, sc2.forcing)
+    b1 = ExpressionBoundary(sc1.grid, sc1.boundary.data)
+    b2 = ExpressionBoundary(sc1.grid, sc2.boundary.data)
+    f_run = running_sup(lambda t: f1(t) - f2(t), d.times)
+    d_run = running_sup(lambda t: b1(t) - b2(t), d.times)
     bounds = g.l_f * f_run + g.l_d * d_run
     tols = [default_tolerance(b, sc1.grid, sc1.dt) if tol is None else tol for b in bounds]
     return _report_from_samples("rkes", d, observed, bounds, tols)

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
-from .core import DIRICHLET, ROBIN, Field, SpatialGrid, Trajectory, grid_1d
+from .core import DIRICHLET, ROBIN, Field, SpatialGrid, Trajectory, grid_1d, running_sup
 from .expressions import Expression, parse_expression
 from .gains import CoefficientBounds
 
@@ -226,9 +226,9 @@ def make_scenario(grid: SpatialGrid, horizon: float, dt: float,
                   forcing: Expression, boundary: BoundarySpec,
                   u0: Expression) -> Scenario:
     """Validate and cache-complete a scenario (the assembly entry point)."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    if horizon < dt:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError("dt must be positive and finite")
+    if not (math.isfinite(horizon) and horizon >= dt):
         raise ConfigError("horizon must be at least one step")
     n_steps = round(horizon / dt)
     if abs(n_steps * dt - horizon) > 1e-8 * max(1.0, horizon):
@@ -270,15 +270,19 @@ def _nonpositive_message(name, expr, grid, boundary_only=False):
 
 
 class ExpressionForcing:
+    """Forcing values on the nodes from an f(x[,y],t) expression.
+
+    The node coordinates are bound once, so each call evaluates only
+    the time-dependent part of the expression.
+    """
+
     def __init__(self, grid: SpatialGrid, expr: Expression):
         X, Y = grid.meshes()
-        self._env = {"x": X} if Y is None else {"x": X, "y": Y}
-        self._expr = expr
-        self._shape = grid.shape
+        self._fn = expr.bind(x=X) if Y is None else expr.bind(x=X, y=Y)
+        self._ones = np.ones(grid.shape)
 
     def __call__(self, t: float) -> np.ndarray:
-        out = self._expr(t=t, **self._env)
-        return (np.asarray(out, dtype=float) * np.ones(self._shape)).ravel()
+        return (np.asarray(self._fn(t=t), dtype=float) * self._ones).ravel()
 
 
 class SampledForcing:
@@ -296,22 +300,19 @@ class SampledForcing:
 
 
 class ExpressionBoundary:
-    """Boundary values from the scenario's d(x[,y],t) expression."""
+    """Boundary values from the scenario's d(x[,y],t) expression.
+
+    The boundary-node coordinates are bound once, as in
+    :class:`ExpressionForcing`.
+    """
 
     def __init__(self, grid: SpatialGrid, expr: Expression):
-        self._expr = expr
-        if grid.dim == 1:
-            self._xb = np.array([grid.domain.x_lo, grid.domain.x_hi])
-            self._yb = None
-        else:
-            xb, yb = _boundary_coords(grid)
-            self._xb, self._yb = xb, yb
+        xb, yb = _boundary_coords(grid)
+        self._fn = expr.bind(x=xb) if yb is None else expr.bind(x=xb, y=yb)
+        self._ones = np.ones_like(xb)
 
     def __call__(self, t: float) -> np.ndarray:
-        env = {"x": self._xb, "t": t}
-        if self._yb is not None:
-            env["y"] = self._yb
-        return np.asarray(self._expr(**env), dtype=float) * np.ones_like(self._xb)
+        return np.asarray(self._fn(t=t), dtype=float) * self._ones
 
 
 class SampledBoundary:
@@ -698,13 +699,9 @@ class ConvergenceResult:
 
 
 def _sup_error(traj: Trajectory, exact: Expression) -> float:
-    X, Y = traj.grid.meshes()
-    err = 0.0
-    for i, t in enumerate(traj.times):
-        env = {"x": X, "t": t} if Y is None else {"x": X, "y": Y, "t": t}
-        ue = np.asarray(exact(**env)) * np.ones(traj.grid.shape)
-        err = max(err, float(np.max(np.abs(traj.values[i] - ue))))
-    return err
+    computed = SampledForcing(traj.times, traj.values)
+    ue = ExpressionForcing(traj.grid, exact)
+    return float(running_sup(lambda t: computed(t) - ue(t), traj.times)[-1])
 
 
 def _refit(scenario: Scenario, n_x: int, n_y, dt: float) -> Scenario:
@@ -726,15 +723,14 @@ def _slope(pairs) -> float:
 
 
 def convergence_order(scenario: Scenario, exact: Expression, refinements: int = 4,
-                      base_dt_time: float | None = None, jobs: int = 1) -> ConvergenceResult:
+                      base_dt_time: float | None = None) -> ConvergenceResult:
     """Measured convergence orders on h- and dt-refinement ladders.
 
     The space ladder halves h and dt together (both second order, so the
     slope in h is the combined order); the time ladder halves dt on the
     finest spatial grid, starting coarse enough for the time error to
     dominate.  Errors are sup-norms over all nodes and samples against
-    the exact expression.  ``jobs`` > 1 runs the independent ladder
-    levels in a thread pool.
+    the exact expression.
     """
     if refinements < 3:
         raise ValueError("need at least 3 refinement levels for a slope")
@@ -749,19 +745,8 @@ def convergence_order(scenario: Scenario, exact: Expression, refinements: int = 
     dt0 = base_dt_time if base_dt_time is not None else scenario.horizon / 16.0
     time_cases = [_refit(scenario, n_x, n_y, dt0 / 2 ** lev) for lev in range(refinements)]
 
-    def run(sc):
-        return _sup_error(solve(sc), exact)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            space_errs = list(pool.map(run, space_cases))
-            time_errs = list(pool.map(run, time_cases))
-    else:
-        space_errs = [run(sc) for sc in space_cases]
-        time_errs = [run(sc) for sc in time_cases]
-    space_errors = [(sc.grid.h_max, e) for sc, e in zip(space_cases, space_errs)]
-    time_errors = [(sc.dt, e) for sc, e in zip(time_cases, time_errs)]
+    space_errors = [(sc.grid.h_max, _sup_error(solve(sc), exact)) for sc in space_cases]
+    time_errors = [(sc.dt, _sup_error(solve(sc), exact)) for sc in time_cases]
     for name, errs in (("space", space_errors), ("time", time_errors)):
         vals = [e for _, e in errs]
         if any(b > a * 1.0000001 for a, b in zip(vals, vals[1:])) and max(vals) > 1e-11:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pdesup.expressions import (
     Bin,
     Call,
+    Expression,
     Neg,
     Num,
     ParseError,
@@ -133,3 +134,97 @@ def test_roundtrip_evaluates_identically(xv, tv):
     e = parse_expression("1+x/2*sin(t)-x^2/(1+abs(x))")
     r = parse_expression(e.to_string())
     assert float(e(x=xv, t=tv)) == pytest.approx(float(r(x=xv, t=tv)), rel=1e-15, abs=1e-15)
+
+
+# --- numpy tree-walk reference: the evaluator the compiled closures replace ---
+
+_NP_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt,
+             "abs": np.abs, "min": np.minimum, "max": np.maximum}
+
+
+def _np_tree_walk(node, env):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -_np_tree_walk(node.arg, env)
+    if isinstance(node, Bin):
+        a, b = _np_tree_walk(node.lhs, env), _np_tree_walk(node.rhs, env)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            return a / b
+        return np.power(a, b)
+    return _NP_FUNCS[node.func](*(_np_tree_walk(a, env) for a in node.args))
+
+
+def _full_random_tree(rng, depth):
+    # every operator and function of the grammar, domain errors included
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.45:
+            return Num(round(rng.uniform(0, 3), 3))
+        return Var(rng.choice(["x", "y", "t"]))
+    r = rng.random()
+    if r < 0.15:
+        return Neg(_full_random_tree(rng, depth - 1))
+    if r < 0.65:
+        return Bin(rng.choice("+-*/^"), _full_random_tree(rng, depth - 1),
+                   _full_random_tree(rng, depth - 1))
+    if r < 0.85:
+        return Call(rng.choice(["sin", "cos", "exp", "ln", "sqrt", "abs"]),
+                    (_full_random_tree(rng, depth - 1),))
+    return Call(rng.choice(["min", "max"]),
+                (_full_random_tree(rng, depth - 1), _full_random_tree(rng, depth - 1)))
+
+
+def test_compiled_and_bound_evaluation_match_tree_walk_bitwise():
+    import random
+
+    rng = random.Random(2024)
+    X, Y = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(-0.5, 2.0, 7))
+    times = np.linspace(0.0, 2.0, 5)
+    checked = 0
+    with np.errstate(all="ignore"):
+        for _ in range(1500):
+            tree = _full_random_tree(rng, 5)
+            try:
+                expr = Expression(tree, ("x", "y", "t"), "<generated>")
+            except ParseError:
+                # a constant subtree divides by zero: the tree walk raises too
+                with pytest.raises(ZeroDivisionError):
+                    _np_tree_walk(tree, {"x": X, "y": Y, "t": times[0]})
+                continue
+            bound = expr.bind(x=X, y=Y)
+            for t in times:
+                env = {"x": X, "y": Y, "t": t}
+                ref = np.asarray(_np_tree_walk(tree, env))
+                assert np.array_equal(np.asarray(expr(**env)), ref, equal_nan=True), tree
+                assert np.array_equal(np.asarray(bound(t=t)), ref, equal_nan=True), tree
+            checked += 1
+    assert checked > 1000
+
+
+def test_missing_variables_still_raise():
+    e = parse_expression("sin(pi*x)*exp(-t)")
+    with pytest.raises(ValueError, match=r"needs variables \['t'\]"):
+        e(x=np.linspace(0, 1, 5))
+    with pytest.raises(ValueError, match=r"needs variables \['t'\]"):
+        e.bind(x=np.linspace(0, 1, 5))()
+    # variables the expression does not use may be left out
+    assert parse_expression("2*t")(t=1.5) == 3.0
+    assert parse_expression("x+1").bind(x=2.0)() == 3.0
+
+
+def test_constant_division_by_zero_is_a_parse_error():
+    with pytest.raises(ParseError, match="1.0/0.0"):
+        parse_expression("x + 1/0")
+    with pytest.raises(ParseError, match=r"3.0\*2.0/\(2.0-2.0\)"):
+        parse_expression("t + 3*2/(2-2)")
+    # non-constant division by zero is left to numpy at evaluation time
+    with np.errstate(divide="ignore"):
+        assert parse_expression("1/x")(x=np.array([0.0]))[0] == math.inf
