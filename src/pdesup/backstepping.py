@@ -271,6 +271,7 @@ def transform_trajectory(traj: Trajectory, kernel: Kernel) -> Trajectory:
     _require_unit_interval(traj.grid)
     kmat = kernel.on_nodes(traj.grid.x)
     vals = traj.values + _volterra_apply(kmat, traj.values, traj.grid.h_x)
+    vals.setflags(write=False)  # handed over: Trajectory keeps it without a copy
     return Trajectory(traj.grid, traj.times, vals)
 
 
@@ -352,6 +353,7 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
         u = cand
         out[i + 1] = u
         controls[i + 1] = U
+    out.setflags(write=False)  # handed over: Trajectory keeps it without a copy
     u_traj = Trajectory(grid, times, out)
     w_traj = transform_trajectory(u_traj, kernel)
 

@@ -255,6 +255,7 @@ def _simulate_cycle(spec: CascadeSpec) -> list[Trajectory]:
                 f"cycle sweeps did not converge at t={t1:.6g}", history)
         state = cand
         out[:, i + 1] = state
+    out.setflags(write=False)  # handed over: each Trajectory keeps its slice without a copy
     return [Trajectory(spec.grid, times, out[j].reshape(times.size, *spec.grid.shape))
             for j in range(k)]
 

@@ -169,13 +169,19 @@ class Field:
 
 
 class Trajectory:
-    """Time-indexed fields on a shared grid, sampled at t_0=0 < ... < t_N."""
+    """Time-indexed fields on a shared grid, sampled at t_0=0 < ... < t_N.
+
+    ``times`` and ``values`` are kept read-only.  A read-only float64
+    array is taken over as it is; anything else (a list, a writeable or
+    non-float64 array) is copied first, so the trajectory never aliases
+    an array its caller can still write.
+    """
 
     __slots__ = ("grid", "times", "values")
 
     def __init__(self, grid: SpatialGrid, times, values):
-        times = np.array(times, dtype=float)
-        values = np.array(values, dtype=float)
+        times = _read_only(times)
+        values = _read_only(values)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("trajectory needs at least one time sample")
         if times[0] != 0.0:
@@ -186,8 +192,6 @@ class Trajectory:
             raise ValueError("trajectory values must have one field per sample")
         if not np.all(np.isfinite(values)):
             raise ValueError("trajectory contains non-finite values")
-        times.setflags(write=False)
-        values.setflags(write=False)
         self.grid = grid
         self.times = times
         self.values = values
@@ -205,6 +209,13 @@ class Trajectory:
 
     def __repr__(self):
         return f"Trajectory(samples={self.n_samples}, T={self.times[-1]:.6g})"
+
+
+def _read_only(a) -> np.ndarray:
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
+    return a
 
 
 def sup_norm_space(f: Field) -> float:
@@ -240,4 +251,6 @@ def diff_trajectory(t1: Trajectory, t2: Trajectory) -> Trajectory:
         raise ValueError("trajectories live on different grids")
     if not np.array_equal(t1.times, t2.times):
         raise ValueError("trajectories have different time samples")
-    return Trajectory(t1.grid, t1.times, t1.values - t2.values)
+    diff = t1.values - t2.values
+    diff.setflags(write=False)  # handed over: Trajectory keeps it without a copy
+    return Trajectory(t1.grid, t1.times, diff)

@@ -10,9 +10,10 @@ through the centered boundary-derivative formula, which keeps the full
 scheme second order (the diffusion expression is therefore evaluated at
 midpoints half a cell outside the domain).  Time stepping is
 Crank-Nicolson; the nonlinear reaction is handled by a damped Newton
-iteration per step.  Dirichlet values are imposed strongly, and no
-compatibility between the initial and boundary data is required - an
-initial-instant mismatch is absorbed over the first few steps.
+iteration per step (a chord Newton on rectangles, see TimeStepper).
+Dirichlet values are imposed strongly, and no compatibility between the
+initial and boundary data is required - an initial-instant mismatch is
+absorbed over the first few steps.
 
 Boundary and forcing data are pluggable (expression-backed by default,
 sampled arrays or callables for coupled systems), which is what the
@@ -63,6 +64,10 @@ class ReactionTerm:
     1e-7).  ``growth_exponent``/``growth_constant`` declare the envelope
     |h| <= c0 (1 + |u|^lambda); ``monotone`` declares that h is
     nondecreasing in u.
+
+    ``value``/``derivative`` take an optional ``bound``: the custom
+    expression with the node coordinates fixed (see :meth:`bind`), which
+    the stepper makes once and passes on every evaluation.
     """
 
     kind: str = "zero"
@@ -84,19 +89,30 @@ class ReactionTerm:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
-    def value(self, x, y, t, u):
+    def bind(self, x, y):
+        """The custom expression bound to the coordinates (x[, y]); None
+        for the catalog kinds, which do not read them."""
+        if self.kind != "custom":
+            return None
+        return self.expr.bind(x=x) if y is None else self.expr.bind(x=x, y=y)
+
+    def value(self, x, y, t, u, bound=None):
         if self.kind == "zero":
             return np.zeros_like(u)
         if self.kind == "log_poly":
             return self.scale * u * np.log1p(u * u)
         if self.kind == "odd_cubic":
             return self.scale * u ** 3
-        env = {"x": x, "t": t, "u": u}
-        if y is not None:
-            env["y"] = y
-        return np.broadcast_to(np.asarray(self.expr(**env), dtype=float), np.shape(u)).copy()
+        if bound is not None:
+            vals = bound(t=t, u=u)
+        else:
+            env = {"x": x, "t": t, "u": u}
+            if y is not None:
+                env["y"] = y
+            vals = self.expr(**env)
+        return np.broadcast_to(np.asarray(vals, dtype=float), np.shape(u)).copy()
 
-    def derivative(self, x, y, t, u):
+    def derivative(self, x, y, t, u, bound=None):
         if self.kind == "zero":
             return np.zeros_like(u)
         if self.kind == "log_poly":
@@ -105,7 +121,8 @@ class ReactionTerm:
         if self.kind == "odd_cubic":
             return 3.0 * self.scale * u * u
         step = 1e-7 * np.maximum(1.0, np.abs(u))
-        return (self.value(x, y, t, u + step) - self.value(x, y, t, u - step)) / (2.0 * step)
+        return (self.value(x, y, t, u + step, bound)
+                - self.value(x, y, t, u - step, bound)) / (2.0 * step)
 
 
 def reaction_zero() -> ReactionTerm:
@@ -424,17 +441,22 @@ class _Operator1D:
 
 
 class _Operator2D:
-    """Sparse five-point A on a rectangle with Robin ghosts or Dirichlet rows."""
+    """Sparse five-point A on a rectangle with Robin ghosts or Dirichlet rows.
+
+    Each of the five stencil diagonals is built as a whole (n_y, n_x)
+    array, and the diagonal sums its parts in the order c + x-part +
+    y-part.  A Robin row folds the outside (ghost) neighbour into the
+    inside one; a Dirichlet row is empty (identity added at stepping).
+    """
 
     def __init__(self, grid: SpatialGrid, coeffs: Coefficients, kind: str):
         nx, ny = grid.n_x, grid.n_y
         hx, hy = grid.h_x, grid.h_y
         X, Y = grid.meshes()
-        self.kind = kind
         self.n = nx * ny
         self.shape = (ny, nx)
         self.bindex = _boundary_indices(grid)
-        cv = (np.asarray(coeffs.c(x=X, y=Y)) * np.ones_like(X)).ravel()
+        cv = np.asarray(coeffs.c(x=X, y=Y)) * np.ones_like(X)
 
         def a_at(xq, yq):
             return np.asarray(coeffs.a(x=xq, y=yq)) * np.ones_like(xq)
@@ -443,57 +465,49 @@ class _Operator2D:
         ax_e = a_at(X + hx / 2, Y)
         ay_s = a_at(X, Y - hy / 2)
         ay_n = a_at(X, Y + hy / 2)
-
-        A = sp.lil_matrix((self.n, self.n))
-        g_coef = np.zeros(self.n)
-        mvals = None
+        diag_x = (ax_w + ax_e) / hx ** 2
+        diag_y = (ay_s + ay_n) / hy ** 2
+        west, east = -(ax_w / hx ** 2), -(ax_e / hx ** 2)
+        south, north = -(ay_s / hy ** 2), -(ay_n / hy ** 2)
         if kind == ROBIN:
-            mvals = np.zeros_like(X)
+            rows = np.ones(self.shape, dtype=bool)
+            m = np.zeros(self.n)
             xb, yb = _boundary_coords(grid)
-            mb = np.asarray(coeffs.m(x=xb, y=yb)) * np.ones_like(xb)
-            mflat = mvals.ravel()
-            mflat[self.bindex] = mb
-            mvals = mflat.reshape(self.shape)
-
-        def k(iy, ix):
-            return iy * nx + ix
-
-        for iy in range(ny):
-            for ix in range(nx):
-                row = k(iy, ix)
-                diag = cv[row]
-                if kind == DIRICHLET and (ix in (0, nx - 1) or iy in (0, ny - 1)):
-                    continue  # strong row: zero operator, identity at stepping
-                # x-direction
-                if 0 < ix < nx - 1:
-                    diag += (ax_w[iy, ix] + ax_e[iy, ix]) / hx ** 2
-                    A[row, k(iy, ix - 1)] = -ax_w[iy, ix] / hx ** 2
-                    A[row, k(iy, ix + 1)] = -ax_e[iy, ix] / hx ** 2
-                else:
-                    # Robin ghost in x
-                    inner = k(iy, 1) if ix == 0 else k(iy, nx - 2)
-                    a_out = ax_w[iy, 0] if ix == 0 else ax_e[iy, nx - 1]
-                    a_in = ax_e[iy, 0] if ix == 0 else ax_w[iy, nx - 1]
-                    a_bd = float(a_at(np.array(X[iy, ix]), np.array(Y[iy, ix])))
-                    diag += (a_in + a_out) / hx ** 2 + 2 * a_out * mvals[iy, ix] / (a_bd * hx)
-                    A[row, inner] = A[row, inner] - (a_in + a_out) / hx ** 2
-                    g_coef[row] += -2 * a_out / (a_bd * hx)
-                # y-direction
-                if 0 < iy < ny - 1:
-                    diag += (ay_s[iy, ix] + ay_n[iy, ix]) / hy ** 2
-                    A[row, k(iy - 1, ix)] = A[row, k(iy - 1, ix)] - ay_s[iy, ix] / hy ** 2
-                    A[row, k(iy + 1, ix)] = A[row, k(iy + 1, ix)] - ay_n[iy, ix] / hy ** 2
-                else:
-                    inner = k(1, ix) if iy == 0 else k(ny - 2, ix)
-                    a_out = ay_s[0, ix] if iy == 0 else ay_n[ny - 1, ix]
-                    a_in = ay_n[0, ix] if iy == 0 else ay_s[ny - 1, ix]
-                    a_bd = float(a_at(np.array(X[iy, ix]), np.array(Y[iy, ix])))
-                    diag += (a_in + a_out) / hy ** 2 + 2 * a_out * mvals[iy, ix] / (a_bd * hy)
-                    A[row, inner] = A[row, inner] - (a_in + a_out) / hy ** 2
-                    g_coef[row] += -2 * a_out / (a_bd * hy)
-                A[row, row] = diag
-        self.A = A.tocsr()
-        self.g_coef = g_coef if kind == ROBIN else None
+            m[self.bindex] = np.asarray(coeffs.m(x=xb, y=yb)) * np.ones_like(xb)
+            m = m.reshape(self.shape)
+            a_bd = a_at(X, Y)
+            east[:, 0], west[:, -1] = -diag_x[:, 0], -diag_x[:, -1]
+            north[0], south[-1] = -diag_y[0], -diag_y[-1]
+            g = np.zeros(self.shape)
+            # (side, outside midpoint coefficient, spacing, diagonal part);
+            # x sides first, as in the row-wise sum
+            for side, a_out, h, part in (
+                    ((slice(None), 0), ax_w, hx, diag_x),
+                    ((slice(None), -1), ax_e, hx, diag_x),
+                    ((0, slice(None)), ay_s, hy, diag_y),
+                    ((-1, slice(None)), ay_n, hy, diag_y)):
+                part[side] += 2 * a_out[side] * m[side] / (a_bd[side] * h)
+                g[side] += -2 * a_out[side] / (a_bd[side] * h)
+            self.g_coef = g.ravel()
+        else:
+            rows = ~grid.boundary_mask()  # strong rows stay empty
+            self.g_coef = None
+        iy, ix = np.indices(self.shape)
+        flat = np.arange(self.n).reshape(self.shape)
+        R, C, V = [], [], []
+        for vals, offset, present in (
+                (cv + diag_x + diag_y, 0, rows),
+                (west, -1, rows & (ix > 0)),
+                (east, 1, rows & (ix < nx - 1)),
+                (south, -nx, rows & (iy > 0)),
+                (north, nx, rows & (iy < ny - 1))):
+            R.append(flat[present])
+            C.append(flat[present] + offset)
+            V.append(vals[present])
+        A = sp.csr_matrix((np.concatenate(V), (np.concatenate(R), np.concatenate(C))),
+                          shape=(self.n, self.n))
+        A.eliminate_zeros()
+        self.A = A
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.A @ u
@@ -505,14 +519,7 @@ class _Operator2D:
         return g
 
     def m_plus(self, dt: float) -> sp.csr_matrix:
-        m = sp.identity(self.n, format="csr") + dt / 2 * self.A
-        if self.kind == DIRICHLET:
-            m = m.tolil()
-            for row in self.bindex:
-                m.rows[row] = [int(row)]
-                m.data[row] = [1.0]
-            m = m.tocsr()
-        return m
+        return sp.identity(self.n, format="csr") + dt / 2 * self.A
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +533,15 @@ class TimeStepper:
     can be swapped for sampled or callable providers (cascade coupling,
     boundary feedback).  ``residual_log`` records the accepted Newton
     residual of every step.
+
+    On a rectangle ``M+`` is factored once per ``dt`` and each step
+    iterates the chord (simplified) Newton step ``v += M+^{-1}(-F(v))``
+    (Kelley, *Iterative Methods for Linear and Nonlinear Equations*,
+    ch. 5).  A chord step that fails to halve the residual switches the
+    rest of that step to damped full Newton.  With a nonlinear reaction
+    one more chord step follows the one that meets the tolerance: chord
+    iterates converge only linearly and meet it just barely, and the
+    extra step brings them to the accuracy full Newton reaches.
     """
 
     def __init__(self, scenario: Scenario, forcing=None, boundary=None,
@@ -544,11 +560,10 @@ class TimeStepper:
         else:
             self.op = _Operator2D(g, scenario.coefficients, self.kind)
         self._dt_cache = None
-        self._xflat = None
-        self._yflat = None
         X, Y = g.meshes()
         self._xflat = np.asarray(X).ravel() if g.dim > 1 else g.x
         self._yflat = np.asarray(Y).ravel() if g.dim > 1 else None
+        self._reaction = scenario.reaction.bind(self._xflat, self._yflat)
         self._interior_mask = np.ones(g.n_nodes, dtype=bool)
         if self.kind == DIRICHLET:
             self._interior_mask[self.op.bindex] = False
@@ -561,16 +576,16 @@ class TimeStepper:
             self._m_plus = self.op.banded_m_plus(dt)
         else:
             self._m_plus = self.op.m_plus(dt)
-            self._lu = splu(self._m_plus.tocsc()) if self.scenario.reaction.is_zero else None
+            self._lu = splu(self._m_plus.tocsc())
 
     def _h(self, t, u):
-        vals = self.scenario.reaction.value(self._xflat, self._yflat, t, u)
+        vals = self.scenario.reaction.value(self._xflat, self._yflat, t, u, self._reaction)
         if self.kind == DIRICHLET:
             vals = np.where(self._interior_mask, vals, 0.0)
         return vals
 
     def _hprime(self, t, u):
-        vals = self.scenario.reaction.derivative(self._xflat, self._yflat, t, u)
+        vals = self.scenario.reaction.derivative(self._xflat, self._yflat, t, u, self._reaction)
         if self.kind == DIRICHLET:
             vals = np.where(self._interior_mask, vals, 0.0)
         return vals
@@ -582,6 +597,10 @@ class TimeStepper:
                 out[self.op.bindex] = v[self.op.bindex]
             return out
         return self._m_plus @ v
+
+    def _residual(self, v, t1, dt, rhs):
+        fv = self._m_plus_apply(v) + dt / 2 * self._h(t1, v) - rhs
+        return fv, float(np.max(np.abs(fv)))
 
     def step_values(self, u: np.ndarray, t: float, dt: float,
                     f_pair=None, b_pair=None) -> np.ndarray:
@@ -607,26 +626,30 @@ class TimeStepper:
         history = []
         scale = max(1.0, float(np.max(np.abs(rhs))))
         tol = self.newton_tol * scale
-        fv = self._m_plus_apply(v) + dt / 2 * self._h(t1, v) - rhs
-        res = float(np.max(np.abs(fv)))
+        fv, res = self._residual(v, t1, dt, rhs)
+        chord = self.grid.dim > 1
         for _ in range(self.max_newton):
             history.append(res)
             if res <= tol:
                 break
-            hp = self._hprime(t1, v)
+            if chord:
+                v_try = v + self._lu.solve(-fv)
+                fv_try, res_try = self._residual(v_try, t1, dt, rhs)
+                if res_try <= res / 2 or res_try <= tol:
+                    v, fv, res = v_try, fv_try, res_try
+                    continue
+                chord = False
             if self.grid.dim == 1:
-                delta = self.op.solve_newton_system(self._m_plus, hp, dt, -fv)
+                delta = self.op.solve_newton_system(self._m_plus, self._hprime(t1, v), dt, -fv)
+            elif self.scenario.reaction.is_zero:
+                delta = self._lu.solve(-fv)
             else:
-                if self.scenario.reaction.is_zero and self._lu is not None:
-                    delta = self._lu.solve(-fv)
-                else:
-                    j = self._m_plus + dt / 2 * sp.diags(hp)
-                    delta = splu(j.tocsc()).solve(-fv)
+                j = self._m_plus + dt / 2 * sp.diags(self._hprime(t1, v))
+                delta = splu(j.tocsc()).solve(-fv)
             s = 1.0
             while True:
                 v_try = v + s * delta
-                fv_try = self._m_plus_apply(v_try) + dt / 2 * self._h(t1, v_try) - rhs
-                res_try = float(np.max(np.abs(fv_try)))
+                fv_try, res_try = self._residual(v_try, t1, dt, rhs)
                 if res_try < res or res_try <= tol:
                     v, fv, res = v_try, fv_try, res_try
                     break
@@ -638,6 +661,11 @@ class TimeStepper:
             if res > tol:
                 raise SolverError(
                     f"Newton failed to reach tolerance at t={t1:.6g} (residual {res:.3e})", history)
+        if chord and not self.scenario.reaction.is_zero:
+            v_try = v + self._lu.solve(-fv)
+            fv_try, res_try = self._residual(v_try, t1, dt, rhs)
+            if res_try < res:
+                v, res = v_try, res_try
         history.append(res)
         if not np.all(np.isfinite(v)):
             raise SolverError(f"non-finite state after step to t={t1:.6g}", history)
@@ -659,6 +687,7 @@ class TimeStepper:
             b_next = self.boundary(times[i + 1])
             u = self.step_values(u, t, sc.dt, f_pair=(f0, f_next), b_pair=(b0, b_next))
             out[i + 1] = u
+        out.setflags(write=False)  # handed over: Trajectory keeps it without a copy
         return Trajectory(sc.grid, times, out.reshape(times.size, *sc.grid.shape))
 
 

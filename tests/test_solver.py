@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from pdesup.core import DIRICHLET, ROBIN, Field, grid_1d, grid_2d, sup_norm_space
+import pdesup.solver as solver_mod
+from pdesup.core import DIRICHLET, ROBIN, Field, Trajectory, grid_1d, grid_2d, sup_norm_space
 from pdesup.expressions import parse_expression
 from pdesup.solver import (
     BoundarySpec,
     Coefficients,
     ConfigError,
     ReactionTerm,
+    TimeStepper,
     convergence_order,
     explicit_solution_preset,
     heat_preset,
@@ -23,6 +26,7 @@ from pdesup.solver import (
 )
 
 E = parse_expression
+XYTU = ("x", "y", "t", "u")
 
 
 def _scenario_1d(a="1", c="1", m="1", reaction=None, f="0", kind=DIRICHLET,
@@ -233,3 +237,204 @@ def test_2d_robin_manufactured_convergence():
     e2 = run(21, 2e-3)
     order = math.log2(e1 / e2)
     assert order > 1.7
+
+
+# ---------------------------------------------------------------------------
+# 2-D operator assembly: the vectorized build against the row-by-row loop
+
+
+def _loop_operator_2d(grid, coeffs, kind):
+    """Reference (A, g_coef): the five-point stencil assembled node by node."""
+    nx, ny = grid.n_x, grid.n_y
+    hx, hy = grid.h_x, grid.h_y
+    X, Y = grid.meshes()
+    n = nx * ny
+    bindex = np.flatnonzero(grid.boundary_mask().ravel())
+    cv = (np.asarray(coeffs.c(x=X, y=Y)) * np.ones_like(X)).ravel()
+
+    def a_at(xq, yq):
+        return np.asarray(coeffs.a(x=xq, y=yq)) * np.ones_like(xq)
+
+    ax_w = a_at(X - hx / 2, Y)
+    ax_e = a_at(X + hx / 2, Y)
+    ay_s = a_at(X, Y - hy / 2)
+    ay_n = a_at(X, Y + hy / 2)
+    A = sp.lil_matrix((n, n))
+    g_coef = np.zeros(n)
+    mvals = None
+    if kind == ROBIN:
+        mflat = np.zeros(n)
+        mflat[bindex] = (np.asarray(coeffs.m(x=X.ravel()[bindex], y=Y.ravel()[bindex]))
+                         * np.ones(bindex.size))
+        mvals = mflat.reshape(ny, nx)
+
+    def k(iy, ix):
+        return iy * nx + ix
+
+    for iy in range(ny):
+        for ix in range(nx):
+            row = k(iy, ix)
+            diag = cv[row]
+            if kind == DIRICHLET and (ix in (0, nx - 1) or iy in (0, ny - 1)):
+                continue
+            if 0 < ix < nx - 1:
+                diag += (ax_w[iy, ix] + ax_e[iy, ix]) / hx ** 2
+                A[row, k(iy, ix - 1)] = -ax_w[iy, ix] / hx ** 2
+                A[row, k(iy, ix + 1)] = -ax_e[iy, ix] / hx ** 2
+            else:
+                inner = k(iy, 1) if ix == 0 else k(iy, nx - 2)
+                a_out = ax_w[iy, 0] if ix == 0 else ax_e[iy, nx - 1]
+                a_in = ax_e[iy, 0] if ix == 0 else ax_w[iy, nx - 1]
+                a_bd = float(a_at(np.array(X[iy, ix]), np.array(Y[iy, ix])))
+                diag += (a_in + a_out) / hx ** 2 + 2 * a_out * mvals[iy, ix] / (a_bd * hx)
+                A[row, inner] = A[row, inner] - (a_in + a_out) / hx ** 2
+                g_coef[row] += -2 * a_out / (a_bd * hx)
+            if 0 < iy < ny - 1:
+                diag += (ay_s[iy, ix] + ay_n[iy, ix]) / hy ** 2
+                A[row, k(iy - 1, ix)] = A[row, k(iy - 1, ix)] - ay_s[iy, ix] / hy ** 2
+                A[row, k(iy + 1, ix)] = A[row, k(iy + 1, ix)] - ay_n[iy, ix] / hy ** 2
+            else:
+                inner = k(1, ix) if iy == 0 else k(ny - 2, ix)
+                a_out = ay_s[0, ix] if iy == 0 else ay_n[ny - 1, ix]
+                a_in = ay_n[0, ix] if iy == 0 else ay_s[ny - 1, ix]
+                a_bd = float(a_at(np.array(X[iy, ix]), np.array(Y[iy, ix])))
+                diag += (a_in + a_out) / hy ** 2 + 2 * a_out * mvals[iy, ix] / (a_bd * hy)
+                A[row, inner] = A[row, inner] - (a_in + a_out) / hy ** 2
+                g_coef[row] += -2 * a_out / (a_bd * hy)
+            A[row, row] = diag
+    return A.tocsr(), (g_coef if kind == ROBIN else None)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("n_x,n_y,x_hi", [(3, 3, 1.0), (4, 5, 1.25), (9, 7, 1.0), (17, 21, 2.0)])
+def test_2d_assembly_matches_loop_bitwise(kind, n_x, n_y, x_hi):
+    grid = grid_2d(n_x, n_y, x_hi=x_hi)
+    coeffs = Coefficients(E("0.8+0.2*x+0.3*sin(3*x)*cos(2*y)+exp(-x*y)"), E("1.5-x*y"),
+                          E("0.7+0.3*x*y+0.1*cos(y)"))
+    op = solver_mod._Operator2D(grid, coeffs, kind)
+    A_ref, g_ref = _loop_operator_2d(grid, coeffs, kind)
+    assert np.array_equal(op.A.indptr, A_ref.indptr)
+    assert np.array_equal(op.A.indices, A_ref.indices)
+    assert _bitwise_equal(op.A.data, A_ref.data)
+    if kind == ROBIN:
+        assert _bitwise_equal(op.g_coef, g_ref)
+    else:
+        assert op.g_coef is None
+        # strong Dirichlet rows of M+ are identity rows
+        m = op.m_plus(1e-2).tocsr()
+        for row in op.bindex:
+            start, end = m.indptr[row], m.indptr[row + 1]
+            assert list(m.indices[start:end]) == [row]
+            assert list(m.data[start:end]) == [1.0]
+
+
+# ---------------------------------------------------------------------------
+# 2-D stepping: one factorization per (scenario, dt) and a chord Newton
+
+
+def _scenario_2d(reaction, dt, T, n=17, u0="sin(pi*x)*sin(pi*y)", kind=DIRICHLET):
+    return make_scenario(
+        grid_2d(n, n), T, dt,
+        Coefficients(E("1+0.2*x"), E("1"), E("1")),
+        reaction, E("0.1*sin(t)*x*y"), BoundarySpec(kind, E("0.05*t*x")), E(u0))
+
+
+def _count_splu(monkeypatch):
+    real, calls = solver_mod.splu, []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return real(matrix)
+
+    monkeypatch.setattr(solver_mod, "splu", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("reaction", [
+    reaction_zero(),
+    ReactionTerm("custom", expr=E("u*abs(u)+(1+x*y)*u", XYTU), growth_exponent=2.0,
+                 growth_constant=2.0)], ids=["linear", "custom"])
+def test_2d_stepper_factors_once(monkeypatch, kind, reaction):
+    calls = _count_splu(monkeypatch)
+    sc = _scenario_2d(reaction, dt=5e-3, T=0.1, kind=kind)
+    st = TimeStepper(sc)
+    st.solve()
+    assert len(calls) == 1
+    assert len(st.residual_log) == sc.n_steps
+    assert max(st.residual_log) <= 1e-12
+
+
+def test_2d_chord_falls_back_to_full_newton(monkeypatch):
+    # dt/2 h' is about 250 times the diagonal of M+ on the lowest mode:
+    # the chord step cannot contract, and full Newton must finish the step
+    calls = _count_splu(monkeypatch)
+    k = 500.0
+    reaction = ReactionTerm("custom", expr=E(f"{k!r}*u*abs(u)", XYTU), growth_exponent=2.0,
+                            growth_constant=k)
+    sc = _scenario_2d(reaction, dt=0.5, T=1.0, n=9)
+    st = TimeStepper(sc)
+    X, Y = sc.grid.meshes()
+    u, times = sc.initial_values().ravel(), sc.times()
+    scales = []
+    for i in range(sc.n_steps):
+        t = times[i]
+        h = reaction.value(X.ravel(), Y.ravel(), t, u)
+        h[st.op.bindex] = 0.0
+        f0, f1 = st.forcing(t), st.forcing(t + sc.dt)
+        rhs = u - sc.dt / 2 * (st.op.apply(u) + h) + sc.dt / 2 * (f0 + f1)
+        rhs[st.op.bindex] = st.boundary(t + sc.dt)
+        scales.append(max(1.0, float(np.max(np.abs(rhs)))))
+        u = st.step_values(u, t, sc.dt)
+    assert len(calls) > 1  # the fallback factored Jacobians of its own
+    assert len(st.residual_log) == sc.n_steps
+    assert all(r <= 1e-12 * s for r, s in zip(st.residual_log, scales))
+
+
+def test_bound_custom_reaction_is_bitwise_unbound():
+    reaction = ReactionTerm("custom", expr=E("u*abs(u)+sin(3*x)*cos(y)*u^3+t*x", XYTU),
+                            growth_exponent=2.0)
+    X, Y = grid_2d(9, 11).meshes()
+    x, y = X.ravel(), Y.ravel()
+    u = np.random.default_rng(0).normal(size=x.size)
+    bound = reaction.bind(x, y)
+    assert _bitwise_equal(reaction.value(x, y, 0.3, u, bound), reaction.value(x, y, 0.3, u))
+    assert _bitwise_equal(reaction.derivative(x, y, 0.3, u, bound),
+                          reaction.derivative(x, y, 0.3, u))
+    assert reaction_odd_cubic().bind(x, y) is None
+
+
+# ---------------------------------------------------------------------------
+# trajectory ownership
+
+
+def test_trajectory_is_read_only_and_owns_writeable_input():
+    g = grid_1d(11)
+    times = np.linspace(0.0, 1.0, 3)
+    vals = np.zeros((3, 11))
+    tr = Trajectory(g, times, vals)
+    assert not tr.values.flags.writeable and not tr.times.flags.writeable
+    assert not np.shares_memory(tr.values, vals)
+    assert not np.shares_memory(tr.times, times)
+    vals[:] = 1.0
+    assert np.all(tr.values == 0.0)
+    from_list = Trajectory(g, [0.0, 1.0], [[0.0] * 11, [1.0] * 11])
+    assert not from_list.values.flags.writeable
+    single = np.zeros((3, 11), dtype=np.float32)
+    single.setflags(write=False)
+    assert Trajectory(g, times, single).values.dtype == np.float64
+    # a read-only float64 array is handed over without a copy
+    frozen = np.ones((3, 11))
+    frozen.setflags(write=False)
+    assert Trajectory(g, times, frozen).values is frozen
+
+
+def test_solved_trajectory_is_read_only():
+    traj = solve(_scenario_1d(T=0.01))
+    assert not traj.values.flags.writeable
+    with pytest.raises(ValueError):
+        traj.values[0, 0] = 1.0
