@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .core import DIRICHLET, Field, SpatialGrid, Trajectory, running_sup
 from .expressions import Expression, parse_expression
@@ -100,7 +99,8 @@ class Kernel:
         self.values = values
         self.terms_used = terms_used
         self.n_k = x.size
-        self._grid_cache: dict[int, np.ndarray] = {}
+        self._grid_cache: dict[tuple, np.ndarray] = {}
+        self._volterra_cache: dict[tuple, np.ndarray] = {}
 
     def triangle_max_abs(self) -> float:
         X, Y = np.meshgrid(self.x, self.x, indexing="ij")
@@ -110,10 +110,12 @@ class Kernel:
         """Kernel matrix K[i, j] = k(x_i, x_j) on a field grid.
 
         Exact nodal lookup when the field nodes are a subset of the
-        kernel nodes, bilinear interpolation otherwise.
+        kernel nodes, bilinear interpolation otherwise.  Field nodes are
+        uniform, so the count and the two ends identify them.
         """
         n = x_nodes.size
-        cached = self._grid_cache.get(n)
+        key = _nodes_key(x_nodes)
+        cached = self._grid_cache.get(key)
         if cached is not None:
             return cached
         step = (self.n_k - 1) % (n - 1)
@@ -123,8 +125,33 @@ class Kernel:
         else:
             out = _bilinear(self.x, self.values, x_nodes)
         out.setflags(write=False)
-        self._grid_cache[n] = out
+        self._grid_cache[key] = out
         return out
+
+    def _volterra_matrix(self, x_nodes: np.ndarray) -> np.ndarray:
+        """Quadrature matrix Q with (Q u)[i] ~ int_0^{x_i} k(x_i, y) u(y) dy.
+
+        Built once per set of uniform nodes from :meth:`on_nodes` and
+        :func:`volterra_weights`; row 1 uses the three-point rule.
+        """
+        n = x_nodes.size
+        key = _nodes_key(x_nodes)
+        q = self._volterra_cache.get(key)
+        if q is None:
+            h = (float(x_nodes[-1]) - float(x_nodes[0])) / (n - 1)
+            kmat = self.on_nodes(x_nodes)
+            q = np.zeros((n, n))
+            if n >= 3:
+                q[1, :3] = kmat[1, :3] * _ROW1 * h
+            for i in range(2, n):
+                q[i, : i + 1] = kmat[i, : i + 1] * volterra_weights(i + 1, h)
+            q.setflags(write=False)
+            self._volterra_cache[key] = q
+        return q
+
+
+def _nodes_key(x_nodes: np.ndarray) -> tuple:
+    return (x_nodes.size, float(x_nodes[0]), float(x_nodes[-1]))
 
 
 def _bilinear(nodes: np.ndarray, values: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -147,7 +174,8 @@ def _series_kernel(lam: float, n_k: int, tol: float) -> Kernel:
     In (xi, eta) = (x+y, x-y) the kernel solves G(xi,eta) =
     (lam/4)(xi-eta) + (lam/4) int_eta^xi int_0^eta G; iterating from the
     first term keeps every iterate a polynomial, integrated here exactly
-    on coefficient matrices.
+    on coefficients.  Each iterate is homogeneous of odd degree d, so it
+    is stored as the vector c with c[j] the coefficient of xi^j eta^(d-j).
     """
     if n_k < 11:
         raise ValueError("kernel grid needs at least 11 nodes per edge")
@@ -157,29 +185,37 @@ def _series_kernel(lam: float, n_k: int, tol: float) -> Kernel:
     X, Y = np.meshgrid(x, x, indexing="ij")
     xi = X + Y
     eta = X - Y
-    term = np.zeros((2, 2))
-    term[1, 0] = lam / 4.0
-    term[0, 1] = -lam / 4.0
-    total_vals = npoly.polyval2d(xi, eta, term)
+    coef = np.array([-lam / 4.0, lam / 4.0])
+    total_vals = _homogeneous_eval(coef, xi, eta)
     n_terms = 1
     while True:
-        nxt = np.zeros((term.shape[0] + 1, term.shape[0] + term.shape[1] + 1))
-        for a in range(term.shape[0]):
-            row = term[a]
-            nz = np.nonzero(row)[0]
-            for b in nz:
-                w = (lam / 4.0) * row[b] / ((a + 1) * (b + 1))
-                nxt[a + 1, b + 1] += w
-                nxt[0, a + b + 2] -= w
-        term = nxt
-        vals = npoly.polyval2d(xi, eta, term)
-        total_vals = total_vals + vals
+        # (lam/4) int_eta^xi int_0^eta maps xi^j eta^(d-j) to
+        # (lam/4) (xi^(j+1) eta^(d-j+1) - eta^(d+2)) / ((j+1) (d-j+1))
+        j = np.arange(coef.size)
+        w = (lam / 4.0) * coef / ((j + 1) * (coef.size - j))
+        coef = np.zeros(coef.size + 2)  # no pure xi^(d+2) term
+        coef[1:-1] = w
+        for v in w.tolist():
+            coef[0] -= v
+        vals = _homogeneous_eval(coef, xi, eta)
+        total_vals += vals
         n_terms += 1
         if float(np.max(np.abs(vals))) < tol:
             break
         if n_terms >= MAX_SERIES_TERMS:
             raise RuntimeError(f"kernel series did not converge within {MAX_SERIES_TERMS} terms")
     return Kernel(lam, x, total_vals, n_terms)
+
+
+def _homogeneous_eval(coef: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """sum_j coef[j] xi^j eta^(d-j) by one homogeneous Horner sweep."""
+    out = np.zeros_like(xi)
+    eta_pow = np.ones_like(eta)
+    for c in coef[::-1].tolist():
+        out *= xi
+        out += c * eta_pow
+        eta_pow *= eta
+    return out
 
 
 def kernel_series(c: float, sigma: float, n_k: int = 201, tol: float = 1e-12) -> Kernel:
@@ -235,16 +271,9 @@ def volterra_weights(m: int, h: float) -> np.ndarray:
 _ROW1 = np.array([5.0, 8.0, -1.0]) / 12.0  # int_0^h g via nodes {0, h, 2h}
 
 
-def _volterra_apply(kmat: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
+def _volterra_apply(kernel: Kernel, grid: SpatialGrid, u: np.ndarray) -> np.ndarray:
     """out[i] = quadrature of k(x_i, y) u(y) over [0, x_i] for all rows."""
-    n = u.shape[-1]
-    out = np.zeros_like(u)
-    if n >= 3:
-        out[..., 1] = (u[..., :3] * (kmat[1, :3] * _ROW1 * h)).sum(axis=-1)
-    for i in range(2, n):
-        wts = volterra_weights(i + 1, h)
-        out[..., i] = (u[..., : i + 1] * (kmat[i, : i + 1] * wts)).sum(axis=-1)
-    return out
+    return u @ kernel._volterra_matrix(grid.x).T
 
 
 def _require_unit_interval(grid: SpatialGrid):
@@ -257,9 +286,7 @@ def forward_transform(u: Field, kernel: Kernel) -> Field:
     _require_unit_interval(u.grid)
     if kernel.n_k < u.grid.n_x:
         raise ValueError("kernel resolution must be at least the field resolution")
-    kmat = kernel.on_nodes(u.grid.x)
-    vals = u.values + _volterra_apply(kmat, u.values, u.grid.h_x)
-    return Field(u.grid, vals)
+    return Field(u.grid, u.values + _volterra_apply(kernel, u.grid, u.values))
 
 
 def inverse_transform(w: Field, inverse_kernel: Kernel) -> Field:
@@ -269,8 +296,7 @@ def inverse_transform(w: Field, inverse_kernel: Kernel) -> Field:
 
 def transform_trajectory(traj: Trajectory, kernel: Kernel) -> Trajectory:
     _require_unit_interval(traj.grid)
-    kmat = kernel.on_nodes(traj.grid.x)
-    vals = traj.values + _volterra_apply(kmat, traj.values, traj.grid.h_x)
+    vals = traj.values + _volterra_apply(kernel, traj.grid, traj.values)
     vals.setflags(write=False)  # handed over: Trajectory keeps it without a copy
     return Trajectory(traj.grid, traj.times, vals)
 
@@ -378,14 +404,14 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
 
 
 def target_forcing(kernel: Kernel, grid: SpatialGrid, f_vals: np.ndarray,
-                   d0_val: float) -> np.ndarray:
-    """Forcing of the transformed dynamics at one instant.
+                   d0_val) -> np.ndarray:
+    """Forcing of the transformed dynamics at one instant (or one per row).
 
     The transform maps f to f + int_0^x k f dy and couples the left
-    boundary value in through the kernel's edge slope k_y(x, 0).
+    boundary value in through the kernel's edge slope k_y(x, 0).  A
+    stack of rows ``f_vals`` takes ``d0_val`` as a column of values.
     """
-    kmat = kernel.on_nodes(grid.x)
-    out = f_vals + _volterra_apply(kmat, f_vals, grid.h_x)
+    out = f_vals + _volterra_apply(kernel, grid, f_vals)
     ky0 = kernel.lam * np.array([_bessel_ratio(kernel.lam * xx * xx) for xx in grid.x])
     return out + ky0 * d0_val
 
@@ -402,23 +428,16 @@ def target_residual(result: ClosedLoopResult, c: float, sigma: float,
     w = result.w
     grid = w.grid
     h = grid.h_x
-    dt = float(w.times[1] - w.times[0])
-    kernel = result.kernel
-    worst = 0.0
+    times = w.times
+    dt = float(times[1] - times[0])
     f_prov = ExpressionForcing(grid, f)
-    fw_next = target_forcing(kernel, grid, f_prov(0.0), float(d0(t=0.0)))
-    for i in range(w.n_samples - 1):
-        t0, t1 = w.times[i], w.times[i + 1]
-        fw0 = fw_next
-        fw_next = target_forcing(kernel, grid, f_prov(t1), float(d0(t=t1)))
-        if t0 < t_start:
-            continue
-        w0, w1 = w.values[i], w.values[i + 1]
-        lap0 = np.zeros(grid.n_x)
-        lap1 = np.zeros(grid.n_x)
-        lap0[1:-1] = (w0[:-2] - 2 * w0[1:-1] + w0[2:]) / h ** 2
-        lap1[1:-1] = (w1[:-2] - 2 * w1[1:-1] + w1[2:]) / h ** 2
-        r = ((w1 - w0) / dt - 0.5 * (lap0 + lap1) + sigma * 0.5 * (w0 + w1)
-             - 0.5 * (fw0 + fw_next))
-        worst = max(worst, float(np.max(np.abs(r[1:-1]))))
-    return worst
+    f_vals = np.array([f_prov(t) for t in times])
+    d0_vals = np.array([float(d0(t=t)) for t in times])
+    fw = target_forcing(result.kernel, grid, f_vals, d0_vals[:, None])
+    wv = w.values
+    lap = np.zeros_like(wv)
+    lap[:, 1:-1] = (wv[:, :-2] - 2 * wv[:, 1:-1] + wv[:, 2:]) / h ** 2
+    r = ((wv[1:] - wv[:-1]) / dt - 0.5 * (lap[:-1] + lap[1:]) + sigma * 0.5 * (wv[:-1] + wv[1:])
+         - 0.5 * (fw[:-1] + fw[1:]))
+    kept = r[times[:-1] >= t_start, 1:-1]
+    return float(np.max(np.abs(kept), initial=0.0))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -48,58 +49,73 @@ EXIT_NUMERICAL = 3
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return "nan"
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+    return "nan" if v is None else format(float(v), ".17g")
 
 
-def _write_csv(path: Path, header, rows):
+def _column(values) -> list[str]:
+    """Numbers (None reads as nan) printed as :func:`_fmt` prints them."""
+    return list(map(format, np.asarray(values, dtype=float).ravel().tolist(), repeat(".17g")))
+
+
+def _each(column: list[str], k: int) -> list[str]:
+    """Every entry of ``column`` repeated ``k`` times in place."""
+    return list(chain.from_iterable(map(repeat, column, repeat(k))))
+
+
+def _quote(text: str) -> str:
+    """An RFC 4180 field: quoted when it holds a comma, a quote or a line break."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(path: Path, header, columns):
+    """Write equal-length columns of strings, one CSV row per index."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    row = ",".join(["{}"] * len(header)) + "\n"
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(row.format, *columns))
+
+
+def _write_rows(path: Path, header, rows):
+    """A small table given row by row; a column of str is written as it is."""
+    columns = [[row[k] for row in rows] for k in range(len(header))]
+    _write_csv(path, header, [c if all(isinstance(v, str) for v in c) else _column(c)
+                              for c in columns])
 
 
 def _write_trajectory(path: Path, traj):
     g = traj.grid
-    rows = []
     if g.dim == 1:
-        for i, t in enumerate(traj.times):
-            for j, x in enumerate(g.x):
-                rows.append((t, x, traj.values[i, j]))
-        _write_csv(path, ("t", "x", "u"), rows)
-    else:
-        for i, t in enumerate(traj.times):
-            for iy, y in enumerate(g.y):
-                for ix, x in enumerate(g.x):
-                    rows.append((t, x, y, traj.values[i, iy, ix]))
-        _write_csv(path, ("t", "x", "y", "u"), rows)
+        header, nodes = ("t", "x", "u"), [_column(g.x)]
+    else:  # x runs fastest, as in the row-major values
+        header, nodes = ("t", "x", "y", "u"), [_column(g.x) * g.n_y, _each(_column(g.y), g.n_x)]
+    times = _column(traj.times)
+    _write_csv(path, header, [_each(times, len(nodes[0])), *(c * len(times) for c in nodes),
+                              _column(traj.values)])
 
 
 def _write_supnorms(path: Path, traj, f_sups, d_sups, bounds):
     sups = traj.sup_space_per_sample()
-    rows = []
-    for i, t in enumerate(traj.times):
-        b = bounds[i] if bounds is not None else math.nan
-        margin = b - sups[i] if bounds is not None else math.nan
-        rows.append((t, sups[i], f_sups[i], d_sups[i], b, margin))
-    _write_csv(path, ("t", "sup_space", "running_sup_f", "running_sup_d",
-                      "bound", "margin"), rows)
+    bounds = np.full(sups.size, math.nan) if bounds is None else np.asarray(bounds, dtype=float)
+    _write_csv(path, ("t", "sup_space", "running_sup_f", "running_sup_d", "bound", "margin"),
+               [_column(c) for c in (traj.times, sups, f_sups, d_sups, bounds, bounds - sups)])
 
 
 def _write_report(path: Path, reports):
-    rows = []
-    for rep in reports:
-        wx = rep.worst_location[0] if rep.worst_location else math.nan
-        wt = rep.worst_location[-1] if rep.worst_location else math.nan
-        rows.append((rep.check, rep.verdict, rep.worst_margin, wx, wt))
-    _write_csv(path, ("check", "verdict", "worst_margin", "witness_x", "witness_t"), rows)
+    """One row per check; a missing witness reads nan, and so does y in 1-D."""
+    locs = [rep.worst_location or (math.nan, math.nan) for rep in reports]
+    _write_csv(path, ("check", "verdict", "worst_margin", "witness_x", "witness_y",
+                      "witness_t", "notes"), [
+        [rep.check for rep in reports],
+        [rep.verdict for rep in reports],
+        _column([rep.worst_margin for rep in reports]),
+        _column([loc[0] for loc in locs]),
+        _column([loc[1] if len(loc) == 3 else math.nan for loc in locs]),
+        _column([loc[-1] for loc in locs]),
+        [_quote(rep.notes) for rep in reports],
+    ])
 
 
 def _gain_set(scenario, settings):
@@ -184,7 +200,7 @@ def cmd_gains(cp, out: Path, settings, args) -> int:
     if settings.n is not None:
         rows.append(("superlinear_gain", superlinear_gain(settings.n, vol),
                      f"flat-boundary in-domain gain at n={settings.n}, volume={_fmt(vol)}"))
-    _write_csv(out / "gains.csv", ("name", "value", "provenance"), rows)
+    _write_rows(out / "gains.csv", ("name", "value", "provenance"), rows)
     for name, value, _ in rows:
         print(f"{name} = {_fmt(value)}")
     return EXIT_PASS
@@ -240,7 +256,7 @@ def cmd_backstep(cp, out: Path, settings, args) -> int:
     _write_trajectory(out / "trajectory_target.csv", res.w)
     _write_report(out / "report.csv", [res.report])
     m = kernel_bound_constant(settings.c, settings.sigma, 1e-12)
-    _write_csv(out / "gains.csv", ("name", "value", "provenance"), [
+    _write_rows(out / "gains.csv", ("name", "value", "provenance"), [
         ("M", m, "kernel series bound"),
         ("C", closed_loop_forcing_gain(settings.c), "closed-loop in-domain gain"),
         ("max_kernel", res.kernel.triangle_max_abs(), "series kernel sup"),
@@ -255,9 +271,8 @@ def cmd_cascade(cp, out: Path, settings, args) -> int:
     trajs = cascade_mod.simulate_cascade(spec)
     rep = cascade_mod.verify_cascade(spec, trajs, settings.tol)
     for j, tr in enumerate(trajs, start=1):
-        sups = tr.sup_space_per_sample()
-        rows = [(t, sups[i]) for i, t in enumerate(tr.times)]
-        _write_csv(out / f"supnorms_{j}.csv", ("t", "sup_space"), rows)
+        _write_csv(out / f"supnorms_{j}.csv", ("t", "sup_space"),
+                   [_column(tr.times), _column(tr.sup_space_per_sample())])
     _write_report(out / "report.csv", [rep])
     print(f"cascade[{spec.topology}]: {rep.verdict} "
           f"(small-gain {_fmt(spec.small_gain)}; worst margin {_fmt(rep.worst_margin)})")
@@ -271,8 +286,8 @@ def cmd_convergence(cp, out: Path, settings, args) -> int:
     res = convergence_order(sc, settings.exact, settings.refinements)
     rows = [("space", h, e) for h, e in res.space_errors]
     rows += [("time", d, e) for d, e in res.time_errors]
-    _write_csv(out / "convergence.csv", ("ladder", "step", "sup_error"), rows)
-    _write_csv(out / "orders.csv", ("direction", "order"), [
+    _write_rows(out / "convergence.csv", ("ladder", "step", "sup_error"), rows)
+    _write_rows(out / "orders.csv", ("direction", "order"), [
         ("space", res.p_space), ("time", res.p_time)])
     print(f"orders: space {_fmt(res.p_space)}, time {_fmt(res.p_time)}")
     return EXIT_PASS

@@ -258,3 +258,84 @@ def test_bound_hierarchy_u_vs_transformed():
     su = res.u.sup_space_per_sample()
     sw = res.w.sup_space_per_sample()
     assert np.all(su <= (1 + m) * sw + 1e-9)
+
+
+def _dense_series_values(lam, n_k, tol):
+    """The kernel series with every term as a dense coefficient matrix and
+    a full-grid ``polyval2d`` per term (reference for the homogeneous sweep)."""
+    from numpy.polynomial import polynomial as npoly
+    x = np.linspace(0.0, 1.0, n_k)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    xi, eta = X + Y, X - Y
+    term = np.zeros((2, 2))
+    term[1, 0] = lam / 4.0
+    term[0, 1] = -lam / 4.0
+    total = npoly.polyval2d(xi, eta, term)
+    n_terms = 1
+    while True:
+        nxt = np.zeros((term.shape[0] + 1, term.shape[0] + term.shape[1] + 1))
+        for a in range(term.shape[0]):
+            for b in np.nonzero(term[a])[0]:
+                w = (lam / 4.0) * term[a, b] / ((a + 1) * (b + 1))
+                nxt[a + 1, b + 1] += w
+                nxt[0, a + b + 2] -= w
+        term = nxt
+        vals = npoly.polyval2d(xi, eta, term)
+        total = total + vals
+        n_terms += 1
+        if float(np.max(np.abs(vals))) < tol:
+            return total, n_terms
+
+
+@pytest.mark.parametrize("lam", [16.0, -16.0, 4.0, -4.0, 2.0, -2.0, 0.5])
+def test_series_matches_dense_polyval_reference(lam):
+    from pdesup.backstepping import _series_kernel
+    ref, ref_terms = _dense_series_values(lam, 101, 1e-12)
+    k = _series_kernel(lam, 101, 1e-12)
+    assert k.terms_used == ref_terms
+    assert np.max(np.abs(k.values - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def _volterra_loop(kmat, u, h):
+    """Row-by-row Volterra quadrature (reference for the cached matrix)."""
+    from pdesup.backstepping import _ROW1
+    n = u.shape[-1]
+    out = np.zeros_like(u)
+    out[..., 1] = (u[..., :3] * (kmat[1, :3] * _ROW1 * h)).sum(axis=-1)
+    for i in range(2, n):
+        wts = volterra_weights(i + 1, h)
+        out[..., i] = (u[..., : i + 1] * (kmat[i, : i + 1] * wts)).sum(axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("n_x", [3, 4, 101, 151, 201])
+def test_volterra_matrix_matches_row_loop(n_x):
+    from pdesup.backstepping import _volterra_apply
+    k = kernel_series(15.0, 1.0, n_k=201)
+    g = grid_1d(n_x)
+    u = np.random.default_rng(n_x).normal(size=(7, n_x))
+    ref = _volterra_loop(k.on_nodes(g.x), u, g.h_x)
+    got = _volterra_apply(k, g, u)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+    # one row at a time agrees with the stack, and the matrix is built once
+    assert np.max(np.abs(_volterra_apply(k, g, u[3]) - ref[3])) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+    assert k._volterra_matrix(g.x) is k._volterra_matrix(g.x)
+
+
+def test_kernel_caches_tell_same_size_grids_apart():
+    # two uniform grids with the same node count but different ends
+    k = kernel_series(1.0, 1.0, n_k=101)
+    full = np.linspace(0.0, 1.0, 51)
+    half = np.linspace(0.0, 0.5, 51)
+    k_full = k.on_nodes(full)
+    k_half = k.on_nodes(half)
+    assert k.on_nodes(full) is k_full
+    assert np.max(np.abs(k_full - k_half)) > 0.1
+    assert np.array_equal(k_half, k.on_nodes(np.linspace(0.0, 0.5, 51)))
+    q_full = k._volterra_matrix(full)
+    q_half = k._volterra_matrix(half)
+    assert np.max(np.abs(q_full - q_half)) > 1e-3
+    # the half grid's quadrature integrates with its own step h = 0.01
+    u = np.ones(51)
+    ref = _volterra_loop(k_half, u, 0.01)
+    assert np.max(np.abs(q_half @ u - ref)) <= 1e-13

@@ -1,14 +1,18 @@
+import csv
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pdesup.cli import main
+from pdesup.cli import _write_report, _write_trajectory, main
 from pdesup.config import cascade_from_config, load_config, scenario_from_config
-from pdesup.core import ROBIN
+from pdesup.core import ROBIN, Trajectory, grid_1d, grid_2d
+from pdesup.harness import Report
 from pdesup.solver import ConfigError
 
 HEAT_DECAY = """
@@ -328,9 +332,12 @@ sigma = 1
 def test_cli_module_entrypoint(tmp_path):
     p = _write(tmp_path, GAINS)
     out = tmp_path / "out"
+    # the subprocess does not inherit pytest's pythonpath; give it the package's src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "pdesup", "gains",
                            "--config", str(p), "--out", str(out)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "c_p_1d" in proc.stdout
 
@@ -482,3 +489,80 @@ def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
         # destabilizing c: simulated, nothing asserted, and the report says so
         assert code == 0
         assert (out / "report.csv").read_text().splitlines()[1].startswith("iss,not-asserted,")
+
+
+def _row_wise_trajectory(path, traj):
+    """One formatted cell at a time (reference for the column writer)."""
+    def fmt(v):
+        v = float(v)
+        if math.isnan(v):
+            return "nan"
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return format(v, ".17g")
+
+    g = traj.grid
+    if g.dim == 1:
+        lines = ["t,x,u"] + [",".join(map(fmt, (t, x, traj.values[i, j])))
+                             for i, t in enumerate(traj.times) for j, x in enumerate(g.x)]
+    else:
+        lines = ["t,x,y,u"] + [",".join(map(fmt, (t, x, y, traj.values[i, iy, ix])))
+                               for i, t in enumerate(traj.times)
+                               for iy, y in enumerate(g.y) for ix, x in enumerate(g.x)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2e-310, 1 / 3, -1e300, 7.0]
+
+
+@pytest.mark.parametrize("grid", [grid_1d(7, -0.5, 1.0), grid_2d(4, 3, 0.0, 1.0, -1.0, 0.1)],
+                         ids=["1d", "2d"])
+def test_trajectory_csv_matches_row_wise_writer(tmp_path, grid):
+    rng = np.random.default_rng(grid.dim)
+    times = np.array([0.0, 2.5e-7, 0.1, 1 / 3])
+    values = rng.normal(size=(times.size, *grid.shape)) * 10.0 ** rng.integers(-20, 20, size=(times.size, *grid.shape))
+    Trajectory(grid, times, values)  # a valid trajectory of that shape...
+    values.reshape(-1)[:len(_SPECIAL)] = _SPECIAL
+    # ...but Trajectory rejects non-finite values, so the writer gets a stand-in
+    traj = SimpleNamespace(grid=grid, times=times, values=values)
+    _write_trajectory(tmp_path / "new.csv", traj)
+    _row_wise_trajectory(tmp_path / "ref.csv", traj)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _report_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_report_notes_why_iss_is_not_asserted(tmp_path):
+    out = tmp_path / "out"
+    p = _write(tmp_path, ISS_ROBIN.replace("c = 1", "c = -1"))
+    assert main(["verify-iss", "--config", str(p), "--out", str(out)]) == 0
+    (row,) = _report_rows(out / "report.csv")
+    assert row["verdict"] == "not-asserted"
+    assert row["notes"].startswith("hypotheses not met: ")
+
+
+def test_report_notes_cascade_raw_norms(tmp_path):
+    out = tmp_path / "out"
+    # a Robin cycle with m = 1 has small-gain constant 1: nothing is asserted
+    text = CASCADE.replace("robin-open", "robin-cycle").replace("m = 2", "m = 1")
+    p = _write(tmp_path, text.replace("d = 0.3*sin(t)\n", ""))
+    assert main(["cascade", "--config", str(p), "--out", str(out)]) == 0
+    (row,) = _report_rows(out / "report.csv")
+    assert row["verdict"] == "not-asserted"
+    assert row["notes"].endswith("; raw norms recorded")
+
+
+def test_report_quotes_notes_and_keeps_witness_y(tmp_path):
+    reports = [Report("a", "pass", 0.5, (0.25, 0.75, 1.0), 3, notes='x, "y"'),
+               Report("b", "pass", 0.5, (0.25, 1.0), 3, notes="plain"),
+               Report("c", "not-asserted", math.nan, None, 0)]
+    _write_report(tmp_path / "report.csv", reports)
+    text = (tmp_path / "report.csv").read_text()
+    assert text.splitlines()[1] == 'a,pass,0.5,0.25,0.75,1,"x, ""y"""'
+    rows = _report_rows(tmp_path / "report.csv")
+    assert [r["notes"] for r in rows] == ['x, "y"', "plain", ""]
+    assert [r["witness_y"] for r in rows] == ["0.75", "nan", "nan"]
+    assert [r["witness_t"] for r in rows] == ["1", "1", "nan"]
