@@ -29,7 +29,8 @@ second-order level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -319,8 +320,14 @@ class ClosedLoopResult:
     w: Trajectory
     report: Report
     kernel: Kernel
-    inverse_kernel: Kernel
     controls: np.ndarray
+    inverse_args: tuple = field(repr=False)   # (c, sigma, n_k, tol) of the inverse kernel
+
+    @cached_property
+    def inverse_kernel(self) -> Kernel:
+        """The inverse-transform kernel, built on first access."""
+        c, sigma, n_k, tol = self.inverse_args
+        return inverse_kernel_series(c, sigma, n_k=n_k, tol=tol)
 
 
 def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
@@ -339,7 +346,6 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
         raise ValueError("c and sigma must be positive")
     _require_unit_interval(grid)
     kernel = kernel_series(c, sigma, n_k=n_k, tol=series_tol)
-    inverse = inverse_kernel_series(c, sigma, n_k=n_k, tol=series_tol)
     scenario = make_scenario(
         grid, horizon, dt,
         Coefficients(parse_expression("1"), parse_expression(repr(-float(c)))),
@@ -396,7 +402,8 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
     else:
         report = Report("open-loop", "not-asserted", math.nan, None,
                         len(times), notes="no feedback: no bound asserted")
-    return ClosedLoopResult(u_traj, w_traj, report, kernel, inverse, controls)
+    return ClosedLoopResult(u_traj, w_traj, report, kernel, controls,
+                            (c, sigma, n_k, series_tol))
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,25 @@ def test_closed_loop_zero_data():
     assert res.report.passed
 
 
+def test_closed_loop_builds_inverse_kernel_on_first_access(monkeypatch):
+    import pdesup.backstepping as bs
+    real, calls = bs.inverse_kernel_series, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bs, "inverse_kernel_series", counting)
+    res = simulate_closed_loop(2.0, 1.0, E("sin(pi*x)"), E("0"), E("0"), E("0"), grid_1d(51),
+                               1e-3, 0.01, n_k=101)
+    assert calls == []
+    li = res.inverse_kernel
+    assert res.inverse_kernel is li and len(calls) == 1
+    ref = real(2.0, 1.0, n_k=101)
+    assert li.lam == ref.lam and li.terms_used == ref.terms_used
+    assert np.array_equal(li.values, ref.values)
+
+
 def test_closed_loop_stabilizes_and_open_loop_grows():
     g = grid_1d(101)
     zero = E("0")

@@ -315,7 +315,7 @@ def test_2d_assembly_matches_loop_bitwise(kind, n_x, n_y, x_hi):
     grid = grid_2d(n_x, n_y, x_hi=x_hi)
     coeffs = Coefficients(E("0.8+0.2*x+0.3*sin(3*x)*cos(2*y)+exp(-x*y)"), E("1.5-x*y"),
                           E("0.7+0.3*x*y+0.1*cos(y)"))
-    op = solver_mod._Operator2D(grid, coeffs, kind)
+    op = solver_mod._Operator(grid, coeffs, kind)
     A_ref, g_ref = _loop_operator_2d(grid, coeffs, kind)
     assert np.array_equal(op.A.indptr, A_ref.indptr)
     assert np.array_equal(op.A.indices, A_ref.indices)
@@ -343,14 +343,14 @@ def _scenario_2d(reaction, dt, T, n=17, u0="sin(pi*x)*sin(pi*y)", kind=DIRICHLET
         reaction, E("0.1*sin(t)*x*y"), BoundarySpec(kind, E("0.05*t*x")), E(u0))
 
 
-def _count_splu(monkeypatch):
-    real, calls = solver_mod.splu, []
+def _count(monkeypatch, name):
+    real, calls = getattr(solver_mod, name), []
 
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return real(matrix)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver_mod, "splu", counting)
+    monkeypatch.setattr(solver_mod, name, counting)
     return calls
 
 
@@ -360,7 +360,7 @@ def _count_splu(monkeypatch):
     ReactionTerm("custom", expr=E("u*abs(u)+(1+x*y)*u", XYTU), growth_exponent=2.0,
                  growth_constant=2.0)], ids=["linear", "custom"])
 def test_2d_stepper_factors_once(monkeypatch, kind, reaction):
-    calls = _count_splu(monkeypatch)
+    calls = _count(monkeypatch, "splu")
     sc = _scenario_2d(reaction, dt=5e-3, T=0.1, kind=kind)
     st = TimeStepper(sc)
     st.solve()
@@ -369,27 +369,38 @@ def test_2d_stepper_factors_once(monkeypatch, kind, reaction):
     assert max(st.residual_log) <= 1e-12
 
 
-def test_2d_chord_falls_back_to_full_newton(monkeypatch):
-    # dt/2 h' is about 250 times the diagonal of M+ on the lowest mode:
-    # the chord step cannot contract, and full Newton must finish the step
-    calls = _count_splu(monkeypatch)
-    k = 500.0
-    reaction = ReactionTerm("custom", expr=E(f"{k!r}*u*abs(u)", XYTU), growth_exponent=2.0,
-                            growth_constant=k)
-    sc = _scenario_2d(reaction, dt=0.5, T=1.0, n=9)
-    st = TimeStepper(sc)
+def _step_with_scales(st, reaction):
+    """Step the whole horizon; returns the ``max(1, |rhs|)`` scale of each step."""
+    sc = st.scenario
     X, Y = sc.grid.meshes()
+    x, y = np.ravel(X), None if Y is None else Y.ravel()
     u, times = sc.initial_values().ravel(), sc.times()
     scales = []
     for i in range(sc.n_steps):
         t = times[i]
-        h = reaction.value(X.ravel(), Y.ravel(), t, u)
+        h = reaction.value(x, y, t, u)
         h[st.op.bindex] = 0.0
         f0, f1 = st.forcing(t), st.forcing(t + sc.dt)
-        rhs = u - sc.dt / 2 * (st.op.apply(u) + h) + sc.dt / 2 * (f0 + f1)
+        rhs = u - sc.dt / 2 * (st.op.A @ u + h) + sc.dt / 2 * (f0 + f1)
         rhs[st.op.bindex] = st.boundary(t + sc.dt)
         scales.append(max(1.0, float(np.max(np.abs(rhs)))))
         u = st.step_values(u, t, sc.dt)
+    return scales
+
+
+def _stiff_reaction(k=500.0):
+    return ReactionTerm("custom", expr=E(f"{k!r}*u*abs(u)", XYTU), growth_exponent=2.0,
+                        growth_constant=k)
+
+
+def test_2d_chord_falls_back_to_full_newton(monkeypatch):
+    # dt/2 h' is about 250 times the diagonal of M+ on the lowest mode:
+    # the chord step cannot contract, and full Newton must finish the step
+    calls = _count(monkeypatch, "splu")
+    reaction = _stiff_reaction()
+    sc = _scenario_2d(reaction, dt=0.5, T=1.0, n=9)
+    st = TimeStepper(sc)
+    scales = _step_with_scales(st, reaction)
     assert len(calls) > 1  # the fallback factored Jacobians of its own
     assert len(st.residual_log) == sc.n_steps
     assert all(r <= 1e-12 * s for r, s in zip(st.residual_log, scales))
@@ -406,6 +417,139 @@ def test_bound_custom_reaction_is_bitwise_unbound():
     assert _bitwise_equal(reaction.derivative(x, y, 0.3, u, bound),
                           reaction.derivative(x, y, 0.3, u))
     assert reaction_odd_cubic().bind(x, y) is None
+
+
+# ---------------------------------------------------------------------------
+# 1-D operator: the n_y = 1 case of the stencil-diagonal build
+
+
+class _ReferenceOperator1D:
+    """The former hand-written tridiagonal interval operator (lo, di, up, gcoef)."""
+
+    def __init__(self, grid, coeffs, kind):
+        x, h, n = grid.x, grid.h_x, grid.n_x
+        mid = np.asarray(coeffs.a(x=x[:-1] + h / 2)) * np.ones(n - 1)
+        cv = np.asarray(coeffs.c(x=x)) * np.ones(n)
+        lo, di, up = np.zeros(n), np.zeros(n), np.zeros(n)
+        di[1:-1] = (mid[:-1] + mid[1:]) / h ** 2 + cv[1:-1]
+        lo[1:-1] = -mid[:-1] / h ** 2
+        up[1:-1] = -mid[1:] / h ** 2
+        self.gcoef = None
+        if kind == ROBIN:
+            a_out_l = float(np.asarray(coeffs.a(x=x[0] - h / 2)))
+            a_out_r = float(np.asarray(coeffs.a(x=x[-1] + h / 2)))
+            a_l = float(np.asarray(coeffs.a(x=x[0])))
+            a_r = float(np.asarray(coeffs.a(x=x[-1])))
+            m_l = float(np.asarray(coeffs.m(x=x[0])))
+            m_r = float(np.asarray(coeffs.m(x=x[-1])))
+            di[0] = (mid[0] + a_out_l) / h ** 2 + 2 * a_out_l * m_l / (a_l * h) + cv[0]
+            up[0] = -(mid[0] + a_out_l) / h ** 2
+            di[-1] = (mid[-1] + a_out_r) / h ** 2 + 2 * a_out_r * m_r / (a_r * h) + cv[-1]
+            lo[-1] = -(mid[-1] + a_out_r) / h ** 2
+            self.gcoef = np.array([-2 * a_out_l / (a_l * h), -2 * a_out_r / (a_r * h)])
+        self.lo, self.di, self.up = lo, di, up
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("n_x,x_hi", [(3, 1.0), (4, 1.25), (17, 2.0), (81, 1.0)])
+def test_1d_operator_matches_reference_within_2ulp(kind, n_x, x_hi):
+    # the merged build samples a at x -+ h/2, the reference at x[:-1] + h/2:
+    # the west midpoints may differ in the last bits
+    grid = grid_1d(n_x, 0.0, x_hi)
+    coeffs = Coefficients(E("0.8+0.2*x+0.3*sin(3*x)+exp(-x)"), E("1.5-x^2"), E("0.7+0.3*x"))
+    op = solver_mod._Operator(grid, coeffs, kind)
+    ref = _ReferenceOperator1D(grid, coeffs, kind)
+    # tridiagonal; strong Dirichlet rows stay empty
+    assert op.A.nnz == (3 * n_x - 2 if kind == ROBIN else 3 * (n_x - 2))
+    np.testing.assert_array_max_ulp(op.A.diagonal(0), ref.di, maxulp=2)
+    np.testing.assert_array_max_ulp(op.A.diagonal(1), ref.up[:-1], maxulp=2)
+    np.testing.assert_array_max_ulp(op.A.diagonal(-1), ref.lo[1:], maxulp=2)
+    if kind == ROBIN:
+        np.testing.assert_array_max_ulp(op.g_coef[op.bindex], ref.gcoef, maxulp=2)
+        assert np.all(op.g_coef[1:-1] == 0.0)
+    else:
+        assert op.g_coef is None
+
+
+_REACTIONS_1D = [
+    reaction_zero(),
+    reaction_log_poly(1.5),
+    ReactionTerm("custom", expr=E("u*abs(u)+(1+x)*u", XYTU), growth_exponent=2.0,
+                 growth_constant=2.0)]
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("reaction", _REACTIONS_1D, ids=["zero", "log_poly", "custom"])
+def test_1d_stepper_factors_once(monkeypatch, kind, reaction):
+    calls = _count(monkeypatch, "dgttrf")
+    sc = _scenario_1d(a="1+0.2*x", reaction=reaction, f="0.1*sin(t)*x", kind=kind,
+                      d="0.05*t", n_x=41, dt=5e-3, T=0.1)
+    st = TimeStepper(sc)
+    st.solve()
+    assert len(calls) == 1
+    assert len(st.residual_log) == sc.n_steps
+    assert max(st.residual_log) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+def test_1d_linear_step_is_one_solve(monkeypatch, kind):
+    def never(*args, **kwargs):
+        raise AssertionError("a zero reaction was evaluated")
+
+    monkeypatch.setattr(ReactionTerm, "value", never)
+    monkeypatch.setattr(ReactionTerm, "derivative", never)
+    solves = _count(monkeypatch, "dgttrs")
+    sc = _scenario_1d(a="1+0.2*x", f="0.1*sin(t)*x", kind=kind, d="0.05*t", n_x=41,
+                      dt=5e-3, T=0.05)
+    st = TimeStepper(sc)
+    u, times = sc.initial_values(), sc.times()
+    for i in range(sc.n_steps):
+        u = st.step_values(u, times[i], sc.dt)
+        assert len(solves) == i + 1
+    assert max(st.residual_log) <= 1e-12
+
+
+def test_1d_chord_falls_back_to_full_newton(monkeypatch):
+    # as in 2-D: dt/2 h' dwarfs the diagonal of M+, so the chord step
+    # cannot contract and the tridiagonal full Newton finishes the step
+    banded = _count(monkeypatch, "solve_banded")
+    reaction = _stiff_reaction()
+    sc = _scenario_1d(a="1+0.2*x", reaction=reaction, f="0.1*sin(t)*x", d="0.05*t*x",
+                      n_x=9, dt=0.5, T=1.0)
+    st = TimeStepper(sc)
+    scales = _step_with_scales(st, reaction)
+    assert banded  # the fallback solved Jacobians of its own
+    assert len(st.residual_log) == sc.n_steps
+    assert all(r <= 1e-12 * s for r, s in zip(st.residual_log, scales))
+
+
+def test_1d_singular_m_plus_raises_solver_error():
+    # one interior node: 1 + dt/2 (2a/h^2 + c) = 1 + 0.05 (8 - 28) = 0
+    sc = _scenario_1d(c="-28", n_x=3, dt=0.1, T=0.1)
+    with pytest.raises(solver_mod.SolverError, match="singular"):
+        solve(sc)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+def test_dirichlet_values_are_the_data_bitwise(dim, nonlinear):
+    d = "0.05*t*x+0.1*sin(3*t)*cos(x)"
+    reaction = (ReactionTerm("custom", expr=E("u*abs(u)+u", XYTU), growth_exponent=2.0,
+                             growth_constant=2.0) if nonlinear else reaction_zero())
+    if dim == 1:
+        sc = _scenario_1d(a="1+0.2*x", reaction=reaction, f="0.1*sin(t)*x", d=d, n_x=81,
+                          dt=1e-2, T=0.4)
+    else:
+        sc = make_scenario(
+            grid_2d(31, 31), 0.2, 1e-2, Coefficients(E("1+0.2*x"), E("1"), E("1")),
+            reaction, E("0.1*sin(t)*x*y"), BoundarySpec(DIRICHLET, E(d + "*y")),
+            E("sin(pi*x)*sin(pi*y)"))
+    traj = solve(sc)
+    bindex = np.flatnonzero(sc.grid.boundary_mask().ravel())
+    data = solver_mod.ExpressionBoundary(sc.grid, sc.boundary.data)
+    expect = np.array([data(t) for t in traj.times[1:]])
+    got = traj.values.reshape(traj.times.size, -1)[1:, bindex]
+    assert _bitwise_equal(got, expect)
 
 
 # ---------------------------------------------------------------------------
