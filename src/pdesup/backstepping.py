@@ -34,17 +34,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DIRICHLET, Field, SpatialGrid, Trajectory, running_sup
+from .core import DIRICHLET, Field, SpatialGrid, Trajectory, time_blocks
 from .expressions import Expression, parse_expression
 from .gains import closed_loop_iss_bound, kernel_bound_constant
-from .harness import Report, _report_from_samples, default_tolerance
+from .harness import Report, _report_from_samples, data_running_sup, default_tolerance
 from .solver import (
     BoundarySpec,
-    CallableBoundary,
     Coefficients,
-    ExpressionForcing,
     TimeStepper,
+    data_rows,
     make_scenario,
+    node_coords,
     reaction_zero,
 )
 
@@ -359,39 +359,41 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
     def control_of(vals: np.ndarray) -> float:
         return float(-np.dot(wq, krow * vals)) if feedback else 0.0
 
-    stepper = TimeStepper(scenario, boundary=CallableBoundary(lambda t: np.zeros(2)))
+    stepper = TimeStepper(scenario)
     u = scenario.initial_values().astype(float)
     times = scenario.times()
     out = np.empty((times.size, grid.n_x))
     out[0] = u
     controls = np.empty(times.size)
     controls[0] = control_of(u)
-    f_prov = stepper.forcing
-    f_next = f_prov(0.0)
-    d_vals = np.array([[float(d0(t=t)), float(d1(t=t))] for t in times])
-    for i in range(scenario.n_steps):
-        t0, t1 = times[i], times[i + 1]
-        f0, f_next = f_next, f_prov(t1)
-        b0 = np.array([d_vals[i, 0], d_vals[i, 1] + controls[i]])
-        U = control_of(u)
-        for _ in range(max(1, control_sweeps)):
-            b1 = np.array([d_vals[i + 1, 0], d_vals[i + 1, 1] + U])
-            cand = stepper.step_values(u, t0, dt, f_pair=(f0, f_next), b_pair=(b0, b1))
-            U_new = control_of(cand)
-            done = abs(U_new - U) <= 1e-13 * (1.0 + abs(U))
-            U = U_new
-            if done:
-                break
-        u = cand
-        out[i + 1] = u
-        controls[i + 1] = U
+    nodes = node_coords(grid)
+    d_vals = np.hstack([data_rows(d0, (grid.x[:1], None))(times),   # (n_t, 2): x = 0, x = 1
+                        data_rows(d1, (grid.x[-1:], None))(times)])
+    f_rows = data_rows(f, nodes)
+    for sl in time_blocks(times.size, grid.n_x):
+        f_block = f_rows(times[sl])
+        for i in range(sl.start, sl.stop - 1):
+            f_pair = (f_block[i - sl.start], f_block[i - sl.start + 1])
+            b0 = np.array([d_vals[i, 0], d_vals[i, 1] + controls[i]])
+            U = control_of(u)
+            for _ in range(max(1, control_sweeps)):
+                b1 = np.array([d_vals[i + 1, 0], d_vals[i + 1, 1] + U])
+                cand = stepper.step_values(u, times[i], dt, f_pair=f_pair, b_pair=(b0, b1))
+                U_new = control_of(cand)
+                done = abs(U_new - U) <= 1e-13 * (1.0 + abs(U))
+                U = U_new
+                if done:
+                    break
+            u = cand
+            out[i + 1] = u
+            controls[i + 1] = U
     out.setflags(write=False)  # handed over: Trajectory keeps it without a copy
     u_traj = Trajectory(grid, times, out)
     w_traj = transform_trajectory(u_traj, kernel)
 
     observed = u_traj.sup_space_per_sample()
     u0_sup = observed[0]
-    f_sups = running_sup(f_prov, times)
+    f_sups = data_running_sup(f, nodes, times)
     d0_run, d1_run = np.maximum.accumulate(np.abs(d_vals), axis=0).T
     if feedback:
         bounds = np.array([closed_loop_iss_bound(t, u0_sup, f_sups[i], d0_run[i],
@@ -437,10 +439,8 @@ def target_residual(result: ClosedLoopResult, c: float, sigma: float,
     h = grid.h_x
     times = w.times
     dt = float(times[1] - times[0])
-    f_prov = ExpressionForcing(grid, f)
-    f_vals = np.array([f_prov(t) for t in times])
-    d0_vals = np.array([float(d0(t=t)) for t in times])
-    fw = target_forcing(result.kernel, grid, f_vals, d0_vals[:, None])
+    fw = target_forcing(result.kernel, grid, data_rows(f, node_coords(grid))(times),
+                        data_rows(d0, (grid.x[:1], None))(times))
     wv = w.values
     lap = np.zeros_like(wv)
     lap[:, 1:-1] = (wv[:, :-2] - 2 * wv[:, 1:-1] + wv[:, 2:]) / h ** 2

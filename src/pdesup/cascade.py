@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DIRICHLET, ROBIN, SpatialGrid, Trajectory, running_sup
+from .core import DIRICHLET, ROBIN, SpatialGrid, Trajectory, time_blocks
 from .expressions import Expression, parse_expression
 from .gains import (
     cascade_bound_dirichlet,
@@ -37,21 +37,20 @@ from .harness import (
     NOT_ASSERTED,
     PASS,
     Report,
+    data_running_sup,
     default_tolerance,
 )
 from .solver import (
     BoundarySpec,
     Coefficients,
     ConfigError,
-    ExpressionBoundary,
-    ExpressionForcing,
     ReactionTerm,
-    SampledBoundary,
-    SampledForcing,
     Scenario,
     SolverError,
     TimeStepper,
+    data_rows,
     make_scenario,
+    node_coords,
     _boundary_indices,
 )
 
@@ -190,10 +189,6 @@ def build_cascade(subsystems, topology: str, grid: SpatialGrid, dt: float,
                        warnings=warnings)
 
 
-def _trace(values: np.ndarray, bindex: np.ndarray) -> np.ndarray:
-    return values.reshape(values.shape[0], -1)[:, bindex]
-
-
 def simulate_cascade(spec: CascadeSpec) -> list[Trajectory]:
     """Solve all subsystems respecting the coupling topology."""
     if spec.topology in (ROBIN_OPEN, DIRICHLET_OPEN):
@@ -207,12 +202,12 @@ def _simulate_open(spec: CascadeSpec) -> list[Trajectory]:
     for j, sc in enumerate(spec.scenarios):
         forcing = None
         boundary = None
-        if j > 0:
-            prev = trajs[-1]
+        if j > 0:  # the upstream (times × nodes) rows: its boundary trace or its field
+            prev = trajs[-1].values.reshape(trajs[-1].n_samples, -1)
             if spec.boundary_kind == ROBIN:
-                boundary = SampledBoundary(prev.times, _trace(prev.values, bindex))
+                boundary = prev[:, bindex]
             else:
-                forcing = SampledForcing(prev.times, prev.values)
+                forcing = prev
         trajs.append(TimeStepper(sc, forcing=forcing, boundary=boundary).solve())
     return trajs
 
@@ -221,40 +216,45 @@ def _simulate_cycle(spec: CascadeSpec) -> list[Trajectory]:
     bindex = _boundary_indices(spec.grid)
     steppers = [TimeStepper(sc) for sc in spec.scenarios]
     n_nodes = spec.grid.n_nodes
+    nodes, bnodes = node_coords(spec.grid), node_coords(spec.grid, boundary=True)
     times = spec.scenarios[0].times()
     k = spec.k
     state = np.stack([sc.initial_values().ravel() for sc in spec.scenarios])
     out = np.empty((k, times.size, n_nodes))
     out[:, 0] = state
     robin = spec.boundary_kind == ROBIN
-    if not robin:
-        bvals = [[st.boundary(t) for t in times] for st in steppers]
-    for i in range(len(times) - 1):
-        t0, t1 = times[i], times[i + 1]
-        cand = state.copy()  # lagged initial guess for the t1 fields
-        history = []
-        for sweep in range(GS_MAX_SWEEPS):
-            prev_cand = cand.copy()
-            for j in range(k):
-                src_old = state[j - 1] if j > 0 else state[k - 1]
-                src_new = cand[j - 1] if j > 0 else cand[k - 1]
-                if robin:
-                    b_pair = (src_old[bindex], src_new[bindex])
-                    f_pair = (np.zeros(n_nodes), np.zeros(n_nodes))
-                else:
-                    b_pair = (bvals[j][i], bvals[j][i + 1])
-                    f_pair = (src_old, src_new)
-                cand[j] = steppers[j].step_values(state[j], t0, spec.dt,
-                                                  f_pair=f_pair, b_pair=b_pair)
-            change = float(np.max(np.abs(cand - prev_cand)))
-            history.append(change)
-            if change < GS_TOL:
-                break
-        else:
-            raise CascadeError(
-                f"cycle sweeps did not converge at t={t1:.6g}", history)
-        state = cand
-        out[:, i + 1] = state
+    # each subsystem's own data: the forcing on a Robin cycle, the
+    # boundary values on a Dirichlet one; the other side is coupled
+    own_rows = [data_rows(sc.forcing, nodes) if robin else data_rows(sc.boundary.data, bnodes)
+                for sc in spec.scenarios]
+    for sl in time_blocks(times.size, n_nodes):
+        own = [rows(times[sl]) for rows in own_rows]
+        for i in range(sl.start, sl.stop - 1):
+            t0, t1 = times[i], times[i + 1]
+            r = i - sl.start  # the row of t0 in this block
+            cand = state.copy()  # lagged initial guess for the t1 fields
+            history = []
+            for sweep in range(GS_MAX_SWEEPS):
+                prev_cand = cand.copy()
+                for j in range(k):
+                    src_old = state[j - 1] if j > 0 else state[k - 1]
+                    src_new = cand[j - 1] if j > 0 else cand[k - 1]
+                    pair = (own[j][r], own[j][r + 1])
+                    if robin:
+                        f_pair, b_pair = pair, (src_old[bindex], src_new[bindex])
+                    else:
+                        f_pair, b_pair = (src_old, src_new), pair
+                    cand[j] = steppers[j].step_values(state[j], t0, spec.dt,
+                                                      f_pair=f_pair, b_pair=b_pair)
+                change = float(np.max(np.abs(cand - prev_cand)))
+                history.append(change)
+                if change < GS_TOL:
+                    break
+            else:
+                raise CascadeError(
+                    f"cycle sweeps did not converge at t={t1:.6g}", history)
+            state = cand
+            out[:, i + 1] = state
     out.setflags(write=False)  # handed over: each Trajectory keeps its slice without a copy
     return [Trajectory(spec.grid, times, out[j].reshape(times.size, *spec.grid.shape))
             for j in range(k)]
@@ -293,13 +293,13 @@ def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) ->
                       notes=f"{why}; raw norms recorded")
 
     robin = spec.boundary_kind == ROBIN
+    nodes, bnodes = node_coords(spec.grid), node_coords(spec.grid, boundary=True)
     if spec.topology == ROBIN_OPEN:
-        d_run = running_sup(ExpressionBoundary(spec.grid, spec.external_d), times)
+        d_run = data_running_sup(spec.external_d, bnodes, times)
     elif spec.topology == DIRICHLET_OPEN:
-        f_run = running_sup(ExpressionForcing(spec.grid, spec.external_f), times)
+        f_run = data_running_sup(spec.external_f, nodes, times)
     if not robin:
-        d_runs = [running_sup(ExpressionBoundary(spec.grid, e), times)
-                  for e in spec.boundary_exprs]
+        d_runs = [data_running_sup(e, bnodes, times) for e in spec.boundary_exprs]
 
     worst = math.inf
     worst_where = None

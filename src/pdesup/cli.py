@@ -247,8 +247,8 @@ def cmd_backstep(cp, out: Path, settings, args) -> int:
     if settings.c is None or settings.sigma is None:
         raise ConfigError("[check] needs c and sigma for the closed loop")
     sc = scenario_from_config(cp)
-    d0 = _expr(cp, "disturbances", "d0", "0")
-    d1 = _expr(cp, "disturbances", "d1", "0")
+    d0 = _expr(cp, "disturbances", "d0", "0", ("t",))
+    d1 = _expr(cp, "disturbances", "d1", "0", ("t",))
     res = backstepping.simulate_closed_loop(
         settings.c, settings.sigma, sc.u0, sc.forcing, d0, d1,
         sc.grid, sc.dt, sc.horizon, tol=settings.tol)

@@ -43,13 +43,20 @@ def load_config(path) -> configparser.ConfigParser:
     return cp
 
 
-def _expr(cp, section, key, default=None, variables=("x", "y", "t")) -> Expression | None:
-    if not cp.has_option(section, key):
-        if default is None:
-            return None
-        return parse_expression(default, variables)
+def _space(cp) -> tuple:
+    """The coordinate variables of the config's domain: x, plus y on a rectangle."""
+    rect = cp.get("domain", "kind", fallback="interval").strip() == "rectangle"
+    return ("x", "y") if rect else ("x",)
+
+
+def _expr(cp, section, key, default=None, variables=None) -> Expression | None:
+    """The expression under ``key``, over exactly the variables its
+    evaluation supplies: by default the domain's coordinates and t."""
+    text = cp.get(section, key, fallback=default)
+    if text is None:
+        return None
     try:
-        return parse_expression(cp.get(section, key), variables)
+        return parse_expression(text, variables or _space(cp) + ("t",))
     except ParseError as e:
         raise ConfigError(f"[{section}] {key}: {e}") from None
 
@@ -119,7 +126,7 @@ def reaction_from_config(cp, section="reaction", suffix="") -> ReactionTerm:
     if kind == "odd_cubic":
         return reaction_odd_cubic(scale)
     if kind == "custom":
-        expr = _expr(cp, section, "expr" + suffix, variables=("x", "y", "t", "u"))
+        expr = _expr(cp, section, "expr" + suffix, variables=_space(cp) + ("t", "u"))
         if expr is None:
             raise ConfigError("custom reaction needs expr")
         lam = _float(cp, section, "lambda" + suffix, 1.0)
@@ -132,9 +139,9 @@ def reaction_from_config(cp, section="reaction", suffix="") -> ReactionTerm:
 
 def coefficients_from_config(cp, section="coefficients", suffix="") -> Coefficients:
     return Coefficients(
-        a=_expr(cp, section, "a" + suffix, "1"),
-        c=_expr(cp, section, "c" + suffix, "0"),
-        m=_expr(cp, section, "m" + suffix, "1"),
+        a=_expr(cp, section, "a" + suffix, "1", _space(cp)),
+        c=_expr(cp, section, "c" + suffix, "0", _space(cp)),
+        m=_expr(cp, section, "m" + suffix, "1", _space(cp)),
         declared_a_min=_float(cp, section, "a_min" + suffix),
         declared_c_min=_float(cp, section, "c_min" + suffix),
         declared_m_min=_float(cp, section, "m_min" + suffix),
@@ -157,15 +164,11 @@ def _boundary_expr(cp, grid, d_key) -> Expression:
         span = hi - lo
         text = (f"(({left}))*(({hi!r})-x)/({span!r})"
                 f"+(({right}))*(x-({lo!r}))/({span!r})")
-        return _parse_joined(text)
+        try:
+            return parse_expression(text, ("x", "t"))
+        except ParseError as e:
+            raise ConfigError(f"[disturbances] d_left/d_right: {e}") from None
     return _expr(cp, "disturbances", d_key, "0")
-
-
-def _parse_joined(text: str) -> Expression:
-    try:
-        return parse_expression(text)
-    except ParseError as e:
-        raise ConfigError(f"[disturbances] d_left/d_right: {e}") from None
 
 
 def scenario_from_config(cp, f_key="f", d_key="d") -> Scenario:
@@ -178,7 +181,7 @@ def scenario_from_config(cp, f_key="f", d_key="d") -> Scenario:
         raise ConfigError(f"unknown boundary kind {kind!r}")
     f = _expr(cp, "disturbances", f_key, "0")
     d = _boundary_expr(cp, grid, d_key)
-    u0 = _expr(cp, "initial", "u0", "0")
+    u0 = _expr(cp, "initial", "u0", "0", _space(cp))
     return make_scenario(grid, horizon, dt, coefficients_from_config(cp),
                          reaction_from_config(cp), f, BoundarySpec(kind, d), u0)
 
@@ -201,13 +204,13 @@ def cascade_from_config(cp) -> CascadeSpec:
         raise ConfigError("[cascade] needs k")
     topology = cp.get("cascade", "topology", fallback="").strip()
     subs = []
+    shared = {name: _expr(cp, "cascade", name, default, _space(cp))
+              for name, default in (("a", "1"), ("c", "0"), ("m", "1"))}
     for j in range(1, k + 1):
-        coeffs = Coefficients(
-            a=_expr(cp, "cascade", f"a_{j}", cp.get("cascade", "a", fallback="1")),
-            c=_expr(cp, "cascade", f"c_{j}", cp.get("cascade", "c", fallback="0")),
-            m=_expr(cp, "cascade", f"m_{j}", cp.get("cascade", "m", fallback="1")),
-        )
-        u0 = _expr(cp, "cascade", f"phi_{j}", "0")
+        # a_j, c_j, m_j override the shared a, c, m
+        coeffs = Coefficients(**{name: _expr(cp, "cascade", f"{name}_{j}", None, _space(cp))
+                                 or expr for name, expr in shared.items()})
+        u0 = _expr(cp, "cascade", f"phi_{j}", "0", _space(cp))
         if cp.has_option("cascade", f"reaction_{j}"):
             rx_kind = cp.get("cascade", f"reaction_{j}").strip()
             rx = {"zero": reaction_zero, "log_poly": reaction_log_poly,

@@ -235,13 +235,28 @@ def sup_norm_spacetime(traj: Trajectory) -> float:
     return float(traj.sup_space_per_sample().max())
 
 
-def running_sup(provider, times) -> np.ndarray:
-    """Running max over the samples of the spatial sup of ``provider(t)``.
+BLOCK_VALUES = 2 ** 16  # data values held at once when a run of samples is streamed
 
-    ``provider`` is a forcing or boundary data provider: a callable of t
-    returning nodal values.  The difference of two providers is one too.
+
+def time_blocks(n_times: int, n: int) -> list[slice]:
+    """A run of ``n_times`` samples of data on ``n`` nodes, in blocks.
+
+    Each block holds at most max(2, 2**16 // n) rows, and adjacent blocks
+    share one row, so every step's pair of samples lies in one block.
     """
-    sups = np.array([np.max(np.abs(provider(t))) for t in times])
+    rows = max(2, BLOCK_VALUES // n)
+    return [slice(s, min(s + rows, n_times)) for s in range(0, max(n_times - 1, 1), rows - 1)]
+
+
+def running_sup(rows_of, n_times: int, n: int) -> np.ndarray:
+    """Running max over the samples of the spatial sup of data rows.
+
+    ``rows_of(sl)`` returns the (samples × n) rows of the samples ``sl``;
+    it is called once per block of :func:`time_blocks`.
+    """
+    sups = np.empty(n_times)
+    for sl in time_blocks(n_times, n):
+        sups[sl] = np.abs(rows_of(sl)).max(axis=1)
     return np.maximum.accumulate(sups)
 
 

@@ -8,8 +8,9 @@ time, into nested numpy-vectorized closures: constant subtrees are
 folded and the free variables are recorded, so a call is one
 missing-variable check plus one closure call over whole node arrays.
 :meth:`Expression.bind` compiles again with some variables fixed (the
-node coordinates of a data provider), so every subtree that depends
-only on constants and those coordinates is computed once, at bind time.
+node coordinates of forcing and boundary data), so every subtree that
+depends only on constants and those coordinates is computed once, at
+bind time.
 Folding applies the same numpy/Python operation at each node in the
 AST's order, so compiled, bound and tree-walked results agree bit for
 bit.

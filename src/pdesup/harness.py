@@ -26,7 +26,7 @@ import numpy as np
 from .core import ROBIN, SpatialGrid, Trajectory, diff_trajectory, running_sup
 from .expressions import is_zero
 from .gains import GainSet, iss_bound_dirichlet, iss_bound_robin
-from .solver import ExpressionBoundary, ExpressionForcing, ReactionTerm, Scenario
+from .solver import ReactionTerm, Scenario, data_rows, node_coords
 
 PASS = "pass"
 FAIL = "fail"
@@ -94,14 +94,26 @@ def _report_from_samples(name: str, traj: Trajectory, observed, bounds, tols) ->
                   details=details)
 
 
+def data_running_sup(expr, coords, times, minus=None) -> np.ndarray:
+    """Running sup of |expr| (or of |expr - minus|) over the nodes ``coords``
+    and the samples up to each of ``times``, evaluated block by block."""
+    times = np.asarray(times, dtype=float)
+    rows = data_rows(expr, coords)
+    if minus is None:
+        return running_sup(lambda sl: rows(times[sl]), times.size, coords[0].size)
+    rows2 = data_rows(minus, coords)
+    return running_sup(lambda sl: rows(times[sl]) - rows2(times[sl]), times.size, coords[0].size)
+
+
 def running_sup_forcing(scenario: Scenario, times) -> np.ndarray:
     """Running sup over nodes and samples of |f| up to each sample time."""
-    return running_sup(ExpressionForcing(scenario.grid, scenario.forcing), times)
+    return data_running_sup(scenario.forcing, node_coords(scenario.grid), times)
 
 
 def running_sup_boundary(scenario: Scenario, times) -> np.ndarray:
     """Running sup over boundary nodes and samples of |d|."""
-    return running_sup(ExpressionBoundary(scenario.grid, scenario.boundary.data), times)
+    return data_running_sup(scenario.boundary.data, node_coords(scenario.grid, boundary=True),
+                            times)
 
 
 def iss_hypotheses_met(scenario: Scenario) -> bool:
@@ -159,12 +171,9 @@ def check_rkes(traj_pair, scenario_pair, g: GainSet, tol: float | None = None) -
     _require_same_but_disturbances(sc1, sc2)
     d = diff_trajectory(traj1, traj2)
     observed = np.maximum.accumulate(d.sup_space_per_sample())
-    f1 = ExpressionForcing(sc1.grid, sc1.forcing)
-    f2 = ExpressionForcing(sc1.grid, sc2.forcing)
-    b1 = ExpressionBoundary(sc1.grid, sc1.boundary.data)
-    b2 = ExpressionBoundary(sc1.grid, sc2.boundary.data)
-    f_run = running_sup(lambda t: f1(t) - f2(t), d.times)
-    d_run = running_sup(lambda t: b1(t) - b2(t), d.times)
+    f_run = data_running_sup(sc1.forcing, node_coords(sc1.grid), d.times, minus=sc2.forcing)
+    d_run = data_running_sup(sc1.boundary.data, node_coords(sc1.grid, boundary=True), d.times,
+                             minus=sc2.boundary.data)
     bounds = g.l_f * f_run + g.l_d * d_run
     tols = [default_tolerance(b, sc1.grid, sc1.dt) if tol is None else tol for b in bounds]
     return _report_from_samples("rkes", d, observed, bounds, tols)

@@ -17,9 +17,12 @@ Dirichlet values are imposed strongly, and no compatibility between the
 initial and boundary data is required - an initial-instant mismatch is
 absorbed over the first few steps.
 
-Boundary and forcing data are pluggable (expression-backed by default,
-sampled arrays or callables for coupled systems), which is what the
-cascade and closed-loop modules build on.
+Forcing and boundary data are (times × nodes) rows: the scenario's
+expressions evaluated by :func:`data_rows` a block of times at a time,
+or arrays of upstream fields and traces that the cascade module passes
+in.  Every consumer (stepping, running sups, error norms) walks a run of
+times in the blocks of :func:`pdesup.core.time_blocks`, so memory stays
+bounded whatever the horizon.
 """
 
 from __future__ import annotations
@@ -34,11 +37,13 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
-from .core import DIRICHLET, ROBIN, Field, SpatialGrid, Trajectory, grid_1d
+from .core import DIRICHLET, ROBIN, Field, SpatialGrid, Trajectory, grid_1d, time_blocks
 from .expressions import Expression, parse_expression
 from .gains import CoefficientBounds
 
 MINIMUM_SAMPLING_FACTOR = 10  # coefficient minima sampled at 10x grid resolution
+# a residual at the rounding floor meets the step tolerance whatever newton_tol asks
+NEWTON_TOL_FLOOR = 64 * np.finfo(float).eps
 
 
 class SolverError(RuntimeError):
@@ -286,84 +291,40 @@ def _nonpositive_message(name, expr, grid, boundary_only=False):
 
 
 # ---------------------------------------------------------------------------
-# data providers (forcing and boundary values over time)
+# forcing and boundary data: (times × nodes) rows
 
 
-class ExpressionForcing:
-    """Forcing values on the nodes from an f(x[,y],t) expression.
+def node_coords(grid: SpatialGrid, boundary: bool = False):
+    """Flat coordinates (x, y) of the nodes, y None on an interval.
 
-    The node coordinates are bound once, so each call evaluates only
-    the time-dependent part of the expression.
+    With ``boundary`` only the boundary nodes, ordered as in
+    :func:`_boundary_indices`.
     """
-
-    def __init__(self, grid: SpatialGrid, expr: Expression):
-        X, Y = grid.meshes()
-        self._fn = expr.bind(x=X) if Y is None else expr.bind(x=X, y=Y)
-        self._ones = np.ones(grid.shape)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return (np.asarray(self._fn(t=t), dtype=float) * self._ones).ravel()
-
-
-class SampledForcing:
-    """Forcing given per time sample (full fields); used by coupled chains."""
-
-    def __init__(self, times: np.ndarray, values: np.ndarray):
-        self.times = times
-        self.values = values
-
-    def __call__(self, t: float) -> np.ndarray:
-        i = int(round((t - self.times[0]) / (self.times[1] - self.times[0])))
-        if not math.isclose(self.times[i], t, rel_tol=0.0, abs_tol=1e-9 * max(1.0, self.times[-1])):
-            raise ValueError(f"forcing sampled at {self.times[i]}, requested t={t}")
-        return self.values[i].ravel()
-
-
-class ExpressionBoundary:
-    """Boundary values from the scenario's d(x[,y],t) expression.
-
-    The boundary-node coordinates are bound once, as in
-    :class:`ExpressionForcing`.
-    """
-
-    def __init__(self, grid: SpatialGrid, expr: Expression):
-        xb, yb = _boundary_coords(grid)
-        self._fn = expr.bind(x=xb) if yb is None else expr.bind(x=xb, y=yb)
-        self._ones = np.ones_like(xb)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.asarray(self._fn(t=t), dtype=float) * self._ones
-
-
-class SampledBoundary:
-    """Boundary values given per time sample (per boundary node)."""
-
-    def __init__(self, times: np.ndarray, values: np.ndarray):
-        self.times = times
-        self.values = values
-
-    def __call__(self, t: float) -> np.ndarray:
-        i = int(round((t - self.times[0]) / (self.times[1] - self.times[0])))
-        if not math.isclose(self.times[i], t, rel_tol=0.0, abs_tol=1e-9 * max(1.0, self.times[-1])):
-            raise ValueError(f"boundary data sampled at {self.times[i]}, requested t={t}")
-        return self.values[i]
-
-
-class CallableBoundary:
-    def __init__(self, fn):
-        self._fn = fn
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.asarray(self._fn(t), dtype=float)
-
-
-def _boundary_coords(grid: SpatialGrid):
-    """Coordinates of boundary nodes, ordered to match _boundary_indices."""
-    idx = _boundary_indices(grid)
-    if grid.dim == 1:
-        return grid.x[idx], None
     X, Y = grid.meshes()
-    return X.ravel()[idx], Y.ravel()[idx]
+    x, y = np.ravel(X), None if Y is None else np.ravel(Y)
+    if boundary:
+        idx = _boundary_indices(grid)
+        return x[idx], None if y is None else y[idx]
+    return x, y
+
+
+def data_rows(expr: Expression, coords):
+    """``expr`` at the nodes ``coords`` = (x, y), as a function of sample times.
+
+    The returned ``rows(times)`` gives a (len(times), n) array.  The
+    coordinates are bound once, here, so what depends on them alone is
+    computed once; t goes in as a column, so one call covers a whole
+    block of times.  Data without t is thereby evaluated once, and its
+    rows are a read-only broadcast view of one row.
+    """
+    x, y = coords
+    fn = expr.bind(x=x) if y is None else expr.bind(x=x, y=y)
+
+    def rows(times) -> np.ndarray:
+        t = np.asarray(times, dtype=float)[:, None]
+        return np.broadcast_to(np.asarray(fn(t=t), dtype=float), (t.size, x.size))
+
+    return rows
 
 
 def _boundary_indices(grid: SpatialGrid) -> np.ndarray:
@@ -408,8 +369,7 @@ class _Operator:
         if kind == ROBIN:
             rows = np.ones(self.shape, dtype=bool)
             m = np.zeros(self.n)
-            xb, yb = _boundary_coords(grid)
-            m[self.bindex] = at(coeffs.m, xb, yb)
+            m[self.bindex] = at(coeffs.m, *node_coords(grid, boundary=True))
             m = m.reshape(self.shape)
             a_bd = at(coeffs.a, X, Y)
             g = np.zeros(self.shape)
@@ -451,9 +411,13 @@ class _Operator:
 class TimeStepper:
     """Crank-Nicolson stepping engine bound to one scenario.
 
-    ``forcing``/``boundary`` default to the scenario's expressions and
-    can be swapped for sampled or callable providers (cascade coupling,
-    boundary feedback).  ``residual_log`` records the accepted Newton
+    ``forcing``/``boundary`` are None, for the scenario's expressions, or
+    a (n_t, n) array of rows aligned with ``scenario.times()``: n is the
+    node count for the forcing and the boundary-node count (in
+    :func:`_boundary_indices` order) for the boundary data.  Cascades pass
+    upstream fields and traces this way.  :meth:`solve` walks the horizon
+    in the blocks of :func:`time_blocks`, evaluating expression data one
+    block at a time.  ``residual_log`` records the accepted Newton
     residual of every step.
 
     ``M+ = I + dt/2 A`` is factored once per ``dt``: LAPACK ``dgttrf``
@@ -476,23 +440,30 @@ class TimeStepper:
         g = scenario.grid
         self.grid = g
         self.kind = scenario.boundary.kind
-        self.forcing = forcing if forcing is not None else ExpressionForcing(g, scenario.forcing)
-        self.boundary = boundary if boundary is not None else ExpressionBoundary(g, scenario.boundary.data)
         self.newton_tol = newton_tol
         self.max_newton = max_newton
         self.residual_log: list[float] = []
         self.op = _Operator(g, scenario.coefficients, self.kind)
         self._dt_cache = None
         self._linear = scenario.reaction.is_zero
-        X, Y = g.meshes()
-        self._xflat = np.ravel(X)
-        self._yflat = None if Y is None else Y.ravel()
-        self._reaction = scenario.reaction.bind(self._xflat, self._yflat)
+        self.forcing = self._checked("forcing", forcing, g.n_nodes)
+        self.boundary = self._checked("boundary", boundary, self.op.bindex.size)
+        self._nodes = node_coords(g)
+        self._f_rows = data_rows(scenario.forcing, self._nodes)
+        self._b_rows = data_rows(scenario.boundary.data, node_coords(g, boundary=True))
+        self._reaction = scenario.reaction.bind(*self._nodes)
         self._interior_mask = np.ones(g.n_nodes, dtype=bool)
         if self.kind == DIRICHLET:
             self._interior_mask[self.op.bindex] = False
         else:
             self._g_bd = self.op.g_coef[self.op.bindex]
+
+    def _checked(self, name, rows, n):
+        shape = (self.scenario.n_steps + 1, n)
+        if rows is not None and np.shape(rows) != shape:
+            raise ValueError(f"{name} rows have shape {np.shape(rows)}; "
+                             f"the scenario's times need {shape}")
+        return rows
 
     def _prepare(self, dt: float):
         if self._dt_cache == dt:
@@ -509,13 +480,13 @@ class TimeStepper:
             self._solve = splu(self._m_plus.tocsc()).solve
 
     def _h(self, t, u):
-        vals = self.scenario.reaction.value(self._xflat, self._yflat, t, u, self._reaction)
+        vals = self.scenario.reaction.value(*self._nodes, t, u, self._reaction)
         if self.kind == DIRICHLET:
             vals = np.where(self._interior_mask, vals, 0.0)
         return vals
 
     def _hprime(self, t, u):
-        vals = self.scenario.reaction.derivative(self._xflat, self._yflat, t, u, self._reaction)
+        vals = self.scenario.reaction.derivative(*self._nodes, t, u, self._reaction)
         if self.kind == DIRICHLET:
             vals = np.where(self._interior_mask, vals, 0.0)
         return vals
@@ -542,14 +513,14 @@ class TimeStepper:
                     f_pair=None, b_pair=None) -> np.ndarray:
         """Advance nodal values from t to t+dt; returns the new values.
 
-        ``f_pair``/``b_pair`` optionally supply (value at t, value at
-        t+dt) for the forcing field and boundary data, overriding the
-        bound providers for this single step.
+        ``f_pair``/``b_pair`` supply (value at t, value at t+dt) of the
+        forcing field and the boundary data; without them the scenario's
+        expressions are evaluated at [t, t+dt].
         """
         self._prepare(dt)
         t1 = t + dt
-        f0, f1 = f_pair if f_pair is not None else (self.forcing(t), self.forcing(t1))
-        b0, b1 = b_pair if b_pair is not None else (self.boundary(t), self.boundary(t1))
+        f0, f1 = f_pair if f_pair is not None else self._f_rows([t, t1])
+        b0, b1 = b_pair if b_pair is not None else self._b_rows([t, t1])
         bindex = self.op.bindex
         au = self.op.A @ u
         if not self._linear:
@@ -560,7 +531,7 @@ class TimeStepper:
         else:
             rhs[bindex] = b1
         scale = max(1.0, float(np.abs(rhs).max()))
-        tol = self.newton_tol * scale
+        tol = max(self.newton_tol, NEWTON_TOL_FLOOR) * scale
 
         def iterate(w):
             # Newton on F(v) = M+ v + dt/2 h(t1, v) - rhs, Dirichlet data imposed
@@ -615,15 +586,14 @@ class TimeStepper:
         times = sc.times()
         out = np.empty((times.size, u.size))
         out[0] = u
-        f_next = self.forcing(0.0)
-        b_next = self.boundary(0.0)
-        for i in range(sc.n_steps):
-            t = times[i]
-            f0, b0 = f_next, b_next
-            f_next = self.forcing(times[i + 1])
-            b_next = self.boundary(times[i + 1])
-            u = self.step_values(u, t, sc.dt, f_pair=(f0, f_next), b_pair=(b0, b_next))
-            out[i + 1] = u
+        for sl in time_blocks(times.size, u.size):
+            f = self.forcing[sl] if self.forcing is not None else self._f_rows(times[sl])
+            b = self.boundary[sl] if self.boundary is not None else self._b_rows(times[sl])
+            for i in range(sl.start, sl.stop - 1):
+                k = i - sl.start
+                u = self.step_values(u, times[i], sc.dt, f_pair=(f[k], f[k + 1]),
+                                     b_pair=(b[k], b[k + 1]))
+                out[i + 1] = u
         out.setflags(write=False)  # handed over: Trajectory keeps it without a copy
         return Trajectory(sc.grid, times, out.reshape(times.size, *sc.grid.shape))
 
@@ -637,11 +607,9 @@ def step(state: Field, t: float, dt: float, scenario: Scenario) -> Field:
     return Field(scenario.grid, vals.reshape(scenario.grid.shape))
 
 
-def solve(scenario: Scenario, forcing=None, boundary=None,
-          newton_tol: float = 1e-12, max_newton: int = 50) -> Trajectory:
+def solve(scenario: Scenario, newton_tol: float = 1e-12, max_newton: int = 50) -> Trajectory:
     """Solve the scenario over its horizon; samples at 0, dt, ..., T."""
-    return TimeStepper(scenario, forcing=forcing, boundary=boundary,
-                       newton_tol=newton_tol, max_newton=max_newton).solve()
+    return TimeStepper(scenario, newton_tol=newton_tol, max_newton=max_newton).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +633,10 @@ class ConvergenceResult:
 
 
 def _sup_error(traj: Trajectory, exact: Expression) -> float:
-    ue = ExpressionForcing(traj.grid, exact)
-    return float(np.max([np.max(np.abs(vals.ravel() - ue(t)))
-                         for t, vals in zip(traj.times, traj.values)]))
+    vals = traj.values.reshape(traj.n_samples, -1)
+    rows = data_rows(exact, node_coords(traj.grid))
+    return float(max(np.max(np.abs(vals[sl] - rows(traj.times[sl])))
+                     for sl in time_blocks(*vals.shape)))
 
 
 def _refit(scenario: Scenario, n_x: int, n_y, dt: float) -> Scenario:

@@ -292,8 +292,7 @@ def test_convergence_cli(tmp_path):
     assert float(orders["time"]) >= 1.9
 
 
-def test_backstep_cli(tmp_path):
-    text = """
+BACKSTEP = """
 [domain]
 kind = interval
 
@@ -321,7 +320,10 @@ kind = dirichlet
 c = 15
 sigma = 1
 """
-    p = _write(tmp_path, text)
+
+
+def test_backstep_cli(tmp_path):
+    p = _write(tmp_path, BACKSTEP)
     out = tmp_path / "out"
     assert main(["backstep", "--config", str(p), "--out", str(out)]) == 0
     rep = (out / "report.csv").read_text().splitlines()
@@ -475,8 +477,17 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
     ("verify-decay", HEAT_DECAY.replace("x_hi = 1", "x_hi = 0"), "[domain] x_hi"),
     ("verify-decay", HEAT_DECAY.replace("f = 0", "f = 0.1"), "[disturbances] f"),
     ("verify-iss", ISS_ROBIN.replace("c = 1", "c = -1"), None),
+    # each key is parsed over exactly the variables its evaluation supplies
+    ("verify-iss", ISS_ROBIN.replace("d = 0.05", "d = y"), "[disturbances] d"),
+    ("verify-decay", HEAT_DECAY.replace("u0 = sin(pi*x)", "u0 = t"), "[initial] u0"),
+    ("verify-decay", HEAT_DECAY.replace("a = 1", "a = 1+t"), "[coefficients] a"),
+    ("verify-decay", HEAT_DECAY.replace("c = 1", "c = 1+y"), "[coefficients] c"),
+    ("backstep", BACKSTEP.replace("d0 = 0.1*sin(t)", "d0 = x*sin(t)"), "[disturbances] d0"),
+    ("cascade", CASCADE.replace("a = 1", "a = 1+t"), "[cascade] a"),
+    ("cascade", CASCADE.replace("d = 0.3*sin(t)", "d = 0.3*sin(t)*y"), "[cascade] d"),
 ], ids=["decay-c-zero", "decay-dt-nan", "decay-n_x-2", "decay-n_x-nan", "decay-empty-domain",
-        "decay-nonzero-f", "iss-c-negative"])
+        "decay-nonzero-f", "iss-c-negative", "interval-d-y", "u0-t", "a-t", "interval-c-y",
+        "backstep-d0-x", "cascade-shared-a-t", "interval-cascade-d-y"])
 def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
     # an exception escaping main() would be a traceback for the user

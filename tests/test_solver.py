@@ -1,11 +1,15 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import pdesup.solver as solver_mod
-from pdesup.core import DIRICHLET, ROBIN, Field, Trajectory, grid_1d, grid_2d, sup_norm_space
+from pdesup.config import load_config, scenario_from_config
+from pdesup.core import (DIRICHLET, ROBIN, Field, Trajectory, grid_1d, grid_2d, sup_norm_space,
+                         time_blocks)
 from pdesup.expressions import parse_expression
 from pdesup.solver import (
     BoundarySpec,
@@ -14,9 +18,11 @@ from pdesup.solver import (
     ReactionTerm,
     TimeStepper,
     convergence_order,
+    data_rows,
     explicit_solution_preset,
     heat_preset,
     make_scenario,
+    node_coords,
     reaction_log_poly,
     reaction_odd_cubic,
     reaction_zero,
@@ -27,6 +33,7 @@ from pdesup.solver import (
 
 E = parse_expression
 XYTU = ("x", "y", "t", "u")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _scenario_1d(a="1", c="1", m="1", reaction=None, f="0", kind=DIRICHLET,
@@ -380,9 +387,10 @@ def _step_with_scales(st, reaction):
         t = times[i]
         h = reaction.value(x, y, t, u)
         h[st.op.bindex] = 0.0
-        f0, f1 = st.forcing(t), st.forcing(t + sc.dt)
+        f0, f1 = data_rows(sc.forcing, node_coords(sc.grid))([t, t + sc.dt])
         rhs = u - sc.dt / 2 * (st.op.A @ u + h) + sc.dt / 2 * (f0 + f1)
-        rhs[st.op.bindex] = st.boundary(t + sc.dt)
+        rhs[st.op.bindex] = data_rows(sc.boundary.data,
+                                      node_coords(sc.grid, boundary=True))([t + sc.dt])[0]
         scales.append(max(1.0, float(np.max(np.abs(rhs)))))
         u = st.step_values(u, t, sc.dt)
     return scales
@@ -546,10 +554,115 @@ def test_dirichlet_values_are_the_data_bitwise(dim, nonlinear):
             E("sin(pi*x)*sin(pi*y)"))
     traj = solve(sc)
     bindex = np.flatnonzero(sc.grid.boundary_mask().ravel())
-    data = solver_mod.ExpressionBoundary(sc.grid, sc.boundary.data)
-    expect = np.array([data(t) for t in traj.times[1:]])
+    expect = data_rows(sc.boundary.data, node_coords(sc.grid, boundary=True))(traj.times[1:])
     got = traj.values.reshape(traj.times.size, -1)[1:, bindex]
     assert _bitwise_equal(got, expect)
+
+
+# ---------------------------------------------------------------------------
+# forcing and boundary data as (times × nodes) rows
+
+
+class _ExpressionForcing:
+    """The per-time forcing provider that data_rows replaced (the reference)."""
+
+    def __init__(self, grid, expr):
+        X, Y = grid.meshes()
+        self._fn = expr.bind(x=X) if Y is None else expr.bind(x=X, y=Y)
+        self._ones = np.ones(grid.shape)
+
+    def __call__(self, t):
+        return (np.asarray(self._fn(t=t), dtype=float) * self._ones).ravel()
+
+
+class _ExpressionBoundary:
+    """The per-time boundary provider that data_rows replaced (the reference)."""
+
+    def __init__(self, grid, expr):
+        idx = np.flatnonzero(grid.boundary_mask().ravel())
+        X, Y = grid.meshes()
+        xb, yb = np.ravel(X)[idx], None if Y is None else np.ravel(Y)[idx]
+        self._fn = expr.bind(x=xb) if yb is None else expr.bind(x=xb, y=yb)
+        self._ones = np.ones_like(xb)
+
+    def __call__(self, t):
+        return np.asarray(self._fn(t=t), dtype=float) * self._ones
+
+
+_DATA = {  # (interval text, rectangle text)
+    "t-dependent": ("0.3*sin(2*pi*x-t)*exp(-t)+t^2*x", "0.3*sin(2*pi*x-t)*cos(y+t)+t^2*x*y"),
+    "t-free": ("cos(pi*x)+x^2", "cos(pi*x)*sin(y)+x^2"),
+    "constant": ("0.25", "0.25"),
+}
+
+
+@pytest.mark.parametrize("boundary", [False, True], ids=["nodes", "boundary"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", list(_DATA))
+def test_data_rows_match_the_per_time_providers_bitwise(kind, dim, boundary):
+    grid = grid_1d(101) if dim == 1 else grid_2d(81, 81)
+    expr = E(_DATA[kind][dim - 1])
+    ref = (_ExpressionBoundary if boundary else _ExpressionForcing)(grid, expr)
+    coords = node_coords(grid, boundary=boundary)
+    times = np.linspace(0.0, 2.0, 1000)
+    blocks = time_blocks(times.size, coords[0].size)
+    if not (dim == 1 and boundary):  # two boundary nodes: the whole run is one block
+        block_rows = max(2, 2 ** 16 // coords[0].size)
+        assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < block_rows  # partial
+    assert blocks[0].start == 0 and blocks[-1].stop == times.size
+    assert all(a.stop - 1 == b.start for a, b in zip(blocks, blocks[1:]))  # one shared row
+    rows = data_rows(expr, coords)
+    for sl in blocks:
+        got = rows(times[sl])
+        assert _bitwise_equal(got, np.array([ref(t) for t in times[sl]]))
+        if kind != "t-dependent":  # evaluated once and broadcast, without a copy
+            assert got.strides[0] == 0 and not got.flags.writeable
+
+
+def test_solve_holds_one_block_of_data_at_a_time():
+    # a full (times × nodes) forcing array, with its temporaries, peaks at
+    # about 4x the trajectory's bytes; evaluating one time at a time, at 1.4x
+    sc = make_scenario(
+        grid_2d(81, 81), 1.0, 1e-2, Coefficients(E("1"), E("1"), E("1")), reaction_zero(),
+        E("sin(pi*x)*sin(pi*y)*cos(3*t)+0.1*x*t"), BoundarySpec(ROBIN, E("0.1*sin(t)*x")),
+        E("sin(pi*x)*sin(pi*y)"))
+    assert sc.n_steps == 100
+    tracemalloc.start()
+    try:
+        traj = solve(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * traj.values.nbytes
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+def test_array_data_steps_like_the_expressions_bitwise(kind):
+    sc = _scenario_1d(kind=kind, f="0.1*sin(3*t)*x", d="0.05*cos(t)+0.1*x", T=0.05,
+                      reaction=reaction_log_poly())
+    times = sc.times()
+    f = data_rows(sc.forcing, node_coords(sc.grid))(times)
+    b = data_rows(sc.boundary.data, node_coords(sc.grid, boundary=True))(times)
+    traj = TimeStepper(sc, forcing=f, boundary=b).solve()
+    assert _bitwise_equal(traj.values, solve(sc).values)
+
+
+def test_array_data_one_sample_short_is_refused():
+    sc = _scenario_1d(kind=ROBIN, T=0.01)
+    upstream = solve(_scenario_1d(kind=ROBIN, T=0.009))  # one sample short of sc.times()
+    assert upstream.n_samples == sc.n_steps
+    with pytest.raises(ValueError, match="forcing rows have shape \\(10, 101\\)"):
+        TimeStepper(sc, forcing=upstream.values)
+    with pytest.raises(ValueError, match="boundary rows have shape \\(10, 2\\)"):
+        TimeStepper(sc, boundary=upstream.values[:, [0, -1]])
+
+
+def test_newton_accepts_a_residual_at_the_rounding_floor():
+    # newton_tol = 1e-15 sits below what rounding lets the residual reach
+    # (1.5e-15 at t = 0.001): the step tolerance is raised to 64 eps |rhs|
+    sc = scenario_from_config(load_config(CONFIGS / "heat_decay.ini"))
+    tight = solve(sc, newton_tol=1e-15)
+    assert _bitwise_equal(tight.values, solve(sc, newton_tol=1e-14).values)
 
 
 # ---------------------------------------------------------------------------
