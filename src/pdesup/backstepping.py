@@ -37,7 +37,7 @@ import numpy as np
 from .core import DIRICHLET, Field, SpatialGrid, Trajectory, time_blocks
 from .expressions import Expression, parse_expression
 from .gains import closed_loop_iss_bound, kernel_bound_constant
-from .harness import Report, _report_from_samples, data_running_sup, default_tolerance
+from .harness import NOT_ASSERTED, Report, build_report, data_running_sup
 from .solver import (
     BoundarySpec,
     Coefficients,
@@ -396,13 +396,11 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
     f_sups = data_running_sup(f, nodes, times)
     d0_run, d1_run = np.maximum.accumulate(np.abs(d_vals), axis=0).T
     if feedback:
-        bounds = np.array([closed_loop_iss_bound(t, u0_sup, f_sups[i], d0_run[i],
-                                                 d1_run[i], c, sigma)
-                           for i, t in enumerate(times)])
-        tols = [tol if tol is not None else default_tolerance(b, grid, dt) for b in bounds]
-        report = _report_from_samples("closed-loop", u_traj, observed, bounds, tols)
+        bounds = [closed_loop_iss_bound(t, u0_sup, f_sups[i], d0_run[i], d1_run[i], c, sigma)
+                  for i, t in enumerate(times)]
+        report = build_report("closed-loop", [(u_traj, observed, bounds)], tol, grid, dt)
     else:
-        report = Report("open-loop", "not-asserted", math.nan, None,
+        report = Report("open-loop", NOT_ASSERTED, math.nan, None,
                         len(times), notes="no feedback: no bound asserted")
     return ClosedLoopResult(u_traj, w_traj, report, kernel, controls,
                             (c, sigma, n_k, series_tol))

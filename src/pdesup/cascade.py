@@ -13,7 +13,10 @@ algebraic loop, resolved per time step by Gauss-Seidel sweeps over the
 subsystems (latest traces win) until no field moves by more than 1e-10.
 The cycle bounds are asserted only when the corresponding small-gain
 constant exceeds one; otherwise the verdict is "not-asserted" and raw
-norms are still recorded.
+norms are still recorded.  :func:`verify_cascade` hands one
+``(trajectory, observed, bounds)`` part per subsystem and form to
+:func:`pdesup.harness.build_report`, labelled by the ``subsystem`` and
+``form`` columns of the report's details.
 """
 
 from __future__ import annotations
@@ -32,14 +35,7 @@ from .gains import (
     small_gain_domain,
     sobolev_constants_1d,
 )
-from .harness import (
-    FAIL,
-    NOT_ASSERTED,
-    PASS,
-    Report,
-    data_running_sup,
-    default_tolerance,
-)
+from .harness import NOT_ASSERTED, Report, build_report, data_running_sup, sample_details
 from .solver import (
     BoundarySpec,
     Coefficients,
@@ -95,17 +91,6 @@ class CascadeSpec:
     @property
     def boundary_kind(self) -> str:
         return ROBIN if self.topology.startswith("robin") else DIRICHLET
-
-
-@dataclass(frozen=True)
-class CascadeSampleCheck:
-    subsystem: int
-    form: str  # "spacetime" or "spatial"
-    t: float
-    observed: float
-    bound: float
-    margin: float
-    tol: float
 
 
 class CascadeError(SolverError):
@@ -266,8 +251,10 @@ def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) ->
     Space-time sups are checked on growing windows against the
     no-decay forms; when a subsystem's absorption minimum is positive
     its spatial sup at each T is additionally checked against the decay
-    form.  Returns one aggregated report; cycle topologies with a failed
-    small-gain constant yield "not-asserted" with raw norms recorded.
+    form.  Returns one aggregated report, whose details list each
+    subsystem's space-time samples and then its spatial ones; cycle
+    topologies with a failed small-gain constant yield "not-asserted"
+    with raw norms recorded (form ``raw``, NaN bound, margin and tol).
     """
     trajectories = list(trajectories)
     if len(trajectories) != spec.k:
@@ -279,72 +266,46 @@ def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) ->
 
     cycle = spec.topology in (ROBIN_CYCLE, DIRICHLET_CYCLE)
     mode = "cycle" if cycle else "open"
-    details: list[CascadeSampleCheck] = []
+    k = range(1, spec.k + 1)
 
     if not spec.bounds_asserted:
-        for j, tr in enumerate(trajectories, start=1):
-            sups = tr.sup_space_per_sample()
-            for i, t in enumerate(times):
-                details.append(CascadeSampleCheck(j, "raw", float(t), float(sups[i]),
-                                                  math.nan, math.nan, math.nan))
+        nan = np.full(times.size, math.nan)
+        details = sample_details([(tr, tr.sup_space_per_sample(), nan) for tr in trajectories],
+                                 math.nan, spec.grid, spec.dt, subsystem=k, form=["raw"] * spec.k)
         why = "; ".join(spec.warnings) or "hypotheses not met"
-        return Report("cascade", NOT_ASSERTED, math.nan, None,
-                      len(details), details,
+        return Report("cascade", NOT_ASSERTED, math.nan, None, len(details), details,
                       notes=f"{why}; raw norms recorded")
 
     robin = spec.boundary_kind == ROBIN
     nodes, bnodes = node_coords(spec.grid), node_coords(spec.grid, boundary=True)
-    if spec.topology == ROBIN_OPEN:
-        d_run = data_running_sup(spec.external_d, bnodes, times)
-    elif spec.topology == DIRICHLET_OPEN:
-        f_run = data_running_sup(spec.external_f, nodes, times)
-    if not robin:
+    zero = np.zeros(times.size)
+    if robin:
+        d_run = (data_running_sup(spec.external_d, bnodes, times)
+                 if spec.topology == ROBIN_OPEN else zero)
+    else:
+        f_run = (data_running_sup(spec.external_f, nodes, times)
+                 if spec.topology == DIRICHLET_OPEN else zero)
         d_runs = [data_running_sup(e, bnodes, times) for e in spec.boundary_exprs]
 
-    worst = math.inf
-    worst_where = None
-    ok = True
-    for j, tr in enumerate(trajectories, start=1):
-        sc = spec.scenarios[j - 1]
-        c_min_j = sc.bounds.c_min
-        sups = tr.sup_space_per_sample()
-        running = np.maximum.accumulate(sups)
+    parts, subsystems, forms = [], [], []
+    for j, tr in zip(k, trajectories):
+        c_min_j = spec.scenarios[j - 1].bounds.c_min
         phi_j = spec.phis[j - 1] if not cycle else spec.phis[-1]
-        for i, t in enumerate(times):
-            t = float(t)
-            checks = []
+        sups = tr.sup_space_per_sample()
+        checks = [("spacetime", np.maximum.accumulate(sups), 0.0)]
+        if c_min_j > 0:
+            checks.append(("spatial", sups, c_min_j))
+        for form, observed, c in checks:
             if robin:
-                dv = d_run[i] if spec.topology == ROBIN_OPEN else 0.0
-                b_st = cascade_bound_robin(j, phi_j, dv, spec.small_gain, 0.0, t, mode)
-                checks.append(("spacetime", running[i], b_st))
-                if c_min_j > 0:
-                    b_sp = cascade_bound_robin(j, phi_j, dv, spec.small_gain, c_min_j, t, mode)
-                    checks.append(("spatial", sups[i], b_sp))
+                bounds = [cascade_bound_robin(j, phi_j, d_run[i], spec.small_gain, c, t, mode)
+                          for i, t in enumerate(times.tolist())]
             else:
-                if spec.topology == DIRICHLET_OPEN:
-                    fv = f_run[i]
-                    dvs = [d_runs[idx][i] for idx in range(j)]
-                else:
-                    fv = 0.0
-                    dvs = [d_runs[idx][i] for idx in range(spec.k)]
-                b_st = cascade_bound_dirichlet(j, phi_j, fv, dvs, spec.small_gain, 0.0, t, mode)
-                checks.append(("spacetime", running[i], b_st))
-                if c_min_j > 0:
-                    b_sp = cascade_bound_dirichlet(j, phi_j, fv, dvs, spec.small_gain,
-                                                   c_min_j, t, mode)
-                    checks.append(("spatial", sups[i], b_sp))
-            for form, obs, bnd in checks:
-                tl = tol if tol is not None else default_tolerance(bnd, spec.grid, spec.dt)
-                margin = bnd - obs
-                details.append(CascadeSampleCheck(j, form, t, float(obs), float(bnd),
-                                                  float(margin), float(tl)))
-                if margin < -tl:
-                    ok = False
-                if margin < worst:
-                    worst = margin
-                    flat = np.abs(tr.values[i].ravel())
-                    node = int(np.argmax(flat))
-                    worst_where = (*spec.grid.node_location(node), t)
-    return Report("cascade", PASS if ok else FAIL, float(worst), worst_where,
-                  len(details), details,
-                  notes="; ".join(spec.warnings))
+                upstream = d_runs[:j] if spec.topology == DIRICHLET_OPEN else d_runs
+                bounds = [cascade_bound_dirichlet(j, phi_j, f_run[i], [d[i] for d in upstream],
+                                                  spec.small_gain, c, t, mode)
+                          for i, t in enumerate(times.tolist())]
+            parts.append((tr, observed, bounds))
+            subsystems.append(j)
+            forms.append(form)
+    return build_report("cascade", parts, tol, spec.grid, spec.dt, "; ".join(spec.warnings),
+                        subsystem=subsystems, form=forms)

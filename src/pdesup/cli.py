@@ -150,7 +150,7 @@ def _write_iss(out: Path, sc, traj, g, settings):
     f_sups = harness.running_sup_forcing(sc, traj.times)
     d_sups = harness.running_sup_boundary(sc, traj.times)
     rep = harness.check_iss(traj, sc, g, settings.tol, f_sups=f_sups, d_sups=d_sups)
-    bounds = [d.bound for d in rep.details] if rep.details else None
+    bounds = rep.details.bound if len(rep.details) else None
     _write_supnorms(out / "supnorms.csv", traj, f_sups, d_sups, bounds)
     return rep
 

@@ -82,17 +82,18 @@ def _int(cp, section, key, default=None) -> int | None:
     return int(v)
 
 
-def _positive(cp, section, key, default) -> float:
+def _positive(cp, section, key, default) -> float | None:
     v = _float(cp, section, key, default)
-    if not (math.isfinite(v) and v > 0):
+    if v is not None and not (math.isfinite(v) and v > 0):
         raise ConfigError(f"[{section}] {key}: must be positive and finite, got {v!r}")
     return v
 
 
-def _node_count(cp, key, default) -> int:
-    n = _int(cp, "grid", key, default)
+def _at_least_3(cp, section, key, default) -> int:
+    """A node count, or the refinement levels a convergence slope needs."""
+    n = _int(cp, section, key, default)
     if n < 3:
-        raise ConfigError(f"[grid] {key}: must be at least 3, got {n}")
+        raise ConfigError(f"[{section}] {key}: must be at least 3, got {n}")
     return n
 
 
@@ -107,12 +108,12 @@ def _bounds(cp, lo_key, hi_key) -> tuple[float, float]:
 def grid_from_config(cp) -> SpatialGrid:
     kind = cp.get("domain", "kind", fallback="interval").strip()
     x_lo, x_hi = _bounds(cp, "x_lo", "x_hi")
-    n_x = _node_count(cp, "n_x", 101)
+    n_x = _at_least_3(cp, "grid", "n_x", 101)
     if kind == "interval":
         return grid_1d(n_x, x_lo, x_hi)
     if kind == "rectangle":
         y_lo, y_hi = _bounds(cp, "y_lo", "y_hi")
-        return grid_2d(n_x, _node_count(cp, "n_y", n_x), x_lo, x_hi, y_lo, y_hi)
+        return grid_2d(n_x, _at_least_3(cp, "grid", "n_y", n_x), x_lo, x_hi, y_lo, y_hi)
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
@@ -255,9 +256,9 @@ def check_settings_from_config(cp) -> CheckSettings:
         tol=_float(cp, "check", "tol"),
         c_s=_float(cp, "check", "c_s"),
         c_p=_float(cp, "check", "c_p"),
-        c=_float(cp, "check", "c"),
-        sigma=_float(cp, "check", "sigma"),
+        c=_positive(cp, "check", "c", None),
+        sigma=_positive(cp, "check", "sigma", None),
         n=_int(cp, "check", "n"),
         exact=_expr(cp, "check", "exact"),
-        refinements=_int(cp, "check", "refinements", 4),
+        refinements=_at_least_3(cp, "check", "refinements", 4),
     )

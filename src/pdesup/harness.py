@@ -1,25 +1,29 @@
 """Bound-verification engine.
 
 Each checker compares a simulated trajectory against an explicit
-envelope at every stored sample and produces a :class:`Report` with the
-worst margin and a concrete witness location.  Margins are ``bound -
-observed``; a check passes when every margin clears ``-tol`` where the
-default tolerance combines a relative term with an estimated
+envelope at every stored sample and hands ``(trajectory, observed,
+bounds)`` arrays to :func:`build_report`, the one place where margins,
+tolerances, the verdict and the witness are computed.  Margins are
+``bound - observed``; a check passes when every margin clears ``-tol``
+where the default tolerance combines a relative term with an estimated
 discretization slack:
 
     tol = 1e-6 * (1 + bound) + 10 * (h^2 + dt^2)
 
 The envelopes themselves are deliberately conservative, so a violation
 beyond this slack indicates a bug (in the solver, in a gain, or in the
-hypotheses), not bound sharpness.  Hypothesis probes (monotone reaction,
-growth envelope) and the level-set diagnostic for sup-norm conclusions
-live here as well.
+hypotheses), not bound sharpness; a NaN margin fails.  A
+:class:`Report`'s ``details`` is one record array with a row per
+checked sample and the columns ``t, observed, bound, margin, tol``
+(after any label columns such as a cascade's ``subsystem`` and
+``form``).  Hypothesis probes (monotone reaction, growth envelope) and
+the level-set diagnostic for sup-norm conclusions live here as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +37,6 @@ FAIL = "fail"
 NOT_ASSERTED = "not-asserted"
 
 
-@dataclass(frozen=True)
-class SampleCheck:
-    t: float
-    observed: float
-    bound: float
-    margin: float
-    tol: float
-
-
-@dataclass(frozen=True)
-class LevelMeasure:
-    level: float
-    measure: float
-
-
 @dataclass
 class Report:
     """Outcome of one bound check."""
@@ -57,7 +46,7 @@ class Report:
     worst_margin: float
     worst_location: tuple | None
     samples_checked: int
-    details: list = field(default_factory=list)
+    details: np.recarray | tuple = ()
     notes: str = ""
 
     @property
@@ -65,33 +54,49 @@ class Report:
         return self.verdict == PASS
 
 
-def default_tolerance(bound: float, grid: SpatialGrid, dt: float) -> float:
+def default_tolerance(bound, grid: SpatialGrid, dt: float):
+    """The tolerance for one bound or, elementwise, for an array of them."""
     return 1e-6 * (1.0 + bound) + 10.0 * (grid.h_max ** 2 + dt ** 2)
 
 
-def _witness(traj: Trajectory, i: int) -> tuple:
-    flat = np.abs(traj.values[i].ravel())
-    node = int(np.argmax(flat))
-    return (*traj.grid.node_location(node), float(traj.times[i]))
+def sample_details(parts, tol, grid: SpatialGrid, dt: float, **labels) -> np.recarray:
+    """One record per sample of every ``(trajectory, observed, bounds)`` part.
+
+    The columns are ``labels`` (one value per part, repeated over its
+    samples) and then ``t, observed, bound, margin, tol``; ``tol=None``
+    takes :func:`default_tolerance` of each bound.
+    """
+    sizes = [len(observed) for _, observed, _ in parts]
+    t = np.concatenate([traj.times for traj, _, _ in parts])
+    observed = np.concatenate([observed for _, observed, _ in parts], dtype=float)
+    bound = np.concatenate([bounds for _, _, bounds in parts], dtype=float)
+    tols = default_tolerance(bound, grid, dt) if tol is None else np.full(bound.size, float(tol))
+    columns = {name: np.repeat(values, sizes) for name, values in labels.items()}
+    columns.update(t=t, observed=observed, bound=bound, margin=bound - observed, tol=tols)
+    return np.rec.fromarrays(list(columns.values()), names=list(columns))
 
 
-def _report_from_samples(name: str, traj: Trajectory, observed, bounds, tols) -> Report:
-    details = []
-    worst_i = 0
-    worst = math.inf
-    ok = True
-    for i in range(len(observed)):
-        margin = bounds[i] - observed[i]
-        details.append(SampleCheck(float(traj.times[i]), float(observed[i]),
-                                   float(bounds[i]), float(margin), float(tols[i])))
-        if margin < -tols[i]:
-            ok = False
-        if margin < worst:
-            worst = margin
-            worst_i = i
-    return Report(check=name, verdict=PASS if ok else FAIL, worst_margin=float(worst),
-                  worst_location=_witness(traj, worst_i), samples_checked=len(observed),
-                  details=details)
+def build_report(name: str, parts, tol, grid: SpatialGrid, dt: float, notes: str = "",
+                 **labels) -> Report:
+    """Check every sample of ``parts`` (see :func:`sample_details`).
+
+    The verdict is a pass when every margin clears ``-tol`` (a NaN margin
+    does not); the worst sample is the first smallest margin, and its
+    witness is the sup-norm node of that sample's field.
+    """
+    details = sample_details(parts, tol, grid, dt, **labels)
+    ok = bool(np.all(details.margin >= -details.tol))
+    worst = int(np.argmin(details.margin))
+    i = worst
+    for traj, observed, _ in parts:  # the part and sample that row belongs to
+        if i < len(observed):
+            break
+        i -= len(observed)
+    node = int(np.argmax(np.abs(traj.values[i].ravel())))
+    return Report(check=name, verdict=PASS if ok else FAIL,
+                  worst_margin=float(details.margin[worst]),
+                  worst_location=(*traj.grid.node_location(node), float(traj.times[i])),
+                  samples_checked=len(details), details=details, notes=notes)
 
 
 def data_running_sup(expr, coords, times, minus=None) -> np.ndarray:
@@ -141,11 +146,8 @@ def check_iss(traj: Trajectory, scenario: Scenario, g: GainSet | None,
     if d_sups is None:
         d_sups = running_sup_boundary(scenario, traj.times)
     bound_fn = iss_bound_robin if g.boundary_kind == ROBIN else iss_bound_dirichlet
-    bounds = np.array([bound_fn(t, u0_sup, f_sups[i], d_sups[i], g)
-                       for i, t in enumerate(traj.times)])
-    tols = [default_tolerance(b, scenario.grid, scenario.dt) if tol is None else tol
-            for b in bounds]
-    return _report_from_samples("iss", traj, observed, bounds, tols)
+    bounds = [bound_fn(t, u0_sup, f_sups[i], d_sups[i], g) for i, t in enumerate(traj.times)]
+    return build_report("iss", [(traj, observed, bounds)], tol, scenario.grid, scenario.dt)
 
 
 def _require_same_but_disturbances(sc1: Scenario, sc2: Scenario):
@@ -175,8 +177,7 @@ def check_rkes(traj_pair, scenario_pair, g: GainSet, tol: float | None = None) -
     d_run = data_running_sup(sc1.boundary.data, node_coords(sc1.grid, boundary=True), d.times,
                              minus=sc2.boundary.data)
     bounds = g.l_f * f_run + g.l_d * d_run
-    tols = [default_tolerance(b, sc1.grid, sc1.dt) if tol is None else tol for b in bounds]
-    return _report_from_samples("rkes", d, observed, bounds, tols)
+    return build_report("rkes", [(d, observed, bounds)], tol, sc1.grid, sc1.dt)
 
 
 def check_decay(traj: Trajectory, c_min: float, u0_sup: float,
@@ -190,8 +191,7 @@ def check_decay(traj: Trajectory, c_min: float, u0_sup: float,
     observed = traj.sup_space_per_sample()
     bounds = u0_sup * np.exp(-c_min * traj.times)
     dt = float(traj.times[1] - traj.times[0]) if traj.n_samples > 1 else 0.0
-    tols = [default_tolerance(b, traj.grid, dt) if tol is None else tol for b in bounds]
-    return _report_from_samples("decay", traj, observed, bounds, tols)
+    return build_report("decay", [(traj, observed, bounds)], tol, traj.grid, dt)
 
 
 def monotonicity_probe(reaction: ReactionTerm, n_samples: int = 256, rng=None) -> bool:
@@ -249,12 +249,9 @@ def level_set_diagnostic(traj: Trajectory, k0: float, forcing_term: float,
     n_nodes = traj.grid.n_nodes
     levels = np.linspace(k0, cap_plus + tol_eff, n_levels)
     flat = w.reshape(traj.n_samples, -1)
-    measures = []
-    for k in levels:
-        frac = np.max(np.sum(flat > k, axis=1)) / n_nodes
-        measures.append(LevelMeasure(float(k), float(frac * volume)))
-    mono = all(measures[i].measure >= measures[i + 1].measure for i in range(len(measures) - 1))
-    vanish = measures[-1].measure == 0.0
+    measures = np.array([np.max(np.sum(flat > k, axis=1)) for k in levels]) / n_nodes * volume
+    mono = bool(np.all(measures[:-1] >= measures[1:]))
+    vanish = measures[-1] == 0.0
     ok = ok and mono and vanish
 
     worst = min(margins)
@@ -270,5 +267,6 @@ def level_set_diagnostic(traj: Trajectory, k0: float, forcing_term: float,
     return Report(check="level-set", verdict=PASS if ok else FAIL,
                   worst_margin=float(worst),
                   worst_location=(*traj.grid.node_location(int(i_node)), float(traj.times[i_t])),
-                  samples_checked=traj.n_samples, details=measures,
+                  samples_checked=traj.n_samples,
+                  details=np.rec.fromarrays([levels, measures], names="level,measure"),
                   notes="; ".join(notes))

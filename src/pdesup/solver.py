@@ -549,6 +549,8 @@ class TimeStepper:
             history.append(res)
             if res <= tol:
                 break
+            if not math.isfinite(res):  # non-finite data or state: no iterate can mend it
+                raise SolverError(f"non-finite residual at t={t1:.6g}", history)
             if chord:
                 v_try, fv_try, res_try = iterate(v + self._solve(-fv))
                 if res_try <= res / 2 or res_try <= tol:

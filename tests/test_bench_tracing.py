@@ -19,13 +19,27 @@ TRACED_SOLVES = textwrap.dedent("""
     from pdesup.solver import (BoundarySpec, Coefficients, make_scenario, reaction_zero,
                                solve, superlinear_preset)
 
-    solve(superlinear_preset(n_x=11, dt=1e-2, horizon=0.05))
+    sl = superlinear_preset(n_x=11, dt=1e-2, horizon=0.05)
+    traj = solve(sl)
     solve(make_scenario(grid_2d(7, 7), 0.05, 1e-2, Coefficients(E("1"), E("1"), E("1")),
                         reaction_zero(), E("0"), BoundarySpec(DIRICHLET, E("0")),
                         E("sin(pi*x)*sin(pi*y)")))
     assert tracer.calls["solver.solve"] == 2, dict(tracer.calls)
     assert tracer.calls["solver.step"] == 10, dict(tracer.calls)
     assert tracer.calls["solver.lu"] == 1, dict(tracer.calls)
+
+    # the checks are wrapped where their callers look them up, and the
+    # sample count is read off the reports they return
+    from pdesup.cascade import SubsystemSpec, build_cascade, simulate_cascade, verify_cascade
+    from pdesup.gains import rkes_gains_robin, sobolev_constants_1d
+    from pdesup.harness import check_iss
+
+    check_iss(traj, sl, rkes_gains_robin(sl.bounds, 1.0, sobolev_constants_1d()[0]))
+    assert tracer.counts["harness.samples"] == traj.n_samples, dict(tracer.counts)
+    sub = SubsystemSpec(Coefficients(E("1"), E("1"), E("2")), reaction_zero(), E("sin(pi*x)"))
+    spec = build_cascade([sub, sub], "robin-open", sl.grid, 1e-2, 0.05, external_d=E("0.1"))
+    verify_cascade(spec, simulate_cascade(spec))
+    assert tracer.calls["cascade.verify"] == 1, dict(tracer.calls)
 """)
 
 

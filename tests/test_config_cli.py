@@ -376,6 +376,23 @@ kind = dirichlet
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("text", [
+    (Path(__file__).resolve().parents[1] / "configs" / "iss_robin.ini").read_text()
+    .replace("d = 0.05", "d = ln(t-1)"),
+    ISS_ROBIN.replace("n_x = 81", "n_x = 21").replace("d = 0.05", "d = ln(t-1)"),
+], ids=["log_poly-101", "linear-21"])
+def test_non_finite_data_is_a_numerical_failure(tmp_path, text):
+    # ln(t-1) is NaN on the whole run: the first step refuses its residual
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pdesup", "verify-iss", "--config",
+                           str(_write(tmp_path, text)), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "numerical failure: non-finite residual at t=0.002" in proc.stderr
+
+
 def test_robin_split_endpoint_data(tmp_path):
     text = HEAT_DECAY.replace("f = 0\nd = 0", "f = 0\nd_left = 0.2\nd_right = 0.1*sin(t)")
     p = _write(tmp_path, text)
@@ -485,9 +502,14 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
     ("backstep", BACKSTEP.replace("d0 = 0.1*sin(t)", "d0 = x*sin(t)"), "[disturbances] d0"),
     ("cascade", CASCADE.replace("a = 1", "a = 1+t"), "[cascade] a"),
     ("cascade", CASCADE.replace("d = 0.3*sin(t)", "d = 0.3*sin(t)*y"), "[cascade] d"),
+    ("backstep", BACKSTEP.replace("c = 15", "c = -1"), "[check] c"),
+    ("backstep", BACKSTEP.replace("sigma = 1", "sigma = 0"), "[check] sigma"),
+    ("convergence", CONVERGENCE.replace("refinements = 3", "refinements = 2"),
+     "[check] refinements"),
 ], ids=["decay-c-zero", "decay-dt-nan", "decay-n_x-2", "decay-n_x-nan", "decay-empty-domain",
         "decay-nonzero-f", "iss-c-negative", "interval-d-y", "u0-t", "a-t", "interval-c-y",
-        "backstep-d0-x", "cascade-shared-a-t", "interval-cascade-d-y"])
+        "backstep-d0-x", "cascade-shared-a-t", "interval-cascade-d-y", "backstep-c-negative",
+        "backstep-sigma-zero", "convergence-refinements-2"])
 def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
     # an exception escaping main() would be a traceback for the user

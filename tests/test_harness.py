@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from pdesup.cascade import SubsystemSpec, build_cascade, simulate_cascade, verify_cascade
 from pdesup.core import DIRICHLET, ROBIN, Trajectory, diff_trajectory, grid_1d
 from pdesup.expressions import parse_expression
 from pdesup.gains import (
     CoefficientBounds,
     GainSet,
+    cascade_bound_dirichlet,
+    cascade_bound_robin,
+    iss_bound_robin,
     rkes_gains_dirichlet,
     rkes_gains_robin,
     sobolev_constants_1d,
@@ -16,13 +20,17 @@ from pdesup.harness import (
     FAIL,
     NOT_ASSERTED,
     PASS,
+    build_report,
     check_decay,
     check_iss,
     check_rkes,
+    data_running_sup,
     default_tolerance,
     growth_probe,
     level_set_diagnostic,
     monotonicity_probe,
+    running_sup_boundary,
+    running_sup_forcing,
 )
 from pdesup.solver import (
     BoundarySpec,
@@ -30,6 +38,7 @@ from pdesup.solver import (
     ReactionTerm,
     heat_preset,
     make_scenario,
+    node_coords,
     reaction_log_poly,
     reaction_odd_cubic,
     reaction_zero,
@@ -233,3 +242,168 @@ def test_default_tolerance_rule():
     g = grid_1d(101)
     tol = default_tolerance(2.0, g, 1e-3)
     assert tol == pytest.approx(1e-6 * 3.0 + 10 * (0.01 ** 2 + 1e-6), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the report builder against the per-sample loops it replaced
+
+
+def _reference_report(traj, observed, bounds, tols):
+    """The deleted per-sample report loop: (verdict, worst margin, witness,
+    samples, detail rows (t, observed, bound, margin, tol))."""
+    details = []
+    worst_i = 0
+    worst = math.inf
+    ok = True
+    for i in range(len(observed)):
+        margin = bounds[i] - observed[i]
+        details.append((float(traj.times[i]), float(observed[i]),
+                        float(bounds[i]), float(margin), float(tols[i])))
+        if margin < -tols[i]:
+            ok = False
+        if margin < worst:
+            worst = margin
+            worst_i = i
+    node = int(np.argmax(np.abs(traj.values[worst_i].ravel())))
+    where = (*traj.grid.node_location(node), float(traj.times[worst_i]))
+    return PASS if ok else FAIL, float(worst), where, len(observed), details
+
+
+def _reference_cascade(spec, trajectories, tol=None):
+    """The deleted margin/witness loop of ``verify_cascade`` (asserted bounds);
+    its detail rows are (subsystem, form, t, observed, bound, margin, tol)."""
+    times = trajectories[0].times
+    mode = "cycle" if spec.topology in ("robin-cycle", "dirichlet-cycle") else "open"
+    robin = spec.boundary_kind == ROBIN
+    nodes, bnodes = node_coords(spec.grid), node_coords(spec.grid, boundary=True)
+    if spec.topology == "robin-open":
+        d_run = data_running_sup(spec.external_d, bnodes, times)
+    elif spec.topology == "dirichlet-open":
+        f_run = data_running_sup(spec.external_f, nodes, times)
+    if not robin:
+        d_runs = [data_running_sup(e, bnodes, times) for e in spec.boundary_exprs]
+    details = []
+    worst = math.inf
+    worst_where = None
+    ok = True
+    for j, tr in enumerate(trajectories, start=1):
+        c_min_j = spec.scenarios[j - 1].bounds.c_min
+        sups = tr.sup_space_per_sample()
+        running = np.maximum.accumulate(sups)
+        phi_j = spec.phis[j - 1] if mode == "open" else spec.phis[-1]
+        for i, t in enumerate(times):
+            t = float(t)
+            checks = []
+            if robin:
+                dv = d_run[i] if spec.topology == "robin-open" else 0.0
+                checks.append(("spacetime", running[i], cascade_bound_robin(
+                    j, phi_j, dv, spec.small_gain, 0.0, t, mode)))
+                if c_min_j > 0:
+                    checks.append(("spatial", sups[i], cascade_bound_robin(
+                        j, phi_j, dv, spec.small_gain, c_min_j, t, mode)))
+            else:
+                if spec.topology == "dirichlet-open":
+                    fv, dvs = f_run[i], [d_runs[idx][i] for idx in range(j)]
+                else:
+                    fv, dvs = 0.0, [d_runs[idx][i] for idx in range(spec.k)]
+                checks.append(("spacetime", running[i], cascade_bound_dirichlet(
+                    j, phi_j, fv, dvs, spec.small_gain, 0.0, t, mode)))
+                if c_min_j > 0:
+                    checks.append(("spatial", sups[i], cascade_bound_dirichlet(
+                        j, phi_j, fv, dvs, spec.small_gain, c_min_j, t, mode)))
+            for form, obs, bnd in checks:
+                tl = tol if tol is not None else default_tolerance(bnd, spec.grid, spec.dt)
+                margin = bnd - obs
+                details.append((j, form, t, float(obs), float(bnd), float(margin), float(tl)))
+                if margin < -tl:
+                    ok = False
+                if margin < worst:
+                    worst = margin
+                    node = int(np.argmax(np.abs(tr.values[i].ravel())))
+                    worst_where = (*spec.grid.node_location(node), t)
+    return PASS if ok else FAIL, float(worst), worst_where, len(details), details
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _assert_same_report(rep, ref, columns):
+    verdict, worst, where, n, rows = ref
+    assert rep.verdict == verdict
+    assert _bits(rep.worst_margin) == _bits(worst)
+    assert rep.worst_location == where
+    assert rep.samples_checked == n == len(rep.details)
+    assert rep.details.dtype.names == columns
+    for k, name in enumerate(columns):
+        ref_col = [row[k] for row in rows]
+        if isinstance(ref_col[0], str):
+            assert rep.details[name].tolist() == ref_col
+        else:
+            assert np.array_equal(_bits(rep.details[name]), _bits(ref_col)), name
+
+
+def _iss_reference(traj, sc, g):
+    observed = traj.sup_space_per_sample()
+    f_sups = running_sup_forcing(sc, traj.times)
+    d_sups = running_sup_boundary(sc, traj.times)
+    bounds = np.array([iss_bound_robin(t, observed[0], f_sups[i], d_sups[i], g)
+                       for i, t in enumerate(traj.times)])
+    tols = [default_tolerance(b, sc.grid, sc.dt) for b in bounds]
+    return _reference_report(traj, observed, bounds, tols)
+
+
+_COLUMNS = ("t", "observed", "bound", "margin", "tol")
+
+
+def test_report_builder_matches_the_loop_on_an_iss_pass():
+    sc = _robin_scenario(f="0.2*sin(t)*sin(pi*x)", d="0.1", T=0.5)
+    traj = solve(sc)
+    g = _gains_for(sc)
+    rep = check_iss(traj, sc, g)
+    assert rep.verdict == PASS
+    _assert_same_report(rep, _iss_reference(traj, sc, g), _COLUMNS)
+
+
+def test_report_builder_matches_the_loop_on_an_iss_fail():
+    sc = _robin_scenario(f="2+0*x", u0="0", T=1.0)
+    traj = solve(sc)
+    g = _gains_for(sc)
+    bad = GainSet(l_f=0.05 * g.l_f, l_d=g.l_d, decay_rate=g.decay_rate,
+                  q_used=g.q_used, c_s=g.c_s, boundary_kind=g.boundary_kind)
+    rep = check_iss(traj, sc, bad)
+    assert rep.verdict == FAIL
+    _assert_same_report(rep, _iss_reference(traj, sc, bad), _COLUMNS)
+
+
+def test_report_builder_matches_the_cascade_loop():
+    subs = [SubsystemSpec(Coefficients(E("1"), E("1"), E("2")), reaction_zero(), E(u0))
+            for u0 in ("sin(pi*x)", "0.5*sin(pi*x)", "2*sin(pi*x)")]
+    spec = build_cascade(subs, "robin-open", grid_1d(41), 2e-3, 0.3,
+                         external_d=E("0.2*sin(t)"))
+    trajs = simulate_cascade(spec)
+    rep = verify_cascade(spec, trajs)
+    assert rep.verdict == PASS
+    ref = _reference_cascade(spec, trajs)
+    # the loop interleaved the forms sample by sample; the builder lists
+    # each (subsystem, form) part in turn, so the rows are compared in that order
+    order = {"spacetime": 0, "spatial": 1}
+    rows = sorted(ref[4], key=lambda row: (row[0], order[row[1]]))
+    _assert_same_report(rep, (*ref[:4], rows), ("subsystem", "form", *_COLUMNS))
+    # c > 0 everywhere: both forms are checked, and their margins tie at t = 0
+    start = rep.details[rep.details.t == 0.0]
+    assert start.form.tolist() == ["spacetime", "spatial"] * 3
+    assert np.array_equal(start.margin[0::2], start.margin[1::2])
+
+
+def test_report_builder_fails_a_nan_bound_the_loop_passed():
+    sc = _robin_scenario(T=0.1)
+    traj = solve(sc)
+    observed = traj.sup_space_per_sample()
+    bounds = observed + 1.0
+    bounds[3] = math.nan
+    tols = [default_tolerance(b, sc.grid, sc.dt) for b in bounds]
+    assert _reference_report(traj, observed, bounds, tols)[0] == PASS
+    rep = build_report("nan", [(traj, observed, bounds)], None, sc.grid, sc.dt)
+    assert rep.verdict == FAIL
+    assert math.isnan(rep.worst_margin) and rep.worst_location[-1] == traj.times[3]
