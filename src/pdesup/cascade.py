@@ -9,14 +9,16 @@ its forcing, with per-subsystem external boundary data; ``dirichlet-
 cycle`` closes the forcing loop.
 
 Open chains are solved in order.  Cycles contain a same-instant
-algebraic loop, resolved per time step by Gauss-Seidel sweeps over the
-subsystems (latest traces win) until no field moves by more than 1e-10.
-The cycle bounds are asserted only when the corresponding small-gain
-constant exceeds one; otherwise the verdict is "not-asserted" and raw
-norms are still recorded.  :func:`verify_cascade` hands one
-``(trajectory, observed, bounds)`` part per subsystem and form to
-:func:`pdesup.harness.build_report`, labelled by the ``subsystem`` and
-``form`` columns of the report's details.
+algebraic loop.  The coupling is linear, so a cycle is Crank-Nicolson for
+one coupled operator ``blockdiag(A_j) + K``, whose block ``K[j, j-1]``
+feeds subsystem j-1 into subsystem j: one stacked step advances every
+subsystem, each within its own Newton tolerance (see
+:class:`pdesup.solver.TimeStepper`).  The cycle bounds are asserted only
+when the corresponding small-gain constant exceeds one; otherwise the
+verdict is "not-asserted" and raw norms are still recorded.
+:func:`verify_cascade` hands one ``(trajectory, observed, bounds)`` part
+per subsystem and form to :func:`pdesup.harness.build_report`, labelled
+by the ``subsystem`` and ``form`` columns of the report's details.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .core import DIRICHLET, ROBIN, SpatialGrid, Trajectory, time_blocks
+from .core import DIRICHLET, ROBIN, SpatialGrid, Trajectory
 from .expressions import Expression, parse_expression
 from .gains import (
     cascade_bound_dirichlet,
@@ -42,12 +45,11 @@ from .solver import (
     ConfigError,
     ReactionTerm,
     Scenario,
-    SolverError,
     TimeStepper,
-    data_rows,
     make_scenario,
     node_coords,
     _boundary_indices,
+    _Operator,
 )
 
 ROBIN_OPEN = "robin-open"
@@ -55,9 +57,6 @@ ROBIN_CYCLE = "robin-cycle"
 DIRICHLET_OPEN = "dirichlet-open"
 DIRICHLET_CYCLE = "dirichlet-cycle"
 TOPOLOGIES = (ROBIN_OPEN, ROBIN_CYCLE, DIRICHLET_OPEN, DIRICHLET_CYCLE)
-
-GS_TOL = 1e-10
-GS_MAX_SWEEPS = 30
 
 _ZERO = parse_expression("0")
 
@@ -91,10 +90,6 @@ class CascadeSpec:
     @property
     def boundary_kind(self) -> str:
         return ROBIN if self.topology.startswith("robin") else DIRICHLET
-
-
-class CascadeError(SolverError):
-    """Gauss-Seidel sweep divergence; carries the sweep history."""
 
 
 def build_cascade(subsystems, topology: str, grid: SpatialGrid, dt: float,
@@ -198,51 +193,22 @@ def _simulate_open(spec: CascadeSpec) -> list[Trajectory]:
 
 
 def _simulate_cycle(spec: CascadeSpec) -> list[Trajectory]:
-    bindex = _boundary_indices(spec.grid)
-    steppers = [TimeStepper(sc) for sc in spec.scenarios]
-    n_nodes = spec.grid.n_nodes
-    nodes, bnodes = node_coords(spec.grid), node_coords(spec.grid, boundary=True)
-    times = spec.scenarios[0].times()
-    k = spec.k
-    state = np.stack([sc.initial_values().ravel() for sc in spec.scenarios])
-    out = np.empty((k, times.size, n_nodes))
-    out[:, 0] = state
-    robin = spec.boundary_kind == ROBIN
-    # each subsystem's own data: the forcing on a Robin cycle, the
-    # boundary values on a Dirichlet one; the other side is coupled
-    own_rows = [data_rows(sc.forcing, nodes) if robin else data_rows(sc.boundary.data, bnodes)
-                for sc in spec.scenarios]
-    for sl in time_blocks(times.size, n_nodes):
-        own = [rows(times[sl]) for rows in own_rows]
-        for i in range(sl.start, sl.stop - 1):
-            t0, t1 = times[i], times[i + 1]
-            r = i - sl.start  # the row of t0 in this block
-            cand = state.copy()  # lagged initial guess for the t1 fields
-            history = []
-            for sweep in range(GS_MAX_SWEEPS):
-                prev_cand = cand.copy()
-                for j in range(k):
-                    src_old = state[j - 1] if j > 0 else state[k - 1]
-                    src_new = cand[j - 1] if j > 0 else cand[k - 1]
-                    pair = (own[j][r], own[j][r + 1])
-                    if robin:
-                        f_pair, b_pair = pair, (src_old[bindex], src_new[bindex])
-                    else:
-                        f_pair, b_pair = (src_old, src_new), pair
-                    cand[j] = steppers[j].step_values(state[j], t0, spec.dt,
-                                                      f_pair=f_pair, b_pair=b_pair)
-                change = float(np.max(np.abs(cand - prev_cand)))
-                history.append(change)
-                if change < GS_TOL:
-                    break
-            else:
-                raise CascadeError(
-                    f"cycle sweeps did not converge at t={t1:.6g}", history)
-            state = cand
-            out[:, i + 1] = state
-    out.setflags(write=False)  # handed over: each Trajectory keeps its slice without a copy
-    return [Trajectory(spec.grid, times, out[j].reshape(times.size, *spec.grid.shape))
-            for j in range(k)]
+    """All subsystems at once: Crank-Nicolson for A = blockdiag(A_j) + K,
+    where the block K[j, j-1] feeds subsystem j-1 into subsystem j."""
+    g, n, k = spec.grid, spec.grid.n_nodes, spec.k
+    if spec.boundary_kind == ROBIN:
+        # the upstream trace is j's Robin data: diag(g_bd_j) on the boundary
+        rows = _boundary_indices(g)
+        weights = [_Operator(g, sc.coefficients, ROBIN).g_coef[rows] for sc in spec.scenarios]
+    else:
+        # the upstream field is j's forcing: -I on j's interior rows
+        rows = np.flatnonzero(~g.boundary_mask().ravel())
+        weights = [np.full(rows.size, -1.0)] * k
+    starts = n * np.arange(k)[:, None]
+    K = sp.csr_matrix((np.concatenate(weights), ((starts + rows).ravel(),
+                                                  (np.roll(starts, 1, axis=0) + rows).ravel())),
+                      shape=(k * n, k * n))
+    return TimeStepper(spec.scenarios, coupling=K).solve_stack()
 
 
 def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) -> Report:

@@ -3,7 +3,8 @@
 Commands: simulate, gains, verify-iss, verify-rkes, verify-decay,
 backstep, cascade, convergence.  Exit codes: 0 all checks pass (or
 nothing asserted), 1 a bound check failed, 2 configuration or parse
-error, 3 numerical failure (Newton or sweep divergence).
+error, 3 numerical failure (a Newton step that fails, non-finite values,
+or an array too large for memory).
 
 CSV outputs are byte-deterministic for a fixed config and version:
 floats are printed with repr-faithful 17 significant digits, UTF-8,
@@ -327,12 +328,19 @@ def main(argv=None) -> int:
             settings = replace(settings, tol=args.tol)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cp, out, settings, args)
+        # overflow and NaN are caught where they matter (a non-finite
+        # residual is a SolverError, a NaN margin fails), so numpy's
+        # floating-point warnings would only repeat them on stderr
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](cp, out, settings, args)
     except (ConfigError, ParseError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except SolverError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as e:
+        print(f"numerical failure: out of memory: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -79,6 +79,8 @@ def _int(cp, section, key, default=None) -> int | None:
         return None
     if not math.isfinite(v):
         raise ConfigError(f"[{section}] {key}: not a finite number: {v!r}")
+    if v != int(v):
+        raise ConfigError(f"[{section}] {key}: must be an integer, got {v!r}")
     return int(v)
 
 

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,7 +49,7 @@ NEWTON_TOL_FLOOR = 64 * np.finfo(float).eps
 
 
 class SolverError(RuntimeError):
-    """Newton or sweep divergence; carries the residual history."""
+    """A Newton step that fails or meets non-finite values; carries the residual history."""
 
     def __init__(self, message, history=None):
         super().__init__(message)
@@ -409,7 +411,7 @@ class _Operator:
 
 
 class TimeStepper:
-    """Crank-Nicolson stepping engine bound to one scenario.
+    """Crank-Nicolson stepping engine bound to one scenario, or to a stack.
 
     ``forcing``/``boundary`` are None, for the scenario's expressions, or
     a (n_t, n) array of rows aligned with ``scenario.times()``: n is the
@@ -421,7 +423,7 @@ class TimeStepper:
     residual of every step.
 
     ``M+ = I + dt/2 A`` is factored once per ``dt``: LAPACK ``dgttrf``
-    on its three diagonals on an interval, ``splu`` on a rectangle.  A
+    on its three diagonals on an interval, ``splu`` otherwise.  A
     linear step is one solve with those factors.  With a reaction each
     step iterates the chord (simplified) Newton step
     ``v += M+^{-1}(-F(v))`` (Kelley, *Iterative Methods for Linear and
@@ -432,31 +434,60 @@ class TimeStepper:
     barely, and the extra step brings them to the accuracy full Newton
     reaches.  Dirichlet data is written into every iterate, so the
     boundary nodes hold it exactly.
+
+    A sequence of k scenarios in place of one is a stack: they share
+    grid, ``dt``, horizon and boundary kind, the state is their k fields
+    end to end, and ``coupling`` is an optional sparse (k n × k n) block K,
+    so that ``A = blockdiag(A_j) + K``.  Crank-Nicolson then runs on that
+    coupled operator, one step advancing all k fields; ``forcing`` and
+    ``boundary`` rows hold the k blocks side by side.  Each block has its
+    own reaction, data and tolerance: the step's residual is the largest
+    block sup of F in units of that block's tolerance, and
+    ``residual_log`` records it in those units.  :meth:`solve_stack`
+    returns one trajectory per block.
     """
 
-    def __init__(self, scenario: Scenario, forcing=None, boundary=None,
-                 newton_tol: float = 1e-12, max_newton: int = 50):
-        self.scenario = scenario
+    def __init__(self, scenario: Scenario | Sequence[Scenario], forcing=None, boundary=None,
+                 newton_tol: float = 1e-12, max_newton: int = 50, coupling=None):
+        self.scenarios = [scenario] if isinstance(scenario, Scenario) else list(scenario)
+        scenario = self.scenario = self.scenarios[0]
         g = scenario.grid
         self.grid = g
         self.kind = scenario.boundary.kind
+        shared = (g, scenario.dt, scenario.n_steps, self.kind)
+        if any((sc.grid, sc.dt, sc.n_steps, sc.boundary.kind) != shared for sc in self.scenarios):
+            raise ValueError("a stack of scenarios shares grid, dt, horizon and boundary kind")
+        self.k = k = len(self.scenarios)
         self.newton_tol = newton_tol
         self.max_newton = max_newton
         self.residual_log: list[float] = []
-        self.op = _Operator(g, scenario.coefficients, self.kind)
+        ops = [_Operator(g, sc.coefficients, self.kind) for sc in self.scenarios]
+        self.op = ops[0]
+        self.A = self.op.A if k == 1 else sp.block_diag([op.A for op in ops], format="csr")
+        if coupling is not None:
+            if coupling.shape != self.A.shape:
+                raise ValueError(f"coupling has shape {coupling.shape}; "
+                                 f"the stack needs {self.A.shape}")
+            self.A = (self.A + coupling).tocsr()
+        self._banded = g.dim == 1 and self.A is self.op.A  # tridiagonal M+
+        self.bindex = (self.op.bindex + g.n_nodes * np.arange(k)[:, None]).ravel()
         self._dt_cache = None
-        self._linear = scenario.reaction.is_zero
-        self.forcing = self._checked("forcing", forcing, g.n_nodes)
-        self.boundary = self._checked("boundary", boundary, self.op.bindex.size)
+        self._linear = all(sc.reaction.is_zero for sc in self.scenarios)
+        self.forcing = self._checked("forcing", forcing, k * g.n_nodes)
+        self.boundary = self._checked("boundary", boundary, self.bindex.size)
         self._nodes = node_coords(g)
-        self._f_rows = data_rows(scenario.forcing, self._nodes)
-        self._b_rows = data_rows(scenario.boundary.data, node_coords(g, boundary=True))
-        self._reaction = scenario.reaction.bind(*self._nodes)
-        self._interior_mask = np.ones(g.n_nodes, dtype=bool)
+        bnodes = node_coords(g, boundary=True)
+        self._f_rows = _side_by_side([data_rows(sc.forcing, self._nodes) for sc in self.scenarios])
+        self._b_rows = _side_by_side([data_rows(sc.boundary.data, bnodes) for sc in self.scenarios])
+        # each block's h and h' as functions of (t, u), with its coordinates bound once
+        reactions = [(sc.reaction, sc.reaction.bind(*self._nodes)) for sc in self.scenarios]
+        self._h_fns = [partial(r.value, *self._nodes, bound=b) for r, b in reactions]
+        self._dh_fns = [partial(r.derivative, *self._nodes, bound=b) for r, b in reactions]
+        self._interior_mask = np.ones(k * g.n_nodes, dtype=bool)
         if self.kind == DIRICHLET:
-            self._interior_mask[self.op.bindex] = False
+            self._interior_mask[self.bindex] = False
         else:
-            self._g_bd = self.op.g_coef[self.op.bindex]
+            self._g_bd = np.concatenate([op.g_coef[op.bindex] for op in ops])
 
     def _checked(self, name, rows, n):
         shape = (self.scenario.n_steps + 1, n)
@@ -469,8 +500,8 @@ class TimeStepper:
         if self._dt_cache == dt:
             return
         self._dt_cache = dt
-        self._m_plus = self.op.m_plus(dt)
-        if self.grid.dim == 1:
+        self._m_plus = sp.identity(self.A.shape[0], format="csr") + dt / 2 * self.A
+        if self._banded:
             self._tridiag = [self._m_plus.diagonal(k) for k in (-1, 0, 1)]
             *factors, info = dgttrf(*self._tridiag)
             if info:
@@ -479,14 +510,11 @@ class TimeStepper:
         else:
             self._solve = splu(self._m_plus.tocsc()).solve
 
-    def _h(self, t, u):
-        vals = self.scenario.reaction.value(*self._nodes, t, u, self._reaction)
-        if self.kind == DIRICHLET:
-            vals = np.where(self._interior_mask, vals, 0.0)
-        return vals
-
-    def _hprime(self, t, u):
-        vals = self.scenario.reaction.derivative(*self._nodes, t, u, self._reaction)
+    def _h(self, t, u, derivative=False):
+        """Each block's reaction (or its u-derivative), zero on Dirichlet rows."""
+        fns = self._dh_fns if derivative else self._h_fns
+        vals = fns[0](t, u) if self.k == 1 else np.concatenate(
+            [fn(t, ub) for fn, ub in zip(fns, u.reshape(self.k, -1))])
         if self.kind == DIRICHLET:
             vals = np.where(self._interior_mask, vals, 0.0)
         return vals
@@ -495,14 +523,27 @@ class TimeStepper:
         fv = self._m_plus @ v - rhs
         if not self._linear:
             fv += dt / 2 * self._h(t1, v)
-        return fv, float(np.abs(fv).max())
+        return fv
+
+    def _measure(self, rhs):
+        """The step's residual measure and the tolerance it must meet.
+
+        One scenario: sup |F| against ``max(newton_tol, floor) max(1, |rhs|)``.
+        A stack takes each block's sup |F| in units of that block's own
+        such tolerance and reports the largest, against 1.
+        """
+        rel = max(self.newton_tol, NEWTON_TOL_FLOOR)
+        if self.k == 1:
+            return _sup, rel * max(1.0, float(np.abs(rhs).max()))
+        tols = rel * np.maximum(1.0, np.abs(rhs).reshape(self.k, -1).max(axis=1))
+        return (lambda fv: float((np.abs(fv).reshape(self.k, -1).max(axis=1) / tols).max())), 1.0
 
     def _newton_solve(self, v, t1, dt, b):
         """Solve with the full Newton Jacobian M+ + dt/2 h'(v)."""
         if self._linear:
             return self._solve(b)
-        hp = dt / 2 * self._hprime(t1, v)
-        if self.grid.dim == 1:
+        hp = dt / 2 * self._h(t1, v, derivative=True)
+        if self._banded:
             lower, diag, upper = self._tridiag
             ab = np.zeros((3, self.op.n))
             ab[0, 1:], ab[1], ab[2, :-1] = upper, diag + hp, lower
@@ -521,8 +562,8 @@ class TimeStepper:
         t1 = t + dt
         f0, f1 = f_pair if f_pair is not None else self._f_rows([t, t1])
         b0, b1 = b_pair if b_pair is not None else self._b_rows([t, t1])
-        bindex = self.op.bindex
-        au = self.op.A @ u
+        bindex = self.bindex
+        au = self.A @ u
         if not self._linear:
             au += self._h(t, u)
         rhs = u - dt / 2 * au + dt / 2 * (f0 + f1)
@@ -530,14 +571,14 @@ class TimeStepper:
             rhs[bindex] -= dt / 2 * (self._g_bd * b0 + self._g_bd * b1)
         else:
             rhs[bindex] = b1
-        scale = max(1.0, float(np.abs(rhs).max()))
-        tol = max(self.newton_tol, NEWTON_TOL_FLOOR) * scale
+        measure, tol = self._measure(rhs)
 
         def iterate(w):
             # Newton on F(v) = M+ v + dt/2 h(t1, v) - rhs, Dirichlet data imposed
             if self.kind == DIRICHLET:
                 w[bindex] = b1
-            return (w, *self._residual(w, t1, dt, rhs))
+            fw = self._residual(w, t1, dt, rhs)
+            return w, fw, measure(fw)
 
         # a linear step is one solve, for the change v - u: its rounding
         # error scales with that O(dt) change, where solving M+ v = rhs for
@@ -583,8 +624,15 @@ class TimeStepper:
         return v
 
     def solve(self) -> Trajectory:
-        sc = self.scenario
-        u = sc.initial_values().ravel().astype(float)
+        """The scenario's trajectory over its horizon (a stack: :meth:`solve_stack`)."""
+        if self.k != 1:
+            raise ValueError("a stack of scenarios is solved by solve_stack")
+        return self.solve_stack()[0]
+
+    def solve_stack(self) -> list[Trajectory]:
+        """One trajectory per scenario of the stack, each a column block of one array."""
+        sc, n = self.scenario, self.grid.n_nodes
+        u = np.concatenate([s.initial_values().ravel() for s in self.scenarios]).astype(float)
         times = sc.times()
         out = np.empty((times.size, u.size))
         out[0] = u
@@ -596,8 +644,21 @@ class TimeStepper:
                 u = self.step_values(u, times[i], sc.dt, f_pair=(f[k], f[k + 1]),
                                      b_pair=(b[k], b[k + 1]))
                 out[i + 1] = u
-        out.setflags(write=False)  # handed over: Trajectory keeps it without a copy
-        return Trajectory(sc.grid, times, out.reshape(times.size, *sc.grid.shape))
+        out.setflags(write=False)  # handed over: each Trajectory keeps its block without a copy
+        shape = (times.size, *sc.grid.shape)
+        return [Trajectory(sc.grid, times, out[:, j * n:(j + 1) * n].reshape(shape))
+                for j in range(self.k)]
+
+
+def _sup(fv) -> float:
+    return float(np.abs(fv).max())
+
+
+def _side_by_side(row_fns):
+    """One ``rows(times)`` for a stack: each block's rows side by side."""
+    if len(row_fns) == 1:
+        return row_fns[0]
+    return lambda times: np.hstack([rows(times) for rows in row_fns])
 
 
 def step(state: Field, t: float, dt: float, scenario: Scenario) -> Field:

@@ -4,16 +4,25 @@ import numpy as np
 import pytest
 
 from pdesup.cascade import (
-    CascadeError,
     SubsystemSpec,
     build_cascade,
     simulate_cascade,
     verify_cascade,
 )
-from pdesup.core import grid_1d, sup_norm_space
+from pdesup.core import ROBIN, Trajectory, grid_1d, sup_norm_space, time_blocks
 from pdesup.expressions import parse_expression
 from pdesup.harness import NOT_ASSERTED, PASS
-from pdesup.solver import Coefficients, ConfigError, reaction_log_poly, reaction_zero
+from pdesup.solver import (
+    Coefficients,
+    ConfigError,
+    TimeStepper,
+    _boundary_indices,
+    data_rows,
+    node_coords,
+    reaction_log_poly,
+    reaction_odd_cubic,
+    reaction_zero,
+)
 
 E = parse_expression
 
@@ -91,9 +100,10 @@ def test_robin_cycle_consistency_and_bounds():
     trajs = simulate_cascade(spec)
     rep = verify_cascade(spec, trajs)
     assert rep.verdict == PASS
-    # cyclic consistency: re-evaluating coupling traces moves nothing
-    # (checked by construction of the sweep convergence criterion); spot
-    # check: each trajectory is bounded by the cycle bound at t=0
+    # cyclic consistency, each subsystem's step reproduced from its
+    # neighbour's fields, is checked step by step in
+    # test_cycle_blocks_reproduce_their_own_steps; spot check: each
+    # trajectory is bounded by the cycle bound at t=0
     for tr in trajs:
         assert sup_norm_space(tr.field(0)) <= 2 * spec.phis[-1] + 1e-12
 
@@ -166,3 +176,104 @@ def test_robin_open_chain_without_small_gain():
     trajs = simulate_cascade(spec)
     rep = verify_cascade(spec, trajs)
     assert rep.verdict == PASS
+
+
+# ---------------------------------------------------------------------------
+# cycles as one coupled system, against the Gauss-Seidel sweeps they replaced
+
+
+def _gauss_seidel_cycle(spec, tol=1e-10, max_sweeps=30):
+    """Per time step, sweep the subsystems in order (latest traces win)
+    until no field moves by more than ``tol`` (reference for the stacked
+    solve)."""
+    bindex = _boundary_indices(spec.grid)
+    steppers = [TimeStepper(sc) for sc in spec.scenarios]
+    n_nodes = spec.grid.n_nodes
+    nodes, bnodes = node_coords(spec.grid), node_coords(spec.grid, boundary=True)
+    times = spec.scenarios[0].times()
+    k = spec.k
+    state = np.stack([sc.initial_values().ravel() for sc in spec.scenarios])
+    out = np.empty((k, times.size, n_nodes))
+    out[:, 0] = state
+    robin = spec.boundary_kind == ROBIN
+    own_rows = [data_rows(sc.forcing, nodes) if robin else data_rows(sc.boundary.data, bnodes)
+                for sc in spec.scenarios]
+    for sl in time_blocks(times.size, n_nodes):
+        own = [rows(times[sl]) for rows in own_rows]
+        for i in range(sl.start, sl.stop - 1):
+            t0 = times[i]
+            r = i - sl.start
+            cand = state.copy()
+            for _ in range(max_sweeps):
+                prev_cand = cand.copy()
+                for j in range(k):
+                    src_old = state[j - 1] if j > 0 else state[k - 1]
+                    src_new = cand[j - 1] if j > 0 else cand[k - 1]
+                    pair = (own[j][r], own[j][r + 1])
+                    if robin:
+                        f_pair, b_pair = pair, (src_old[bindex], src_new[bindex])
+                    else:
+                        f_pair, b_pair = (src_old, src_new), pair
+                    cand[j] = steppers[j].step_values(state[j], t0, spec.dt,
+                                                      f_pair=f_pair, b_pair=b_pair)
+                if float(np.max(np.abs(cand - prev_cand))) < tol:
+                    break
+            else:
+                raise AssertionError(f"cycle sweeps did not converge at t={times[i + 1]:.6g}")
+            state = cand
+            out[:, i + 1] = state
+    return [Trajectory(spec.grid, times, out[j].reshape(times.size, *spec.grid.shape))
+            for j in range(k)]
+
+
+def _cycle(topology, reactions):
+    """A 3-subsystem cycle on 41 nodes, 100 steps, with varied coefficients."""
+    robin = topology == "robin-cycle"
+    diffusions = ["1", "1.3+0.2*x", "0.9"] if robin else ["10", "9+x", "11"]
+    u0s = ["sin(pi*x)", "0.5*sin(2*pi*x)+0.2", "0.8*cos(pi*x)"]
+    subs = [SubsystemSpec(Coefficients(E(a), E(c), E("2.2")), reaction, E(u0))
+            for a, c, reaction, u0 in zip(diffusions, ["1", "0.8", "1.2"], reactions, u0s)]
+    extra = {} if robin else {"boundary_exprs": [E("0.1*sin(t)"), E("0"), E("0.05*cos(t)")]}
+    return build_cascade(subs, topology, grid_1d(41), 2e-3, 0.2, **extra)
+
+
+@pytest.mark.parametrize("topology", ["robin-cycle", "dirichlet-cycle"])
+def test_linear_cycle_matches_gauss_seidel(topology):
+    spec = _cycle(topology, [reaction_zero()] * 3)
+    for got, ref in zip(simulate_cascade(spec), _gauss_seidel_cycle(spec)):
+        assert np.max(np.abs(got.values - ref.values)) <= 1e-12
+
+
+def _tolerance_spy(stepper):
+    """Record the Newton tolerance of every step ``stepper`` takes."""
+    tols, measure = [], stepper._measure
+
+    def spy(rhs):
+        norm, tol = measure(rhs)
+        tols.append(tol)
+        return norm, tol
+
+    stepper._measure = spy
+    return tols
+
+
+@pytest.mark.parametrize("topology", ["robin-cycle", "dirichlet-cycle"])
+def test_cycle_blocks_reproduce_their_own_steps(topology):
+    # every subsystem, stepped alone with its neighbour's stacked fields as
+    # its coupled data, lands on the stacked result within its own tolerance
+    spec = _cycle(topology, [reaction_log_poly(), reaction_odd_cubic(), reaction_zero()])
+    trajs = simulate_cascade(spec)
+    times, bindex = trajs[0].times, _boundary_indices(spec.grid)
+    fields = [tr.values.reshape(times.size, -1) for tr in trajs]
+    robin = topology == "robin-cycle"
+    for j, sc in enumerate(spec.scenarios):
+        st = TimeStepper(sc)
+        tols = _tolerance_spy(st)
+        own = (data_rows(sc.forcing, node_coords(spec.grid)) if robin else
+               data_rows(sc.boundary.data, node_coords(spec.grid, boundary=True)))(times)
+        up = fields[j - 1][:, bindex] if robin else fields[j - 1]
+        for i in range(times.size - 1):
+            own_pair, up_pair = (own[i], own[i + 1]), (up[i], up[i + 1])
+            f_pair, b_pair = (own_pair, up_pair) if robin else (up_pair, own_pair)
+            v = st.step_values(fields[j][i], times[i], spec.dt, f_pair=f_pair, b_pair=b_pair)
+            assert np.max(np.abs(v - fields[j][i + 1])) <= tols[-1], (j, i)

@@ -391,6 +391,20 @@ def test_non_finite_data_is_a_numerical_failure(tmp_path, text):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "numerical failure: non-finite residual at t=0.002" in proc.stderr
+    # numpy's floating-point warnings stay quiet: the failure line is all
+    assert proc.stderr == "numerical failure: non-finite residual at t=0.002\n"
+
+
+@pytest.mark.parametrize("config, command", [("iss_robin.ini", "verify-iss"),
+                                             ("cascade_robin_open.ini", "cascade")])
+def test_too_large_a_grid_is_a_numerical_failure(tmp_path, capsys, config, command):
+    # 1e15 nodes: the first node array numpy is asked for cannot be allocated
+    text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
+    text = text.replace("n_x = 61", "n_x = 1e15").replace("n_x = 101", "n_x = 1e15")
+    assert "n_x = 1e15" in text
+    code = main([command, "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: out of memory: ")
 
 
 def test_robin_split_endpoint_data(tmp_path):
@@ -506,10 +520,12 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
     ("backstep", BACKSTEP.replace("sigma = 1", "sigma = 0"), "[check] sigma"),
     ("convergence", CONVERGENCE.replace("refinements = 3", "refinements = 2"),
      "[check] refinements"),
+    ("cascade", CASCADE.replace("k = 3", "k = 2.5"), "[cascade] k"),
+    ("verify-decay", HEAT_DECAY.replace("n_x = 81", "n_x = 61.5"), "[grid] n_x"),
 ], ids=["decay-c-zero", "decay-dt-nan", "decay-n_x-2", "decay-n_x-nan", "decay-empty-domain",
         "decay-nonzero-f", "iss-c-negative", "interval-d-y", "u0-t", "a-t", "interval-c-y",
         "backstep-d0-x", "cascade-shared-a-t", "interval-cascade-d-y", "backstep-c-negative",
-        "backstep-sigma-zero", "convergence-refinements-2"])
+        "backstep-sigma-zero", "convergence-refinements-2", "cascade-k-2.5", "decay-n_x-61.5"])
 def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
     # an exception escaping main() would be a traceback for the user
