@@ -5,7 +5,8 @@ u(1,t) = d1(t) + U(t).  The feedback U(t) = -int_0^1 k(1,y) u(y,t) dy
 uses the triangular kernel k solving k_xx - k_yy = (c+sigma) k with
 k(x,0) = 0 and diagonal k(x,x) = (c+sigma) x / 2; the Volterra map
 w = u + int_0^x k(x,y) u(y,t) dy then turns the plant into the damped
-target dynamics w_t = w_xx - sigma w + (transformed forcing).
+target dynamics w_t = w_xx - sigma w + (transformed forcing).  The
+closed loop steps by Crank-Nicolson, its same-instant loop solved exactly.
 
 Two independent routes compute the kernel:
 
@@ -333,14 +334,16 @@ class ClosedLoopResult:
 def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
                          d0: Expression, d1: Expression, grid: SpatialGrid,
                          dt: float, horizon: float, n_k: int = 201,
-                         series_tol: float = 1e-12, control_sweeps: int = 2,
-                         feedback: bool = True, tol: float | None = None) -> ClosedLoopResult:
+                         series_tol: float = 1e-12, feedback: bool = True,
+                         tol: float | None = None) -> ClosedLoopResult:
     """Step the destabilized plant under boundary feedback and check its bound.
 
-    The control uses the beginning-of-step field and ``control_sweeps``
-    fixed-point refinements restore implicitness to scheme order.  With
-    ``feedback=False`` the raw open loop is simulated (bound checking is
-    skipped in the report, which then only records norms).
+    Each step is the implicit Crank-Nicolson step of the closed loop, with
+    u(1, t) = d1(t) + U(t) held exactly.  The plant is linear, so the new
+    field is v + U s: v has d1 alone at x = 1, and s (computed once) is
+    the response to a unit value there; U = control(v) / (1 - control(s)).
+    With ``feedback=False`` the raw open loop is simulated (bound checking
+    is skipped in the report, which then only records norms).
     """
     if c <= 0 or sigma <= 0:
         raise ValueError("c and sigma must be positive")
@@ -360,6 +363,9 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
         return float(-np.dot(wq, krow * vals)) if feedback else 0.0
 
     stepper = TimeStepper(scenario)
+    zero, unit = np.zeros(grid.n_x), np.array([0.0, 1.0])
+    s = stepper.step_values(zero, 0.0, dt, f_pair=(zero, zero), b_pair=(unit, unit))
+    loop_gain = 1.0 - control_of(s)
     u = scenario.initial_values().astype(float)
     times = scenario.times()
     out = np.empty((times.size, grid.n_x))
@@ -374,19 +380,9 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
         f_block = f_rows(times[sl])
         for i in range(sl.start, sl.stop - 1):
             f_pair = (f_block[i - sl.start], f_block[i - sl.start + 1])
-            b0 = np.array([d_vals[i, 0], d_vals[i, 1] + controls[i]])
-            U = control_of(u)
-            for _ in range(max(1, control_sweeps)):
-                b1 = np.array([d_vals[i + 1, 0], d_vals[i + 1, 1] + U])
-                cand = stepper.step_values(u, times[i], dt, f_pair=f_pair, b_pair=(b0, b1))
-                U_new = control_of(cand)
-                done = abs(U_new - U) <= 1e-13 * (1.0 + abs(U))
-                U = U_new
-                if done:
-                    break
-            u = cand
-            out[i + 1] = u
-            controls[i + 1] = U
+            v = stepper.step_values(u, times[i], dt, f_pair=f_pair, b_pair=d_vals[i:i + 2])
+            controls[i + 1] = U = control_of(v) / loop_gain
+            u = out[i + 1] = v + U * s
     out.setflags(write=False)  # handed over: Trajectory keeps it without a copy
     u_traj = Trajectory(grid, times, out)
     w_traj = transform_trajectory(u_traj, kernel)

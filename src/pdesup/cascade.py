@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import DIRICHLET, ROBIN, SpatialGrid, Trajectory
 from .expressions import Expression, parse_expression
@@ -48,8 +47,6 @@ from .solver import (
     TimeStepper,
     make_scenario,
     node_coords,
-    _boundary_indices,
-    _Operator,
 )
 
 ROBIN_OPEN = "robin-open"
@@ -177,7 +174,7 @@ def simulate_cascade(spec: CascadeSpec) -> list[Trajectory]:
 
 
 def _simulate_open(spec: CascadeSpec) -> list[Trajectory]:
-    bindex = _boundary_indices(spec.grid)
+    bindex = np.flatnonzero(spec.grid.boundary_mask().ravel())
     trajs: list[Trajectory] = []
     for j, sc in enumerate(spec.scenarios):
         forcing = None
@@ -195,20 +192,7 @@ def _simulate_open(spec: CascadeSpec) -> list[Trajectory]:
 def _simulate_cycle(spec: CascadeSpec) -> list[Trajectory]:
     """All subsystems at once: Crank-Nicolson for A = blockdiag(A_j) + K,
     where the block K[j, j-1] feeds subsystem j-1 into subsystem j."""
-    g, n, k = spec.grid, spec.grid.n_nodes, spec.k
-    if spec.boundary_kind == ROBIN:
-        # the upstream trace is j's Robin data: diag(g_bd_j) on the boundary
-        rows = _boundary_indices(g)
-        weights = [_Operator(g, sc.coefficients, ROBIN).g_coef[rows] for sc in spec.scenarios]
-    else:
-        # the upstream field is j's forcing: -I on j's interior rows
-        rows = np.flatnonzero(~g.boundary_mask().ravel())
-        weights = [np.full(rows.size, -1.0)] * k
-    starts = n * np.arange(k)[:, None]
-    K = sp.csr_matrix((np.concatenate(weights), ((starts + rows).ravel(),
-                                                  (np.roll(starts, 1, axis=0) + rows).ravel())),
-                      shape=(k * n, k * n))
-    return TimeStepper(spec.scenarios, coupling=K).solve_stack()
+    return TimeStepper(spec.scenarios, cycle=True).solve_stack()
 
 
 def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) -> Report:

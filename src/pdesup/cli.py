@@ -268,7 +268,7 @@ def cmd_backstep(cp, out: Path, settings, args) -> int:
 
 
 def cmd_cascade(cp, out: Path, settings, args) -> int:
-    spec = cascade_from_config(cp)
+    spec = cascade_from_config(cp, settings)
     trajs = cascade_mod.simulate_cascade(spec)
     rep = cascade_mod.verify_cascade(spec, trajs, settings.tol)
     for j, tr in enumerate(trajs, start=1):

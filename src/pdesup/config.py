@@ -91,6 +91,14 @@ def _positive(cp, section, key, default) -> float | None:
     return v
 
 
+def _exponent(cp, section, key) -> float:
+    """An integrability exponent: greater than 2, or inf (the default)."""
+    q = _float(cp, section, key, math.inf)
+    if not q > 2:
+        raise ConfigError(f"[{section}] {key}: must exceed 2 (or be inf), got {q!r}")
+    return q
+
+
 def _at_least_3(cp, section, key, default) -> int:
     """A node count, or the refinement levels a convergence slope needs."""
     n = _int(cp, section, key, default)
@@ -196,7 +204,9 @@ def rkes_pair_from_config(cp) -> tuple[Scenario, Scenario]:
     return first, second
 
 
-def cascade_from_config(cp) -> CascadeSpec:
+def cascade_from_config(cp, settings: CheckSettings | None = None) -> CascadeSpec:
+    """The cascade of the [cascade] section; embedding constants and q come
+    from ``settings`` (by default the config's own [check] section)."""
     if not cp.has_section("cascade"):
         raise ConfigError("config has no [cascade] section")
     grid = grid_from_config(cp)
@@ -229,12 +239,10 @@ def cascade_from_config(cp) -> CascadeSpec:
     boundary_exprs = None
     if topology.startswith("dirichlet"):
         boundary_exprs = [_expr(cp, "cascade", f"d_{j}", "0") for j in range(1, k + 1)]
-    q = _float(cp, "check", "q", math.inf) if cp.has_section("check") else math.inf
-    c_s = _float(cp, "check", "c_s") if cp.has_section("check") else None
-    c_p = _float(cp, "check", "c_p") if cp.has_section("check") else None
+    settings = settings or check_settings_from_config(cp)
     return build_cascade(subs, topology, grid, dt, horizon, external_d=external_d,
                          external_f=external_f, boundary_exprs=boundary_exprs,
-                         q=q, c_s=c_s, c_p=c_p)
+                         q=settings.q, c_s=settings.c_s, c_p=settings.c_p)
 
 
 @dataclass(frozen=True)
@@ -254,10 +262,10 @@ def check_settings_from_config(cp) -> CheckSettings:
     if not cp.has_section("check"):
         return CheckSettings()
     return CheckSettings(
-        q=_float(cp, "check", "q", math.inf),
+        q=_exponent(cp, "check", "q"),
         tol=_float(cp, "check", "tol"),
-        c_s=_float(cp, "check", "c_s"),
-        c_p=_float(cp, "check", "c_p"),
+        c_s=_positive(cp, "check", "c_s", None),
+        c_p=_positive(cp, "check", "c_p", None),
         c=_positive(cp, "check", "c", None),
         sigma=_positive(cp, "check", "sigma", None),
         n=_int(cp, "check", "n"),

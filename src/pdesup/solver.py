@@ -402,9 +402,6 @@ class _Operator:
         A.eliminate_zeros()
         self.A = A
 
-    def m_plus(self, dt: float) -> sp.csr_matrix:
-        return sp.identity(self.n, format="csr") + dt / 2 * self.A
-
 
 # ---------------------------------------------------------------------------
 # time stepping
@@ -436,10 +433,11 @@ class TimeStepper:
     boundary nodes hold it exactly.
 
     A sequence of k scenarios in place of one is a stack: they share
-    grid, ``dt``, horizon and boundary kind, the state is their k fields
-    end to end, and ``coupling`` is an optional sparse (k n × k n) block K,
-    so that ``A = blockdiag(A_j) + K``.  Crank-Nicolson then runs on that
-    coupled operator, one step advancing all k fields; ``forcing`` and
+    grid, ``dt``, horizon and boundary kind, and the state is their k
+    fields end to end.  With ``cycle`` the blocks form a cycle, each fed
+    by the one before it (block 0 by the last): ``A = blockdiag(A_j) + K``
+    with K built by :meth:`_cycle_coupling`.  Crank-Nicolson then runs on
+    that coupled operator, one step advancing all k fields; ``forcing`` and
     ``boundary`` rows hold the k blocks side by side.  Each block has its
     own reaction, data and tolerance: the step's residual is the largest
     block sup of F in units of that block's tolerance, and
@@ -448,7 +446,7 @@ class TimeStepper:
     """
 
     def __init__(self, scenario: Scenario | Sequence[Scenario], forcing=None, boundary=None,
-                 newton_tol: float = 1e-12, max_newton: int = 50, coupling=None):
+                 newton_tol: float = 1e-12, max_newton: int = 50, cycle: bool = False):
         self.scenarios = [scenario] if isinstance(scenario, Scenario) else list(scenario)
         scenario = self.scenario = self.scenarios[0]
         g = scenario.grid
@@ -464,11 +462,8 @@ class TimeStepper:
         ops = [_Operator(g, sc.coefficients, self.kind) for sc in self.scenarios]
         self.op = ops[0]
         self.A = self.op.A if k == 1 else sp.block_diag([op.A for op in ops], format="csr")
-        if coupling is not None:
-            if coupling.shape != self.A.shape:
-                raise ValueError(f"coupling has shape {coupling.shape}; "
-                                 f"the stack needs {self.A.shape}")
-            self.A = (self.A + coupling).tocsr()
+        if cycle:
+            self.A = (self.A + self._cycle_coupling(ops)).tocsr()
         self._banded = g.dim == 1 and self.A is self.op.A  # tridiagonal M+
         self.bindex = (self.op.bindex + g.n_nodes * np.arange(k)[:, None]).ravel()
         self._dt_cache = None
@@ -488,6 +483,25 @@ class TimeStepper:
             self._interior_mask[self.bindex] = False
         else:
             self._g_bd = np.concatenate([op.g_coef[op.bindex] for op in ops])
+
+    def _cycle_coupling(self, ops) -> sp.csr_matrix:
+        """The block K[j, j-1] that feeds field j-1 into block j, for every j.
+
+        Robin: the upstream trace is j's boundary data, so K[j, j-1] is
+        ``diag(g_bd_j)`` on the boundary nodes.  Dirichlet: the upstream
+        field is j's forcing, so K[j, j-1] is -I on j's interior rows.
+        """
+        g, n, k = self.grid, self.grid.n_nodes, self.k
+        if self.kind == ROBIN:
+            rows = self.op.bindex
+            weights = [op.g_coef[rows] for op in ops]
+        else:
+            rows = np.flatnonzero(~g.boundary_mask().ravel())
+            weights = [np.full(rows.size, -1.0)] * k
+        starts = n * np.arange(k)[:, None]
+        return sp.csr_matrix((np.concatenate(weights), ((starts + rows).ravel(),
+                                                        (np.roll(starts, 1, axis=0) + rows).ravel())),
+                             shape=(k * n, k * n))
 
     def _checked(self, name, rows, n):
         shape = (self.scenario.n_steps + 1, n)

@@ -19,9 +19,18 @@ from pdesup.backstepping import (
     transform_trajectory,
     volterra_weights,
 )
-from pdesup.core import Field, grid_1d, sup_norm_space
+from pdesup.core import DIRICHLET, Field, grid_1d, sup_norm_space
 from pdesup.expressions import parse_expression
 from pdesup.gains import kernel_bound_constant
+from pdesup.solver import (
+    BoundarySpec,
+    Coefficients,
+    TimeStepper,
+    data_rows,
+    make_scenario,
+    node_coords,
+    reaction_zero,
+)
 
 E = parse_expression
 
@@ -228,7 +237,7 @@ def test_target_system_residual_compatible_data():
     g = grid_1d(201)
     res = simulate_closed_loop(3.0, 1.0, E("0"), E("0.2*sin(2*pi*x)*cos(t)"),
                                E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 0.5,
-                               n_k=201, control_sweeps=8)
+                               n_k=201)
     h = g.h_x
     r = target_residual(res, 3.0, 1.0, E("0.2*sin(2*pi*x)*cos(t)"), E("0.1*sin(t)"))
     assert r <= 25 * (h ** 2 + 1e-6)
@@ -237,7 +246,7 @@ def test_target_system_residual_compatible_data():
 def test_target_system_residual_after_burn_in():
     g = grid_1d(201)
     res = simulate_closed_loop(3.0, 1.0, E("sin(pi*x)"), E("0"), E("0"), E("0"),
-                               g, 1e-3, 0.5, n_k=201, control_sweeps=8)
+                               g, 1e-3, 0.5, n_k=201)
     h = g.h_x
     r = target_residual(res, 3.0, 1.0, E("0"), E("0"), t_start=0.1)
     assert r <= 25 * (h ** 2 + 1e-6)
@@ -247,13 +256,78 @@ def test_w_boundary_values_match_disturbances():
     # after the transform the right boundary must read exactly d1
     g = grid_1d(101)
     res = simulate_closed_loop(5.0, 1.0, E("0"), E("0"), E("0.05*sin(2*t)"),
-                               E("0.02*cos(t)-0.02"), g, 1e-3, 0.3, n_k=101,
-                               control_sweeps=25)
+                               E("0.02*cos(t)-0.02"), g, 1e-3, 0.3, n_k=101)
     times = res.w.times[1:]
     d1v = 0.02 * np.cos(times) - 0.02
-    assert np.max(np.abs(res.w.values[1:, -1] - d1v)) < 1e-10
+    assert np.max(np.abs(res.w.values[1:, -1] - d1v)) < 1e-14
     d0v = 0.05 * np.sin(2 * times)
     assert np.max(np.abs(res.w.values[1:, 0] - d0v)) < 1e-12
+
+
+def _swept_closed_loop(c, sigma, u0, f, d0, d1, grid, dt, horizon, n_k=201):
+    """The closed loop by fixed-point control sweeps: each step is repeated
+    with the latest control at x = 1 until |dU| <= 1e-13 (1 + |U|)
+    (reference for the exact loop step)."""
+    kernel = kernel_series(c, sigma, n_k=n_k)
+    sc = make_scenario(grid, horizon, dt, Coefficients(E("1"), E(repr(-float(c)))),
+                       reaction_zero(), f, BoundarySpec(DIRICHLET, E("0")), u0)
+    stepper = TimeStepper(sc)
+    times = sc.times()
+    f_vals = data_rows(f, node_coords(grid))(times)
+    d_vals = np.hstack([data_rows(d, (grid.x[i:i + 1], None))(times) for d, i in ((d0, 0), (d1, -1))])
+    u = sc.initial_values().astype(float)
+    out, controls = [u], [control_signal(Field(grid, u), kernel)]
+    for i in range(times.size - 1):
+        U = controls[-1]
+        for _ in range(200):
+            b1 = d_vals[i + 1] + [0.0, U]
+            cand = stepper.step_values(u, times[i], dt, f_pair=f_vals[i:i + 2], b_pair=(b1, b1))
+            U_new = control_signal(Field(grid, cand), kernel)
+            done = abs(U_new - U) <= 1e-13 * (1.0 + abs(U))
+            U = U_new
+            if done:
+                break
+        else:
+            raise AssertionError(f"control sweeps did not converge at t={times[i + 1]}")
+        u = cand
+        out.append(u)
+        controls.append(U)
+    return np.array(out), np.array(controls)
+
+
+def test_exact_loop_step_matches_converged_sweeps():
+    # the settings of configs/backstep.ini
+    g = grid_1d(101)
+    args = (15.0, 1.0, E("sin(pi*x)"), E("0"), E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 2.0)
+    res = simulate_closed_loop(*args)
+    ref_u, ref_controls = _swept_closed_loop(*args)
+    assert np.max(np.abs(res.u.values - ref_u)) <= 1e-12
+    assert np.max(np.abs(res.controls - ref_controls)) <= 1e-12
+
+
+def test_closed_loop_holds_boundary_feedback_exactly():
+    # u(1, t) = d1(t) + U(t) at every stored sample after the initial one
+    g = grid_1d(101)
+    res = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), E("0"), E("0.1*sin(t)"),
+                               E("0.1*sin(t)"), g, 1e-3, 0.2)
+    times = res.u.times
+    assert np.array_equal(res.u.values[1:, -1], 0.1 * np.sin(times[1:]) + res.controls[1:])
+    assert np.array_equal(res.u.values[1:, 0], 0.1 * np.sin(times[1:]))
+
+
+def test_closed_loop_makes_one_step_per_step_plus_one(monkeypatch):
+    real, calls = TimeStepper.step_values, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[1])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(TimeStepper, "step_values", counting)
+    res = simulate_closed_loop(5.0, 1.0, E("sin(pi*x)"), E("0"), E("0"), E("0.1*sin(t)"),
+                               grid_1d(41), 1e-2, 0.3, n_k=81)
+    n_steps = res.u.n_samples - 1
+    assert n_steps == 30
+    assert len(calls) == n_steps + 1
 
 
 def test_kernel_interpolation_between_nodes():

@@ -40,6 +40,17 @@ TRACED_SOLVES = textwrap.dedent("""
     spec = build_cascade([sub, sub], "robin-open", sl.grid, 1e-2, 0.05, external_d=E("0.1"))
     verify_cascade(spec, simulate_cascade(spec))
     assert tracer.calls["cascade.verify"] == 1, dict(tracer.calls)
+
+    # the closed loop makes one stepper call per step, plus one for its
+    # unit response at x = 1
+    from pdesup.backstepping import simulate_closed_loop
+    from pdesup.core import grid_1d
+
+    simulate_closed_loop(5.0, 1.0, E("sin(pi*x)"), E("0"), E("0"), E("0.1*sin(t)"),
+                         grid_1d(21), 1e-2, 0.1, n_k=41)
+    c = tracer.counts
+    assert c["backstepping.loop_steps"] == 10, dict(c)
+    assert c["backstepping.loop_step_calls"] == c["backstepping.loop_steps"] + 1, dict(c)
 """)
 
 

@@ -17,6 +17,7 @@ from pdesup.solver import (
     ConfigError,
     TimeStepper,
     _boundary_indices,
+    _Operator,
     data_rows,
     node_coords,
     reaction_log_poly,
@@ -277,3 +278,18 @@ def test_cycle_blocks_reproduce_their_own_steps(topology):
             f_pair, b_pair = (own_pair, up_pair) if robin else (up_pair, own_pair)
             v = st.step_values(fields[j][i], times[i], spec.dt, f_pair=f_pair, b_pair=b_pair)
             assert np.max(np.abs(v - fields[j][i + 1])) <= tols[-1], (j, i)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_robin_cycle_assembles_each_operator_once(monkeypatch, k):
+    # the cycle's coupling reads g_bd off the operators the stepper assembles
+    built, real = [], _Operator.__init__
+
+    def counting(self, grid, coeffs, kind):
+        built.append(kind)
+        real(self, grid, coeffs, kind)
+
+    monkeypatch.setattr(_Operator, "__init__", counting)
+    spec = build_cascade(_subs(k, m="2"), "robin-cycle", grid_1d(21), 1e-2, 0.05)
+    simulate_cascade(spec)
+    assert built == [ROBIN] * k

@@ -522,10 +522,20 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
      "[check] refinements"),
     ("cascade", CASCADE.replace("k = 3", "k = 2.5"), "[cascade] k"),
     ("verify-decay", HEAT_DECAY.replace("n_x = 81", "n_x = 61.5"), "[grid] n_x"),
+    ("verify-iss", ISS_ROBIN + "\n[check]\nc_s = 0\n", "[check] c_s"),
+    ("verify-iss", ISS_ROBIN + "\n[check]\nc_s = nan\n", "[check] c_s"),
+    ("verify-iss", ISS_ROBIN + "\n[check]\nc_s = -1\n", "[check] c_s"),
+    ("verify-iss", ISS_ROBIN + "\n[check]\nc_p = inf\n", "[check] c_p"),
+    ("verify-iss", ISS_ROBIN + "\n[check]\nq = 1\n", "[check] q"),
+    ("verify-iss", ISS_ROBIN + "\n[check]\nq = nan\n", "[check] q"),
+    ("cascade", CASCADE.replace("robin-open", "dirichlet-open").replace("d = ", "f = ")
+     + "\n[check]\nq = 1\n", "[check] q"),
 ], ids=["decay-c-zero", "decay-dt-nan", "decay-n_x-2", "decay-n_x-nan", "decay-empty-domain",
         "decay-nonzero-f", "iss-c-negative", "interval-d-y", "u0-t", "a-t", "interval-c-y",
         "backstep-d0-x", "cascade-shared-a-t", "interval-cascade-d-y", "backstep-c-negative",
-        "backstep-sigma-zero", "convergence-refinements-2", "cascade-k-2.5", "decay-n_x-61.5"])
+        "backstep-sigma-zero", "convergence-refinements-2", "cascade-k-2.5", "decay-n_x-61.5",
+        "iss-c_s-zero", "iss-c_s-nan", "iss-c_s-negative", "iss-c_p-inf", "iss-q-1", "iss-q-nan",
+        "dirichlet-open-cascade-q-1"])
 def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
     # an exception escaping main() would be a traceback for the user

@@ -331,8 +331,11 @@ def test_2d_assembly_matches_loop_bitwise(kind, n_x, n_y, x_hi):
         assert _bitwise_equal(op.g_coef, g_ref)
     else:
         assert op.g_coef is None
-        # strong Dirichlet rows of M+ are identity rows
-        m = op.m_plus(1e-2).tocsr()
+        # strong Dirichlet rows of the M+ a stepper factors are identity rows
+        stepper = TimeStepper(make_scenario(grid, 2e-2, 1e-2, coeffs, reaction_zero(), E("0"),
+                                            BoundarySpec(DIRICHLET, E("0")), E("0")))
+        stepper._prepare(1e-2)
+        m = stepper._m_plus
         for row in op.bindex:
             start, end = m.indptr[row], m.indptr[row + 1]
             assert list(m.indices[start:end]) == [row]
