@@ -25,6 +25,7 @@ from . import backstepping, cascade as cascade_mod, harness
 from .config import (
     cascade_from_config,
     check_settings_from_config,
+    checked_tol,
     load_config,
     rkes_pair_from_config,
     scenario_from_config,
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
         settings = check_settings_from_config(cp)
         if args.tol is not None:
             from dataclasses import replace
-            settings = replace(settings, tol=args.tol)
+            settings = replace(settings, tol=checked_tol(args.tol, "--tol"))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         # overflow and NaN are caught where they matter (a non-finite

@@ -99,12 +99,20 @@ def _exponent(cp, section, key) -> float:
     return q
 
 
-def _at_least_3(cp, section, key, default) -> int:
-    """A node count, or the refinement levels a convergence slope needs."""
+def _at_least_3(cp, section, key, default) -> int | None:
+    """A node count, the refinement levels a convergence slope needs, or
+    the dimension of a super-linear gain."""
     n = _int(cp, section, key, default)
-    if n < 3:
+    if n is not None and n < 3:
         raise ConfigError(f"[{section}] {key}: must be at least 3, got {n}")
     return n
+
+
+def checked_tol(tol: float | None, name: str) -> float | None:
+    """A check tolerance: None (each check's default), or finite and non-negative."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"{name}: must be finite and non-negative, got {tol!r}")
+    return tol
 
 
 def _bounds(cp, lo_key, hi_key) -> tuple[float, float]:
@@ -263,12 +271,12 @@ def check_settings_from_config(cp) -> CheckSettings:
         return CheckSettings()
     return CheckSettings(
         q=_exponent(cp, "check", "q"),
-        tol=_float(cp, "check", "tol"),
+        tol=checked_tol(_float(cp, "check", "tol"), "[check] tol"),
         c_s=_positive(cp, "check", "c_s", None),
         c_p=_positive(cp, "check", "c_p", None),
         c=_positive(cp, "check", "c", None),
         sigma=_positive(cp, "check", "sigma", None),
-        n=_int(cp, "check", "n"),
+        n=_at_least_3(cp, "check", "n", None),
         exact=_expr(cp, "check", "exact"),
         refinements=_at_least_3(cp, "check", "refinements", 4),
     )

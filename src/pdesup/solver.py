@@ -37,6 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
 from .core import DIRICHLET, ROBIN, Field, SpatialGrid, Trajectory, grid_1d, time_blocks
@@ -76,8 +77,9 @@ class ReactionTerm:
     nondecreasing in u.
 
     ``value``/``derivative`` take an optional ``bound``: the custom
-    expression with the node coordinates fixed (see :meth:`bind`), which
-    the stepper makes once and passes on every evaluation.
+    expression with the node coordinates fixed (see :meth:`bind`).
+    :meth:`at_nodes` goes one further and gives h as a plain function of
+    (t, u), which is what the stepper calls.
     """
 
     kind: str = "zero"
@@ -106,21 +108,29 @@ class ReactionTerm:
             return None
         return self.expr.bind(x=x) if y is None else self.expr.bind(x=x, y=y)
 
-    def value(self, x, y, t, u, bound=None):
+    def at_nodes(self, x, y):
+        """h as a function of (t, u) alone at the nodes (x[, y]), bitwise
+        :meth:`value`: the kind is dispatched and a custom expression
+        bound here, once, so a call does only the arithmetic."""
+        s = self.scale
         if self.kind == "zero":
-            return np.zeros_like(u)
+            return lambda t, u: np.zeros_like(u)
         if self.kind == "log_poly":
-            return self.scale * u * np.log1p(u * u)
+            return lambda t, u: s * u * np.log1p(u * u)
         if self.kind == "odd_cubic":
-            return self.scale * u ** 3
+            return lambda t, u: s * u ** 3
+        bound = self.bind(x, y)
+        return lambda t, u: _nodal(bound(t=t, u=u), u)
+
+    def value(self, x, y, t, u, bound=None):
+        if self.kind != "custom":
+            return self.at_nodes(x, y)(t, u)
         if bound is not None:
-            vals = bound(t=t, u=u)
-        else:
-            env = {"x": x, "t": t, "u": u}
-            if y is not None:
-                env["y"] = y
-            vals = self.expr(**env)
-        return np.broadcast_to(np.asarray(vals, dtype=float), np.shape(u)).copy()
+            return _nodal(bound(t=t, u=u), u)
+        env = {"x": x, "t": t, "u": u}
+        if y is not None:
+            env["y"] = y
+        return _nodal(self.expr(**env), u)
 
     def derivative(self, x, y, t, u, bound=None):
         if self.kind == "zero":
@@ -133,6 +143,11 @@ class ReactionTerm:
         step = 1e-7 * np.maximum(1.0, np.abs(u))
         return (self.value(x, y, t, u + step, bound)
                 - self.value(x, y, t, u - step, bound)) / (2.0 * step)
+
+
+def _nodal(vals, u) -> np.ndarray:
+    """Expression values as a fresh float array of u's shape."""
+    return np.broadcast_to(np.asarray(vals, dtype=float), np.shape(u)).copy()
 
 
 def reaction_zero() -> ReactionTerm:
@@ -432,6 +447,12 @@ class TimeStepper:
     reaches.  Dirichlet data is written into every iterate, so the
     boundary nodes hold it exactly.
 
+    Products with ``A`` and ``M+`` call scipy's CSR kernel directly
+    (:func:`_csr_product`), bitwise ``@``.  Finiteness is tested through
+    the residual alone: a non-finite value in v, the data or the reaction
+    makes ``M+ v - rhs`` non-finite, which raises :class:`SolverError`, so
+    every accepted iterate is finite.
+
     A sequence of k scenarios in place of one is a stack: they share
     grid, ``dt``, horizon and boundary kind, and the state is their k
     fields end to end.  With ``cycle`` the blocks form a cycle, each fed
@@ -465,6 +486,7 @@ class TimeStepper:
         if cycle:
             self.A = (self.A + self._cycle_coupling(ops)).tocsr()
         self._banded = g.dim == 1 and self.A is self.op.A  # tridiagonal M+
+        self._a_mul = _csr_product(self.A)
         self.bindex = (self.op.bindex + g.n_nodes * np.arange(k)[:, None]).ravel()
         self._dt_cache = None
         self._linear = all(sc.reaction.is_zero for sc in self.scenarios)
@@ -474,14 +496,14 @@ class TimeStepper:
         bnodes = node_coords(g, boundary=True)
         self._f_rows = _side_by_side([data_rows(sc.forcing, self._nodes) for sc in self.scenarios])
         self._b_rows = _side_by_side([data_rows(sc.boundary.data, bnodes) for sc in self.scenarios])
-        # each block's h and h' as functions of (t, u), with its coordinates bound once
-        reactions = [(sc.reaction, sc.reaction.bind(*self._nodes)) for sc in self.scenarios]
-        self._h_fns = [partial(r.value, *self._nodes, bound=b) for r, b in reactions]
-        self._dh_fns = [partial(r.derivative, *self._nodes, bound=b) for r, b in reactions]
-        self._interior_mask = np.ones(k * g.n_nodes, dtype=bool)
-        if self.kind == DIRICHLET:
-            self._interior_mask[self.bindex] = False
-        else:
+        # each block's h and h' as functions of (t, u), coordinates bound once;
+        # h' (the full-Newton fallback) stays a ReactionTerm.derivative call,
+        # which perfbench's tracer counts
+        reactions = [sc.reaction for sc in self.scenarios]
+        self._h_fns = [r.at_nodes(*self._nodes) for r in reactions]
+        self._dh_fns = [partial(r.derivative, *self._nodes, bound=r.bind(*self._nodes))
+                        for r in reactions]
+        if self.kind == ROBIN:
             self._g_bd = np.concatenate([op.g_coef[op.bindex] for op in ops])
 
     def _cycle_coupling(self, ops) -> sp.csr_matrix:
@@ -515,6 +537,7 @@ class TimeStepper:
             return
         self._dt_cache = dt
         self._m_plus = sp.identity(self.A.shape[0], format="csr") + dt / 2 * self.A
+        self._m_mul = _csr_product(self._m_plus)
         if self._banded:
             self._tridiag = [self._m_plus.diagonal(k) for k in (-1, 0, 1)]
             *factors, info = dgttrf(*self._tridiag)
@@ -530,11 +553,12 @@ class TimeStepper:
         vals = fns[0](t, u) if self.k == 1 else np.concatenate(
             [fn(t, ub) for fn, ub in zip(fns, u.reshape(self.k, -1))])
         if self.kind == DIRICHLET:
-            vals = np.where(self._interior_mask, vals, 0.0)
+            vals[self.bindex] = 0.0
         return vals
 
     def _residual(self, v, t1, dt, rhs):
-        fv = self._m_plus @ v - rhs
+        fv = self._m_mul(v)
+        fv -= rhs
         if not self._linear:
             fv += dt / 2 * self._h(t1, v)
         return fv
@@ -572,12 +596,14 @@ class TimeStepper:
         forcing field and the boundary data; without them the scenario's
         expressions are evaluated at [t, t+dt].
         """
+        if u.shape != self.A.shape[:1]:  # the CSR kernel reads u unchecked
+            raise ValueError(f"state has shape {u.shape}; the stepper needs {self.A.shape[:1]}")
         self._prepare(dt)
         t1 = t + dt
         f0, f1 = f_pair if f_pair is not None else self._f_rows([t, t1])
         b0, b1 = b_pair if b_pair is not None else self._b_rows([t, t1])
         bindex = self.bindex
-        au = self.A @ u
+        au = self._a_mul(u)
         if not self._linear:
             au += self._h(t, u)
         rhs = u - dt / 2 * au + dt / 2 * (f0 + f1)
@@ -602,10 +628,12 @@ class TimeStepper:
         chord = True
         for _ in range(self.max_newton):
             history.append(res)
+            # before the tolerance, which infinite data makes infinite too:
+            # non-finite data or state, and no iterate can mend it
+            if not math.isfinite(res):
+                raise SolverError(f"non-finite residual at t={t1:.6g}", history)
             if res <= tol:
                 break
-            if not math.isfinite(res):  # non-finite data or state: no iterate can mend it
-                raise SolverError(f"non-finite residual at t={t1:.6g}", history)
             if chord:
                 v_try, fv_try, res_try = iterate(v + self._solve(-fv))
                 if res_try <= res / 2 or res_try <= tol:
@@ -632,8 +660,6 @@ class TimeStepper:
             if res_try < res:
                 v, res = v_try, res_try
         history.append(res)
-        if not np.all(np.isfinite(v)):
-            raise SolverError(f"non-finite state after step to t={t1:.6g}", history)
         self.residual_log.append(res)
         return v
 
@@ -666,6 +692,20 @@ class TimeStepper:
 
 def _sup(fv) -> float:
     return float(np.abs(fv).max())
+
+
+def _csr_product(M):
+    """``x -> M @ x`` for a CSR ``M``: the kernel ``@`` ends in, into fresh
+    zeros, without the dispatch.  ``x`` must hold ``M.shape[1]`` values."""
+    n_rows, n_cols = M.shape
+    args = (n_rows, n_cols, M.indptr, M.indices, M.data)
+
+    def product(x):
+        y = np.zeros(n_rows)
+        csr_matvec(*args, x, y)
+        return y
+
+    return product
 
 
 def _side_by_side(row_fns):

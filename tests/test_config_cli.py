@@ -227,12 +227,14 @@ def test_verify_iss_cli(tmp_path):
 
 def test_verify_iss_fail_exit_code(tmp_path):
     # corrupted-gain fixtures live in the harness tests; exit-code plumbing is
-    # exercised by demanding a negative tolerance where the bound is at
-    # equality (t = 0 with zero disturbances)
-    p = _write(tmp_path, HEAT_DECAY)
+    # exercised by declaring c_min = 50 where c = 1: the envelope then decays
+    # faster than the solution, and the bound fails (a tolerance must be
+    # non-negative, so it cannot be demanded below exact)
+    p = _write(tmp_path, HEAT_DECAY.replace("c = 1\n", "c = 1\nc_min = 50\n"))
     out = tmp_path / "out"
-    code = main(["verify-iss", "--config", str(p), "--out", str(out), "--tol=-1e-3"])
+    code = main(["verify-iss", "--config", str(p), "--out", str(out), "--tol=0"])
     assert code == 1
+    assert (out / "report.csv").read_text().splitlines()[1].startswith("iss,fail,")
 
 
 def test_verify_rkes_cli_explicit_pair(tmp_path):
@@ -376,13 +378,21 @@ kind = dirichlet
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
 
 
+ISS_ROBIN_CONFIG = (Path(__file__).resolve().parents[1] / "configs" / "iss_robin.ini").read_text()
+
+
 @pytest.mark.parametrize("text", [
-    (Path(__file__).resolve().parents[1] / "configs" / "iss_robin.ini").read_text()
-    .replace("d = 0.05", "d = ln(t-1)"),
+    ISS_ROBIN_CONFIG.replace("d = 0.05", "d = ln(t-1)"),
     ISS_ROBIN.replace("n_x = 81", "n_x = 21").replace("d = 0.05", "d = ln(t-1)"),
-], ids=["log_poly-101", "linear-21"])
+    ISS_ROBIN_CONFIG.replace("u0 = sin(pi*x)", "u0 = 1e308*sin(pi*x)"),
+    ISS_ROBIN.replace("u0 = sin(pi*x)", "u0 = 1e308*sin(pi*x)"),
+    ISS_ROBIN_CONFIG.replace("d = 0.05", "d = 1/(t-0.002)"),
+], ids=["log_poly-101", "linear-21", "overflow-log_poly-101", "overflow-linear-81",
+        "infinite-d-log_poly-101"])
 def test_non_finite_data_is_a_numerical_failure(tmp_path, text):
-    # ln(t-1) is NaN on the whole run: the first step refuses its residual
+    # ln(t-1) is NaN on the whole run, 1/(t-0.002) infinite at the first
+    # step's end, and 1e308 sin(pi x) finite but overflowing in A u: the
+    # first step refuses its residual (there is no scan of the state)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "pdesup", "verify-iss", "--config",
@@ -530,12 +540,16 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
     ("verify-iss", ISS_ROBIN + "\n[check]\nq = nan\n", "[check] q"),
     ("cascade", CASCADE.replace("robin-open", "dirichlet-open").replace("d = ", "f = ")
      + "\n[check]\nq = 1\n", "[check] q"),
+    ("gains", ISS_ROBIN + "\n[check]\nn = 2\n", "[check] n"),
+    ("gains", ISS_ROBIN + "\n[check]\nn = 0\n", "[check] n"),
+    ("verify-iss", ISS_ROBIN + "\n[check]\ntol = nan\n", "[check] tol"),
+    ("verify-iss", ISS_ROBIN + "\n[check]\ntol = -1\n", "[check] tol"),
 ], ids=["decay-c-zero", "decay-dt-nan", "decay-n_x-2", "decay-n_x-nan", "decay-empty-domain",
         "decay-nonzero-f", "iss-c-negative", "interval-d-y", "u0-t", "a-t", "interval-c-y",
         "backstep-d0-x", "cascade-shared-a-t", "interval-cascade-d-y", "backstep-c-negative",
         "backstep-sigma-zero", "convergence-refinements-2", "cascade-k-2.5", "decay-n_x-61.5",
         "iss-c_s-zero", "iss-c_s-nan", "iss-c_s-negative", "iss-c_p-inf", "iss-q-1", "iss-q-nan",
-        "dirichlet-open-cascade-q-1"])
+        "dirichlet-open-cascade-q-1", "gains-n-2", "gains-n-0", "iss-tol-nan", "iss-tol-negative"])
 def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
     # an exception escaping main() would be a traceback for the user
@@ -548,6 +562,23 @@ def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
         # destabilizing c: simulated, nothing asserted, and the report says so
         assert code == 0
         assert (out / "report.csv").read_text().splitlines()[1].startswith("iss,not-asserted,")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_invalid_tol_flag_exits_cleanly(tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    code = main(["verify-iss", "--config", str(_write(tmp_path, ISS_ROBIN)), "--out", str(out),
+                 "--tol", tol])
+    assert code == 2
+    assert f"config error: --tol: must be finite and non-negative, got {float(tol)!r}" \
+        in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+def test_zero_tol_is_accepted(tmp_path):
+    p = _write(tmp_path, ISS_ROBIN + "\n[check]\ntol = 0\n")
+    assert main(["verify-iss", "--config", str(p), "--out", str(tmp_path / "a")]) == 0
+    assert main(["verify-iss", "--config", str(p), "--out", str(tmp_path / "b"), "--tol", "0"]) == 0
 
 
 def _row_wise_trajectory(path, traj):

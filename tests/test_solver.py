@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import pdesup.solver as solver_mod
+from pdesup.cascade import SubsystemSpec, build_cascade
 from pdesup.config import load_config, scenario_from_config
 from pdesup.core import (DIRICHLET, ROBIN, Field, Trajectory, grid_1d, grid_2d, sup_norm_space,
                          time_blocks)
@@ -560,6 +563,240 @@ def test_dirichlet_values_are_the_data_bitwise(dim, nonlinear):
     expect = data_rows(sc.boundary.data, node_coords(sc.grid, boundary=True))(traj.times[1:])
     got = traj.values.reshape(traj.times.size, -1)[1:, bindex]
     assert _bitwise_equal(got, expect)
+
+
+# ---------------------------------------------------------------------------
+# the step's products and overhead, against the step they replaced
+
+
+def _cycle_scenarios(reactions):
+    """The three Robin subsystems of a cycle on 21 nodes, 10 steps."""
+    subs = [SubsystemSpec(Coefficients(E(a), E("1"), E("2.2")), reaction, E(u0))
+            for a, reaction, u0 in zip(["1", "1.3+0.2*x", "0.9"], reactions,
+                                       ["sin(pi*x)", "0.5*sin(2*pi*x)+0.2", "0.8*cos(pi*x)"])]
+    return build_cascade(subs, "robin-cycle", grid_1d(21), 1e-2, 0.1).scenarios
+
+
+_PRODUCT_CASES = {
+    "1d-robin": lambda: _scenario_1d(a="1+0.2*x", kind=ROBIN, n_x=81),
+    "1d-dirichlet": lambda: _scenario_1d(a="1+0.2*x", n_x=81),
+    "2d-rectangle": lambda: make_scenario(
+        grid_2d(13, 9, x_hi=1.5), 0.1, 1e-2, Coefficients(E("1+0.2*x*y"), E("1"), E("1+x")),
+        reaction_zero(), E("0"), BoundarySpec(ROBIN, E("0")), E("sin(pi*x)*sin(pi*y)")),
+    "3-block-robin-cycle": lambda: _cycle_scenarios([reaction_zero()] * 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRODUCT_CASES))
+def test_csr_kernel_into_zeros_is_bitwise_matmul(case):
+    # scipy's private kernel module: if it moves, this import fails loudly
+    from scipy.sparse._sparsetools import csr_matvec
+
+    scs = _PRODUCT_CASES[case]()
+    st = TimeStepper(scs, cycle=case.endswith("cycle"))
+    st._prepare(1e-2)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=st.A.shape[0]) * 10.0 ** rng.uniform(-4, 4, size=st.A.shape[0])
+    for M, product in ((st.A, st._a_mul), (st._m_plus, st._m_mul)):
+        assert M.format == "csr"
+        y = np.zeros(M.shape[0])
+        csr_matvec(*M.shape, M.indptr, M.indices, M.data, x, y)
+        assert _bitwise_equal(y, M @ x)
+        assert _bitwise_equal(product(x), M @ x)
+
+
+def test_step_refuses_a_state_of_the_wrong_shape():
+    # the CSR kernel would read past a short state instead of refusing it
+    st = TimeStepper(_scenario_1d(n_x=21))
+    for u in (np.zeros(20), np.zeros((21, 1)), np.zeros(42)):
+        with pytest.raises(ValueError, match="the stepper needs \\(21,\\)"):
+            st.step_values(u, 0.0, 1e-3)
+
+
+def _reference_value(r, x, y, t, u, bound=None):
+    """ReactionTerm.value as it dispatched on the kind at every call."""
+    if r.kind == "zero":
+        return np.zeros_like(u)
+    if r.kind == "log_poly":
+        return r.scale * u * np.log1p(u * u)
+    if r.kind == "odd_cubic":
+        return r.scale * u ** 3
+    if bound is not None:
+        vals = bound(t=t, u=u)
+    else:
+        env = {"x": x, "t": t, "u": u}
+        if y is not None:
+            env["y"] = y
+        vals = r.expr(**env)
+    return np.broadcast_to(np.asarray(vals, dtype=float), np.shape(u)).copy()
+
+
+class _ReferenceStepper(TimeStepper):
+    """The step before the direct CSR kernel (the reference): ``@`` products,
+    reactions as partials of a kind-dispatching value, Dirichlet rows zeroed
+    through ``np.where``, and a finiteness scan of every new state."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        reactions = [(sc.reaction, sc.reaction.bind(*self._nodes)) for sc in self.scenarios]
+        self._h_fns = [partial(_reference_value, r, *self._nodes, bound=b) for r, b in reactions]
+        self._dh_fns = [partial(r.derivative, *self._nodes, bound=b) for r, b in reactions]
+        self._interior_mask = np.ones(self.A.shape[0], dtype=bool)
+        if self.kind == DIRICHLET:
+            self._interior_mask[self.bindex] = False
+
+    def _h(self, t, u, derivative=False):
+        fns = self._dh_fns if derivative else self._h_fns
+        vals = fns[0](t, u) if self.k == 1 else np.concatenate(
+            [fn(t, ub) for fn, ub in zip(fns, u.reshape(self.k, -1))])
+        if self.kind == DIRICHLET:
+            vals = np.where(self._interior_mask, vals, 0.0)
+        return vals
+
+    def _residual(self, v, t1, dt, rhs):
+        fv = self._m_plus @ v - rhs
+        if not self._linear:
+            fv += dt / 2 * self._h(t1, v)
+        return fv
+
+    def step_values(self, u, t, dt, f_pair=None, b_pair=None):
+        self._prepare(dt)
+        t1 = t + dt
+        f0, f1 = f_pair if f_pair is not None else self._f_rows([t, t1])
+        b0, b1 = b_pair if b_pair is not None else self._b_rows([t, t1])
+        bindex = self.bindex
+        au = self.A @ u
+        if not self._linear:
+            au += self._h(t, u)
+        rhs = u - dt / 2 * au + dt / 2 * (f0 + f1)
+        if self.kind == ROBIN:
+            rhs[bindex] -= dt / 2 * (self._g_bd * b0 + self._g_bd * b1)
+        else:
+            rhs[bindex] = b1
+        measure, tol = self._measure(rhs)
+
+        def iterate(w):
+            if self.kind == DIRICHLET:
+                w[bindex] = b1
+            fw = self._residual(w, t1, dt, rhs)
+            return w, fw, measure(fw)
+
+        v, fv, res = iterate(u + self._solve(rhs - u - dt / 2 * au) if self._linear else u.copy())
+        history = []
+        chord = True
+        for _ in range(self.max_newton):
+            history.append(res)
+            if res <= tol:
+                break
+            if not math.isfinite(res):
+                raise solver_mod.SolverError(f"non-finite residual at t={t1:.6g}", history)
+            if chord:
+                v_try, fv_try, res_try = iterate(v + self._solve(-fv))
+                if res_try <= res / 2 or res_try <= tol:
+                    v, fv, res = v_try, fv_try, res_try
+                    continue
+                chord = False
+            delta = self._newton_solve(v, t1, dt, -fv)
+            s = 1.0
+            while True:
+                v_try, fv_try, res_try = iterate(v + s * delta)
+                if res_try < res or res_try <= tol:
+                    v, fv, res = v_try, fv_try, res_try
+                    break
+                s /= 2
+                if s < 1e-6:
+                    raise solver_mod.SolverError(
+                        f"Newton damping stalled at t={t1:.6g} (residual {res:.3e})", history)
+        else:
+            if res > tol:
+                raise solver_mod.SolverError(
+                    f"Newton failed to reach tolerance at t={t1:.6g} (residual {res:.3e})",
+                    history)
+        if chord and not self._linear:
+            v_try, _, res_try = iterate(v + self._solve(-fv))
+            if res_try < res:
+                v, res = v_try, res_try
+        history.append(res)
+        if not np.all(np.isfinite(v)):
+            raise solver_mod.SolverError(f"non-finite state after step to t={t1:.6g}", history)
+        self.residual_log.append(res)
+        return v
+
+
+_STEP_REACTIONS = {
+    "zero": reaction_zero(),
+    "log_poly": reaction_log_poly(1.5),
+    "odd_cubic": reaction_odd_cubic(0.7),
+    "custom": ReactionTerm("custom", expr=E("u*abs(u)+(1+x)*u+0.1*sin(t)", XYTU),
+                           growth_exponent=2.0, growth_constant=2.0),
+}
+
+
+def _step_case(dim, kind, reaction):
+    if dim == 1:
+        return _scenario_1d(a="1+0.2*x", reaction=reaction, f="0.1*sin(t)*x", kind=kind,
+                            d="0.05*t+0.02*x", u0="2*sin(pi*x)+0.3", n_x=41, dt=5e-3, T=0.1)
+    # a rectangle caps the declared growth exponent at 2
+    reaction = replace(reaction, growth_exponent=min(reaction.growth_exponent, 2.0))
+    return _scenario_2d(reaction, dt=1e-2, T=0.1, n=9, u0="2*sin(pi*x)*sin(pi*y)", kind=kind)
+
+
+def _assert_steps_like_the_reference(scs, **kwargs):
+    new, ref = TimeStepper(scs, **kwargs), _ReferenceStepper(scs, **kwargs)
+    for got, expect in zip(new.solve_stack(), ref.solve_stack(), strict=True):
+        assert _bitwise_equal(got.values, expect.values)
+    assert new.residual_log == ref.residual_log
+    assert all(math.isfinite(r) for r in new.residual_log)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("reaction", list(_STEP_REACTIONS))
+def test_step_matches_the_reference_step_bitwise(dim, kind, reaction):
+    _assert_steps_like_the_reference(_step_case(dim, kind, _STEP_REACTIONS[reaction]))
+
+
+def test_cycle_step_matches_the_reference_step_bitwise():
+    reactions = [_STEP_REACTIONS[name] for name in ("log_poly", "odd_cubic", "zero")]
+    _assert_steps_like_the_reference(_cycle_scenarios(reactions), cycle=True)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_full_newton_fallback_matches_the_reference_step_bitwise(monkeypatch, dim):
+    lu = _count(monkeypatch, "splu")
+    banded = _count(monkeypatch, "solve_banded")
+    if dim == 1:
+        sc = _scenario_1d(a="1+0.2*x", reaction=_stiff_reaction(), f="0.1*sin(t)*x",
+                          d="0.05*t*x", n_x=9, dt=0.5, T=1.0)
+    else:
+        sc = _scenario_2d(_stiff_reaction(), dt=0.5, T=1.0, n=9)
+    _assert_steps_like_the_reference(sc)
+    assert len(banded if dim == 1 else lu) > 2  # both steppers took the fallback
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("reaction", ["zero", "log_poly"])
+def test_overflowing_state_is_a_non_finite_residual(dim, reaction):
+    # no finiteness scan of the new state: an overflowing one is caught
+    # through its residual, at the first step
+    r = replace(_STEP_REACTIONS[reaction], growth_exponent=2.0)
+    sc = (_scenario_1d(reaction=r, kind=ROBIN, u0="1e308*sin(pi*x)", n_x=21, dt=2e-3)
+          if dim == 1 else _scenario_2d(r, dt=2e-3, T=0.1, n=9, u0="1e308*sin(pi*x)*sin(pi*y)"))
+    with np.errstate(all="ignore"), pytest.raises(solver_mod.SolverError) as err:
+        solve(sc)
+    assert str(err.value) == "non-finite residual at t=0.002"
+    assert not math.isfinite(err.value.history[-1])
+
+
+@pytest.mark.parametrize("d", ["1/(t*0)", "1/(t-0.002)"])
+def test_infinite_data_is_refused_not_stepped_over(d):
+    # infinite boundary data makes the step tolerance infinite too; the
+    # residual's finiteness is tested first, so the chord step cannot
+    # accept u itself (residual inf <= inf) and carry on
+    sc = _scenario_1d(reaction=reaction_log_poly(), kind=ROBIN, d=d, n_x=21, dt=2e-3, T=0.01)
+    with np.errstate(all="ignore"), pytest.raises(solver_mod.SolverError,
+                                                  match="non-finite residual at t=0.002"):
+        solve(sc)
 
 
 # ---------------------------------------------------------------------------
