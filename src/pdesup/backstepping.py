@@ -322,19 +322,18 @@ class ClosedLoopResult:
     report: Report
     kernel: Kernel
     controls: np.ndarray
-    inverse_args: tuple = field(repr=False)   # (c, sigma, n_k, tol) of the inverse kernel
+    inverse_args: tuple = field(repr=False)   # (c, sigma, n_k) of the inverse kernel
 
     @cached_property
     def inverse_kernel(self) -> Kernel:
         """The inverse-transform kernel, built on first access."""
-        c, sigma, n_k, tol = self.inverse_args
-        return inverse_kernel_series(c, sigma, n_k=n_k, tol=tol)
+        c, sigma, n_k = self.inverse_args
+        return inverse_kernel_series(c, sigma, n_k=n_k)
 
 
 def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
                          d0: Expression, d1: Expression, grid: SpatialGrid,
-                         dt: float, horizon: float, n_k: int = 201,
-                         series_tol: float = 1e-12, feedback: bool = True,
+                         dt: float, horizon: float, n_k: int = 201, feedback: bool = True,
                          tol: float | None = None) -> ClosedLoopResult:
     """Step the destabilized plant under boundary feedback and check its bound.
 
@@ -348,7 +347,7 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
     if c <= 0 or sigma <= 0:
         raise ValueError("c and sigma must be positive")
     _require_unit_interval(grid)
-    kernel = kernel_series(c, sigma, n_k=n_k, tol=series_tol)
+    kernel = kernel_series(c, sigma, n_k=n_k)
     scenario = make_scenario(
         grid, horizon, dt,
         Coefficients(parse_expression("1"), parse_expression(repr(-float(c)))),
@@ -398,8 +397,7 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
     else:
         report = Report("open-loop", NOT_ASSERTED, math.nan, None,
                         len(times), notes="no feedback: no bound asserted")
-    return ClosedLoopResult(u_traj, w_traj, report, kernel, controls,
-                            (c, sigma, n_k, series_tol))
+    return ClosedLoopResult(u_traj, w_traj, report, kernel, controls, (c, sigma, n_k))
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ from .expressions import Expression, parse_expression
 from .gains import (
     cascade_bound_dirichlet,
     cascade_bound_robin,
+    embedding_constants,
     small_gain_boundary,
     small_gain_domain,
-    sobolev_constants_1d,
 )
 from .harness import NOT_ASSERTED, Report, build_report, data_running_sup, sample_details
 from .solver import (
@@ -145,13 +145,8 @@ def build_cascade(subsystems, topology: str, grid: SpatialGrid, dt: float,
     if kind == ROBIN:
         gain = small_gain_boundary([sc.bounds.m_min for sc in scenarios])
     else:
-        cs1, cp1 = sobolev_constants_1d()
-        if grid.dim != 1 and (c_s is None or c_p is None):
-            raise ConfigError("2-D cascades need user-supplied embedding constants")
         gain = small_gain_domain([(sc.bounds.a_min, sc.bounds.c_min) for sc in scenarios],
-                                 grid.domain.volume,
-                                 c_s if c_s is not None else cs1,
-                                 c_p if c_p is not None else cp1, q)
+                                 grid.domain.volume, *embedding_constants(grid.dim, c_s, c_p), q)
     hyp_ok = not warnings
     small_gain_ok = True
     if topology in (ROBIN_CYCLE, DIRICHLET_CYCLE) and gain <= 1.0:

@@ -35,6 +35,7 @@ from .expressions import ParseError, is_zero
 from .gains import (
     CoefficientBounds,
     closed_loop_forcing_gain,
+    embedding_constants,
     geometry_factor,
     kernel_bound_constant,
     rkes_gains_dirichlet,
@@ -121,15 +122,7 @@ def _write_report(path: Path, reports):
 
 
 def _gain_set(scenario, settings):
-    c_s, c_p = sobolev_constants_1d()
-    if scenario.dim != 1:
-        if settings.c_s is None or settings.c_p is None:
-            raise ConfigError("2-D bound checks need c_s and c_p in [check] "
-                              "(conditional on supplied constants)")
-        c_s, c_p = settings.c_s, settings.c_p
-    else:
-        c_s = settings.c_s if settings.c_s is not None else c_s
-        c_p = settings.c_p if settings.c_p is not None else c_p
+    c_s, c_p = embedding_constants(scenario.dim, settings.c_s, settings.c_p)
     vol = scenario.grid.domain.volume
     if scenario.boundary.kind == ROBIN:
         return rkes_gains_robin(scenario.bounds, vol, c_s, settings.q)
@@ -174,16 +167,12 @@ def cmd_gains(cp, out: Path, settings, args) -> int:
         ("c_s_1d", c_s, "1-D embedding constant, norm+gradient form"),
         ("c_p_1d", c_p, "1-D embedding constant, zero-trace gradient form"),
     ]
-    sc = None
-    try:
-        sc = scenario_from_config(cp)
-    except ConfigError:
-        pass
-    vol = sc.grid.domain.volume if sc is not None else 1.0
+    sc = scenario_from_config(cp)
+    vol = sc.grid.domain.volume
     q = settings.q
     rows.append(("geometry_factor", geometry_factor(vol, q),
                  f"volume^((q-2)/q) * 2^((3q-4)/(2q-4)) at volume={_fmt(vol)}, q={_fmt(q)}"))
-    if sc is not None and sc.bounds is not None:
+    if sc.bounds is not None:
         try:
             g = _gain_set(sc, settings)
             rows.append(("l_f", g.l_f, "in-domain sup-norm gain"))

@@ -73,12 +73,17 @@ def _float(cp, section, key, default=None) -> float | None:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
 
 
-def _int(cp, section, key, default=None) -> int | None:
+def _finite(cp, section, key, default) -> float | None:
     v = _float(cp, section, key, default)
+    if v is not None and not math.isfinite(v):
+        raise ConfigError(f"[{section}] {key}: not a finite number: {v!r}")
+    return v
+
+
+def _int(cp, section, key, default=None) -> int | None:
+    v = _finite(cp, section, key, default)
     if v is None:
         return None
-    if not math.isfinite(v):
-        raise ConfigError(f"[{section}] {key}: not a finite number: {v!r}")
     if v != int(v):
         raise ConfigError(f"[{section}] {key}: must be an integer, got {v!r}")
     return int(v)
@@ -135,9 +140,9 @@ def grid_from_config(cp) -> SpatialGrid:
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
-def reaction_from_config(cp, section="reaction", suffix="") -> ReactionTerm:
-    kind = cp.get(section, "kind" + suffix, fallback="zero").strip()
-    scale = _float(cp, section, "scale" + suffix, 1.0)
+def reaction_from_config(cp) -> ReactionTerm:
+    kind = cp.get("reaction", "kind", fallback="zero").strip()
+    scale = _float(cp, "reaction", "scale", 1.0)
     if kind == "zero":
         return reaction_zero()
     if kind == "log_poly":
@@ -145,25 +150,25 @@ def reaction_from_config(cp, section="reaction", suffix="") -> ReactionTerm:
     if kind == "odd_cubic":
         return reaction_odd_cubic(scale)
     if kind == "custom":
-        expr = _expr(cp, section, "expr" + suffix, variables=_space(cp) + ("t", "u"))
+        expr = _expr(cp, "reaction", "expr", variables=_space(cp) + ("t", "u"))
         if expr is None:
             raise ConfigError("custom reaction needs expr")
-        lam = _float(cp, section, "lambda" + suffix, 1.0)
-        c0 = _float(cp, section, "c0" + suffix, 1.0)
-        monotone = cp.getboolean(section, "monotone" + suffix, fallback=False)
+        lam = _float(cp, "reaction", "lambda", 1.0)
+        c0 = _float(cp, "reaction", "c0", 1.0)
+        monotone = cp.getboolean("reaction", "monotone", fallback=False)
         return ReactionTerm("custom", scale=scale, expr=expr, growth_exponent=lam,
                             growth_constant=c0, monotone=monotone)
     raise ConfigError(f"unknown reaction kind {kind!r}")
 
 
-def coefficients_from_config(cp, section="coefficients", suffix="") -> Coefficients:
+def coefficients_from_config(cp) -> Coefficients:
     return Coefficients(
-        a=_expr(cp, section, "a" + suffix, "1", _space(cp)),
-        c=_expr(cp, section, "c" + suffix, "0", _space(cp)),
-        m=_expr(cp, section, "m" + suffix, "1", _space(cp)),
-        declared_a_min=_float(cp, section, "a_min" + suffix),
-        declared_c_min=_float(cp, section, "c_min" + suffix),
-        declared_m_min=_float(cp, section, "m_min" + suffix),
+        a=_expr(cp, "coefficients", "a", "1", _space(cp)),
+        c=_expr(cp, "coefficients", "c", "0", _space(cp)),
+        m=_expr(cp, "coefficients", "m", "1", _space(cp)),
+        declared_a_min=_positive(cp, "coefficients", "a_min", None),
+        declared_c_min=_finite(cp, "coefficients", "c_min", None),
+        declared_m_min=_positive(cp, "coefficients", "m_min", None),
     )
 
 

@@ -19,6 +19,10 @@ INTERVAL = "interval"
 RECTANGLE = "rectangle"
 
 
+class ConfigError(ValueError):
+    """Invalid scenario description."""
+
+
 @dataclass(frozen=True)
 class Domain:
     """An open interval (x_lo, x_hi) or axis-aligned rectangle."""

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import DIRICHLET, ROBIN
+from .core import DIRICHLET, ROBIN, ConfigError
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,15 @@ def sobolev_constants_1d() -> tuple[float, float]:
     return 1.0 / math.sqrt(2.0), 2.0 / math.sqrt(math.pi)
 
 
+def embedding_constants(dim: int, c_s: float | None, c_p: float | None) -> tuple[float, float]:
+    """(C_S, C_P): each one given, else its 1-D value; a rectangle needs both given."""
+    if dim != 1 and (c_s is None or c_p is None):
+        raise ConfigError("2-D bound checks need c_s and c_p in [check] "
+                          "(conditional on supplied constants)")
+    cs1, cp1 = sobolev_constants_1d()
+    return (cs1 if c_s is None else c_s), (cp1 if c_p is None else c_p)
+
+
 def sobolev_constant_flat_boundary(n: int, volume: float, q: float) -> float:
     """Embedding constant 24(n-1)/(n-2) * volume^((2*-q)/(2* q)) for n >= 3.
 
@@ -121,17 +130,22 @@ def rkes_gains_dirichlet(cb: CoefficientBounds, volume: float, c_s: float,
                          c_p: float, q: float = math.inf) -> GainSet:
     """Linear RKES gains for Dirichlet boundary data; boundary gain is 1.
 
-    With c_min = 0 the in-domain gain uses C_P^2/a_min; with c_min > 0
-    the smaller of that and 2 C_S^2/min(a_min, c_min) applies.
+    The in-domain gain is :func:`dirichlet_tau` times the geometry
+    factor; ``c_0`` records tau when c_min > 0.
     """
-    c_factor = c_p * c_p / cb.a_min
-    c_0 = None
-    if cb.c_min > 0:
-        c_0 = min(2.0 * c_s * c_s / min(cb.a_min, cb.c_min), c_factor)
-        c_factor = c_0
-    l_f = c_factor * geometry_factor(volume, q)
-    return GainSet(l_f=l_f, l_d=1.0, decay_rate=cb.c_min, q_used=q,
-                   c_s=c_s, c_p=c_p, c_0=c_0, boundary_kind=DIRICHLET)
+    tau = dirichlet_tau(cb.a_min, cb.c_min, c_s, c_p)
+    return GainSet(l_f=tau * geometry_factor(volume, q), l_d=1.0, decay_rate=cb.c_min,
+                   q_used=q, c_s=c_s, c_p=c_p, c_0=tau if cb.c_min > 0 else None,
+                   boundary_kind=DIRICHLET)
+
+
+def dirichlet_tau(a_min: float, c_min: float, c_s: float, c_p: float) -> float:
+    """The Dirichlet in-domain coefficient: C_P^2/a_min, and with c_min > 0
+    the smaller of that and 2 C_S^2/min(a_min, c_min)."""
+    tau = c_p * c_p / a_min
+    if c_min > 0:
+        tau = min(2.0 * c_s * c_s / min(a_min, c_min), tau)
+    return tau
 
 
 def _check_sups(*vals):
@@ -271,10 +285,7 @@ def small_gain_domain(per_subsystem, volume: float, c_s: float, c_p: float,
     for a_min, c_min in per_subsystem:
         if a_min <= 0:
             raise ValueError("a_min must be positive")
-        tau = c_p * c_p / a_min
-        if c_min > 0:
-            tau = min(2.0 * c_s * c_s / min(a_min, c_min), tau)
-        taus.append(tau)
+        taus.append(dirichlet_tau(a_min, c_min, c_s, c_p))
     if not taus:
         raise ValueError("need at least one subsystem")
     return 1.0 / (geometry_factor(volume, q) * max(taus))

@@ -222,13 +222,12 @@ def growth_probe(reaction: ReactionTerm, growth_exponent: float,
 
 
 def level_set_diagnostic(traj: Trajectory, k0: float, forcing_term: float,
-                         tol: float | None = None, k0_mirror: float | None = None,
-                         n_levels: int = 13) -> Report:
+                         tol: float | None = None, k0_mirror: float | None = None) -> Report:
     """Level-set conclusion check for a difference (or zero-input) trajectory.
 
     (a) pointwise: max w over all samples <= k0 + forcing_term + tol,
     mirrored for -w with ``k0_mirror`` (defaults to k0); (b) for a
-    ladder of levels k above k0 the discrete measure of {w > k}
+    ladder of 13 levels k above k0 the discrete measure of {w > k}
     (node-count fraction times domain volume) is non-increasing in k and
     vanishes at the top level k0 + forcing_term + tol.
     """
@@ -247,7 +246,7 @@ def level_set_diagnostic(traj: Trajectory, k0: float, forcing_term: float,
 
     volume = traj.grid.domain.volume
     n_nodes = traj.grid.n_nodes
-    levels = np.linspace(k0, cap_plus + tol_eff, n_levels)
+    levels = np.linspace(k0, cap_plus + tol_eff, 13)
     flat = w.reshape(traj.n_samples, -1)
     measures = np.array([np.max(np.sum(flat > k, axis=1)) for k in levels]) / n_nodes * volume
     mono = bool(np.all(measures[:-1] >= measures[1:]))

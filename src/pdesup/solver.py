@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -40,8 +40,8 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
-from .core import DIRICHLET, ROBIN, Field, SpatialGrid, Trajectory, grid_1d, time_blocks
-from .expressions import Expression, parse_expression
+from .core import DIRICHLET, ROBIN, ConfigError, SpatialGrid, Trajectory, time_blocks
+from .expressions import Expression
 from .gains import CoefficientBounds
 
 MINIMUM_SAMPLING_FACTOR = 10  # coefficient minima sampled at 10x grid resolution
@@ -55,10 +55,6 @@ class SolverError(RuntimeError):
     def __init__(self, message, history=None):
         super().__init__(message)
         self.history = list(history or [])
-
-
-class ConfigError(ValueError):
-    """Invalid scenario description."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +102,7 @@ class ReactionTerm:
         for the catalog kinds, which do not read them."""
         if self.kind != "custom":
             return None
-        return self.expr.bind(x=x) if y is None else self.expr.bind(x=x, y=y)
+        return _on_nodes(self.expr.bind, x, y)
 
     def at_nodes(self, x, y):
         """h as a function of (t, u) alone at the nodes (x[, y]), bitwise
@@ -127,10 +123,7 @@ class ReactionTerm:
             return self.at_nodes(x, y)(t, u)
         if bound is not None:
             return _nodal(bound(t=t, u=u), u)
-        env = {"x": x, "t": t, "u": u}
-        if y is not None:
-            env["y"] = y
-        return _nodal(self.expr(**env), u)
+        return _nodal(_on_nodes(self.expr, x, y, t=t, u=u), u)
 
     def derivative(self, x, y, t, u, bound=None):
         if self.kind == "zero":
@@ -148,6 +141,23 @@ class ReactionTerm:
 def _nodal(vals, u) -> np.ndarray:
     """Expression values as a fresh float array of u's shape."""
     return np.broadcast_to(np.asarray(vals, dtype=float), np.shape(u)).copy()
+
+
+def _refined(grid: SpatialGrid, factor: int) -> SpatialGrid:
+    """``grid`` with each cell split into ``factor`` along every axis."""
+    return SpatialGrid(grid.domain, *((n - 1) * factor + 1 for n in (grid.n_x, grid.n_y)
+                                      if n is not None))
+
+
+def _on_nodes(fn, x, y, **env):
+    """``fn`` (an expression, or its ``bind``) called at the nodes (x, y),
+    y None on an interval, with the other variables in ``env``."""
+    return fn(x=x, **env) if y is None else fn(x=x, y=y, **env)
+
+
+def _sample(expr: Expression, x, y) -> np.ndarray:
+    """``expr`` at the nodes (x, y) as a fresh float array of x's shape."""
+    return _nodal(_on_nodes(expr, x, y), x)
 
 
 def reaction_zero() -> ReactionTerm:
@@ -170,9 +180,9 @@ def reaction_odd_cubic(scale: float = 1.0) -> ReactionTerm:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Spatial coefficient expressions with cached minima.
+    """Spatial coefficient expressions with their minima.
 
-    ``declared_minima`` overrides the sampled minima when the user knows
+    ``declared_*_min`` override the sampled minima when the user knows
     the exact values (the sampling rule probes at 10x grid resolution).
     ``c`` may take negative values (destabilizing reaction); bound
     checking then refuses to assert anything, but simulation proceeds.
@@ -186,36 +196,32 @@ class Coefficients:
     declared_m_min: float | None = None
 
     def sampled_minima(self, grid: SpatialGrid):
-        """(a_min, c_min, m_min) on a 10x-refined probe of the domain."""
-        n = MINIMUM_SAMPLING_FACTOR * (grid.n_x - 1) + 1
-        xs = np.linspace(grid.domain.x_lo, grid.domain.x_hi, n)
-        if grid.dim == 1:
-            env = {"x": xs}
-            a_min = float(np.min(self.a(**env) * np.ones_like(xs)))
-            c_min = float(np.min(self.c(**env) * np.ones_like(xs)))
-            m_min = None
-            if self.m is not None:
-                mb = self.m(x=np.array([grid.domain.x_lo, grid.domain.x_hi]))
-                m_min = float(np.min(np.asarray(mb) * np.ones(2)))
-        else:
-            ny = MINIMUM_SAMPLING_FACTOR * (grid.n_y - 1) + 1
-            ys = np.linspace(grid.domain.y_lo, grid.domain.y_hi, ny)
-            X, Y = np.meshgrid(xs, ys)
-            env = {"x": X, "y": Y}
-            a_min = float(np.min(self.a(**env) * np.ones_like(X)))
-            c_min = float(np.min(self.c(**env) * np.ones_like(X)))
-            m_min = None
-            if self.m is not None:
-                bx = np.concatenate([xs, xs, np.full(ny, xs[0]), np.full(ny, xs[-1])])
-                by = np.concatenate([np.full(n, ys[0]), np.full(n, ys[-1]), ys, ys])
-                m_min = float(np.min(np.asarray(self.m(x=bx, y=by)) * np.ones_like(bx)))
-        if self.declared_a_min is not None:
-            a_min = self.declared_a_min
-        if self.declared_c_min is not None:
-            c_min = self.declared_c_min
-        if self.declared_m_min is not None:
-            m_min = self.declared_m_min
-        return a_min, c_min, m_min
+        """(a, c, m) as (minimum, witness) pairs from one pass over the nodes
+        of ``grid`` refined 10x (for m, its boundary nodes); see
+        :func:`_sampled_minimum`.  Without m its pair is (None, None)."""
+        fine = _refined(grid, MINIMUM_SAMPLING_FACTOR)
+        nodes = node_coords(fine)
+        bindex = _boundary_indices(fine)
+        return [(declared, None) if expr is None else
+                _sampled_minimum(expr, [None if c is None else c[idx] for c in nodes], declared)
+                for expr, declared, idx in ((self.a, self.declared_a_min, slice(None)),
+                                            (self.c, self.declared_c_min, slice(None)),
+                                            (self.m, self.declared_m_min, bindex))]
+
+
+def _sampled_minimum(expr: Expression, xy, declared: float | None):
+    """``expr``'s minimum over the nodes ``xy`` = (x, y), y None on an
+    interval, and its witness: the first node (x[, y]) where it is attained.
+
+    The first non-finite sample, if any, stands in for the minimum.  A
+    declared minimum replaces a finite sampled one and has no witness.
+    """
+    vals = np.broadcast_to(np.asarray(_on_nodes(expr, *xy), dtype=float), xy[0].shape)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if declared is not None and not bad.size:
+        return declared, None
+    i = int(bad[0]) if bad.size else int(np.argmin(vals))
+    return float(vals[i]), tuple(float(c[i]) for c in xy if c is not None)
 
 
 @dataclass(frozen=True)
@@ -254,10 +260,7 @@ class Scenario:
         return int(round(self.horizon / self.dt))
 
     def initial_values(self) -> np.ndarray:
-        X, Y = self.grid.meshes()
-        env = {"x": X} if Y is None else {"x": X, "y": Y}
-        vals = np.asarray(self.u0(**env), dtype=float) * np.ones(self.grid.shape)
-        return vals
+        return _sample(self.u0, *node_coords(self.grid)).reshape(self.grid.shape)
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.n_steps * self.dt, self.n_steps + 1)
@@ -275,36 +278,30 @@ def make_scenario(grid: SpatialGrid, horizon: float, dt: float,
     n_steps = round(horizon / dt)
     if abs(n_steps * dt - horizon) > 1e-8 * max(1.0, horizon):
         raise ConfigError("horizon must be an integer multiple of dt")
-    if boundary.kind == ROBIN and coefficients.m is None:
+    robin = boundary.kind == ROBIN
+    if robin and coefficients.m is None:
         raise ConfigError("Robin boundary needs a trace coefficient m")
-    a_min, c_min, m_min = coefficients.sampled_minima(grid)
-    if a_min <= 0:
-        raise ConfigError(_nonpositive_message("a", coefficients.a, grid))
-    if boundary.kind == ROBIN and m_min is not None and m_min <= 0:
-        raise ConfigError(_nonpositive_message("m", coefficients.m, grid, boundary_only=True))
+    minima = coefficients.sampled_minima(grid)
+    # every sample finite, and a and (Robin) m positive: NaN fails either test
+    for name, (v, at) in zip("acm" if robin else "ac", minima):
+        if math.isfinite(v) and (name == "c" or v > 0):
+            continue
+        problem = "nonpositive" if math.isfinite(v) else "not finite"
+        subject = f"coefficient {name}" if at else f"declared {name}_min"
+        where = " at " + ", ".join(f"{k}={c:.6g}" for k, c in zip("xy", at)) if at else ""
+        raise ConfigError(f"{subject} is {problem}{where} (value {v:.6g})")
+    (a_min, _), (c_min, _), (m_min, _) = minima
     lam_cap = 1.0 + 2.0 / grid.dim
     if not 1.0 <= reaction.growth_exponent <= lam_cap + 1e-12:
         raise ConfigError(
             f"growth exponent {reaction.growth_exponent} outside [1, {lam_cap}] for dimension {grid.dim}")
     bounds = None
-    if c_min >= 0:
-        bounds = CoefficientBounds(a_min, c_min, m_min if m_min is not None else 1.0)
+    if c_min >= 0:  # m enters Robin data alone
+        bounds = CoefficientBounds(a_min, c_min, m_min if robin else 1.0)
     sc = Scenario(grid, float(horizon), float(dt), coefficients, reaction,
                   forcing, boundary, u0, bounds=bounds, c_min_raw=c_min)
     sc.initial_values()  # fail early if u0 is not evaluable on the nodes
     return sc
-
-
-def _nonpositive_message(name, expr, grid, boundary_only=False):
-    n = MINIMUM_SAMPLING_FACTOR * (grid.n_x - 1) + 1
-    xs = np.linspace(grid.domain.x_lo, grid.domain.x_hi, n)
-    if boundary_only:
-        xs = np.array([grid.domain.x_lo, grid.domain.x_hi])
-    if grid.dim == 1:
-        vals = np.asarray(expr(x=xs)) * np.ones_like(xs)
-        i = int(np.argmin(vals))
-        return f"coefficient {name} is nonpositive at x={xs[i]:.6g} (value {vals[i]:.6g})"
-    return f"coefficient {name} is nonpositive somewhere on the sampling grid"
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +332,7 @@ def data_rows(expr: Expression, coords):
     rows are a read-only broadcast view of one row.
     """
     x, y = coords
-    fn = expr.bind(x=x) if y is None else expr.bind(x=x, y=y)
+    fn = _on_nodes(expr.bind, x, y)
 
     def rows(times) -> np.ndarray:
         t = np.asarray(times, dtype=float)[:, None]
@@ -371,28 +368,24 @@ class _Operator:
         self.bindex = _boundary_indices(grid)
         X, Y = grid.meshes()
         X = np.reshape(X, self.shape)
-
-        def at(expr, xq, yq):
-            vals = expr(x=xq) if Y is None else expr(x=xq, y=yq)
-            return np.asarray(vals) * np.ones_like(xq)
-
+        a_at = partial(_sample, coeffs.a)
         iy, ix = np.indices(self.shape)
         # per axis: spacing, a at the lower and upper midpoints (including
         # the ones outside the domain), flat offset, node index, node count
         hx, hy = grid.h_x, grid.h_y
-        axes = [(hx, at(coeffs.a, X - hx / 2, Y), at(coeffs.a, X + hx / 2, Y), 1, ix, nx)]
+        axes = [(hx, a_at(X - hx / 2, Y), a_at(X + hx / 2, Y), 1, ix, nx)]
         if Y is not None:
-            axes.append((hy, at(coeffs.a, X, Y - hy / 2), at(coeffs.a, X, Y + hy / 2), nx, iy, ny))
+            axes.append((hy, a_at(X, Y - hy / 2), a_at(X, Y + hy / 2), nx, iy, ny))
         if kind == ROBIN:
             rows = np.ones(self.shape, dtype=bool)
             m = np.zeros(self.n)
-            m[self.bindex] = at(coeffs.m, *node_coords(grid, boundary=True))
+            m[self.bindex] = _sample(coeffs.m, *node_coords(grid, boundary=True))
             m = m.reshape(self.shape)
-            a_bd = at(coeffs.a, X, Y)
+            a_bd = a_at(X, Y)
             g = np.zeros(self.shape)
         else:
             rows = ~grid.boundary_mask().reshape(self.shape)  # strong rows stay empty
-        diag = at(coeffs.c, X, Y)
+        diag = _sample(coeffs.c, X, Y)
         stencil = []
         for h, a_lo, a_hi, offset, idx, count in axes:
             part = (a_lo + a_hi) / h ** 2
@@ -715,15 +708,6 @@ def _side_by_side(row_fns):
     return lambda times: np.hstack([rows(times) for rows in row_fns])
 
 
-def step(state: Field, t: float, dt: float, scenario: Scenario) -> Field:
-    """One Crank-Nicolson step of ``scenario`` from the given state."""
-    if state.grid != scenario.grid:
-        raise ValueError("state lives on a different grid")
-    stepper = TimeStepper(scenario)
-    vals = stepper.step_values(state.values.ravel().copy(), t, dt)
-    return Field(scenario.grid, vals.reshape(scenario.grid.shape))
-
-
 def solve(scenario: Scenario, newton_tol: float = 1e-12, max_newton: int = 50) -> Trajectory:
     """Solve the scenario over its horizon; samples at 0, dt, ..., T."""
     return TimeStepper(scenario, newton_tol=newton_tol, max_newton=max_newton).solve()
@@ -756,14 +740,6 @@ def _sup_error(traj: Trajectory, exact: Expression) -> float:
                      for sl in time_blocks(*vals.shape)))
 
 
-def _refit(scenario: Scenario, n_x: int, n_y, dt: float) -> Scenario:
-    g = scenario.grid
-    grid = SpatialGrid(g.domain, n_x, n_y)
-    return Scenario(grid, scenario.horizon, dt, scenario.coefficients,
-                    scenario.reaction, scenario.forcing, scenario.boundary,
-                    scenario.u0, bounds=scenario.bounds, c_min_raw=scenario.c_min_raw)
-
-
 def _slope(pairs) -> float:
     hs = np.log([p[0] for p in pairs])
     es = np.array([p[1] for p in pairs])
@@ -774,8 +750,8 @@ def _slope(pairs) -> float:
     return float(coef[0])
 
 
-def convergence_order(scenario: Scenario, exact: Expression, refinements: int = 4,
-                      base_dt_time: float | None = None) -> ConvergenceResult:
+def convergence_order(scenario: Scenario, exact: Expression,
+                      refinements: int = 4) -> ConvergenceResult:
     """Measured convergence orders on h- and dt-refinement ladders.
 
     The space ladder halves h and dt together (both second order, so the
@@ -786,16 +762,10 @@ def convergence_order(scenario: Scenario, exact: Expression, refinements: int = 
     """
     if refinements < 3:
         raise ValueError("need at least 3 refinement levels for a slope")
-    g = scenario.grid
-    space_cases = []
-    for lev in range(refinements):
-        n_x = (g.n_x - 1) * 2 ** lev + 1
-        n_y = None if g.n_y is None else (g.n_y - 1) * 2 ** lev + 1
-        space_cases.append(_refit(scenario, n_x, n_y, scenario.dt / 2 ** lev))
-    n_x = (g.n_x - 1) * 2 ** (refinements - 1) + 1
-    n_y = None if g.n_y is None else (g.n_y - 1) * 2 ** (refinements - 1) + 1
-    dt0 = base_dt_time if base_dt_time is not None else scenario.horizon / 16.0
-    time_cases = [_refit(scenario, n_x, n_y, dt0 / 2 ** lev) for lev in range(refinements)]
+    space_cases = [replace(scenario, grid=_refined(scenario.grid, 2 ** lev),
+                           dt=scenario.dt / 2 ** lev) for lev in range(refinements)]
+    finest, dt0 = space_cases[-1].grid, scenario.horizon / 16.0
+    time_cases = [replace(scenario, grid=finest, dt=dt0 / 2 ** lev) for lev in range(refinements)]
 
     space_errors = [(sc.grid.h_max, _sup_error(solve(sc), exact)) for sc in space_cases]
     time_errors = [(sc.dt, _sup_error(solve(sc), exact)) for sc in time_cases]
@@ -805,40 +775,3 @@ def convergence_order(scenario: Scenario, exact: Expression, refinements: int = 
             warnings.warn(f"{name} errors do not decrease monotonically: {vals}")
     return ConvergenceResult(_slope(space_errors), _slope(time_errors),
                              space_errors, time_errors)
-
-
-# ---------------------------------------------------------------------------
-# scenario presets used across tests and docs
-
-def heat_preset(n_x: int = 101, dt: float = 1e-3, horizon: float = 1.0) -> Scenario:
-    """Pure heat equation with unit absorption on (0,1), Dirichlet zero."""
-    return make_scenario(
-        grid_1d(n_x), horizon, dt,
-        Coefficients(parse_expression("1"), parse_expression("1"), parse_expression("1")),
-        reaction_zero(), parse_expression("0"),
-        BoundarySpec(DIRICHLET, parse_expression("0")),
-        parse_expression("sin(pi*x)"))
-
-
-def explicit_solution_preset(k: float = 1.0, n_x: int = 201, dt: float = 1e-3,
-                             horizon: float = 2.0) -> Scenario:
-    """Heat equation on (0, pi/2) whose exact solution is k sin(t) sin(x)."""
-    k_r = repr(float(k))
-    return make_scenario(
-        grid_1d(n_x, 0.0, math.pi / 2), horizon, dt,
-        Coefficients(parse_expression("1"), parse_expression("0"), parse_expression("1")),
-        reaction_zero(),
-        parse_expression(f"sqrt(2)*{k_r}*sin(x)*cos(t-pi/4)"),
-        BoundarySpec(DIRICHLET, parse_expression(f"{k_r}*sin(t)*sin(x)")),
-        parse_expression("0"))
-
-
-def superlinear_preset(n_x: int = 101, dt: float = 2e-3, horizon: float = 2.0,
-                       f: str = "0.1*sin(2*pi*x)*sin(t)", d: str = "0.05") -> Scenario:
-    """1-D analogue of the super-linear example: log-poly reaction, Robin data."""
-    return make_scenario(
-        grid_1d(n_x), horizon, dt,
-        Coefficients(parse_expression("1"), parse_expression("1"), parse_expression("1")),
-        reaction_log_poly(1.0), parse_expression(f),
-        BoundarySpec(ROBIN, parse_expression(d)),
-        parse_expression("sin(pi*x)"))

@@ -1,0 +1,58 @@
+"""Scenarios and a one-step helper that the tests share."""
+
+import math
+
+from pdesup.core import DIRICHLET, ROBIN, Field, grid_1d
+from pdesup.expressions import parse_expression
+from pdesup.solver import (
+    BoundarySpec,
+    Coefficients,
+    Scenario,
+    TimeStepper,
+    make_scenario,
+    reaction_log_poly,
+    reaction_zero,
+)
+
+
+def heat_preset(n_x: int = 101, dt: float = 1e-3, horizon: float = 1.0) -> Scenario:
+    """Pure heat equation with unit absorption on (0,1), Dirichlet zero."""
+    return make_scenario(
+        grid_1d(n_x), horizon, dt,
+        Coefficients(parse_expression("1"), parse_expression("1"), parse_expression("1")),
+        reaction_zero(), parse_expression("0"),
+        BoundarySpec(DIRICHLET, parse_expression("0")),
+        parse_expression("sin(pi*x)"))
+
+
+def explicit_solution_preset(k: float = 1.0, n_x: int = 201, dt: float = 1e-3,
+                             horizon: float = 2.0) -> Scenario:
+    """Heat equation on (0, pi/2) whose exact solution is k sin(t) sin(x)."""
+    k_r = repr(float(k))
+    return make_scenario(
+        grid_1d(n_x, 0.0, math.pi / 2), horizon, dt,
+        Coefficients(parse_expression("1"), parse_expression("0"), parse_expression("1")),
+        reaction_zero(),
+        parse_expression(f"sqrt(2)*{k_r}*sin(x)*cos(t-pi/4)"),
+        BoundarySpec(DIRICHLET, parse_expression(f"{k_r}*sin(t)*sin(x)")),
+        parse_expression("0"))
+
+
+def superlinear_preset(n_x: int = 101, dt: float = 2e-3, horizon: float = 2.0,
+                       f: str = "0.1*sin(2*pi*x)*sin(t)", d: str = "0.05") -> Scenario:
+    """1-D analogue of the super-linear example: log-poly reaction, Robin data."""
+    return make_scenario(
+        grid_1d(n_x), horizon, dt,
+        Coefficients(parse_expression("1"), parse_expression("1"), parse_expression("1")),
+        reaction_log_poly(1.0), parse_expression(f),
+        BoundarySpec(ROBIN, parse_expression(d)),
+        parse_expression("sin(pi*x)"))
+
+
+def step(state: Field, t: float, dt: float, scenario: Scenario) -> Field:
+    """One Crank-Nicolson step of ``scenario`` from the given state."""
+    if state.grid != scenario.grid:
+        raise ValueError("state lives on a different grid")
+    stepper = TimeStepper(scenario)
+    vals = stepper.step_values(state.values.ravel().copy(), t, dt)
+    return Field(scenario.grid, vals.reshape(scenario.grid.shape))

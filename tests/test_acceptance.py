@@ -55,13 +55,14 @@ from pdesup.solver import (
     BoundarySpec,
     Coefficients,
     convergence_order,
-    explicit_solution_preset,
     make_scenario,
     reaction_log_poly,
     reaction_odd_cubic,
     reaction_zero,
     solve,
 )
+
+from helpers import explicit_solution_preset
 
 E = parse_expression
 C_S, C_P = sobolev_constants_1d()

@@ -16,8 +16,8 @@ TRACED_SOLVES = textwrap.dedent("""
 
     from pdesup.core import DIRICHLET, grid_2d
     from pdesup.expressions import parse_expression as E
-    from pdesup.solver import (BoundarySpec, Coefficients, make_scenario, reaction_zero,
-                               solve, superlinear_preset)
+    from helpers import superlinear_preset
+    from pdesup.solver import BoundarySpec, Coefficients, make_scenario, reaction_zero, solve
 
     sl = superlinear_preset(n_x=11, dt=1e-2, horizon=0.05)
     traj = solve(sl)
@@ -56,7 +56,7 @@ TRACED_SOLVES = textwrap.dedent("""
 
 def test_tracer_installs_and_traces_a_1d_and_a_2d_solve():
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / p) for p in ("src", "perfbench", "tests")])
     proc = subprocess.run([sys.executable, "-c", TRACED_SOLVES], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

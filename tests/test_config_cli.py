@@ -503,6 +503,46 @@ def test_simulate_rectangle_without_constants_fails_before_solving(tmp_path, cap
     assert not (out / "trajectory.csv").exists()
 
 
+def _declare(key_value):
+    return ISS_ROBIN_CONFIG.replace("m = 1\n", f"m = 1\n{key_value}\n")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("verify-iss", _declare("a_min = nan"), "[coefficients] a_min: must be positive and finite, got nan"),
+    ("verify-iss", _declare("m_min = nan"), "[coefficients] m_min: must be positive and finite, got nan"),
+    ("verify-iss", _declare("a_min = 0"), "[coefficients] a_min: must be positive and finite, got 0.0"),
+    ("verify-iss", _declare("c_min = inf"), "[coefficients] c_min: not a finite number: inf"),
+    ("verify-iss", _declare("c_min = nan"), "[coefficients] c_min: not a finite number: nan"),
+    ("verify-iss", ISS_ROBIN_CONFIG.replace("a = 1", "a = sqrt(x-0.5)"),
+     "coefficient a is not finite at x=0 (value nan)"),
+    ("verify-iss", ISS_ROBIN_CONFIG.replace("m = 1", "m = sqrt(x-0.5)"),
+     "coefficient m is not finite at x=0 (value nan)"),
+    ("verify-iss", ISS_ROBIN_CONFIG.replace("a = 1", "a = 1+0*ln(x)"),
+     "coefficient a is not finite at x=0 (value nan)"),
+    ("gains", ISS_ROBIN_CONFIG.replace("a = 1", "a = sqrt(x-0.5)"),
+     "coefficient a is not finite at x=0 (value nan)"),
+    ("verify-iss", ISS_ROBIN_CONFIG.replace("a = 1", "a = 1/x"),
+     "coefficient a is not finite at x=0 (value inf)"),
+    ("verify-iss", ISS_ROBIN_CONFIG.replace("c = 1", "c = ln(x)"),
+     "coefficient c is not finite at x=0 (value -inf)"),
+    ("verify-iss", ISS_ROBIN_CONFIG.replace("a = 1", "a = 1-x"),
+     "coefficient a is nonpositive at x=1 (value 0)"),
+    ("simulate", RECT_DIRICHLET.replace("a = 1", "a = x-0.5"),
+     "coefficient a is nonpositive at x=0, y=0 (value -0.5)"),
+], ids=["a_min-nan", "m_min-nan", "a_min-zero", "c_min-inf", "c_min-nan", "a-sqrt", "m-sqrt",
+        "a-nan-at-0", "gains-a-sqrt", "a-inf-at-0", "c-ln", "a-zero-at-1", "2d-a-negative"])
+def test_coefficient_errors_name_the_key_or_a_witness(tmp_path, command, text, message):
+    # one stderr line, with the coefficient, its witness node and value
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pdesup", command, "--config",
+                           str(_write(tmp_path, text)), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"config error: {message}\n"
+
+
 def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
     p = _write(tmp_path, ISS_ROBIN.replace("f = 0.1*sin(2*pi*x)*sin(t)", "f = x + 1/0"))
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2

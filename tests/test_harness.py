@@ -36,15 +36,15 @@ from pdesup.solver import (
     BoundarySpec,
     Coefficients,
     ReactionTerm,
-    heat_preset,
     make_scenario,
     node_coords,
     reaction_log_poly,
     reaction_odd_cubic,
     reaction_zero,
     solve,
-    superlinear_preset,
 )
+
+from helpers import superlinear_preset
 
 E = parse_expression
 C_S, C_P = sobolev_constants_1d()

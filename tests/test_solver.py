@@ -22,17 +22,15 @@ from pdesup.solver import (
     TimeStepper,
     convergence_order,
     data_rows,
-    explicit_solution_preset,
-    heat_preset,
     make_scenario,
     node_coords,
     reaction_log_poly,
     reaction_odd_cubic,
     reaction_zero,
     solve,
-    step,
-    superlinear_preset,
 )
+
+from helpers import explicit_solution_preset, heat_preset, step, superlinear_preset
 
 E = parse_expression
 XYTU = ("x", "y", "t", "u")
@@ -63,6 +61,117 @@ def test_assemble_rejects_negative_m():
 def test_assemble_rejects_nonpositive_a():
     with pytest.raises(ConfigError, match="coefficient a"):
         _scenario_1d(a="x-1")  # vanishes at the right endpoint
+
+
+def _reference_sampled_minima(coeffs, grid):
+    """The previous two-branch sampler: the reference the one-pass sampler
+    must reproduce bitwise wherever every sample is finite."""
+    n = 10 * (grid.n_x - 1) + 1
+    xs = np.linspace(grid.domain.x_lo, grid.domain.x_hi, n)
+    if grid.dim == 1:
+        env = {"x": xs}
+        a_min = float(np.min(coeffs.a(**env) * np.ones_like(xs)))
+        c_min = float(np.min(coeffs.c(**env) * np.ones_like(xs)))
+        m_min = None
+        if coeffs.m is not None:
+            mb = coeffs.m(x=np.array([grid.domain.x_lo, grid.domain.x_hi]))
+            m_min = float(np.min(np.asarray(mb) * np.ones(2)))
+    else:
+        ny = 10 * (grid.n_y - 1) + 1
+        ys = np.linspace(grid.domain.y_lo, grid.domain.y_hi, ny)
+        X, Y = np.meshgrid(xs, ys)
+        env = {"x": X, "y": Y}
+        a_min = float(np.min(coeffs.a(**env) * np.ones_like(X)))
+        c_min = float(np.min(coeffs.c(**env) * np.ones_like(X)))
+        m_min = None
+        if coeffs.m is not None:
+            bx = np.concatenate([xs, xs, np.full(ny, xs[0]), np.full(ny, xs[-1])])
+            by = np.concatenate([np.full(n, ys[0]), np.full(n, ys[-1]), ys, ys])
+            m_min = float(np.min(np.asarray(coeffs.m(x=bx, y=by)) * np.ones_like(bx)))
+    if coeffs.declared_a_min is not None:
+        a_min = coeffs.declared_a_min
+    if coeffs.declared_c_min is not None:
+        c_min = coeffs.declared_c_min
+    if coeffs.declared_m_min is not None:
+        m_min = coeffs.declared_m_min
+    return a_min, c_min, m_min
+
+
+MINIMA_CASES = {
+    "1d-constant": (grid_1d(21), "1", "1", "1", {}),
+    "1d-variable": (grid_1d(31, -0.5, 2.0), "2+sin(3*x)", "x*x-0.5", "1+exp(-x)", {}),
+    "1d-declared": (grid_1d(21), "1+x", "cos(5*x)", "2-x",
+                    {"declared_a_min": 0.5, "declared_c_min": -1.0, "declared_m_min": 0.25}),
+    "2d-variable": (grid_2d(9, 7, 0.0, 1.0, -1.0, 0.5), "1+x*y*y", "sin(2*x)*cos(3*y)",
+                    "1+x+y*y", {}),
+    "2d-declared": (grid_2d(7, 9), "exp(-x-y)", "x-y", "2+sin(x*y)", {"declared_c_min": 0.125}),
+}
+
+
+def _minima_case(name):
+    grid, a, c, m, declared = MINIMA_CASES[name]
+    return grid, Coefficients(E(a), E(c), E(m), **declared)
+
+
+def _bits(values):
+    return [None if v is None else np.float64(v).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("name", sorted(MINIMA_CASES))
+def test_sampled_minima_match_the_reference_bitwise(name, kind):
+    grid, coeffs = _minima_case(name)
+    ref = _reference_sampled_minima(coeffs, grid)
+    assert _bits(v for v, _ in coeffs.sampled_minima(grid)) == _bits(ref)
+    sc = make_scenario(grid, 0.01, 0.01, coeffs, reaction_zero(), E("0"),
+                       BoundarySpec(kind, E("0")), E("0"))
+    assert _bits([sc.c_min_raw]) == _bits(ref[1:2])
+    if ref[1] >= 0:  # m enters Robin data alone
+        m_min = ref[2] if kind == ROBIN else 1.0
+        assert _bits([sc.bounds.a_min, sc.bounds.c_min, sc.bounds.m_min]) == \
+            _bits([ref[0], ref[1], m_min])
+    else:
+        assert sc.bounds is None
+
+
+@pytest.mark.parametrize("name", sorted(MINIMA_CASES))
+def test_each_witness_is_a_node_where_the_minimum_is_attained(name):
+    grid, coeffs = _minima_case(name)
+    fine = (grid_1d(10 * (grid.n_x - 1) + 1, grid.domain.x_lo, grid.domain.x_hi)
+            if grid.dim == 1 else
+            grid_2d(10 * (grid.n_x - 1) + 1, 10 * (grid.n_y - 1) + 1, grid.domain.x_lo,
+                    grid.domain.x_hi, grid.domain.y_lo, grid.domain.y_hi))
+    declared = (coeffs.declared_a_min, coeffs.declared_c_min, coeffs.declared_m_min)
+    minima = coeffs.sampled_minima(grid)
+    for expr, given, boundary, (v, at) in zip((coeffs.a, coeffs.c, coeffs.m), declared,
+                                              (False, False, True), minima):
+        if given is not None:
+            assert (v, at) == (given, None)
+            continue
+        x, y = node_coords(fine, boundary=boundary)
+        vals = np.asarray(expr(x=x) if y is None else expr(x=x, y=y)) * np.ones_like(x)
+        hit = x == at[0] if y is None else (x == at[0]) & (y == at[1])
+        assert len(at) == grid.dim and hit.any()  # a node of the refined grid
+        assert vals[hit][0] == v == vals.min()
+
+
+def test_declared_minimum_is_reported_without_a_witness():
+    with pytest.raises(ConfigError, match=r"^declared a_min is nonpositive \(value 0\)$"):
+        make_scenario(grid_1d(11), 0.01, 0.01,
+                      Coefficients(E("1"), E("1"), E("1"), declared_a_min=0.0),
+                      reaction_zero(), E("0"), BoundarySpec(DIRICHLET, E("0")), E("0"))
+    # a non-finite sample is the expression's own, whatever minimum is declared
+    with np.errstate(divide="ignore"), \
+            pytest.raises(ConfigError, match=r"^coefficient a is not finite at x=0 \(value inf\)$"):
+        make_scenario(grid_1d(11), 0.01, 0.01,
+                      Coefficients(E("1/x"), E("1"), E("1"), declared_a_min=1.0),
+                      reaction_zero(), E("0"), BoundarySpec(DIRICHLET, E("0")), E("0"))
+
+
+def test_dirichlet_data_does_not_read_m():
+    sc = _scenario_1d(m="-1", kind=DIRICHLET)
+    assert sc.bounds.m_min == 1.0
+    assert np.all(np.isfinite(solve(sc).values))
 
 
 def test_assemble_superlinear_preset():
