@@ -30,8 +30,7 @@ second-order level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +91,7 @@ class Kernel:
     inverse one.  Values are stored on the full unit square (the
     polynomial continuation above the diagonal is what makes smooth
     interpolation and the short-row quadrature possible); the triangle
-    y <= x is the meaningful part.
+    y <= x is the meaningful part.  Reads on a field grid are not cached.
     """
 
     def __init__(self, lam: float, x: np.ndarray, values: np.ndarray, terms_used: int):
@@ -101,8 +100,6 @@ class Kernel:
         self.values = values
         self.terms_used = terms_used
         self.n_k = x.size
-        self._grid_cache: dict[tuple, np.ndarray] = {}
-        self._volterra_cache: dict[tuple, np.ndarray] = {}
 
     def triangle_max_abs(self) -> float:
         X, Y = np.meshgrid(self.x, self.x, indexing="ij")
@@ -112,48 +109,30 @@ class Kernel:
         """Kernel matrix K[i, j] = k(x_i, x_j) on a field grid.
 
         Exact nodal lookup when the field nodes are a subset of the
-        kernel nodes, bilinear interpolation otherwise.  Field nodes are
-        uniform, so the count and the two ends identify them.
+        kernel nodes, bilinear interpolation otherwise.
         """
         n = x_nodes.size
-        key = _nodes_key(x_nodes)
-        cached = self._grid_cache.get(key)
-        if cached is not None:
-            return cached
         step = (self.n_k - 1) % (n - 1)
         if step == 0 and np.allclose(x_nodes, self.x[:: (self.n_k - 1) // (n - 1)], atol=1e-12):
             stride = (self.n_k - 1) // (n - 1)
-            out = self.values[::stride, ::stride].copy()
-        else:
-            out = _bilinear(self.x, self.values, x_nodes)
-        out.setflags(write=False)
-        self._grid_cache[key] = out
-        return out
+            return self.values[::stride, ::stride].copy()
+        return _bilinear(self.x, self.values, x_nodes)
 
     def _volterra_matrix(self, x_nodes: np.ndarray) -> np.ndarray:
         """Quadrature matrix Q with (Q u)[i] ~ int_0^{x_i} k(x_i, y) u(y) dy.
 
-        Built once per set of uniform nodes from :meth:`on_nodes` and
+        Built from :meth:`on_nodes` on uniform nodes and
         :func:`volterra_weights`; row 1 uses the three-point rule.
         """
         n = x_nodes.size
-        key = _nodes_key(x_nodes)
-        q = self._volterra_cache.get(key)
-        if q is None:
-            h = (float(x_nodes[-1]) - float(x_nodes[0])) / (n - 1)
-            kmat = self.on_nodes(x_nodes)
-            q = np.zeros((n, n))
-            if n >= 3:
-                q[1, :3] = kmat[1, :3] * _ROW1 * h
-            for i in range(2, n):
-                q[i, : i + 1] = kmat[i, : i + 1] * volterra_weights(i + 1, h)
-            q.setflags(write=False)
-            self._volterra_cache[key] = q
+        h = (float(x_nodes[-1]) - float(x_nodes[0])) / (n - 1)
+        kmat = self.on_nodes(x_nodes)
+        q = np.zeros((n, n))
+        if n >= 3:
+            q[1, :3] = kmat[1, :3] * _ROW1 * h
+        for i in range(2, n):
+            q[i, : i + 1] = kmat[i, : i + 1] * volterra_weights(i + 1, h)
         return q
-
-
-def _nodes_key(x_nodes: np.ndarray) -> tuple:
-    return (x_nodes.size, float(x_nodes[0]), float(x_nodes[-1]))
 
 
 def _bilinear(nodes: np.ndarray, values: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -317,18 +296,13 @@ def control_signal(u: Field, kernel: Kernel) -> float:
 
 @dataclass
 class ClosedLoopResult:
+    """Plant trajectory u, its target image w under ``kernel``, report, controls."""
+
     u: Trajectory
     w: Trajectory
     report: Report
     kernel: Kernel
     controls: np.ndarray
-    inverse_args: tuple = field(repr=False)   # (c, sigma, n_k) of the inverse kernel
-
-    @cached_property
-    def inverse_kernel(self) -> Kernel:
-        """The inverse-transform kernel, built on first access."""
-        c, sigma, n_k = self.inverse_args
-        return inverse_kernel_series(c, sigma, n_k=n_k)
 
 
 def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
@@ -363,7 +337,7 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
 
     stepper = TimeStepper(scenario)
     zero, unit = np.zeros(grid.n_x), np.array([0.0, 1.0])
-    s = stepper.step_values(zero, 0.0, dt, f_pair=(zero, zero), b_pair=(unit, unit))
+    s = stepper.step_values(zero, 0.0, f_pair=(zero, zero), b_pair=(unit, unit))
     loop_gain = 1.0 - control_of(s)
     u = scenario.initial_values().astype(float)
     times = scenario.times()
@@ -379,7 +353,7 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
         f_block = f_rows(times[sl])
         for i in range(sl.start, sl.stop - 1):
             f_pair = (f_block[i - sl.start], f_block[i - sl.start + 1])
-            v = stepper.step_values(u, times[i], dt, f_pair=f_pair, b_pair=d_vals[i:i + 2])
+            v = stepper.step_values(u, times[i], f_pair=f_pair, b_pair=d_vals[i:i + 2])
             controls[i + 1] = U = control_of(v) / loop_gain
             u = out[i + 1] = v + U * s
     out.setflags(write=False)  # handed over: Trajectory keeps it without a copy
@@ -397,7 +371,7 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
     else:
         report = Report("open-loop", NOT_ASSERTED, math.nan, None,
                         len(times), notes="no feedback: no bound asserted")
-    return ClosedLoopResult(u_traj, w_traj, report, kernel, controls, (c, sigma, n_k))
+    return ClosedLoopResult(u_traj, w_traj, report, kernel, controls)
 
 
 # ---------------------------------------------------------------------------

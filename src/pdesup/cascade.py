@@ -67,7 +67,10 @@ class SubsystemSpec:
 
 @dataclass
 class CascadeSpec:
-    """A fully wired cascade: scenarios, initial sups and small-gain status."""
+    """A fully wired cascade: scenarios, initial sups and small-gain status.
+
+    The external inputs (``d``, ``f``, ``d_j``) are the scenarios' own data.
+    """
 
     k: int
     topology: str
@@ -79,9 +82,6 @@ class CascadeSpec:
     small_gain: float
     small_gain_ok: bool
     bounds_asserted: bool
-    external_d: Expression | None = None
-    external_f: Expression | None = None
-    boundary_exprs: list[Expression] | None = None
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -155,10 +155,7 @@ def build_cascade(subsystems, topology: str, grid: SpatialGrid, dt: float,
     return CascadeSpec(k=k, topology=topology, grid=grid, dt=dt, horizon=horizon,
                        scenarios=scenarios, phis=phis, small_gain=gain,
                        small_gain_ok=small_gain_ok,
-                       bounds_asserted=small_gain_ok and hyp_ok,
-                       external_d=external_d, external_f=external_f,
-                       boundary_exprs=boundary_exprs if kind == DIRICHLET else None,
-                       warnings=warnings)
+                       bounds_asserted=small_gain_ok and hyp_ok, warnings=warnings)
 
 
 def simulate_cascade(spec: CascadeSpec) -> list[Trajectory]:
@@ -221,16 +218,15 @@ def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) ->
         return Report("cascade", NOT_ASSERTED, math.nan, None, len(details), details,
                       notes=f"{why}; raw norms recorded")
 
+    # the external inputs, read off the scenarios (zero data in a cycle)
     robin = spec.boundary_kind == ROBIN
     nodes, bnodes = node_coords(spec.grid), node_coords(spec.grid, boundary=True)
-    zero = np.zeros(times.size)
+    first = spec.scenarios[0]
     if robin:
-        d_run = (data_running_sup(spec.external_d, bnodes, times)
-                 if spec.topology == ROBIN_OPEN else zero)
+        d_run = data_running_sup(first.boundary.data, bnodes, times)
     else:
-        f_run = (data_running_sup(spec.external_f, nodes, times)
-                 if spec.topology == DIRICHLET_OPEN else zero)
-        d_runs = [data_running_sup(e, bnodes, times) for e in spec.boundary_exprs]
+        f_run = data_running_sup(first.forcing, nodes, times)
+        d_runs = [data_running_sup(sc.boundary.data, bnodes, times) for sc in spec.scenarios]
 
     parts, subsystems, forms = [], [], []
     for j, tr in zip(k, trajectories):

@@ -210,10 +210,12 @@ def cmd_verify_iss(cp, out: Path, settings, args) -> int:
 
 def cmd_verify_rkes(cp, out: Path, settings, args) -> int:
     sc1, sc2 = rkes_pair_from_config(cp)
+    g = _gain_set(sc1, settings) if harness.rkes_gains_defined(sc1) else None
     t1, t2 = solve(sc1), solve(sc2)
-    rep = harness.check_rkes((t1, t2), (sc1, sc2), _gain_set(sc1, settings), settings.tol)
+    rep = harness.check_rkes((t1, t2), (sc1, sc2), g, settings.tol)
     _write_report(out / "report.csv", [rep])
-    print(f"rkes: {rep.verdict} (worst margin {_fmt(rep.worst_margin)})")
+    why = f"; {rep.notes}" if rep.notes else ""
+    print(f"rkes: {rep.verdict} (worst margin {_fmt(rep.worst_margin)}{why})")
     return _exit_from_report(rep)
 
 

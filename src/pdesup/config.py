@@ -142,7 +142,7 @@ def grid_from_config(cp) -> SpatialGrid:
 
 def reaction_from_config(cp) -> ReactionTerm:
     kind = cp.get("reaction", "kind", fallback="zero").strip()
-    scale = _float(cp, "reaction", "scale", 1.0)
+    scale = _finite(cp, "reaction", "scale", 1.0)
     if kind == "zero":
         return reaction_zero()
     if kind == "log_poly":
@@ -154,8 +154,12 @@ def reaction_from_config(cp) -> ReactionTerm:
         if expr is None:
             raise ConfigError("custom reaction needs expr")
         lam = _float(cp, "reaction", "lambda", 1.0)
-        c0 = _float(cp, "reaction", "c0", 1.0)
-        monotone = cp.getboolean("reaction", "monotone", fallback=False)
+        c0 = _positive(cp, "reaction", "c0", 1.0)
+        try:
+            monotone = cp.getboolean("reaction", "monotone", fallback=False)
+        except ValueError:
+            raw = cp.get("reaction", "monotone")
+            raise ConfigError(f"[reaction] monotone: not a boolean: {raw!r}") from None
         return ReactionTerm("custom", scale=scale, expr=expr, growth_exponent=lam,
                             growth_constant=c0, monotone=monotone)
     raise ConfigError(f"unknown reaction kind {kind!r}")

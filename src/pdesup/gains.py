@@ -41,21 +41,19 @@ class CoefficientBounds:
 
 @dataclass(frozen=True)
 class GainSet:
-    """Linear sup-norm gains with provenance of each sub-constant.
+    """Linear sup-norm gains of one boundary kind.
 
     ``l_f`` multiplies the in-domain disturbance sup, ``l_d`` the
-    boundary one; ``decay_rate`` drives the exponential envelope of the
-    zero-input part.  ``c_p``/``c_0`` are None for Robin data, where the
-    estimate never uses them.
+    boundary one (1/m_min for Robin data, exactly 1 for Dirichlet data);
+    ``decay_rate`` drives the exponential envelope of the zero-input
+    part.  ``c_0`` is the combined Dirichlet in-domain constant when
+    c_min > 0, and None otherwise (always for Robin data).
     """
 
     l_f: float
     l_d: float
     decay_rate: float
-    q_used: float
-    c_s: float
     boundary_kind: str
-    c_p: float | None = None
     c_0: float | None = None
 
     def __post_init__(self):
@@ -122,8 +120,7 @@ def rkes_gains_robin(cb: CoefficientBounds, volume: float, c_s: float,
     if cb.c_min <= 0:
         raise ValueError("Robin sup-norm gains require c_min > 0")
     l_f = 2.0 * c_s * c_s / min(cb.a_min, cb.c_min) * geometry_factor(volume, q)
-    return GainSet(l_f=l_f, l_d=1.0 / cb.m_min, decay_rate=cb.c_min,
-                   q_used=q, c_s=c_s, boundary_kind=ROBIN)
+    return GainSet(l_f=l_f, l_d=1.0 / cb.m_min, decay_rate=cb.c_min, boundary_kind=ROBIN)
 
 
 def rkes_gains_dirichlet(cb: CoefficientBounds, volume: float, c_s: float,
@@ -135,8 +132,7 @@ def rkes_gains_dirichlet(cb: CoefficientBounds, volume: float, c_s: float,
     """
     tau = dirichlet_tau(cb.a_min, cb.c_min, c_s, c_p)
     return GainSet(l_f=tau * geometry_factor(volume, q), l_d=1.0, decay_rate=cb.c_min,
-                   q_used=q, c_s=c_s, c_p=c_p, c_0=tau if cb.c_min > 0 else None,
-                   boundary_kind=DIRICHLET)
+                   c_0=tau if cb.c_min > 0 else None, boundary_kind=DIRICHLET)
 
 
 def dirichlet_tau(a_min: float, c_min: float, c_s: float, c_p: float) -> float:
@@ -154,24 +150,16 @@ def _check_sups(*vals):
             raise ValueError("sup-norm inputs must be nonnegative")
 
 
-def iss_bound_robin(t: float, u0_sup: float, f_sup: float, d_sup: float,
-                    g: GainSet) -> float:
-    """Exponential ISS envelope for Robin data at time t."""
-    if g.boundary_kind != ROBIN:
-        raise ValueError("gain set was not built for Robin data")
-    _check_sups(t, u0_sup, f_sup, d_sup)
-    return u0_sup * math.exp(-g.decay_rate * t) + g.l_f * f_sup + g.l_d * d_sup
+def iss_bound(t: float, u0_sup: float, f_sup: float, d_sup: float, g: GainSet) -> float:
+    """Exponential ISS envelope e^(-c t) u0_sup + l_f f_sup + l_d d_sup at time t.
 
-
-def iss_bound_dirichlet(t: float, u0_sup: float, f_sup: float, d_sup: float,
-                        g: GainSet) -> float:
-    """Exponential ISS envelope for Dirichlet data at time t; needs c_min > 0."""
-    if g.boundary_kind != DIRICHLET:
-        raise ValueError("gain set was not built for Dirichlet data")
-    if g.decay_rate <= 0:
+    One form for both boundary kinds: a Dirichlet gain set has l_d = 1,
+    and its envelope needs c_min > 0.
+    """
+    if g.boundary_kind == DIRICHLET and g.decay_rate <= 0:
         raise ValueError("Dirichlet ISS envelope requires c_min > 0")
     _check_sups(t, u0_sup, f_sup, d_sup)
-    return u0_sup * math.exp(-g.decay_rate * t) + g.l_f * f_sup + d_sup
+    return u0_sup * math.exp(-g.decay_rate * t) + g.l_f * f_sup + g.l_d * d_sup
 
 
 def superlinear_gain(n: int, volume: float) -> float:

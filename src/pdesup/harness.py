@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import ROBIN, SpatialGrid, Trajectory, diff_trajectory, running_sup
 from .expressions import is_zero
-from .gains import GainSet, iss_bound_dirichlet, iss_bound_robin
+from .gains import GainSet, iss_bound
 from .solver import ReactionTerm, Scenario, data_rows, node_coords
 
 PASS = "pass"
@@ -145,8 +145,7 @@ def check_iss(traj: Trajectory, scenario: Scenario, g: GainSet | None,
         f_sups = running_sup_forcing(scenario, traj.times)
     if d_sups is None:
         d_sups = running_sup_boundary(scenario, traj.times)
-    bound_fn = iss_bound_robin if g.boundary_kind == ROBIN else iss_bound_dirichlet
-    bounds = [bound_fn(t, u0_sup, f_sups[i], d_sups[i], g) for i, t in enumerate(traj.times)]
+    bounds = [iss_bound(t, u0_sup, f_sups[i], d_sups[i], g) for i, t in enumerate(traj.times)]
     return build_report("iss", [(traj, observed, bounds)], tol, scenario.grid, scenario.dt)
 
 
@@ -162,15 +161,27 @@ def _require_same_but_disturbances(sc1: Scenario, sc2: Scenario):
         raise ValueError("scenarios differ beyond the disturbance pair (f, d)")
 
 
-def check_rkes(traj_pair, scenario_pair, g: GainSet, tol: float | None = None) -> Report:
+def rkes_gains_defined(scenario: Scenario) -> bool:
+    """Whether the linear RKES gains exist: c_min > 0, or c_min = 0 on Dirichlet data."""
+    c_min = scenario.c_min_raw
+    return c_min > 0 or (c_min == 0 and scenario.boundary.kind != ROBIN)
+
+
+def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = None) -> Report:
     """Space-time sup of the solution difference against the linear RKES bound.
 
     Both scenarios must share everything except (f, d); the bound is
-    checked on every growing window [0, T_i].
+    checked on every growing window [0, T_i].  ``g`` may be None when
+    :func:`rkes_gains_defined` says the gains do not exist (the verdict is
+    then "not-asserted").
     """
     traj1, traj2 = traj_pair
     sc1, sc2 = scenario_pair
     _require_same_but_disturbances(sc1, sc2)
+    if g is None:
+        need = "c_min > 0 for Robin data" if sc1.boundary.kind == ROBIN else "c_min >= 0"
+        return Report("rkes", NOT_ASSERTED, math.nan, None, 0,
+                      notes=f"gains undefined: need {need} (c_min {sc1.c_min_raw:.6g})")
     d = diff_trajectory(traj1, traj2)
     observed = np.maximum.accumulate(d.sup_space_per_sample())
     f_run = data_running_sup(sc1.forcing, node_coords(sc1.grid), d.times, minus=sc2.forcing)

@@ -9,10 +9,10 @@ space with midpoint-sampled diffusion; Robin rows eliminate a ghost node
 through the centered boundary-derivative formula, which keeps the full
 scheme second order (the diffusion expression is therefore evaluated at
 midpoints half a cell outside the domain).  Time stepping is
-Crank-Nicolson with M+ = I + dt/2 A factored once per step size; the
-nonlinear reaction is handled by a chord Newton iteration per step with
-a damped full-Newton fallback, on intervals and rectangles alike (see
-TimeStepper).
+Crank-Nicolson with M+ = I + dt/2 A factored once per stepper, at its
+scenario's dt; the nonlinear reaction is handled by a chord Newton
+iteration per step with a damped full-Newton fallback, on intervals and
+rectangles alike (see TimeStepper).
 Dirichlet values are imposed strongly, and no compatibility between the
 initial and boundary data is required - an initial-instant mismatch is
 absorbed over the first few steps.
@@ -45,8 +45,6 @@ from .expressions import Expression
 from .gains import CoefficientBounds
 
 MINIMUM_SAMPLING_FACTOR = 10  # coefficient minima sampled at 10x grid resolution
-# a residual at the rounding floor meets the step tolerance whatever newton_tol asks
-NEWTON_TOL_FLOOR = 64 * np.finfo(float).eps
 
 
 class SolverError(RuntimeError):
@@ -90,7 +88,7 @@ class ReactionTerm:
             raise ConfigError(f"unknown reaction kind {self.kind!r}")
         if self.kind == "custom" and self.expr is None:
             raise ConfigError("custom reaction needs an expression over (x, y, t, u)")
-        if self.growth_constant <= 0:
+        if not self.growth_constant > 0:  # NaN fails too
             raise ConfigError("growth constant must be positive")
 
     @property
@@ -427,9 +425,11 @@ class TimeStepper:
     block at a time.  ``residual_log`` records the accepted Newton
     residual of every step.
 
-    ``M+ = I + dt/2 A`` is factored once per ``dt``: LAPACK ``dgttrf``
-    on its three diagonals on an interval, ``splu`` otherwise.  A
-    linear step is one solve with those factors.  With a reaction each
+    ``M+ = I + dt/2 A`` is factored once, here, at the scenario's ``dt``:
+    LAPACK ``dgttrf`` on its three diagonals on an interval, ``splu``
+    otherwise.  A linear step is one solve with those factors.  A step
+    meets the tolerance ``1e-12 max(1, |rhs|)`` within 50 Newton
+    iterations (see :meth:`_measure`).  With a reaction each
     step iterates the chord (simplified) Newton step
     ``v += M+^{-1}(-F(v))`` (Kelley, *Iterative Methods for Linear and
     Nonlinear Equations*, ch. 5).  A chord step that fails to halve the
@@ -460,7 +460,7 @@ class TimeStepper:
     """
 
     def __init__(self, scenario: Scenario | Sequence[Scenario], forcing=None, boundary=None,
-                 newton_tol: float = 1e-12, max_newton: int = 50, cycle: bool = False):
+                 cycle: bool = False):
         self.scenarios = [scenario] if isinstance(scenario, Scenario) else list(scenario)
         scenario = self.scenario = self.scenarios[0]
         g = scenario.grid
@@ -470,8 +470,7 @@ class TimeStepper:
         if any((sc.grid, sc.dt, sc.n_steps, sc.boundary.kind) != shared for sc in self.scenarios):
             raise ValueError("a stack of scenarios shares grid, dt, horizon and boundary kind")
         self.k = k = len(self.scenarios)
-        self.newton_tol = newton_tol
-        self.max_newton = max_newton
+        self.dt = dt = scenario.dt
         self.residual_log: list[float] = []
         ops = [_Operator(g, sc.coefficients, self.kind) for sc in self.scenarios]
         self.op = ops[0]
@@ -481,7 +480,6 @@ class TimeStepper:
         self._banded = g.dim == 1 and self.A is self.op.A  # tridiagonal M+
         self._a_mul = _csr_product(self.A)
         self.bindex = (self.op.bindex + g.n_nodes * np.arange(k)[:, None]).ravel()
-        self._dt_cache = None
         self._linear = all(sc.reaction.is_zero for sc in self.scenarios)
         self.forcing = self._checked("forcing", forcing, k * g.n_nodes)
         self.boundary = self._checked("boundary", boundary, self.bindex.size)
@@ -498,6 +496,16 @@ class TimeStepper:
                         for r in reactions]
         if self.kind == ROBIN:
             self._g_bd = np.concatenate([op.g_coef[op.bindex] for op in ops])
+        self._m_plus = sp.identity(self.A.shape[0], format="csr") + dt / 2 * self.A
+        self._m_mul = _csr_product(self._m_plus)
+        if self._banded:
+            self._tridiag = [self._m_plus.diagonal(off) for off in (-1, 0, 1)]
+            *factors, info = dgttrf(*self._tridiag)
+            if info:
+                raise SolverError(f"M+ is singular for dt={dt:.6g}")
+            self._solve = lambda b: dgttrs(*factors, b)[0]
+        else:
+            self._solve = splu(self._m_plus.tocsc()).solve
 
     def _cycle_coupling(self, ops) -> sp.csr_matrix:
         """The block K[j, j-1] that feeds field j-1 into block j, for every j.
@@ -525,21 +533,6 @@ class TimeStepper:
                              f"the scenario's times need {shape}")
         return rows
 
-    def _prepare(self, dt: float):
-        if self._dt_cache == dt:
-            return
-        self._dt_cache = dt
-        self._m_plus = sp.identity(self.A.shape[0], format="csr") + dt / 2 * self.A
-        self._m_mul = _csr_product(self._m_plus)
-        if self._banded:
-            self._tridiag = [self._m_plus.diagonal(k) for k in (-1, 0, 1)]
-            *factors, info = dgttrf(*self._tridiag)
-            if info:
-                raise SolverError(f"M+ is singular for dt={dt:.6g}")
-            self._solve = lambda b: dgttrs(*factors, b)[0]
-        else:
-            self._solve = splu(self._m_plus.tocsc()).solve
-
     def _h(self, t, u, derivative=False):
         """Each block's reaction (or its u-derivative), zero on Dirichlet rows."""
         fns = self._dh_fns if derivative else self._h_fns
@@ -559,11 +552,11 @@ class TimeStepper:
     def _measure(self, rhs):
         """The step's residual measure and the tolerance it must meet.
 
-        One scenario: sup |F| against ``max(newton_tol, floor) max(1, |rhs|)``.
-        A stack takes each block's sup |F| in units of that block's own
-        such tolerance and reports the largest, against 1.
+        One scenario: sup |F| against ``1e-12 max(1, |rhs|)``.  A stack
+        takes each block's sup |F| in units of that block's own such
+        tolerance and reports the largest, against 1.
         """
-        rel = max(self.newton_tol, NEWTON_TOL_FLOOR)
+        rel = 1e-12
         if self.k == 1:
             return _sup, rel * max(1.0, float(np.abs(rhs).max()))
         tols = rel * np.maximum(1.0, np.abs(rhs).reshape(self.k, -1).max(axis=1))
@@ -581,20 +574,18 @@ class TimeStepper:
             return solve_banded((1, 1), ab, b)
         return splu((self._m_plus + sp.diags(hp)).tocsc()).solve(b)
 
-    def step_values(self, u: np.ndarray, t: float, dt: float,
-                    f_pair=None, b_pair=None) -> np.ndarray:
+    def step_values(self, u: np.ndarray, t: float, f_pair, b_pair) -> np.ndarray:
         """Advance nodal values from t to t+dt; returns the new values.
 
-        ``f_pair``/``b_pair`` supply (value at t, value at t+dt) of the
-        forcing field and the boundary data; without them the scenario's
-        expressions are evaluated at [t, t+dt].
+        ``f_pair``/``b_pair`` are (value at t, value at t+dt) of the
+        forcing field and the boundary data.
         """
         if u.shape != self.A.shape[:1]:  # the CSR kernel reads u unchecked
             raise ValueError(f"state has shape {u.shape}; the stepper needs {self.A.shape[:1]}")
-        self._prepare(dt)
+        dt = self.dt
         t1 = t + dt
-        f0, f1 = f_pair if f_pair is not None else self._f_rows([t, t1])
-        b0, b1 = b_pair if b_pair is not None else self._b_rows([t, t1])
+        f0, f1 = f_pair
+        b0, b1 = b_pair
         bindex = self.bindex
         au = self._a_mul(u)
         if not self._linear:
@@ -619,7 +610,7 @@ class TimeStepper:
         v, fv, res = iterate(u + self._solve(rhs - u - dt / 2 * au) if self._linear else u.copy())
         history = []
         chord = True
-        for _ in range(self.max_newton):
+        for _ in range(50):
             history.append(res)
             # before the tolerance, which infinite data makes infinite too:
             # non-finite data or state, and no iterate can mend it
@@ -674,7 +665,7 @@ class TimeStepper:
             b = self.boundary[sl] if self.boundary is not None else self._b_rows(times[sl])
             for i in range(sl.start, sl.stop - 1):
                 k = i - sl.start
-                u = self.step_values(u, times[i], sc.dt, f_pair=(f[k], f[k + 1]),
+                u = self.step_values(u, times[i], f_pair=(f[k], f[k + 1]),
                                      b_pair=(b[k], b[k + 1]))
                 out[i + 1] = u
         out.setflags(write=False)  # handed over: each Trajectory keeps its block without a copy
@@ -708,9 +699,9 @@ def _side_by_side(row_fns):
     return lambda times: np.hstack([rows(times) for rows in row_fns])
 
 
-def solve(scenario: Scenario, newton_tol: float = 1e-12, max_newton: int = 50) -> Trajectory:
+def solve(scenario: Scenario) -> Trajectory:
     """Solve the scenario over its horizon; samples at 0, dt, ..., T."""
-    return TimeStepper(scenario, newton_tol=newton_tol, max_newton=max_newton).solve()
+    return TimeStepper(scenario).solve()
 
 
 # ---------------------------------------------------------------------------

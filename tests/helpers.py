@@ -9,7 +9,9 @@ from pdesup.solver import (
     Coefficients,
     Scenario,
     TimeStepper,
+    data_rows,
     make_scenario,
+    node_coords,
     reaction_log_poly,
     reaction_zero,
 )
@@ -49,10 +51,13 @@ def superlinear_preset(n_x: int = 101, dt: float = 2e-3, horizon: float = 2.0,
         parse_expression("sin(pi*x)"))
 
 
-def step(state: Field, t: float, dt: float, scenario: Scenario) -> Field:
-    """One Crank-Nicolson step of ``scenario`` from the given state."""
+def step(state: Field, t: float, scenario: Scenario) -> Field:
+    """One Crank-Nicolson step of ``scenario`` (its own dt) from the given state."""
     if state.grid != scenario.grid:
         raise ValueError("state lives on a different grid")
     stepper = TimeStepper(scenario)
-    vals = stepper.step_values(state.values.ravel().copy(), t, dt)
+    times = [t, t + scenario.dt]
+    f_pair = data_rows(scenario.forcing, node_coords(scenario.grid))(times)
+    b_pair = data_rows(scenario.boundary.data, node_coords(scenario.grid, boundary=True))(times)
+    vals = stepper.step_values(state.values.ravel().copy(), t, f_pair, b_pair)
     return Field(scenario.grid, vals.reshape(scenario.grid.shape))

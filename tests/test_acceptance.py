@@ -324,8 +324,7 @@ def test_criterion_6_iss_suites(iss_suites):
                        E("2"), BoundarySpec(ROBIN, E("0")), E("0"))
     traj = solve(sc)
     g = rkes_gains_robin(sc.bounds, 1.0, C_S)
-    bad = GainSet(l_f=g.l_f / 20, l_d=g.l_d, decay_rate=g.decay_rate,
-                  q_used=g.q_used, c_s=g.c_s, boundary_kind=ROBIN)
+    bad = GainSet(l_f=g.l_f / 20, l_d=g.l_d, decay_rate=g.decay_rate, boundary_kind=ROBIN)
     iss_fails = check_iss(traj, sc, bad).verdict == FAIL
     twin = make_scenario(grid_1d(81), 2.0, 2e-3,
                          Coefficients(E("1"), E("1"), E("1")), reaction_zero(),

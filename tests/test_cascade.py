@@ -215,7 +215,7 @@ def _gauss_seidel_cycle(spec, tol=1e-10, max_sweeps=30):
                         f_pair, b_pair = pair, (src_old[bindex], src_new[bindex])
                     else:
                         f_pair, b_pair = (src_old, src_new), pair
-                    cand[j] = steppers[j].step_values(state[j], t0, spec.dt,
+                    cand[j] = steppers[j].step_values(state[j], t0,
                                                       f_pair=f_pair, b_pair=b_pair)
                 if float(np.max(np.abs(cand - prev_cand))) < tol:
                     break
@@ -276,7 +276,7 @@ def test_cycle_blocks_reproduce_their_own_steps(topology):
         for i in range(times.size - 1):
             own_pair, up_pair = (own[i], own[i + 1]), (up[i], up[i + 1])
             f_pair, b_pair = (own_pair, up_pair) if robin else (up_pair, own_pair)
-            v = st.step_values(fields[j][i], times[i], spec.dt, f_pair=f_pair, b_pair=b_pair)
+            v = st.step_values(fields[j][i], times[i], f_pair=f_pair, b_pair=b_pair)
             assert np.max(np.abs(v - fields[j][i + 1])) <= tols[-1], (j, i)
 
 

@@ -245,6 +245,25 @@ def test_verify_rkes_cli_explicit_pair(tmp_path):
     assert rep[1].startswith("rkes,pass,")
 
 
+@pytest.mark.parametrize("text, need", [
+    (RKES_PAIR.replace("c = 0", "c = -1"), "need c_min >= 0 (c_min -1)"),
+    (RKES_PAIR.replace("kind = dirichlet", "kind = robin"),
+     "need c_min > 0 for Robin data (c_min 0)"),
+], ids=["c-negative", "robin-c-zero"])
+def test_verify_rkes_without_gains_is_not_asserted(tmp_path, text, need):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "pdesup", "verify-rkes", "--config",
+                           str(_write(tmp_path, text.replace("T = 2.0", "T = 0.2"))),
+                           "--out", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("rkes,not-asserted,")
+    assert need in rows[0] and need in proc.stdout
+
+
 def test_gains_cli_values(tmp_path):
     p = _write(tmp_path, GAINS)
     out = tmp_path / "out"
@@ -584,12 +603,19 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
     ("gains", ISS_ROBIN + "\n[check]\nn = 0\n", "[check] n"),
     ("verify-iss", ISS_ROBIN + "\n[check]\ntol = nan\n", "[check] tol"),
     ("verify-iss", ISS_ROBIN + "\n[check]\ntol = -1\n", "[check] tol"),
+    ("verify-iss", ISS_ROBIN + "\n[reaction]\nkind = log_poly\nscale = nan\n", "[reaction] scale"),
+    ("verify-iss", ISS_ROBIN + "\n[reaction]\nkind = log_poly\nscale = inf\n", "[reaction] scale"),
+    ("verify-iss", ISS_ROBIN + "\n[reaction]\nkind = custom\nexpr = u\nc0 = nan\n",
+     "[reaction] c0"),
+    ("verify-iss", ISS_ROBIN + "\n[reaction]\nkind = custom\nexpr = u\nmonotone = maybe\n",
+     "[reaction] monotone"),
 ], ids=["decay-c-zero", "decay-dt-nan", "decay-n_x-2", "decay-n_x-nan", "decay-empty-domain",
         "decay-nonzero-f", "iss-c-negative", "interval-d-y", "u0-t", "a-t", "interval-c-y",
         "backstep-d0-x", "cascade-shared-a-t", "interval-cascade-d-y", "backstep-c-negative",
         "backstep-sigma-zero", "convergence-refinements-2", "cascade-k-2.5", "decay-n_x-61.5",
         "iss-c_s-zero", "iss-c_s-nan", "iss-c_s-negative", "iss-c_p-inf", "iss-q-1", "iss-q-nan",
-        "dirichlet-open-cascade-q-1", "gains-n-2", "gains-n-0", "iss-tol-nan", "iss-tol-negative"])
+        "dirichlet-open-cascade-q-1", "gains-n-2", "gains-n-0", "iss-tol-nan", "iss-tol-negative",
+        "reaction-scale-nan", "reaction-scale-inf", "reaction-c0-nan", "reaction-monotone-maybe"])
 def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
     # an exception escaping main() would be a traceback for the user

@@ -14,8 +14,7 @@ from pdesup.gains import (
     closed_loop_forcing_gain,
     closed_loop_iss_bound,
     geometry_factor,
-    iss_bound_dirichlet,
-    iss_bound_robin,
+    iss_bound,
     kernel_bound_constant,
     open_chain_coefficient,
     rkes_gains_dirichlet,
@@ -96,26 +95,26 @@ def test_rkes_gains_dirichlet():
 
 def test_iss_bound_robin():
     g = rkes_gains_robin(CoefficientBounds(1, 1, 1), 1.0, C_S)
-    assert iss_bound_robin(0.0, 5.0, 0.0, 0.0, g) == 5.0
-    b = iss_bound_robin(1.0, 1.0, 0.1, 0.2, g)
+    assert iss_bound(0.0, 5.0, 0.0, 0.0, g) == 5.0
+    b = iss_bound(1.0, 1.0, 0.1, 0.2, g)
     assert b == pytest.approx(math.exp(-1) + 2 * math.sqrt(2) * 0.1 + 0.2, rel=1e-12)
     assert b == pytest.approx(0.8507, abs=1e-4)
     # zero initial data: constant in t
-    assert iss_bound_robin(0.3, 0.0, 0.1, 0.2, g) == iss_bound_robin(7.0, 0.0, 0.1, 0.2, g)
+    assert iss_bound(0.3, 0.0, 0.1, 0.2, g) == iss_bound(7.0, 0.0, 0.1, 0.2, g)
     with pytest.raises(ValueError):
-        iss_bound_robin(1.0, -1.0, 0.0, 0.0, g)
+        iss_bound(1.0, -1.0, 0.0, 0.0, g)
 
 
 def test_iss_bound_dirichlet():
     g = rkes_gains_dirichlet(CoefficientBounds(1, 1), 1.0, C_S, C_P)
-    assert iss_bound_dirichlet(0.0, 2.0, 0.0, 0.0, g) == 2.0
-    b = iss_bound_dirichlet(1.0, 1.0, 0.3, 0.4, g)
+    assert iss_bound(0.0, 2.0, 0.0, 0.0, g) == 2.0
+    b = iss_bound(1.0, 1.0, 0.3, 0.4, g)
     assert b == pytest.approx(math.exp(-1) + 2 * math.sqrt(2) * 0.3 + 0.4, rel=1e-12)
     # unit boundary gain: doubling d_sup adds exactly d_sup
-    assert iss_bound_dirichlet(1.0, 1.0, 0.3, 0.8, g) - b == pytest.approx(0.4, rel=1e-12)
+    assert iss_bound(1.0, 1.0, 0.3, 0.8, g) - b == pytest.approx(0.4, rel=1e-12)
     g0 = rkes_gains_dirichlet(CoefficientBounds(1, 0), 1.0, C_S, C_P)
     with pytest.raises(ValueError):
-        iss_bound_dirichlet(1.0, 1.0, 0.0, 0.0, g0)
+        iss_bound(1.0, 1.0, 0.0, 0.0, g0)
 
 
 def test_superlinear_gain():
@@ -248,10 +247,10 @@ def test_open_chain_coefficient_telescoping():
        st.floats(0.01, 10), st.floats(0.01, 10))
 def test_bound_monotonicity(u0s, fs, ds, t, tb, extra):
     g = rkes_gains_robin(CoefficientBounds(1, 0.5, 1), 1.0, C_S)
-    b = iss_bound_robin(t, u0s, fs, ds, g)
+    b = iss_bound(t, u0s, fs, ds, g)
     # non-decreasing in each sup input
-    assert iss_bound_robin(t, u0s + extra, fs, ds, g) >= b
-    assert iss_bound_robin(t, u0s, fs + extra, ds, g) >= b
-    assert iss_bound_robin(t, u0s, fs, ds + extra, g) >= b
+    assert iss_bound(t, u0s + extra, fs, ds, g) >= b
+    assert iss_bound(t, u0s, fs + extra, ds, g) >= b
+    assert iss_bound(t, u0s, fs, ds + extra, g) >= b
     # non-increasing in t
-    assert iss_bound_robin(t + tb, u0s, fs, ds, g) <= b + 1e-12
+    assert iss_bound(t + tb, u0s, fs, ds, g) <= b + 1e-12

@@ -11,7 +11,7 @@ from pdesup.gains import (
     GainSet,
     cascade_bound_dirichlet,
     cascade_bound_robin,
-    iss_bound_robin,
+    iss_bound,
     rkes_gains_dirichlet,
     rkes_gains_robin,
     sobolev_constants_1d,
@@ -115,8 +115,7 @@ def test_check_iss_superlinear_preset():
 
 def test_check_iss_not_asserted_without_hypotheses():
     sc = _dirichlet_scenario(c="0", T=0.2)
-    g = GainSet(l_f=1.0, l_d=1.0, decay_rate=0.0, q_used=math.inf,
-                c_s=C_S, c_p=C_P, boundary_kind=DIRICHLET)
+    g = GainSet(l_f=1.0, l_d=1.0, decay_rate=0.0, boundary_kind=DIRICHLET)
     traj = solve(sc)
     rep = check_iss(traj, sc, g)
     assert rep.verdict == NOT_ASSERTED
@@ -128,7 +127,7 @@ def test_check_iss_falsification_fixture():
     traj = solve(sc)
     g = _gains_for(sc)
     bad = GainSet(l_f=0.05 * g.l_f, l_d=g.l_d, decay_rate=g.decay_rate,
-                  q_used=g.q_used, c_s=g.c_s, boundary_kind=g.boundary_kind)
+                  boundary_kind=g.boundary_kind)
     rep = check_iss(traj, sc, bad)
     assert rep.verdict == FAIL
     assert rep.worst_location is not None
@@ -277,11 +276,11 @@ def _reference_cascade(spec, trajectories, tol=None):
     robin = spec.boundary_kind == ROBIN
     nodes, bnodes = node_coords(spec.grid), node_coords(spec.grid, boundary=True)
     if spec.topology == "robin-open":
-        d_run = data_running_sup(spec.external_d, bnodes, times)
+        d_run = data_running_sup(spec.scenarios[0].boundary.data, bnodes, times)
     elif spec.topology == "dirichlet-open":
-        f_run = data_running_sup(spec.external_f, nodes, times)
+        f_run = data_running_sup(spec.scenarios[0].forcing, nodes, times)
     if not robin:
-        d_runs = [data_running_sup(e, bnodes, times) for e in spec.boundary_exprs]
+        d_runs = [data_running_sup(sc.boundary.data, bnodes, times) for sc in spec.scenarios]
     details = []
     worst = math.inf
     worst_where = None
@@ -347,7 +346,7 @@ def _iss_reference(traj, sc, g):
     observed = traj.sup_space_per_sample()
     f_sups = running_sup_forcing(sc, traj.times)
     d_sups = running_sup_boundary(sc, traj.times)
-    bounds = np.array([iss_bound_robin(t, observed[0], f_sups[i], d_sups[i], g)
+    bounds = np.array([iss_bound(t, observed[0], f_sups[i], d_sups[i], g)
                        for i, t in enumerate(traj.times)])
     tols = [default_tolerance(b, sc.grid, sc.dt) for b in bounds]
     return _reference_report(traj, observed, bounds, tols)
@@ -370,7 +369,7 @@ def test_report_builder_matches_the_loop_on_an_iss_fail():
     traj = solve(sc)
     g = _gains_for(sc)
     bad = GainSet(l_f=0.05 * g.l_f, l_d=g.l_d, decay_rate=g.decay_rate,
-                  q_used=g.q_used, c_s=g.c_s, boundary_kind=g.boundary_kind)
+                  boundary_kind=g.boundary_kind)
     rep = check_iss(traj, sc, bad)
     assert rep.verdict == FAIL
     _assert_same_report(rep, _iss_reference(traj, sc, bad), _COLUMNS)
