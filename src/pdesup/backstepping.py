@@ -29,15 +29,14 @@ second-order level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DIRICHLET, Field, SpatialGrid, Trajectory, time_blocks
-from .expressions import Expression, parse_expression
-from .gains import closed_loop_iss_bound, kernel_bound_constant
-from .harness import NOT_ASSERTED, Report, build_report, data_running_sup
+from .expressions import ZERO, Expression, parse_expression
+from .gains import SERIES_TOL, closed_loop_iss_bound, kernel_bound_constant
+from .harness import Report, build_report, data_running_sup
 from .solver import (
     BoundarySpec,
     Coefficients,
@@ -68,20 +67,21 @@ def _bessel_ratio(s: float) -> float:
     return total
 
 
-def kernel_bessel_oracle(c: float, sigma: float, x: float, y: float) -> float:
-    """Closed-form kernel value at (x, y), 0 <= y <= x <= 1."""
+def _bessel_kernel(lam: float, x: float, y: float) -> float:
+    """lam*y*I1(z)/z at z = sqrt(lam (x^2-y^2)), 0 <= y <= x <= 1."""
     if not 0.0 <= y <= x <= 1.0:
         raise ValueError("oracle requires 0 <= y <= x <= 1")
-    lam = c + sigma
     return lam * y * _bessel_ratio(lam * (x * x - y * y))
 
 
+def kernel_bessel_oracle(c: float, sigma: float, x: float, y: float) -> float:
+    """Closed-form kernel value at (x, y), 0 <= y <= x <= 1."""
+    return _bessel_kernel(c + sigma, x, y)
+
+
 def inverse_kernel_bessel_oracle(c: float, sigma: float, x: float, y: float) -> float:
-    """Closed-form inverse-kernel value at (x, y), 0 <= y <= x <= 1."""
-    if not 0.0 <= y <= x <= 1.0:
-        raise ValueError("oracle requires 0 <= y <= x <= 1")
-    lam = c + sigma
-    return -lam * y * _bessel_ratio(-lam * (x * x - y * y))
+    """Closed-form inverse-kernel value at (x, y): the same form at -(c + sigma)."""
+    return _bessel_kernel(-(c + sigma), x, y)
 
 
 class Kernel:
@@ -149,19 +149,21 @@ def _bilinear(nodes: np.ndarray, values: np.ndarray, q: np.ndarray) -> np.ndarra
     return out
 
 
-def _series_kernel(lam: float, n_k: int, tol: float) -> Kernel:
-    """Successive approximations for the kernel integral equation.
+def _series_kernel(c: float, sigma: float, n_k: int, inverse: bool) -> Kernel:
+    """Successive approximations for the kernel integral equation, checked.
 
     In (xi, eta) = (x+y, x-y) the kernel solves G(xi,eta) =
-    (lam/4)(xi-eta) + (lam/4) int_eta^xi int_0^eta G; iterating from the
-    first term keeps every iterate a polynomial, integrated here exactly
-    on coefficients.  Each iterate is homogeneous of odd degree d, so it
-    is stored as the vector c with c[j] the coefficient of xi^j eta^(d-j).
+    (lam/4)(xi-eta) + (lam/4) int_eta^xi int_0^eta G (lam = c + sigma, or
+    -(c + sigma) for the inverse); iterating from the first term keeps
+    every iterate a polynomial, integrated here exactly on coefficients.
+    Each iterate is homogeneous of odd degree d, so it is stored as the
+    vector c with c[j] the coefficient of xi^j eta^(d-j).  The sum stops
+    at a term below :data:`SERIES_TOL`, and must vanish on y = 0 and stay
+    within :func:`kernel_bound_constant`.
     """
     if n_k < 11:
         raise ValueError("kernel grid needs at least 11 nodes per edge")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    lam = -(c + sigma) if inverse else c + sigma
     x = np.linspace(0.0, 1.0, n_k)
     X, Y = np.meshgrid(x, x, indexing="ij")
     xi = X + Y
@@ -181,11 +183,17 @@ def _series_kernel(lam: float, n_k: int, tol: float) -> Kernel:
         vals = _homogeneous_eval(coef, xi, eta)
         total_vals += vals
         n_terms += 1
-        if float(np.max(np.abs(vals))) < tol:
+        if float(np.max(np.abs(vals))) < SERIES_TOL:
             break
         if n_terms >= MAX_SERIES_TERMS:
             raise RuntimeError(f"kernel series did not converge within {MAX_SERIES_TERMS} terms")
-    return Kernel(lam, x, total_vals, n_terms)
+    k = Kernel(lam, x, total_vals, n_terms)
+    edge = float(np.max(np.abs(k.values[:, 0])))
+    if edge > 1e-9:
+        raise AssertionError(f"kernel bottom edge not zero (max {edge:.3e})")
+    if k.triangle_max_abs() > kernel_bound_constant(c, sigma) + SERIES_TOL:
+        raise AssertionError("kernel magnitude exceeds its series bound")
+    return k
 
 
 def _homogeneous_eval(coef: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -199,27 +207,14 @@ def _homogeneous_eval(coef: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.n
     return out
 
 
-def kernel_series(c: float, sigma: float, n_k: int = 201, tol: float = 1e-12) -> Kernel:
-    """Feedback kernel on an n_k-per-edge grid, truncated at sup-term < tol."""
-    lam = c + sigma
-    k = _series_kernel(lam, n_k, tol)
-    edge = float(np.max(np.abs(k.values[:, 0])))
-    if edge > 1e-9:
-        raise AssertionError(f"kernel bottom edge not zero (max {edge:.3e})")
-    bound = kernel_bound_constant(c, sigma, 1e-12)
-    if k.triangle_max_abs() > bound + tol:
-        raise AssertionError("kernel magnitude exceeds its series bound")
-    return k
+def kernel_series(c: float, sigma: float, n_k: int = 201) -> Kernel:
+    """Feedback kernel on an n_k-per-edge grid (see :func:`_series_kernel`)."""
+    return _series_kernel(c, sigma, n_k, inverse=False)
 
 
-def inverse_kernel_series(c: float, sigma: float, n_k: int = 201, tol: float = 1e-12) -> Kernel:
-    """Inverse-transform kernel: the same iteration at -(c+sigma)."""
-    lam = -(c + sigma)
-    k = _series_kernel(lam, n_k, tol)
-    bound = kernel_bound_constant(c, sigma, 1e-12)
-    if k.triangle_max_abs() > bound + tol:
-        raise AssertionError("inverse kernel magnitude exceeds its series bound")
-    return k
+def inverse_kernel_series(c: float, sigma: float, n_k: int = 201) -> Kernel:
+    """Inverse-transform kernel: the same checked series at -(c+sigma)."""
+    return _series_kernel(c, sigma, n_k, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +277,18 @@ def transform_trajectory(traj: Trajectory, kernel: Kernel) -> Trajectory:
     return Trajectory(traj.grid, traj.times, vals)
 
 
+def _control(kernel: Kernel, grid: SpatialGrid):
+    """U = -int_0^1 k(1, y) u(y) dy by the corrected trapezoid rule, as a
+    function of the nodal values of u on ``grid``."""
+    krow = kernel.on_nodes(grid.x)[-1]
+    w = volterra_weights(grid.n_x, grid.h_x)
+    return lambda vals: float(-np.dot(w, krow * vals))
+
+
 def control_signal(u: Field, kernel: Kernel) -> float:
-    """U = -int_0^1 k(1, y) u(y) dy by the corrected trapezoid rule."""
+    """The feedback U of the field ``u`` (see :func:`_control`)."""
     _require_unit_interval(u.grid)
-    kmat = kernel.on_nodes(u.grid.x)
-    w = volterra_weights(u.grid.n_x, u.grid.h_x)
-    return float(-np.dot(w, kmat[-1] * u.values))
+    return _control(kernel, u.grid)(u.values)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +308,7 @@ class ClosedLoopResult:
 
 def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
                          d0: Expression, d1: Expression, grid: SpatialGrid,
-                         dt: float, horizon: float, n_k: int = 201, feedback: bool = True,
+                         dt: float, horizon: float, n_k: int = 201,
                          tol: float | None = None) -> ClosedLoopResult:
     """Step the destabilized plant under boundary feedback and check its bound.
 
@@ -315,8 +316,6 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
     u(1, t) = d1(t) + U(t) held exactly.  The plant is linear, so the new
     field is v + U s: v has d1 alone at x = 1, and s (computed once) is
     the response to a unit value there; U = control(v) / (1 - control(s)).
-    With ``feedback=False`` the raw open loop is simulated (bound checking
-    is skipped in the report, which then only records norms).
     """
     if c <= 0 or sigma <= 0:
         raise ValueError("c and sigma must be positive")
@@ -326,15 +325,9 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
         grid, horizon, dt,
         Coefficients(parse_expression("1"), parse_expression(repr(-float(c)))),
         reaction_zero(), f,
-        BoundarySpec(DIRICHLET, parse_expression("0")),
+        BoundarySpec(DIRICHLET, ZERO),
         u0)
-    kmat = kernel.on_nodes(grid.x)
-    wq = volterra_weights(grid.n_x, grid.h_x)
-    krow = kmat[-1]
-
-    def control_of(vals: np.ndarray) -> float:
-        return float(-np.dot(wq, krow * vals)) if feedback else 0.0
-
+    control_of = _control(kernel, grid)
     stepper = TimeStepper(scenario)
     zero, unit = np.zeros(grid.n_x), np.array([0.0, 1.0])
     s = stepper.step_values(zero, 0.0, f_pair=(zero, zero), b_pair=(unit, unit))
@@ -364,13 +357,9 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
     u0_sup = observed[0]
     f_sups = data_running_sup(f, nodes, times)
     d0_run, d1_run = np.maximum.accumulate(np.abs(d_vals), axis=0).T
-    if feedback:
-        bounds = [closed_loop_iss_bound(t, u0_sup, f_sups[i], d0_run[i], d1_run[i], c, sigma)
-                  for i, t in enumerate(times)]
-        report = build_report("closed-loop", [(u_traj, observed, bounds)], tol, grid, dt)
-    else:
-        report = Report("open-loop", NOT_ASSERTED, math.nan, None,
-                        len(times), notes="no feedback: no bound asserted")
+    bounds = [closed_loop_iss_bound(t, u0_sup, f_sups[i], d0_run[i], d1_run[i], c, sigma)
+              for i, t in enumerate(times)]
+    report = build_report("closed-loop", [(u_traj, observed, bounds)], tol, grid, dt)
     return ClosedLoopResult(u_traj, w_traj, report, kernel, controls)
 
 

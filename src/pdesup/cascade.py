@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DIRICHLET, ROBIN, SpatialGrid, Trajectory
-from .expressions import Expression, parse_expression
+from .expressions import ZERO, Expression
 from .gains import (
     cascade_bound_dirichlet,
     cascade_bound_robin,
@@ -54,8 +54,6 @@ ROBIN_CYCLE = "robin-cycle"
 DIRICHLET_OPEN = "dirichlet-open"
 DIRICHLET_CYCLE = "dirichlet-cycle"
 TOPOLOGIES = (ROBIN_OPEN, ROBIN_CYCLE, DIRICHLET_OPEN, DIRICHLET_CYCLE)
-
-_ZERO = parse_expression("0")
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ def build_cascade(subsystems, topology: str, grid: SpatialGrid, dt: float,
         raise ConfigError("dirichlet-open needs the external in-domain input f")
     if kind == DIRICHLET:
         if boundary_exprs is None:
-            boundary_exprs = [_ZERO] * k
+            boundary_exprs = [ZERO] * k
         boundary_exprs = list(boundary_exprs)
         if len(boundary_exprs) != k:
             raise ConfigError("need one boundary expression per subsystem")
@@ -125,12 +123,12 @@ def build_cascade(subsystems, topology: str, grid: SpatialGrid, dt: float,
     warnings = []
     for j, sub in enumerate(subsystems):
         if kind == ROBIN:
-            bexpr = external_d if (topology == ROBIN_OPEN and j == 0) else _ZERO
+            bexpr = external_d if (topology == ROBIN_OPEN and j == 0) else ZERO
             boundary = BoundarySpec(ROBIN, bexpr)
-            fexpr = _ZERO
+            fexpr = ZERO
         else:
             boundary = BoundarySpec(DIRICHLET, boundary_exprs[j])
-            fexpr = external_f if (topology == DIRICHLET_OPEN and j == 0) else _ZERO
+            fexpr = external_f if (topology == DIRICHLET_OPEN and j == 0) else ZERO
         sc = make_scenario(grid, horizon, dt, sub.coefficients, sub.reaction,
                            fexpr, boundary, sub.u0)
         if sc.c_min_raw < 0:

@@ -172,18 +172,16 @@ def cmd_gains(cp, out: Path, settings, args) -> int:
     q = settings.q
     rows.append(("geometry_factor", geometry_factor(vol, q),
                  f"volume^((q-2)/q) * 2^((3q-4)/(2q-4)) at volume={_fmt(vol)}, q={_fmt(q)}"))
-    if sc.bounds is not None:
-        try:
-            g = _gain_set(sc, settings)
-            rows.append(("l_f", g.l_f, "in-domain sup-norm gain"))
-            rows.append(("l_d", g.l_d, "boundary sup-norm gain"))
-            rows.append(("decay_rate", g.decay_rate, "zero-input exponential rate"))
-            if g.c_0 is not None:
-                rows.append(("c_0", g.c_0, "combined Dirichlet in-domain constant"))
-        except (ConfigError, ValueError):
-            pass
+    defined = harness.rkes_gains_defined(sc)
+    if defined:
+        g = _gain_set(sc, settings)
+        rows.append(("l_f", g.l_f, "in-domain sup-norm gain"))
+        rows.append(("l_d", g.l_d, "boundary sup-norm gain"))
+        rows.append(("decay_rate", g.decay_rate, "zero-input exponential rate"))
+        if g.c_0 is not None:
+            rows.append(("c_0", g.c_0, "combined Dirichlet in-domain constant"))
     if settings.c is not None and settings.sigma is not None:
-        m = kernel_bound_constant(settings.c, settings.sigma, 1e-12)
+        m = kernel_bound_constant(settings.c, settings.sigma)
         rows.append(("M", m, f"kernel series bound at c={_fmt(settings.c)}, "
                              f"sigma={_fmt(settings.sigma)}"))
         rows.append(("C", closed_loop_forcing_gain(settings.c),
@@ -194,6 +192,8 @@ def cmd_gains(cp, out: Path, settings, args) -> int:
     _write_rows(out / "gains.csv", ("name", "value", "provenance"), rows)
     for name, value, _ in rows:
         print(f"{name} = {_fmt(value)}")
+    if not defined:
+        print(f"no l_f, l_d, decay_rate: {harness.gains_undefined_note(sc)}")
     return EXIT_PASS
 
 
@@ -248,7 +248,7 @@ def cmd_backstep(cp, out: Path, settings, args) -> int:
     _write_trajectory(out / "trajectory.csv", res.u)
     _write_trajectory(out / "trajectory_target.csv", res.w)
     _write_report(out / "report.csv", [res.report])
-    m = kernel_bound_constant(settings.c, settings.sigma, 1e-12)
+    m = kernel_bound_constant(settings.c, settings.sigma)
     _write_rows(out / "gains.csv", ("name", "value", "provenance"), [
         ("M", m, "kernel series bound"),
         ("C", closed_loop_forcing_gain(settings.c), "closed-loop in-domain gain"),
@@ -283,6 +283,8 @@ def cmd_convergence(cp, out: Path, settings, args) -> int:
     _write_rows(out / "orders.csv", ("direction", "order"), [
         ("space", res.p_space), ("time", res.p_time)])
     print(f"orders: space {_fmt(res.p_space)}, time {_fmt(res.p_time)}")
+    for name, errors in res.non_monotone:
+        print(f"{name} errors do not decrease monotonically: {', '.join(map(_fmt, errors))}")
     return EXIT_PASS
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cascade import CascadeSpec, SubsystemSpec, build_cascade
-from .core import DIRICHLET, ROBIN, SpatialGrid, grid_1d, grid_2d
+from .core import SpatialGrid, grid_1d, grid_2d
 from .expressions import Expression, ParseError, parse_expression
 from .solver import (
     BoundarySpec,
@@ -140,20 +140,21 @@ def grid_from_config(cp) -> SpatialGrid:
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
+# the catalog reactions by kind, each a function of its scale
+_CATALOG = {"zero": lambda scale: reaction_zero(), "log_poly": reaction_log_poly,
+            "odd_cubic": reaction_odd_cubic}
+
+
 def reaction_from_config(cp) -> ReactionTerm:
     kind = cp.get("reaction", "kind", fallback="zero").strip()
     scale = _finite(cp, "reaction", "scale", 1.0)
-    if kind == "zero":
-        return reaction_zero()
-    if kind == "log_poly":
-        return reaction_log_poly(scale)
-    if kind == "odd_cubic":
-        return reaction_odd_cubic(scale)
+    if kind in _CATALOG:
+        return _CATALOG[kind](scale)
     if kind == "custom":
         expr = _expr(cp, "reaction", "expr", variables=_space(cp) + ("t", "u"))
         if expr is None:
             raise ConfigError("custom reaction needs expr")
-        lam = _float(cp, "reaction", "lambda", 1.0)
+        lam = _finite(cp, "reaction", "lambda", 1.0)
         c0 = _positive(cp, "reaction", "c0", 1.0)
         try:
             monotone = cp.getboolean("reaction", "monotone", fallback=False)
@@ -205,8 +206,6 @@ def scenario_from_config(cp, f_key="f", d_key="d") -> Scenario:
     dt = _positive(cp, "grid", "dt", 1e-3)
     horizon = _positive(cp, "grid", "T", 1.0)
     kind = cp.get("boundary", "kind", fallback="dirichlet").strip().lower()
-    if kind not in (ROBIN, DIRICHLET):
-        raise ConfigError(f"unknown boundary kind {kind!r}")
     f = _expr(cp, "disturbances", f_key, "0")
     d = _boundary_expr(cp, grid, d_key)
     u0 = _expr(cp, "initial", "u0", "0", _space(cp))
@@ -241,15 +240,10 @@ def cascade_from_config(cp, settings: CheckSettings | None = None) -> CascadeSpe
         coeffs = Coefficients(**{name: _expr(cp, "cascade", f"{name}_{j}", None, _space(cp))
                                  or expr for name, expr in shared.items()})
         u0 = _expr(cp, "cascade", f"phi_{j}", "0", _space(cp))
-        if cp.has_option("cascade", f"reaction_{j}"):
-            rx_kind = cp.get("cascade", f"reaction_{j}").strip()
-            rx = {"zero": reaction_zero, "log_poly": reaction_log_poly,
-                  "odd_cubic": reaction_odd_cubic}.get(rx_kind)
-            if rx is None:
-                raise ConfigError(f"unknown cascade reaction {rx_kind!r}")
-            reaction = rx()
-        else:
-            reaction = reaction_zero()
+        rx_kind = cp.get("cascade", f"reaction_{j}", fallback="zero").strip()
+        if rx_kind not in _CATALOG:
+            raise ConfigError(f"unknown cascade reaction {rx_kind!r}")
+        reaction = _CATALOG[rx_kind](1.0)
         subs.append(SubsystemSpec(coeffs, reaction, u0))
     external_d = _expr(cp, "cascade", "d")
     external_f = _expr(cp, "cascade", "f")

@@ -200,22 +200,23 @@ def superlinear_gain_gap(n: int, volume: float, q: float) -> float:
     return abs(pre - lim) / lim
 
 
+SERIES_TOL = 1e-12  # the kernel series stop once a term drops below this
+
+
 @lru_cache(maxsize=None)
-def kernel_bound_constant(c: float, sigma: float, tol: float = 1e-12) -> float:
+def kernel_bound_constant(c: float, sigma: float) -> float:
     """Uniform bound on the feedback kernels: sum of (c+sigma)^(i+1) 4^i/(i!)^2.
 
     Terms decay factorially; summation stops when the next term drops
-    below ``tol``.  Raises on overflow before convergence.
+    below :data:`SERIES_TOL`.  Raises on overflow before convergence.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     lam = c + sigma
     if lam <= 0:
         raise ValueError("c + sigma must be positive")
     term = lam
     total = term
     i = 0
-    while term >= tol:
+    while term >= SERIES_TOL:
         i += 1
         term = term * lam * 4.0 / (i * i)
         total += term
@@ -244,7 +245,7 @@ def closed_loop_iss_bound(t: float, u0_sup: float, f_sup: float, d0_sup: float,
     if c <= 0 or sigma <= 0:
         raise ValueError("c and sigma must be positive")
     _check_sups(t, u0_sup, f_sup, d0_sup, d1_sup)
-    m = kernel_bound_constant(c, sigma, 1e-12)
+    m = kernel_bound_constant(c, sigma)
     cgain = closed_loop_forcing_gain(c)
     return (1.0 + m) * ((1.0 + m) * u0_sup * math.exp(-sigma * t)
                         + cgain * f_sup + d0_sup + d1_sup)

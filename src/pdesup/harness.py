@@ -167,6 +167,12 @@ def rkes_gains_defined(scenario: Scenario) -> bool:
     return c_min > 0 or (c_min == 0 and scenario.boundary.kind != ROBIN)
 
 
+def gains_undefined_note(scenario: Scenario) -> str:
+    """Why :func:`rkes_gains_defined` is false for ``scenario``."""
+    need = "c_min > 0 for Robin data" if scenario.boundary.kind == ROBIN else "c_min >= 0"
+    return f"gains undefined: need {need} (c_min {scenario.c_min_raw:.6g})"
+
+
 def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = None) -> Report:
     """Space-time sup of the solution difference against the linear RKES bound.
 
@@ -179,9 +185,7 @@ def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = 
     sc1, sc2 = scenario_pair
     _require_same_but_disturbances(sc1, sc2)
     if g is None:
-        need = "c_min > 0 for Robin data" if sc1.boundary.kind == ROBIN else "c_min >= 0"
-        return Report("rkes", NOT_ASSERTED, math.nan, None, 0,
-                      notes=f"gains undefined: need {need} (c_min {sc1.c_min_raw:.6g})")
+        return Report("rkes", NOT_ASSERTED, math.nan, None, 0, notes=gains_undefined_note(sc1))
     d = diff_trajectory(traj1, traj2)
     observed = np.maximum.accumulate(d.sup_space_per_sample())
     f_run = data_running_sup(sc1.forcing, node_coords(sc1.grid), d.times, minus=sc2.forcing)
@@ -214,8 +218,8 @@ def monotonicity_probe(reaction: ReactionTerm, n_samples: int = 256, rng=None) -
     scale = 10.0 ** rng.uniform(-2, 3, (2, n_samples))
     xi1 = rng.choice([-1, 1], n_samples) * scale[0]
     xi2 = rng.choice([-1, 1], n_samples) * scale[1]
-    h1 = reaction.value(xs, ys, ts, xi1)
-    h2 = reaction.value(xs, ys, ts, xi2)
+    h = reaction.at_nodes(xs, ys)
+    h1, h2 = h(ts, xi1), h(ts, xi2)
     return bool(np.all((h1 - h2) * (xi1 - xi2) >= -1e-12))
 
 
@@ -227,7 +231,7 @@ def growth_probe(reaction: ReactionTerm, growth_exponent: float,
     ys = rng.uniform(0.0, 1.0, n_samples)
     ts = rng.uniform(0.0, 10.0, n_samples)
     xi = rng.choice([-1, 1], n_samples) * 10.0 ** rng.uniform(-3, 3, n_samples)
-    h = reaction.value(xs, ys, ts, xi)
+    h = reaction.at_nodes(xs, ys)(ts, xi)
     env = growth_constant * (1.0 + np.abs(xi) ** growth_exponent)
     return bool(np.all(np.abs(h) <= env + 1e-12))
 

@@ -28,7 +28,6 @@ bounded whatever the horizon.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -70,10 +69,9 @@ class ReactionTerm:
     |h| <= c0 (1 + |u|^lambda); ``monotone`` declares that h is
     nondecreasing in u.
 
-    ``value``/``derivative`` take an optional ``bound``: the custom
-    expression with the node coordinates fixed (see :meth:`bind`).
-    :meth:`at_nodes` goes one further and gives h as a plain function of
-    (t, u), which is what the stepper calls.
+    :meth:`at_nodes` gives h at fixed nodes as a plain function of
+    (t, u), which is what the stepper and the hypothesis probes call;
+    :meth:`derivative` gives h' (the stepper's full-Newton fallback).
     """
 
     kind: str = "zero"
@@ -95,17 +93,10 @@ class ReactionTerm:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
-    def bind(self, x, y):
-        """The custom expression bound to the coordinates (x[, y]); None
-        for the catalog kinds, which do not read them."""
-        if self.kind != "custom":
-            return None
-        return _on_nodes(self.expr.bind, x, y)
-
     def at_nodes(self, x, y):
-        """h as a function of (t, u) alone at the nodes (x[, y]), bitwise
-        :meth:`value`: the kind is dispatched and a custom expression
-        bound here, once, so a call does only the arithmetic."""
+        """h as a function of (t, u) alone at the nodes (x[, y]), y None on
+        an interval: the kind is dispatched and a custom expression bound
+        here, once, so a call does only the arithmetic."""
         s = self.scale
         if self.kind == "zero":
             return lambda t, u: np.zeros_like(u)
@@ -113,17 +104,11 @@ class ReactionTerm:
             return lambda t, u: s * u * np.log1p(u * u)
         if self.kind == "odd_cubic":
             return lambda t, u: s * u ** 3
-        bound = self.bind(x, y)
+        bound = _on_nodes(self.expr.bind, x, y)
         return lambda t, u: _nodal(bound(t=t, u=u), u)
 
-    def value(self, x, y, t, u, bound=None):
-        if self.kind != "custom":
-            return self.at_nodes(x, y)(t, u)
-        if bound is not None:
-            return _nodal(bound(t=t, u=u), u)
-        return _nodal(_on_nodes(self.expr, x, y, t=t, u=u), u)
-
-    def derivative(self, x, y, t, u, bound=None):
+    def derivative(self, x, y, t, u):
+        """h' at the nodes (x[, y]); a custom one is a central difference of :meth:`at_nodes`."""
         if self.kind == "zero":
             return np.zeros_like(u)
         if self.kind == "log_poly":
@@ -131,9 +116,9 @@ class ReactionTerm:
             return self.scale * (np.log1p(u2) + 2.0 * u2 / (1.0 + u2))
         if self.kind == "odd_cubic":
             return 3.0 * self.scale * u * u
+        h = self.at_nodes(x, y)
         step = 1e-7 * np.maximum(1.0, np.abs(u))
-        return (self.value(x, y, t, u + step, bound)
-                - self.value(x, y, t, u - step, bound)) / (2.0 * step)
+        return (h(t, u + step) - h(t, u - step)) / (2.0 * step)
 
 
 def _nodal(vals, u) -> np.ndarray:
@@ -147,10 +132,10 @@ def _refined(grid: SpatialGrid, factor: int) -> SpatialGrid:
                                       if n is not None))
 
 
-def _on_nodes(fn, x, y, **env):
+def _on_nodes(fn, x, y):
     """``fn`` (an expression, or its ``bind``) called at the nodes (x, y),
-    y None on an interval, with the other variables in ``env``."""
-    return fn(x=x, **env) if y is None else fn(x=x, y=y, **env)
+    y None on an interval."""
+    return fn(x=x) if y is None else fn(x=x, y=y)
 
 
 def _sample(expr: Expression, x, y) -> np.ndarray:
@@ -487,13 +472,12 @@ class TimeStepper:
         bnodes = node_coords(g, boundary=True)
         self._f_rows = _side_by_side([data_rows(sc.forcing, self._nodes) for sc in self.scenarios])
         self._b_rows = _side_by_side([data_rows(sc.boundary.data, bnodes) for sc in self.scenarios])
-        # each block's h and h' as functions of (t, u), coordinates bound once;
-        # h' (the full-Newton fallback) stays a ReactionTerm.derivative call,
+        # each block's h as a function of (t, u), coordinates bound once; h'
+        # (the full-Newton fallback) stays a ReactionTerm.derivative call,
         # which perfbench's tracer counts
         reactions = [sc.reaction for sc in self.scenarios]
         self._h_fns = [r.at_nodes(*self._nodes) for r in reactions]
-        self._dh_fns = [partial(r.derivative, *self._nodes, bound=r.bind(*self._nodes))
-                        for r in reactions]
+        self._dh_fns = [partial(r.derivative, *self._nodes) for r in reactions]
         if self.kind == ROBIN:
             self._g_bd = np.concatenate([op.g_coef[op.bindex] for op in ops])
         self._m_plus = sp.identity(self.A.shape[0], format="csr") + dt / 2 * self.A
@@ -723,6 +707,14 @@ class ConvergenceResult:
     def time_exact(self) -> bool:
         return math.isinf(self.p_time)
 
+    @property
+    def non_monotone(self) -> list[tuple[str, list]]:
+        """(ladder, errors) of each ladder whose errors, above rounding level, do not decrease."""
+        ladders = [(name, [e for _, e in errs])
+                   for name, errs in (("space", self.space_errors), ("time", self.time_errors))]
+        return [(name, vals) for name, vals in ladders
+                if any(b > a * 1.0000001 for a, b in zip(vals, vals[1:])) and max(vals) > 1e-11]
+
 
 def _sup_error(traj: Trajectory, exact: Expression) -> float:
     vals = traj.values.reshape(traj.n_samples, -1)
@@ -749,7 +741,8 @@ def convergence_order(scenario: Scenario, exact: Expression,
     slope in h is the combined order); the time ladder halves dt on the
     finest spatial grid, starting coarse enough for the time error to
     dominate.  Errors are sup-norms over all nodes and samples against
-    the exact expression.
+    the exact expression.  :attr:`ConvergenceResult.non_monotone` names
+    the ladders whose errors do not decrease.
     """
     if refinements < 3:
         raise ValueError("need at least 3 refinement levels for a slope")
@@ -760,9 +753,5 @@ def convergence_order(scenario: Scenario, exact: Expression,
 
     space_errors = [(sc.grid.h_max, _sup_error(solve(sc), exact)) for sc in space_cases]
     time_errors = [(sc.dt, _sup_error(solve(sc), exact)) for sc in time_cases]
-    for name, errs in (("space", space_errors), ("time", time_errors)):
-        vals = [e for _, e in errs]
-        if any(b > a * 1.0000001 for a, b in zip(vals, vals[1:])) and max(vals) > 1e-11:
-            warnings.warn(f"{name} errors do not decrease monotonically: {vals}")
     return ConvergenceResult(_slope(space_errors), _slope(time_errors),
                              space_errors, time_errors)

@@ -51,6 +51,17 @@ def superlinear_preset(n_x: int = 101, dt: float = 2e-3, horizon: float = 2.0,
         parse_expression("sin(pi*x)"))
 
 
+def open_loop_preset(c: float, u0: str, n_x: int = 101, dt: float = 1e-3,
+                     horizon: float = 1.0) -> Scenario:
+    """The backstepping plant u_t = u_xx + c u without feedback, as
+    ``simulate_closed_loop`` sets it up: zero forcing, zero Dirichlet data."""
+    zero = parse_expression("0")
+    return make_scenario(
+        grid_1d(n_x), horizon, dt,
+        Coefficients(parse_expression("1"), parse_expression(repr(-float(c)))),
+        reaction_zero(), zero, BoundarySpec(DIRICHLET, zero), parse_expression(u0))
+
+
 def step(state: Field, t: float, scenario: Scenario) -> Field:
     """One Crank-Nicolson step of ``scenario`` (its own dt) from the given state."""
     if state.grid != scenario.grid:

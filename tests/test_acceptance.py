@@ -62,7 +62,7 @@ from pdesup.solver import (
     solve,
 )
 
-from helpers import explicit_solution_preset
+from helpers import explicit_solution_preset, open_loop_preset
 
 E = parse_expression
 C_S, C_P = sobolev_constants_1d()
@@ -154,7 +154,7 @@ def test_criterion_2_constant_reproduction(tmp_path):
 
 
 def test_criterion_3_series_constant_oracle():
-    m = kernel_bound_constant(1.0, 1.0, 1e-12)
+    m = kernel_bound_constant(1.0, 1.0)
     lam = 2.0
     oracle = lam * iv(0, 4 * math.sqrt(lam))
     rel = abs(m - oracle) / oracle
@@ -170,7 +170,7 @@ def test_criterion_4_kernel_oracle_equivalence():
     t0 = time.monotonic()
     worst = 0.0
     for c, sig in [(1.0, 1.0), (10.0, 1.0), (15.0, 1.0)]:
-        k = kernel_series(c, sig, n_k=101, tol=1e-12)
+        k = kernel_series(c, sig, n_k=101)
         diff = 0.0
         for i, x in enumerate(k.x):
             for j in range(i + 1):
@@ -381,8 +381,7 @@ def backstep_results():
     g = grid_1d(101)
     zero = E("0")
     t0 = time.monotonic()
-    open_loop = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
-                                     g, 1e-3, 1.0, n_k=101, feedback=False)
+    open_loop = solve(open_loop_preset(15.0, "sin(pi*x)", 101, 1e-3, 1.0))
     clean = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
                                  g, 1e-3, 2.0, n_k=101)
     disturbed = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero,
@@ -393,7 +392,7 @@ def backstep_results():
 
 def test_criterion_8_backstepping(backstep_results):
     open_loop, clean, disturbed, elapsed = backstep_results
-    growth = sup_norm_space(open_loop.u.field(-1)) / sup_norm_space(open_loop.u.field(0))
+    growth = sup_norm_space(open_loop.field(-1)) / sup_norm_space(open_loop.field(0))
     ok = (growth >= 20.0 and clean.report.passed and disturbed.report.passed
           and elapsed < 60.0)
     assert _line(8, "backstepping closed loop", ok,

@@ -30,7 +30,10 @@ from pdesup.solver import (
     make_scenario,
     node_coords,
     reaction_zero,
+    solve,
 )
+
+from helpers import open_loop_preset
 
 E = parse_expression
 
@@ -67,7 +70,7 @@ def test_oracle_domain_check():
 
 @pytest.mark.parametrize("c,sigma", [(1.0, 1.0), (10.0, 1.0), (15.0, 1.0)])
 def test_series_matches_oracle(c, sigma):
-    k = kernel_series(c, sigma, n_k=101, tol=1e-12)
+    k = kernel_series(c, sigma, n_k=101)
     X, Y = np.meshgrid(k.x, k.x, indexing="ij")
     mask = Y <= X
     worst = 0.0
@@ -192,9 +195,8 @@ def test_closed_loop_zero_data():
 def test_closed_loop_stabilizes_and_open_loop_grows():
     g = grid_1d(101)
     zero = E("0")
-    open_loop = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
-                                     g, 1e-3, 1.0, n_k=101, feedback=False)
-    growth = sup_norm_space(open_loop.u.field(-1))
+    open_loop = solve(open_loop_preset(15.0, "sin(pi*x)", 101, 1e-3, 1.0))
+    growth = sup_norm_space(open_loop.field(-1))
     assert growth >= 20.0
     closed = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
                                   g, 1e-3, 2.0, n_k=101)
@@ -363,9 +365,9 @@ def _dense_series_values(lam, n_k, tol):
 
 @pytest.mark.parametrize("lam", [16.0, -16.0, 4.0, -4.0, 2.0, -2.0, 0.5])
 def test_series_matches_dense_polyval_reference(lam):
-    from pdesup.backstepping import _series_kernel
     ref, ref_terms = _dense_series_values(lam, 101, 1e-12)
-    k = _series_kernel(lam, 101, 1e-12)
+    # c + sigma = lam, and the inverse kernel's -(c + sigma) = lam
+    k = kernel_series(lam, 0.0, n_k=101) if lam > 0 else inverse_kernel_series(-lam, 0.0, n_k=101)
     assert k.terms_used == ref_terms
     assert np.max(np.abs(k.values - ref)) <= 1e-15 * np.max(np.abs(ref))
 

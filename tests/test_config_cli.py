@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -280,6 +281,30 @@ def test_gains_cli_values(tmp_path):
     assert rows["superlinear_gain"] == pytest.approx(36 * 2 ** 8.75, rel=1e-15)
 
 
+def test_gains_refuses_a_rectangle_without_embedding_constants(tmp_path, capsys):
+    p = _write(tmp_path, GAINS.replace("kind = interval", "kind = rectangle")
+               .replace("kind = dirichlet", "kind = robin"))
+    message = ("config error: 2-D bound checks need c_s and c_p in [check] "
+               "(conditional on supplied constants)\n")
+    for command in ("gains", "verify-iss"):
+        assert main([command, "--config", str(p), "--out", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "gains" / "gains.csv").exists()
+
+
+def test_gains_without_linear_gains_says_why(tmp_path, capsys):
+    p = _write(tmp_path, GAINS.replace("a = 1\nc = 1", "a = 1\nc = 0")
+               .replace("kind = dirichlet", "kind = robin"))
+    out = tmp_path / "out"
+    assert main(["gains", "--config", str(p), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == ("no l_f, l_d, decay_rate: gains undefined: "
+                                             "need c_min > 0 for Robin data (c_min 0)")
+    names = [line.split(",")[0] for line in (out / "gains.csv").read_text().splitlines()[1:]]
+    assert names == ["c_s_1d", "c_p_1d", "geometry_factor", "M", "C", "superlinear_gain"]
+
+
 def test_gains_csv_deterministic(tmp_path):
     p = _write(tmp_path, GAINS)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -311,6 +336,22 @@ def test_convergence_cli(tmp_path):
     orders = dict(line.split(",") for line in (out / "orders.csv").read_text().splitlines()[1:])
     assert float(orders["space"]) >= 1.9
     assert float(orders["time"]) >= 1.9
+
+
+def test_convergence_reports_non_monotone_ladders_on_stdout(tmp_path, capsys):
+    # the exact expression does not solve the scenario: neither ladder's errors decrease
+    p = _write(tmp_path, CONVERGENCE.replace("exact = sin(t)*sin(x)", "exact = 0.5*sin(3*t)"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["convergence", "--config", str(p), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
+    assert captured.out.splitlines()[1:] == [
+        f"{ladder} errors do not decrease monotonically: "
+        + ", ".join(error for name, _, error in rows if name == ladder)
+        for ladder in ("space", "time")]
 
 
 BACKSTEP = """
@@ -609,13 +650,18 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
      "[reaction] c0"),
     ("verify-iss", ISS_ROBIN + "\n[reaction]\nkind = custom\nexpr = u\nmonotone = maybe\n",
      "[reaction] monotone"),
+    ("verify-iss", ISS_ROBIN + "\n[reaction]\nkind = custom\nexpr = u\nlambda = nan\n",
+     "[reaction] lambda"),
+    ("verify-iss", ISS_ROBIN + "\n[reaction]\nkind = custom\nexpr = u\nlambda = inf\n",
+     "[reaction] lambda"),
 ], ids=["decay-c-zero", "decay-dt-nan", "decay-n_x-2", "decay-n_x-nan", "decay-empty-domain",
         "decay-nonzero-f", "iss-c-negative", "interval-d-y", "u0-t", "a-t", "interval-c-y",
         "backstep-d0-x", "cascade-shared-a-t", "interval-cascade-d-y", "backstep-c-negative",
         "backstep-sigma-zero", "convergence-refinements-2", "cascade-k-2.5", "decay-n_x-61.5",
         "iss-c_s-zero", "iss-c_s-nan", "iss-c_s-negative", "iss-c_p-inf", "iss-q-1", "iss-q-nan",
         "dirichlet-open-cascade-q-1", "gains-n-2", "gains-n-0", "iss-tol-nan", "iss-tol-negative",
-        "reaction-scale-nan", "reaction-scale-inf", "reaction-c0-nan", "reaction-monotone-maybe"])
+        "reaction-scale-nan", "reaction-scale-inf", "reaction-c0-nan", "reaction-monotone-maybe",
+        "reaction-lambda-nan", "reaction-lambda-inf"])
 def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
     # an exception escaping main() would be a traceback for the user

@@ -137,13 +137,11 @@ def test_superlinear_prelimit_converges_at_unit_volume():
 
 
 def test_kernel_bound_constant():
-    m = kernel_bound_constant(1.0, 1.0, 1e-12)
+    m = kernel_bound_constant(1.0, 1.0)
     assert m == pytest.approx(98.4171, abs=1e-4)
     # independent Bessel identity: lam * I0(4 sqrt(lam))
     lam = 2.0
     assert m == pytest.approx(lam * iv(0, 4 * math.sqrt(lam)), rel=1e-11)
-    # a tolerance above every term keeps only the leading c + sigma
-    assert kernel_bound_constant(0.5, 0.5, 1e9) == 1.0
     # strictly increasing in sigma
     assert kernel_bound_constant(1.0, 2.0) > kernel_bound_constant(1.0, 1.0)
     with pytest.raises(OverflowError):
@@ -153,7 +151,7 @@ def test_kernel_bound_constant():
 def test_kernel_bound_bessel_identity_more():
     for c, sig in [(0.3, 0.2), (5, 1), (15, 1)]:
         lam = c + sig
-        assert kernel_bound_constant(c, sig, 1e-12) == pytest.approx(
+        assert kernel_bound_constant(c, sig) == pytest.approx(
             lam * iv(0, 4 * math.sqrt(lam)), rel=1e-9)
 
 

@@ -193,8 +193,8 @@ def test_custom_reaction_matches_catalog():
                         growth_exponent=3.0, growth_constant=2.0)
     ref = reaction_log_poly()
     u = np.linspace(-5, 5, 41)
-    np.testing.assert_allclose(cust.value(u * 0, None, 0.0, u),
-                               ref.value(u * 0, None, 0.0, u), rtol=1e-12)
+    np.testing.assert_allclose(cust.at_nodes(u * 0, None)(0.0, u),
+                               ref.at_nodes(u * 0, None)(0.0, u), rtol=1e-12)
     np.testing.assert_allclose(cust.derivative(u * 0, None, 0.0, u),
                                ref.derivative(u * 0, None, 0.0, u), rtol=1e-5, atol=1e-7)
 

@@ -502,7 +502,7 @@ def _step_with_scales(st, reaction):
     scales = []
     for i in range(sc.n_steps):
         t = times[i]
-        h = reaction.value(x, y, t, u)
+        h = reaction.at_nodes(x, y)(t, u)
         h[st.op.bindex] = 0.0
         f0, f1 = data_rows(sc.forcing, node_coords(sc.grid))([t, t + sc.dt])
         rhs = u - sc.dt / 2 * (st.op.A @ u + h) + sc.dt / 2 * (f0 + f1)
@@ -530,19 +530,6 @@ def test_2d_chord_falls_back_to_full_newton(monkeypatch):
     assert len(calls) > 1  # the fallback factored Jacobians of its own
     assert len(st.residual_log) == sc.n_steps
     assert all(r <= 1e-12 * s for r, s in zip(st.residual_log, scales))
-
-
-def test_bound_custom_reaction_is_bitwise_unbound():
-    reaction = ReactionTerm("custom", expr=E("u*abs(u)+sin(3*x)*cos(y)*u^3+t*x", XYTU),
-                            growth_exponent=2.0)
-    X, Y = grid_2d(9, 11).meshes()
-    x, y = X.ravel(), Y.ravel()
-    u = np.random.default_rng(0).normal(size=x.size)
-    bound = reaction.bind(x, y)
-    assert _bitwise_equal(reaction.value(x, y, 0.3, u, bound), reaction.value(x, y, 0.3, u))
-    assert _bitwise_equal(reaction.derivative(x, y, 0.3, u, bound),
-                          reaction.derivative(x, y, 0.3, u))
-    assert reaction_odd_cubic().bind(x, y) is None
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +609,7 @@ def test_1d_linear_step_is_one_solve(monkeypatch, kind):
     def never(*args, **kwargs):
         raise AssertionError("a zero reaction was evaluated")
 
-    monkeypatch.setattr(ReactionTerm, "value", never)
+    monkeypatch.setattr(ReactionTerm, "at_nodes", lambda self, x, y: never)
     monkeypatch.setattr(ReactionTerm, "derivative", never)
     solves = _count(monkeypatch, "dgttrs")
     sc = _scenario_1d(a="1+0.2*x", f="0.1*sin(t)*x", kind=kind, d="0.05*t", n_x=41,
@@ -726,6 +713,13 @@ def test_step_refuses_a_state_of_the_wrong_shape():
             st.step_values(u, 0.0, None, None)
 
 
+def _reference_bind(r, x, y):
+    """ReactionTerm.bind as it was: the custom expression bound to the nodes."""
+    if r.kind != "custom":
+        return None
+    return r.expr.bind(x=x) if y is None else r.expr.bind(x=x, y=y)
+
+
 def _reference_value(r, x, y, t, u, bound=None):
     """ReactionTerm.value as it dispatched on the kind at every call."""
     if r.kind == "zero":
@@ -751,9 +745,10 @@ class _ReferenceStepper(TimeStepper):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        reactions = [(sc.reaction, sc.reaction.bind(*self._nodes)) for sc in self.scenarios]
+        reactions = [(sc.reaction, _reference_bind(sc.reaction, *self._nodes))
+                     for sc in self.scenarios]
         self._h_fns = [partial(_reference_value, r, *self._nodes, bound=b) for r, b in reactions]
-        self._dh_fns = [partial(r.derivative, *self._nodes, bound=b) for r, b in reactions]
+        self._dh_fns = [partial(r.derivative, *self._nodes) for r, _ in reactions]
         self._interior_mask = np.ones(self.A.shape[0], dtype=bool)
         if self.kind == DIRICHLET:
             self._interior_mask[self.bindex] = False
