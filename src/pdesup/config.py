@@ -23,6 +23,7 @@ from .solver import (
     ConfigError,
     ReactionTerm,
     Scenario,
+    growth_exponent_cap,
     make_scenario,
     reaction_log_poly,
     reaction_odd_cubic,
@@ -145,11 +146,23 @@ _CATALOG = {"zero": lambda scale: reaction_zero(), "log_poly": reaction_log_poly
             "odd_cubic": reaction_odd_cubic}
 
 
+def _catalog_reaction(cp, key, kind, scale) -> ReactionTerm:
+    """The catalog reaction ``kind``, refused under ``key`` where the growth
+    exponent it implies exceeds the domain's cap."""
+    reaction = _CATALOG[kind](scale)
+    dim = len(_space(cp))
+    cap = growth_exponent_cap(dim)
+    if reaction.growth_exponent > cap:
+        raise ConfigError(f"{key}: {kind} implies growth exponent {reaction.growth_exponent}, "
+                          f"outside [1, {cap}] for dimension {dim}")
+    return reaction
+
+
 def reaction_from_config(cp) -> ReactionTerm:
     kind = cp.get("reaction", "kind", fallback="zero").strip()
     scale = _finite(cp, "reaction", "scale", 1.0)
     if kind in _CATALOG:
-        return _CATALOG[kind](scale)
+        return _catalog_reaction(cp, "[reaction] kind", kind, scale)
     if kind == "custom":
         expr = _expr(cp, "reaction", "expr", variables=_space(cp) + ("t", "u"))
         if expr is None:
@@ -243,7 +256,7 @@ def cascade_from_config(cp, settings: CheckSettings | None = None) -> CascadeSpe
         rx_kind = cp.get("cascade", f"reaction_{j}", fallback="zero").strip()
         if rx_kind not in _CATALOG:
             raise ConfigError(f"unknown cascade reaction {rx_kind!r}")
-        reaction = _CATALOG[rx_kind](1.0)
+        reaction = _catalog_reaction(cp, f"[cascade] reaction_{j}", rx_kind, 1.0)
         subs.append(SubsystemSpec(coeffs, reaction, u0))
     external_d = _expr(cp, "cascade", "d")
     external_f = _expr(cp, "cascade", "f")

@@ -12,7 +12,12 @@ midpoints half a cell outside the domain).  Time stepping is
 Crank-Nicolson with M+ = I + dt/2 A factored once per stepper, at its
 scenario's dt; the nonlinear reaction is handled by a chord Newton
 iteration per step with a damped full-Newton fallback, on intervals and
-rectangles alike (see TimeStepper).
+rectangles alike (see TimeStepper).  Every sparse factorization (M+ off
+a single interval, and the fallback's Jacobians) goes through
+:func:`_sparse_lu`: minimum-degree ordering on Aᵀ+A, which suits the
+structurally symmetric five-point pattern, and no pivoting when every
+row is strictly diagonally dominant, as one scenario's M+ is whenever
+1 + dt/2 c > 0: elimination then needs none.
 Dirichlet values are imposed strongly, and no compatibility between the
 initial and boundary data is required - an initial-instant mismatch is
 absorbed over the first few steps.
@@ -249,6 +254,11 @@ class Scenario:
         return np.linspace(0.0, self.n_steps * self.dt, self.n_steps + 1)
 
 
+def growth_exponent_cap(dim: int) -> float:
+    """The largest growth exponent of h the bounds admit on a ``dim``-D domain."""
+    return 1.0 + 2.0 / dim
+
+
 def make_scenario(grid: SpatialGrid, horizon: float, dt: float,
                   coefficients: Coefficients, reaction: ReactionTerm,
                   forcing: Expression, boundary: BoundarySpec,
@@ -274,7 +284,7 @@ def make_scenario(grid: SpatialGrid, horizon: float, dt: float,
         where = " at " + ", ".join(f"{k}={c:.6g}" for k, c in zip("xy", at)) if at else ""
         raise ConfigError(f"{subject} is {problem}{where} (value {v:.6g})")
     (a_min, _), (c_min, _), (m_min, _) = minima
-    lam_cap = 1.0 + 2.0 / grid.dim
+    lam_cap = growth_exponent_cap(grid.dim)
     if not 1.0 <= reaction.growth_exponent <= lam_cap + 1e-12:
         raise ConfigError(
             f"growth exponent {reaction.growth_exponent} outside [1, {lam_cap}] for dimension {grid.dim}")
@@ -411,9 +421,15 @@ class TimeStepper:
     residual of every step.
 
     ``M+ = I + dt/2 A`` is factored once, here, at the scenario's ``dt``:
-    LAPACK ``dgttrf`` on its three diagonals on an interval, ``splu``
-    otherwise.  A linear step is one solve with those factors.  A step
-    meets the tolerance ``1e-12 max(1, |rhs|)`` within 50 Newton
+    LAPACK ``dgttrf`` on its three diagonals on an interval, SuperLU
+    otherwise, through :func:`_sparse_lu`: minimum degree on ``Aᵀ + A``,
+    and no pivoting, in symmetric mode, when every row of the matrix is
+    strictly diagonally dominant, which keeps the elimination's growth
+    factor at most 2.  One scenario's ``M+`` is dominant for every ``dt``
+    when ``c >= 0``; a negative ``c`` or a cycle's coupling may break
+    that, and then threshold pivoting is kept.  The full-Newton Jacobians
+    follow the same rule.  A linear step is one solve with those factors.
+    A step meets the tolerance ``1e-12 max(1, |rhs|)`` within 50 Newton
     iterations (see :meth:`_measure`).  With a reaction each
     step iterates the chord (simplified) Newton step
     ``v += M+^{-1}(-F(v))`` (Kelley, *Iterative Methods for Linear and
@@ -489,7 +505,7 @@ class TimeStepper:
                 raise SolverError(f"M+ is singular for dt={dt:.6g}")
             self._solve = lambda b: dgttrs(*factors, b)[0]
         else:
-            self._solve = splu(self._m_plus.tocsc()).solve
+            self._solve = _sparse_lu(self._m_plus).solve
 
     def _cycle_coupling(self, ops) -> sp.csr_matrix:
         """The block K[j, j-1] that feeds field j-1 into block j, for every j.
@@ -556,7 +572,7 @@ class TimeStepper:
             ab = np.zeros((3, self.op.n))
             ab[0, 1:], ab[1], ab[2, :-1] = upper, diag + hp, lower
             return solve_banded((1, 1), ab, b)
-        return splu((self._m_plus + sp.diags(hp)).tocsc()).solve(b)
+        return _sparse_lu(self._m_plus + sp.diags(hp)).solve(b)
 
     def step_values(self, u: np.ndarray, t: float, f_pair, b_pair) -> np.ndarray:
         """Advance nodal values from t to t+dt; returns the new values.
@@ -656,6 +672,23 @@ class TimeStepper:
         shape = (times.size, *sc.grid.shape)
         return [Trajectory(sc.grid, times, out[:, j * n:(j + 1) * n].reshape(shape))
                 for j in range(self.k)]
+
+
+def _sparse_lu(m):
+    """SuperLU factors of ``m``, ordered by minimum degree on ``mᵀ + m``.
+
+    A matrix whose every row is strictly diagonally dominant is factored
+    without pivoting, in symmetric mode: elimination then keeps the
+    dominance and its growth factor is at most 2 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §9.5).  Any other keeps SuperLU's
+    threshold pivoting.
+    """
+    m = m.tocsc()
+    diag = np.abs(m.diagonal())
+    if np.all(diag > abs(m) @ np.ones(m.shape[0]) - diag):
+        return splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+    return splu(m, permc_spec="MMD_AT_PLUS_A")
 
 
 def _sup(fv) -> float:

@@ -71,6 +71,8 @@ d = 0.05
 kind = robin
 """
 
+_RECT_ISS_ROBIN = ISS_ROBIN.replace("kind = interval", "kind = rectangle")
+
 RKES_PAIR = """
 [domain]
 kind = interval
@@ -654,6 +656,11 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
      "[reaction] lambda"),
     ("verify-iss", ISS_ROBIN + "\n[reaction]\nkind = custom\nexpr = u\nlambda = inf\n",
      "[reaction] lambda"),
+    # a catalog kind implies growth exponent 3, above the cap 2 on a rectangle
+    ("verify-iss", _RECT_ISS_ROBIN + "\n[reaction]\nkind = log_poly\n", "[reaction] kind"),
+    ("verify-iss", _RECT_ISS_ROBIN + "\n[reaction]\nkind = odd_cubic\n", "[reaction] kind"),
+    ("cascade", CASCADE.replace("kind = interval", "kind = rectangle") + "reaction_2 = log_poly\n",
+     "[cascade] reaction_2"),
 ], ids=["decay-c-zero", "decay-dt-nan", "decay-n_x-2", "decay-n_x-nan", "decay-empty-domain",
         "decay-nonzero-f", "iss-c-negative", "interval-d-y", "u0-t", "a-t", "interval-c-y",
         "backstep-d0-x", "cascade-shared-a-t", "interval-cascade-d-y", "backstep-c-negative",
@@ -661,7 +668,8 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
         "iss-c_s-zero", "iss-c_s-nan", "iss-c_s-negative", "iss-c_p-inf", "iss-q-1", "iss-q-nan",
         "dirichlet-open-cascade-q-1", "gains-n-2", "gains-n-0", "iss-tol-nan", "iss-tol-negative",
         "reaction-scale-nan", "reaction-scale-inf", "reaction-c0-nan", "reaction-monotone-maybe",
-        "reaction-lambda-nan", "reaction-lambda-inf"])
+        "reaction-lambda-nan", "reaction-lambda-inf", "rect-reaction-log_poly",
+        "rect-reaction-odd_cubic", "rect-cascade-reaction-log_poly"])
 def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
     # an exception escaping main() would be a traceback for the user
@@ -674,6 +682,16 @@ def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
         # destabilizing c: simulated, nothing asserted, and the report says so
         assert code == 0
         assert (out / "report.csv").read_text().splitlines()[1].startswith("iss,not-asserted,")
+
+
+@pytest.mark.parametrize("command", ["verify-iss", "gains"])
+@pytest.mark.parametrize("kind", ["log_poly", "odd_cubic"])
+def test_catalog_reaction_on_a_rectangle_names_its_kind(tmp_path, capsys, command, kind):
+    text = _RECT_ISS_ROBIN + f"\n[reaction]\nkind = {kind}\n"
+    assert main([command, "--config", str(_write(tmp_path, text)),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"config error: [reaction] kind: {kind} implies growth "
+                                       "exponent 3.0, outside [1, 2.0] for dimension 2\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

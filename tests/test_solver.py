@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import pdesup.solver as solver_mod
 from pdesup.cascade import SubsystemSpec, build_cascade
@@ -471,7 +472,7 @@ def _count(monkeypatch, name):
     real, calls = getattr(solver_mod, name), []
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver_mod, name, counting)
@@ -528,8 +529,48 @@ def test_2d_chord_falls_back_to_full_newton(monkeypatch):
     st = TimeStepper(sc)
     scales = _step_with_scales(st, reaction)
     assert len(calls) > 1  # the fallback factored Jacobians of its own
+    _assert_factor_rule(calls[1:])
     assert len(st.residual_log) == sc.n_steps
     assert all(r <= 1e-12 * s for r, s in zip(st.residual_log, scales))
+
+
+_NO_PIVOTING = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+_THRESHOLD_PIVOTING = dict(permc_spec="MMD_AT_PLUS_A")
+
+
+def _row_dominant(m) -> bool:
+    d = np.abs(m.toarray())
+    return bool(np.all(2 * np.diag(d) > d.sum(axis=1)))
+
+
+def _assert_factor_rule(calls):
+    """Each recorded ``splu`` call ordered by minimum degree on Aᵀ+A, and
+    without pivoting, in symmetric mode, exactly when its matrix is
+    strictly diagonally dominant by rows."""
+    assert calls
+    for (m,), kwargs in calls:
+        assert kwargs == (_NO_PIVOTING if _row_dominant(m) else _THRESHOLD_PIVOTING)
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("c, dt, n, dominant", [
+    ("1+x*y", 1e-2, 17, True),
+    # c negative enough that only the Dirichlet identity rows stay dominant
+    ("-30", 0.1, 21, False),
+], ids=["dominant", "c-negative"])
+def test_2d_factor_rule_steps_like_default_splu(monkeypatch, kind, c, dt, n, dominant):
+    sc = make_scenario(grid_2d(n, n), 10 * dt, dt, Coefficients(E("1+0.5*x*y"), E(c), E("1")),
+                       reaction_zero(), E("0.1*sin(t)*x*y"), BoundarySpec(kind, E("0.05*t*x")),
+                       E("sin(pi*x)*sin(pi*y)"))
+    ref = TimeStepper(sc)
+    ref._solve = splu(ref._m_plus.tocsc()).solve  # COLAMD, threshold pivoting
+    calls = _count(monkeypatch, "splu")
+    st = TimeStepper(sc)
+    assert len(calls) == 1 and _row_dominant(st._m_plus) == dominant
+    assert calls[0][1] == (_NO_PIVOTING if dominant else _THRESHOLD_PIVOTING)
+    got, expect = st.solve().values, ref.solve().values
+    assert np.all(np.abs(got - expect) <= 1e-12 * np.maximum(1.0, np.abs(expect)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,17 @@ size for each seed, and runs them one after another in-process through
 go to ``OUT/<parent|change>/<workload>/seed<k>/<index>-<command>/``.  The
 two output trees are then compared byte for byte: every file that differs
 or exists on one side only is listed, and the exit code is 1 if there is
-any.  ``--out`` defaults to a fresh temporary directory.
+any.  A differing CSV that both sides read as numbers is listed with its
+largest relative move ``|b - a| / max(1, |a|)`` (see :func:`largest_move`),
+so that a rounding-level move can be told from a real change.  ``--out``
+defaults to a fresh temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import filecmp
 import io
 import os
@@ -69,6 +73,31 @@ def differing(a: Path, b: Path) -> tuple[int, list[str]]:
     return len(files_a | files_b), bad
 
 
+def largest_move(a: Path, b: Path) -> float | None:
+    """The largest ``|y - x| / max(1, |x|)`` over the cells where CSV ``a``
+    holds x and CSV ``b`` holds y; infinite where that is not a number.
+
+    None unless both files have the same rows of the same lengths, and
+    every pair of cells is either one text twice or two numbers.
+    """
+    rows_a, rows_b = (list(csv.reader(p.read_text(encoding="utf-8").splitlines()))
+                      for p in (a, b))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return None
+    move = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                return None
+            d = abs(y - x) / max(1.0, abs(x))
+            move = max(move, d if d == d else float("inf"))
+    return move
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path, help="source tree of the parent commit")
@@ -88,7 +117,9 @@ def main() -> int:
                         *map(str, args.seeds)], env=env, check=True)
     n, bad = differing(out / "parent", out / "change")
     for path in bad:
-        print(f"differs: {path}")
+        a, b = out / "parent" / path, out / "change" / path
+        move = largest_move(a, b) if path.endswith(".csv") and a.is_file() and b.is_file() else None
+        print(f"differs: {path}" + ("" if move is None else f" (largest relative move {move:.2g})"))
     print(f"{n} files compared under {out}; {len(bad)} differ")
     return 1 if bad else 0
 
