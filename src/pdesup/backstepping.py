@@ -40,6 +40,7 @@ from .harness import Report, build_report, data_running_sup
 from .solver import (
     BoundarySpec,
     Coefficients,
+    SolverError,
     TimeStepper,
     data_rows,
     make_scenario,
@@ -159,7 +160,8 @@ def _series_kernel(c: float, sigma: float, n_k: int, inverse: bool) -> Kernel:
     Each iterate is homogeneous of odd degree d, so it is stored as the
     vector c with c[j] the coefficient of xi^j eta^(d-j).  The sum stops
     at a term below :data:`SERIES_TOL`, and must vanish on y = 0 and stay
-    within :func:`kernel_bound_constant`.
+    within :func:`kernel_bound_constant`; a sum that fails any of these
+    raises :class:`~pdesup.solver.SolverError`.
     """
     if n_k < 11:
         raise ValueError("kernel grid needs at least 11 nodes per edge")
@@ -186,13 +188,13 @@ def _series_kernel(c: float, sigma: float, n_k: int, inverse: bool) -> Kernel:
         if float(np.max(np.abs(vals))) < SERIES_TOL:
             break
         if n_terms >= MAX_SERIES_TERMS:
-            raise RuntimeError(f"kernel series did not converge within {MAX_SERIES_TERMS} terms")
+            raise SolverError(f"kernel series did not converge within {MAX_SERIES_TERMS} terms")
     k = Kernel(lam, x, total_vals, n_terms)
     edge = float(np.max(np.abs(k.values[:, 0])))
     if edge > 1e-9:
-        raise AssertionError(f"kernel bottom edge not zero (max {edge:.3e})")
+        raise SolverError(f"kernel bottom edge not zero (max {edge:.3e})")
     if k.triangle_max_abs() > kernel_bound_constant(c, sigma) + SERIES_TOL:
-        raise AssertionError("kernel magnitude exceeds its series bound")
+        raise SolverError("kernel magnitude exceeds its series bound")
     return k
 
 
@@ -357,8 +359,7 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
     u0_sup = observed[0]
     f_sups = data_running_sup(f, nodes, times)
     d0_run, d1_run = np.maximum.accumulate(np.abs(d_vals), axis=0).T
-    bounds = [closed_loop_iss_bound(t, u0_sup, f_sups[i], d0_run[i], d1_run[i], c, sigma)
-              for i, t in enumerate(times)]
+    bounds = closed_loop_iss_bound(times, u0_sup, f_sups, d0_run, d1_run, c, sigma)
     report = build_report("closed-loop", [(u_traj, observed, bounds)], tol, grid, dt)
     return ClosedLoopResult(u_traj, w_traj, report, kernel, controls)
 

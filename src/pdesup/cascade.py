@@ -17,8 +17,9 @@ subsystem, each within its own Newton tolerance (see
 when the corresponding small-gain constant exceeds one; otherwise the
 verdict is "not-asserted" and raw norms are still recorded.
 :func:`verify_cascade` hands one ``(trajectory, observed, bounds)`` part
-per subsystem and form to :func:`pdesup.harness.build_report`, labelled
-by the ``subsystem`` and ``form`` columns of the report's details.
+per subsystem and form, its bounds from one call of the chain bound
+:func:`pdesup.gains.cascade_bound`, to :func:`pdesup.harness.build_report`,
+labelled by the ``subsystem`` and ``form`` columns of the report's details.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ import numpy as np
 
 from .core import DIRICHLET, ROBIN, SpatialGrid, Trajectory
 from .expressions import ZERO, Expression
-from .gains import (
-    cascade_bound_dirichlet,
-    cascade_bound_robin,
-    embedding_constants,
-    small_gain_boundary,
-    small_gain_domain,
-)
+from .gains import cascade_bound, embedding_constants, small_gain_boundary, small_gain_domain
 from .harness import NOT_ASSERTED, Report, build_report, data_running_sup, sample_details
 from .solver import (
     BoundarySpec,
@@ -216,33 +211,28 @@ def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) ->
         return Report("cascade", NOT_ASSERTED, math.nan, None, len(details), details,
                       notes=f"{why}; raw norms recorded")
 
-    # the external inputs, read off the scenarios (zero data in a cycle)
-    robin = spec.boundary_kind == ROBIN
-    nodes, bnodes = node_coords(spec.grid), node_coords(spec.grid, boundary=True)
+    # subsystem 1's external input and the per-subsystem boundary tails,
+    # read off the scenarios (zero data in a cycle; a Robin chain has no tails)
     first = spec.scenarios[0]
-    if robin:
-        d_run = data_running_sup(first.boundary.data, bnodes, times)
+    bnodes = node_coords(spec.grid, boundary=True)
+    if spec.boundary_kind == ROBIN:
+        ext = data_running_sup(first.boundary.data, bnodes, times)
+        d_runs = [np.zeros(times.size)] * spec.k
     else:
-        f_run = data_running_sup(first.forcing, nodes, times)
+        ext = data_running_sup(first.forcing, node_coords(spec.grid), times)
         d_runs = [data_running_sup(sc.boundary.data, bnodes, times) for sc in spec.scenarios]
 
     parts, subsystems, forms = [], [], []
     for j, tr in zip(k, trajectories):
         c_min_j = spec.scenarios[j - 1].bounds.c_min
-        phi_j = spec.phis[j - 1] if not cycle else spec.phis[-1]
+        phi_j = spec.phis[-1] if cycle else spec.phis[j - 1]
+        tails = d_runs if cycle else d_runs[:j]
         sups = tr.sup_space_per_sample()
         checks = [("spacetime", np.maximum.accumulate(sups), 0.0)]
         if c_min_j > 0:
             checks.append(("spatial", sups, c_min_j))
         for form, observed, c in checks:
-            if robin:
-                bounds = [cascade_bound_robin(j, phi_j, d_run[i], spec.small_gain, c, t, mode)
-                          for i, t in enumerate(times.tolist())]
-            else:
-                upstream = d_runs[:j] if spec.topology == DIRICHLET_OPEN else d_runs
-                bounds = [cascade_bound_dirichlet(j, phi_j, f_run[i], [d[i] for d in upstream],
-                                                  spec.small_gain, c, t, mode)
-                          for i, t in enumerate(times.tolist())]
+            bounds = cascade_bound(j, phi_j, ext, tails, spec.small_gain, c, times, mode)
             parts.append((tr, observed, bounds))
             subsystems.append(j)
             forms.append(form)

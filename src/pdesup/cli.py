@@ -4,7 +4,8 @@ Commands: simulate, gains, verify-iss, verify-rkes, verify-decay,
 backstep, cascade, convergence.  Exit codes: 0 all checks pass (or
 nothing asserted), 1 a bound check failed, 2 configuration or parse
 error, 3 numerical failure (a Newton step that fails, non-finite values,
-or an array too large for memory).
+a kernel series that fails its checks or overflows, or an array too
+large for memory).
 
 CSV outputs are byte-deterministic for a fixed config and version:
 floats are printed with repr-faithful 17 significant digits, UTF-8,
@@ -240,6 +241,14 @@ def cmd_backstep(cp, out: Path, settings, args) -> int:
     if settings.c is None or settings.sigma is None:
         raise ConfigError("[check] needs c and sigma for the closed loop")
     sc = scenario_from_config(cp)
+    if sc.dim != 1:
+        raise ConfigError("[domain] kind: backstep needs the unit interval, not a rectangle")
+    dom = sc.grid.domain
+    for key, value, end in (("x_lo", dom.x_lo, 0.0), ("x_hi", dom.x_hi, 1.0)):
+        if value != end:
+            raise ConfigError(f"[domain] {key}: backstep needs {key} = {end:g}, got {value!r}")
+    if sc.boundary.kind != DIRICHLET:  # the loop sets u(0) = d0 and u(1) = d1 + U
+        raise ConfigError(f"[boundary] kind: backstep needs dirichlet, got {sc.boundary.kind}")
     d0 = _expr(cp, "disturbances", "d0", "0", ("t",))
     d1 = _expr(cp, "disturbances", "d1", "0", ("t",))
     res = backstepping.simulate_closed_loop(
@@ -330,7 +339,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except SolverError as e:
+    except (SolverError, OverflowError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as e:

@@ -5,12 +5,13 @@ form: 1-D embedding constants, the domain geometry factor, linear RKES
 gains for Robin and Dirichlet boundary data, exponential ISS envelopes,
 the super-linear in-domain gain for flat-boundary domains in dimension
 n >= 3, the kernel bound constant for the stabilizing boundary feedback,
-and the small-gain constants plus bound formulas for boundary- and
-domain-coupled cascades.
+and the small-gain constants plus the one chain bound
+(:func:`cascade_bound`) for boundary- and domain-coupled cascades.
 
 ``q`` is the free integrability exponent of the underlying embedding;
-``math.inf`` selects its limit value (the 1-D default).  All evaluators
-are pure and cheap enough to call inside per-sample check loops.
+``math.inf`` selects its limit value (the 1-D default).  The envelopes
+are pure array formulas: times and sups may be arrays, one entry per
+sample, each entry bitwise what a scalar call gives.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .core import DIRICHLET, ROBIN, ConfigError
 
@@ -145,21 +148,21 @@ def dirichlet_tau(a_min: float, c_min: float, c_s: float, c_p: float) -> float:
 
 
 def _check_sups(*vals):
-    for v in vals:
-        if v < 0:
-            raise ValueError("sup-norm inputs must be nonnegative")
+    """Refuse a negative entry in any of ``vals`` (scalars or arrays)."""
+    if any(np.any(np.asarray(v) < 0) for v in vals):
+        raise ValueError("sup-norm inputs must be nonnegative")
 
 
-def iss_bound(t: float, u0_sup: float, f_sup: float, d_sup: float, g: GainSet) -> float:
-    """Exponential ISS envelope e^(-c t) u0_sup + l_f f_sup + l_d d_sup at time t.
+def iss_bound(t, u0_sup, f_sup, d_sup, g: GainSet):
+    """Exponential ISS envelope e^(-c t) u0_sup + l_f f_sup + l_d d_sup at the times t.
 
     One form for both boundary kinds: a Dirichlet gain set has l_d = 1,
-    and its envelope needs c_min > 0.
+    and its envelope needs c_min > 0.  ``t`` and the sups may be arrays.
     """
     if g.boundary_kind == DIRICHLET and g.decay_rate <= 0:
         raise ValueError("Dirichlet ISS envelope requires c_min > 0")
     _check_sups(t, u0_sup, f_sup, d_sup)
-    return u0_sup * math.exp(-g.decay_rate * t) + g.l_f * f_sup + g.l_d * d_sup
+    return u0_sup * np.exp(-g.decay_rate * t) + g.l_f * f_sup + g.l_d * d_sup
 
 
 def superlinear_gain(n: int, volume: float) -> float:
@@ -235,19 +238,19 @@ def closed_loop_forcing_gain(c: float) -> float:
     return min(8.0 * s2 / math.pi, 2.0 * s2 / min(1.0, c))
 
 
-def closed_loop_iss_bound(t: float, u0_sup: float, f_sup: float, d0_sup: float,
-                          d1_sup: float, c: float, sigma: float) -> float:
+def closed_loop_iss_bound(t, u0_sup, f_sup, d0_sup, d1_sup, c: float, sigma: float):
     """Exponential ISS envelope of the backstepping closed loop.
 
     (1+M) * ((1+M) u0_sup e^(-sigma t) + C f_sup + d0_sup + d1_sup) with
-    M the kernel bound constant and C the closed-loop forcing gain.
+    M the kernel bound constant and C the closed-loop forcing gain;
+    ``t`` and the sups may be arrays.
     """
     if c <= 0 or sigma <= 0:
         raise ValueError("c and sigma must be positive")
     _check_sups(t, u0_sup, f_sup, d0_sup, d1_sup)
     m = kernel_bound_constant(c, sigma)
     cgain = closed_loop_forcing_gain(c)
-    return (1.0 + m) * ((1.0 + m) * u0_sup * math.exp(-sigma * t)
+    return (1.0 + m) * ((1.0 + m) * u0_sup * np.exp(-sigma * t)
                         + cgain * f_sup + d0_sup + d1_sup)
 
 
@@ -292,50 +295,31 @@ def open_chain_coefficient(gain: float, j: int) -> float:
     return total
 
 
-def cascade_bound_robin(j: int, phi_j: float, d_sup: float, gain: float,
-                        c_min_j: float, t: float, mode: str) -> float:
-    """Bound for subsystem j of a boundary-coupled chain.
+def cascade_bound(j: int, phi_j, input_sup, d_sups, gain: float, c_min_j: float, t,
+                  mode: str):
+    """Bound for subsystem j of a chain coupled on the boundary or over the domain.
 
-    Open chains telescope the initial-data constant against the
-    external boundary input; cycles need gain > 1 and bound every
-    subsystem by gain/(gain-1) times the largest initial sup.  A
-    positive ``c_min_j`` multiplies the initial-data term by its decay
-    envelope (the spatial form); zero selects the space-time form.
+    ``input_sup`` is the sup of subsystem 1's external input (Robin:
+    boundary data; Dirichlet: forcing), ``d_sups`` the per-subsystem
+    boundary sups (length j for open chains, k for cycles; zeros for a
+    Robin chain).  Open chains telescope the initial-data constant
+    against the inputs; cycles need gain > 1, take no input and bound
+    every subsystem by gain/(gain-1) times the largest initial sup plus
+    the boundary tail.  A positive ``c_min_j`` multiplies the
+    initial-data term by its decay envelope (the spatial form); zero
+    selects the space-time form.  ``t`` and the sups may be arrays.
     """
-    _check_sups(phi_j, d_sup, t)
-    if mode == "open":
-        coeff = open_chain_coefficient(gain, j)
-        decay = math.exp(-c_min_j * t) if c_min_j > 0 else 1.0
-        return coeff * phi_j * decay + d_sup / gain ** j
-    if mode == "cycle":
-        if gain <= 1:
-            raise ValueError("small-gain condition violated")
-        decay = math.exp(-c_min_j * t) if c_min_j > 0 else 1.0
-        return gain / (gain - 1.0) * phi_j * decay
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def cascade_bound_dirichlet(j: int, phi_j: float, f_sup: float, d_sups,
-                            gain: float, c_min_j: float, t: float, mode: str) -> float:
-    """Bound for subsystem j of a domain-coupled chain.
-
-    ``d_sups`` holds the per-subsystem external boundary sups: length j
-    for open chains, length k for cycles.
-    """
-    d_sups = list(d_sups)
-    _check_sups(phi_j, f_sup, t, *d_sups)
+    _check_sups(phi_j, input_sup, t, *d_sups)
+    decay = np.exp(-c_min_j * t) if c_min_j > 0 else 1.0
     if mode == "open":
         if len(d_sups) != j:
             raise ValueError("open chain needs one boundary sup per upstream subsystem")
-        coeff = open_chain_coefficient(gain, j)
-        decay = math.exp(-c_min_j * t) if c_min_j > 0 else 1.0
         tail = sum(d_sups[i - 1] / gain ** (j - i) for i in range(1, j + 1))
-        return coeff * phi_j * decay + f_sup / gain ** j + tail
+        return open_chain_coefficient(gain, j) * phi_j * decay + input_sup / gain ** j + tail
     if mode == "cycle":
         if gain <= 1:
             raise ValueError("small-gain condition violated")
         k = len(d_sups)
-        decay = math.exp(-c_min_j * t) if c_min_j > 0 else 1.0
         tail = sum(d_sups[i - 1] / gain ** (k - i) for i in range(1, k + 1))
         gk = gain ** k
         return gain / (gain - 1.0) * phi_j * decay + gk / (gk - 1.0) * tail

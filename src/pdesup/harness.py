@@ -1,12 +1,13 @@
 """Bound-verification engine.
 
-Each checker compares a simulated trajectory against an explicit
-envelope at every stored sample and hands ``(trajectory, observed,
-bounds)`` arrays to :func:`build_report`, the one place where margins,
-tolerances, the verdict and the witness are computed.  Margins are
-``bound - observed``; a check passes when every margin clears ``-tol``
-where the default tolerance combines a relative term with an estimated
-discretization slack:
+Each checker evaluates its explicit envelope at every stored sample in
+one array call (the :mod:`pdesup.gains` evaluators take the sample
+arrays) and hands ``(trajectory, observed, bounds)`` arrays to
+:func:`build_report`, the one place where margins, tolerances, the
+verdict and the witness are computed.  Margins are ``bound - observed``;
+a check passes when every margin clears ``-tol`` where the default
+tolerance combines a relative term with an estimated discretization
+slack:
 
     tol = 1e-6 * (1 + bound) + 10 * (h^2 + dt^2)
 
@@ -23,7 +24,7 @@ the level-set diagnostic for sup-norm conclusions live here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,20 +146,8 @@ def check_iss(traj: Trajectory, scenario: Scenario, g: GainSet | None,
         f_sups = running_sup_forcing(scenario, traj.times)
     if d_sups is None:
         d_sups = running_sup_boundary(scenario, traj.times)
-    bounds = [iss_bound(t, u0_sup, f_sups[i], d_sups[i], g) for i, t in enumerate(traj.times)]
+    bounds = iss_bound(traj.times, u0_sup, f_sups, d_sups, g)
     return build_report("iss", [(traj, observed, bounds)], tol, scenario.grid, scenario.dt)
-
-
-def _require_same_but_disturbances(sc1: Scenario, sc2: Scenario):
-    same = (sc1.grid == sc2.grid and sc1.dt == sc2.dt and sc1.horizon == sc2.horizon
-            and sc1.coefficients.a == sc2.coefficients.a
-            and sc1.coefficients.c == sc2.coefficients.c
-            and sc1.coefficients.m == sc2.coefficients.m
-            and sc1.reaction == sc2.reaction
-            and sc1.boundary.kind == sc2.boundary.kind
-            and sc1.u0 == sc2.u0)
-    if not same:
-        raise ValueError("scenarios differ beyond the disturbance pair (f, d)")
 
 
 def rkes_gains_defined(scenario: Scenario) -> bool:
@@ -183,7 +172,9 @@ def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = 
     """
     traj1, traj2 = traj_pair
     sc1, sc2 = scenario_pair
-    _require_same_but_disturbances(sc1, sc2)
+    same_data = replace(sc2.boundary, data=sc1.boundary.data)
+    if replace(sc2, forcing=sc1.forcing, boundary=same_data) != sc1:
+        raise ValueError("scenarios differ beyond the disturbance pair (f, d)")
     if g is None:
         return Report("rkes", NOT_ASSERTED, math.nan, None, 0, notes=gains_undefined_note(sc1))
     d = diff_trajectory(traj1, traj2)

@@ -52,7 +52,8 @@ MINIMUM_SAMPLING_FACTOR = 10  # coefficient minima sampled at 10x grid resolutio
 
 
 class SolverError(RuntimeError):
-    """A Newton step that fails or meets non-finite values; carries the residual history."""
+    """A Newton step that fails or meets non-finite values, or a kernel series that
+    fails its checks; carries the residual history (empty for a kernel)."""
 
     def __init__(self, message, history=None):
         super().__init__(message)

@@ -661,6 +661,12 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
     ("verify-iss", _RECT_ISS_ROBIN + "\n[reaction]\nkind = odd_cubic\n", "[reaction] kind"),
     ("cascade", CASCADE.replace("kind = interval", "kind = rectangle") + "reaction_2 = log_poly\n",
      "[cascade] reaction_2"),
+    # the kernel and its transforms live on the unit interval, and the loop is Dirichlet
+    ("backstep", BACKSTEP.replace("kind = interval", "kind = interval\nx_hi = 2"), "[domain] x_hi"),
+    ("backstep", BACKSTEP.replace("kind = interval", "kind = interval\nx_lo = -1"),
+     "[domain] x_lo"),
+    ("backstep", BACKSTEP.replace("kind = interval", "kind = rectangle"), "[domain] kind"),
+    ("backstep", BACKSTEP.replace("kind = dirichlet", "kind = robin"), "[boundary] kind"),
 ], ids=["decay-c-zero", "decay-dt-nan", "decay-n_x-2", "decay-n_x-nan", "decay-empty-domain",
         "decay-nonzero-f", "iss-c-negative", "interval-d-y", "u0-t", "a-t", "interval-c-y",
         "backstep-d0-x", "cascade-shared-a-t", "interval-cascade-d-y", "backstep-c-negative",
@@ -669,7 +675,8 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
         "dirichlet-open-cascade-q-1", "gains-n-2", "gains-n-0", "iss-tol-nan", "iss-tol-negative",
         "reaction-scale-nan", "reaction-scale-inf", "reaction-c0-nan", "reaction-monotone-maybe",
         "reaction-lambda-nan", "reaction-lambda-inf", "rect-reaction-log_poly",
-        "rect-reaction-odd_cubic", "rect-cascade-reaction-log_poly"])
+        "rect-reaction-odd_cubic", "rect-cascade-reaction-log_poly",
+        "backstep-x_hi-2", "backstep-x_lo-negative", "backstep-rectangle", "backstep-robin"])
 def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
     # an exception escaping main() would be a traceback for the user
@@ -682,6 +689,21 @@ def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
         # destabilizing c: simulated, nothing asserted, and the report says so
         assert code == 0
         assert (out / "report.csv").read_text().splitlines()[1].startswith("iss,not-asserted,")
+
+
+@pytest.mark.parametrize("command, sigma, message", [
+    ("backstep", "300", "numerical failure: kernel bottom edge not zero (max "),
+    ("backstep", "1e6", "numerical failure: kernel series did not converge within 200 terms"),
+    ("backstep", "1e300", "numerical failure: kernel series did not converge within 200 terms"),
+    ("gains", "1e300", "numerical failure: kernel bound series overflowed"),
+], ids=["backstep-sigma-300", "backstep-sigma-1e6", "backstep-sigma-1e300", "gains-sigma-1e300"])
+def test_kernel_failures_exit_cleanly(tmp_path, capsys, command, sigma, message):
+    # a kernel the series cannot serve is a numerical failure, told in one line
+    text = BACKSTEP.replace("sigma = 1", f"sigma = {sigma}")
+    code = main([command, "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["verify-iss", "gains"])

@@ -9,8 +9,7 @@ from scipy.special import iv
 from pdesup.core import DIRICHLET, ROBIN
 from pdesup.gains import (
     CoefficientBounds,
-    cascade_bound_dirichlet,
-    cascade_bound_robin,
+    cascade_bound,
     closed_loop_forcing_gain,
     closed_loop_iss_bound,
     geometry_factor,
@@ -203,31 +202,109 @@ def test_small_gain_domain_uses_weakest_link():
 
 
 def test_cascade_bound_robin_open():
+    # a Robin chain has no boundary tails: zero d_sups, one per upstream subsystem
     # j=1: plain telescoping start
-    assert cascade_bound_robin(1, 2.0, 1.0, 2.0, 0.0, 0.0, "open") == pytest.approx(2.0 + 0.5)
+    assert cascade_bound(1, 2.0, 1.0, [0.0], 2.0, 0.0, 0.0, "open") == pytest.approx(2.0 + 0.5)
     # j=2, gain 2: coefficient 1.5
-    assert cascade_bound_robin(2, 1.0, 1.0, 2.0, 0.0, 0.0, "open") == pytest.approx(1.5 + 0.25)
+    assert cascade_bound(2, 1.0, 1.0, [0.0] * 2, 2.0, 0.0, 0.0, "open") == pytest.approx(1.5 + 0.25)
     # decay form
-    b = cascade_bound_robin(2, 1.0, 1.0, 2.0, 0.7, 3.0, "open")
+    b = cascade_bound(2, 1.0, 1.0, [0.0] * 2, 2.0, 0.7, 3.0, "open")
     assert b == pytest.approx(1.5 * math.exp(-2.1) + 0.25, rel=1e-12)
 
 
 def test_cascade_bound_robin_cycle():
-    assert cascade_bound_robin(3, 1.5, 0.0, 2.0, 0.0, 0.0, "cycle") == pytest.approx(3.0)
+    assert cascade_bound(3, 1.5, 0.0, [0.0] * 3, 2.0, 0.0, 0.0, "cycle") == pytest.approx(3.0)
     with pytest.raises(ValueError, match="small-gain"):
-        cascade_bound_robin(3, 1.5, 0.0, 0.5, 0.0, 0.0, "cycle")
+        cascade_bound(3, 1.5, 0.0, [0.0] * 3, 0.5, 0.0, 0.0, "cycle")
 
 
 def test_cascade_bound_dirichlet():
     # open, j=1: phi + f/2 + d_1
-    assert cascade_bound_dirichlet(1, 1.0, 2.0, [0.3], 2.0, 0.0, 0.0, "open") == pytest.approx(1 + 1 + 0.3)
+    assert cascade_bound(1, 1.0, 2.0, [0.3], 2.0, 0.0, 0.0, "open") == pytest.approx(1 + 1 + 0.3)
     # cycle, k=3, zero d: 2 * phi
-    assert cascade_bound_dirichlet(3, 1.2, 0.0, [0, 0, 0], 2.0, 0.0, 0.0, "cycle") == pytest.approx(2.4)
+    assert cascade_bound(3, 1.2, 0.0, [0, 0, 0], 2.0, 0.0, 0.0, "cycle") == pytest.approx(2.4)
     # cycle, k=2, unit d's: coupling tail (4/3)*(1/2+1) = 2
-    b = cascade_bound_dirichlet(2, 0.0, 0.0, [1.0, 1.0], 2.0, 0.0, 0.0, "cycle")
+    b = cascade_bound(2, 0.0, 0.0, [1.0, 1.0], 2.0, 0.0, 0.0, "cycle")
     assert b == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(ValueError, match="small-gain"):
-        cascade_bound_dirichlet(2, 1.0, 0.0, [0, 0], 1.0, 0.0, 0.0, "cycle")
+        cascade_bound(2, 1.0, 0.0, [0, 0], 1.0, 0.0, 0.0, "cycle")
+
+
+def test_cascade_bound_open_chain_needs_one_tail_per_upstream_subsystem():
+    for d_sups in ([], [0.1], [0.1, 0.2, 0.3]):
+        with pytest.raises(ValueError, match="upstream"):
+            cascade_bound(2, 1.0, 0.5, d_sups, 2.0, 0.0, 0.0, "open")
+
+
+def test_cascade_bound_robin_tails_add_nothing():
+    # the zero tails of a Robin chain add exactly +0.0 to the telescoped bound
+    for j in (1, 2, 3):
+        b = cascade_bound(j, 0.7, 0.3, [0.0] * j, 1.7, 0.4, 1.3, "open")
+        coeff = open_chain_coefficient(1.7, j)
+        assert b == coeff * 0.7 * np.exp(-0.4 * 1.3) + 0.3 / 1.7 ** j
+    assert cascade_bound(2, 0.7, 0.0, [0.0] * 3, 1.7, 0.4, 1.3, "cycle") == (
+        1.7 / 0.7 * 0.7 * np.exp(-0.4 * 1.3))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+# sample times and running sups as a checker passes them: the exponent
+# arguments cover many binades, where numpy's and libm's exp can differ
+_T = np.linspace(0.0, 3.0, 301)
+_SUPS = [np.maximum.accumulate(np.abs(np.sin(w * _T + p))) for w, p in
+         ((1.3, 0.2), (7.1, 1.0), (0.4, 2.5), (3.3, 0.0))]
+
+
+def test_iss_bound_over_times_equals_its_scalar_calls():
+    for g in (rkes_gains_robin(CoefficientBounds(1, 0.7, 2), 1.0, C_S),
+              rkes_gains_dirichlet(CoefficientBounds(1, 1.3), 1.0, C_S, C_P)):
+        arr = iss_bound(_T, 1.7, _SUPS[0], _SUPS[1], g)
+        each = [iss_bound(t, 1.7, f, d, g) for t, f, d in zip(_T, _SUPS[0], _SUPS[1])]
+        assert arr.shape == _T.shape
+        assert np.array_equal(_bits(arr), _bits(each))
+
+
+def test_closed_loop_iss_bound_over_times_equals_its_scalar_calls():
+    f, d0, d1 = _SUPS[:3]
+    arr = closed_loop_iss_bound(_T, 1.2, f, d0, d1, 15.0, 1.0)
+    each = [closed_loop_iss_bound(t, 1.2, *s, 15.0, 1.0) for t, *s in zip(_T, f, d0, d1)]
+    assert np.array_equal(_bits(arr), _bits(each))
+
+
+@pytest.mark.parametrize("mode, n_tails", [("open", 3), ("cycle", 4)])
+@pytest.mark.parametrize("c_min", [0.0, 0.9])
+def test_cascade_bound_over_times_equals_its_scalar_calls(mode, n_tails, c_min):
+    tails = _SUPS[:n_tails] if n_tails == 3 else _SUPS
+    for d_sups in (tails, [np.zeros(_T.size)] * n_tails):  # a Dirichlet and a Robin chain
+        arr = cascade_bound(3, 0.8, _SUPS[3], d_sups, 2.5, c_min, _T, mode)
+        each = [cascade_bound(3, 0.8, _SUPS[3][i], [d[i] for d in d_sups], 2.5, c_min, t, mode)
+                for i, t in enumerate(_T)]
+        assert arr.shape == _T.shape
+        assert np.array_equal(_bits(arr), _bits(each))
+
+
+def test_a_negative_entry_anywhere_in_a_sups_array_raises():
+    g = rkes_gains_robin(CoefficientBounds(1, 1, 1), 1.0, C_S)
+    zeros = np.zeros(_T.size)
+    for i in (0, 150, _T.size - 1):
+        bad = zeros.copy()
+        bad[i] = -1e-300
+        with pytest.raises(ValueError, match="nonnegative"):
+            iss_bound(_T, 1.0, bad, zeros, g)
+        with pytest.raises(ValueError, match="nonnegative"):
+            iss_bound(_T, 1.0, zeros, bad, g)
+        with pytest.raises(ValueError, match="nonnegative"):
+            closed_loop_iss_bound(_T, 1.0, zeros, zeros, bad, 1.0, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            cascade_bound(2, 1.0, bad, [zeros, zeros], 2.0, 0.0, _T, "open")
+        with pytest.raises(ValueError, match="nonnegative"):
+            cascade_bound(2, 1.0, zeros, [zeros, bad], 2.0, 0.0, _T, "open")
+        with pytest.raises(ValueError, match="nonnegative"):
+            cascade_bound(2, 1.0, zeros, [bad, zeros, zeros], 2.0, 0.0, _T, "cycle")
+    with pytest.raises(ValueError, match="nonnegative"):
+        iss_bound(-_T[::-1], 1.0, zeros, zeros, g)
 
 
 def test_open_chain_coefficient_telescoping():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from pdesup.expressions import parse_expression
 from pdesup.gains import (
     CoefficientBounds,
     GainSet,
-    cascade_bound_dirichlet,
-    cascade_bound_robin,
+    cascade_bound,
     iss_bound,
     rkes_gains_dirichlet,
     rkes_gains_robin,
@@ -154,12 +154,24 @@ def test_check_rkes_randomized_pairs():
         assert rep.passed, rep.worst_margin
 
 
-def test_check_rkes_rejects_mismatched_scenarios():
-    sc1 = _robin_scenario(u0="sin(pi*x)")
-    sc2 = _robin_scenario(u0="0")
-    t1, t2 = solve(sc1), solve(sc2)
-    with pytest.raises(ValueError):
-        check_rkes((t1, t2), (sc1, sc2), _gains_for(sc1))
+@pytest.mark.parametrize("change", [
+    lambda sc: replace(sc, grid=grid_1d(41)),
+    lambda sc: replace(sc, dt=1e-3),
+    lambda sc: replace(sc, horizon=0.5),
+    lambda sc: replace(sc, coefficients=replace(sc.coefficients, a=E("2"))),
+    lambda sc: replace(sc, coefficients=replace(sc.coefficients, c=E("2"))),
+    lambda sc: replace(sc, coefficients=replace(sc.coefficients, m=E("2"))),
+    lambda sc: replace(sc, reaction=reaction_log_poly()),
+    lambda sc: replace(sc, boundary=BoundarySpec(DIRICHLET, sc.boundary.data)),
+    lambda sc: replace(sc, u0=E("0")),
+], ids=["grid", "dt", "horizon", "a", "c", "m", "reaction", "boundary-kind", "u0"])
+def test_check_rkes_rejects_mismatched_scenarios(change):
+    sc1 = _robin_scenario(f="0.1*sin(t)", d="0.2")
+    sc2 = _robin_scenario(f="0", d="0")
+    # the disturbance pair alone may differ; the scenario check comes before any
+    # use of the trajectories, so none are needed to see it refuse
+    with pytest.raises(ValueError, match="beyond the disturbance pair"):
+        check_rkes((None, None), (sc1, change(sc2)), _gains_for(sc1))
 
 
 def test_composition_rkes_decay_implies_iss():
@@ -276,11 +288,14 @@ def _reference_cascade(spec, trajectories, tol=None):
     robin = spec.boundary_kind == ROBIN
     nodes, bnodes = node_coords(spec.grid), node_coords(spec.grid, boundary=True)
     if spec.topology == "robin-open":
-        d_run = data_running_sup(spec.scenarios[0].boundary.data, bnodes, times)
+        ext = data_running_sup(spec.scenarios[0].boundary.data, bnodes, times)
     elif spec.topology == "dirichlet-open":
-        f_run = data_running_sup(spec.scenarios[0].forcing, nodes, times)
-    if not robin:
-        d_runs = [data_running_sup(sc.boundary.data, bnodes, times) for sc in spec.scenarios]
+        ext = data_running_sup(spec.scenarios[0].forcing, nodes, times)
+    else:
+        ext = np.zeros(times.size)
+    # a Robin chain has no per-subsystem boundary tails
+    d_runs = ([np.zeros(times.size)] * spec.k if robin else
+              [data_running_sup(sc.boundary.data, bnodes, times) for sc in spec.scenarios])
     details = []
     worst = math.inf
     worst_where = None
@@ -292,24 +307,12 @@ def _reference_cascade(spec, trajectories, tol=None):
         phi_j = spec.phis[j - 1] if mode == "open" else spec.phis[-1]
         for i, t in enumerate(times):
             t = float(t)
-            checks = []
-            if robin:
-                dv = d_run[i] if spec.topology == "robin-open" else 0.0
-                checks.append(("spacetime", running[i], cascade_bound_robin(
-                    j, phi_j, dv, spec.small_gain, 0.0, t, mode)))
-                if c_min_j > 0:
-                    checks.append(("spatial", sups[i], cascade_bound_robin(
-                        j, phi_j, dv, spec.small_gain, c_min_j, t, mode)))
-            else:
-                if spec.topology == "dirichlet-open":
-                    fv, dvs = f_run[i], [d_runs[idx][i] for idx in range(j)]
-                else:
-                    fv, dvs = 0.0, [d_runs[idx][i] for idx in range(spec.k)]
-                checks.append(("spacetime", running[i], cascade_bound_dirichlet(
-                    j, phi_j, fv, dvs, spec.small_gain, 0.0, t, mode)))
-                if c_min_j > 0:
-                    checks.append(("spatial", sups[i], cascade_bound_dirichlet(
-                        j, phi_j, fv, dvs, spec.small_gain, c_min_j, t, mode)))
+            dvs = [d[i] for d in (d_runs[:j] if mode == "open" else d_runs)]
+            checks = [("spacetime", running[i], cascade_bound(
+                j, phi_j, ext[i], dvs, spec.small_gain, 0.0, t, mode))]
+            if c_min_j > 0:
+                checks.append(("spatial", sups[i], cascade_bound(
+                    j, phi_j, ext[i], dvs, spec.small_gain, c_min_j, t, mode)))
             for form, obs, bnd in checks:
                 tl = tol if tol is not None else default_tolerance(bnd, spec.grid, spec.dt)
                 margin = bnd - obs
@@ -393,6 +396,26 @@ def test_report_builder_matches_the_cascade_loop():
     start = rep.details[rep.details.t == 0.0]
     assert start.form.tolist() == ["spacetime", "spatial"] * 3
     assert np.array_equal(start.margin[0::2], start.margin[1::2])
+
+
+@pytest.mark.parametrize("topology", ["robin-cycle", "dirichlet-open", "dirichlet-cycle"])
+def test_report_builder_matches_the_cascade_loop_on_each_topology(topology):
+    # one cascade_bound call per part against one scalar call per sample,
+    # with Dirichlet boundary tails and a spatial form on every subsystem
+    a, m = ("10", "1") if topology.startswith("dirichlet") else ("1", "2")
+    subs = [SubsystemSpec(Coefficients(E(a), E("1"), E(m)), reaction_zero(), E(u0))
+            for u0 in ("sin(pi*x)", "0.5*sin(pi*x)", "-sin(2*pi*x)")]
+    spec = build_cascade(subs, topology, grid_1d(31), 2e-3, 0.2,
+                         external_f=E("0.4*sin(pi*x)*cos(t)"),
+                         boundary_exprs=[E("0.05*sin(3*t)"), E("0"), E("0.02")])
+    assert spec.bounds_asserted
+    trajs = simulate_cascade(spec)
+    rep = verify_cascade(spec, trajs)
+    assert rep.verdict == PASS
+    ref = _reference_cascade(spec, trajs)
+    order = {"spacetime": 0, "spatial": 1}
+    rows = sorted(ref[4], key=lambda row: (row[0], order[row[1]]))
+    _assert_same_report(rep, (*ref[:4], rows), ("subsystem", "form", *_COLUMNS))
 
 
 def test_report_builder_fails_a_nan_bound_the_loop_passed():
