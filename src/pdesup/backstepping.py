@@ -20,6 +20,11 @@ Two independent routes compute the kernel:
   z = sqrt(lam (x^2-y^2)), through the power series of I1 (the inverse
   kernel is the same series at -lam, i.e. the J1 form).
 
+A kernel belongs to the field grid it serves: the series is summed on
+the coarsest refinement of that grid with at least 201 nodes per edge,
+so the transforms and the feedback read it at field nodes, and they
+refuse any other grid.
+
 Volterra integrals use trapezoid weights with Euler-Maclaurin endpoint
 corrections (fourth order, smooth in the row index; the one-panel row
 uses a three-point left-biased rule), which keeps the transform
@@ -49,6 +54,7 @@ from .solver import (
 )
 
 MAX_SERIES_TERMS = 200
+KERNEL_NODES = 201  # the least number of kernel nodes per edge
 
 
 def _bessel_ratio(s: float) -> float:
@@ -86,48 +92,48 @@ def inverse_kernel_bessel_oracle(c: float, sigma: float, x: float, y: float) -> 
 
 
 class Kernel:
-    """Triangular-grid kernel values plus the defining coefficient.
+    """Kernel values on a refinement of the field grid they serve.
 
     ``lam`` is c + sigma for the forward kernel and -(c + sigma) for the
-    inverse one.  Values are stored on the full unit square (the
-    polynomial continuation above the diagonal is what makes smooth
-    interpolation and the short-row quadrature possible); the triangle
-    y <= x is the meaningful part.  Reads on a field grid are not cached.
+    inverse one.  ``x`` holds the kernel nodes: every ``stride``-th one
+    is a node of ``grid``.  Values are stored on the full unit square
+    (the polynomial continuation above the diagonal is what makes the
+    short-row quadrature possible); the triangle y <= x is the
+    meaningful part.
     """
 
-    def __init__(self, lam: float, x: np.ndarray, values: np.ndarray, terms_used: int):
+    def __init__(self, lam: float, grid: SpatialGrid, x: np.ndarray, values: np.ndarray,
+                 terms_used: int):
         self.lam = lam
+        self.grid = grid
         self.x = x
         self.values = values
         self.terms_used = terms_used
-        self.n_k = x.size
+        self.stride = (x.size - 1) // (grid.n_x - 1)
 
     def triangle_max_abs(self) -> float:
         X, Y = np.meshgrid(self.x, self.x, indexing="ij")
         return float(np.max(np.abs(self.values[Y <= X + 1e-15])))
 
-    def on_nodes(self, x_nodes: np.ndarray) -> np.ndarray:
-        """Kernel matrix K[i, j] = k(x_i, x_j) on a field grid.
+    def on_field(self, grid: SpatialGrid) -> np.ndarray:
+        """Kernel matrix K[i, j] = k(x_i, x_j) on the nodes of ``grid``.
 
-        Exact nodal lookup when the field nodes are a subset of the
-        kernel nodes, bilinear interpolation otherwise.
+        Raises ``ValueError`` unless ``grid`` is the grid the kernel was
+        built for.
         """
-        n = x_nodes.size
-        step = (self.n_k - 1) % (n - 1)
-        if step == 0 and np.allclose(x_nodes, self.x[:: (self.n_k - 1) // (n - 1)], atol=1e-12):
-            stride = (self.n_k - 1) // (n - 1)
-            return self.values[::stride, ::stride].copy()
-        return _bilinear(self.x, self.values, x_nodes)
+        if grid != self.grid:
+            raise ValueError(f"kernel was built for {self.grid.n_x} nodes on [0, 1], "
+                             f"not for this grid")
+        return self.values[:: self.stride, :: self.stride]
 
-    def _volterra_matrix(self, x_nodes: np.ndarray) -> np.ndarray:
+    def _volterra_matrix(self, grid: SpatialGrid) -> np.ndarray:
         """Quadrature matrix Q with (Q u)[i] ~ int_0^{x_i} k(x_i, y) u(y) dy.
 
-        Built from :meth:`on_nodes` on uniform nodes and
-        :func:`volterra_weights`; row 1 uses the three-point rule.
+        Built from :meth:`on_field` and :func:`volterra_weights`; row 1
+        uses the three-point rule.
         """
-        n = x_nodes.size
-        h = (float(x_nodes[-1]) - float(x_nodes[0])) / (n - 1)
-        kmat = self.on_nodes(x_nodes)
+        n, h = grid.n_x, grid.h_x
+        kmat = self.on_field(grid)
         q = np.zeros((n, n))
         if n >= 3:
             q[1, :3] = kmat[1, :3] * _ROW1 * h
@@ -136,22 +142,12 @@ class Kernel:
         return q
 
 
-def _bilinear(nodes: np.ndarray, values: np.ndarray, q: np.ndarray) -> np.ndarray:
-    h = nodes[1] - nodes[0]
-    if q.min() < nodes[0] - 1e-12 or q.max() > nodes[-1] + 1e-12:
-        raise ValueError("field grid lies outside the kernel grid")
-    pos = np.clip((q - nodes[0]) / h, 0.0, nodes.size - 1 - 1e-12)
-    i0 = pos.astype(int)
-    fr = pos - i0
-    out = np.zeros((q.size, q.size))
-    for dx, wx in ((0, 1 - fr), (1, fr)):
-        for dy, wy in ((0, 1 - fr), (1, fr)):
-            out += wx[:, None] * wy[None, :] * values[np.minimum(i0 + dx, nodes.size - 1)][:, np.minimum(i0 + dy, nodes.size - 1)]
-    return out
-
-
-def _series_kernel(c: float, sigma: float, n_k: int, inverse: bool) -> Kernel:
+def _series_kernel(c: float, sigma: float, grid: SpatialGrid, inverse: bool) -> Kernel:
     """Successive approximations for the kernel integral equation, checked.
+
+    The series is summed on the coarsest refinement of the unit-interval
+    ``grid`` with at least :data:`KERNEL_NODES` nodes per edge, so every
+    field node is a kernel node.
 
     In (xi, eta) = (x+y, x-y) the kernel solves G(xi,eta) =
     (lam/4)(xi-eta) + (lam/4) int_eta^xi int_0^eta G (lam = c + sigma, or
@@ -163,10 +159,11 @@ def _series_kernel(c: float, sigma: float, n_k: int, inverse: bool) -> Kernel:
     within :func:`kernel_bound_constant`; a sum that fails any of these
     raises :class:`~pdesup.solver.SolverError`.
     """
-    if n_k < 11:
-        raise ValueError("kernel grid needs at least 11 nodes per edge")
+    if grid.dim != 1 or abs(grid.domain.x_lo) > 1e-12 or abs(grid.domain.x_hi - 1.0) > 1e-12:
+        raise ValueError("the kernel serves a grid on the unit interval")
+    stride = -(-(KERNEL_NODES - 1) // (grid.n_x - 1))
     lam = -(c + sigma) if inverse else c + sigma
-    x = np.linspace(0.0, 1.0, n_k)
+    x = np.linspace(0.0, 1.0, stride * (grid.n_x - 1) + 1)
     X, Y = np.meshgrid(x, x, indexing="ij")
     xi = X + Y
     eta = X - Y
@@ -189,7 +186,7 @@ def _series_kernel(c: float, sigma: float, n_k: int, inverse: bool) -> Kernel:
             break
         if n_terms >= MAX_SERIES_TERMS:
             raise SolverError(f"kernel series did not converge within {MAX_SERIES_TERMS} terms")
-    k = Kernel(lam, x, total_vals, n_terms)
+    k = Kernel(lam, grid, x, total_vals, n_terms)
     edge = float(np.max(np.abs(k.values[:, 0])))
     if edge > 1e-9:
         raise SolverError(f"kernel bottom edge not zero (max {edge:.3e})")
@@ -209,14 +206,14 @@ def _homogeneous_eval(coef: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.n
     return out
 
 
-def kernel_series(c: float, sigma: float, n_k: int = 201) -> Kernel:
-    """Feedback kernel on an n_k-per-edge grid (see :func:`_series_kernel`)."""
-    return _series_kernel(c, sigma, n_k, inverse=False)
+def kernel_series(c: float, sigma: float, grid: SpatialGrid) -> Kernel:
+    """Feedback kernel serving ``grid`` (see :func:`_series_kernel`)."""
+    return _series_kernel(c, sigma, grid, inverse=False)
 
 
-def inverse_kernel_series(c: float, sigma: float, n_k: int = 201) -> Kernel:
+def inverse_kernel_series(c: float, sigma: float, grid: SpatialGrid) -> Kernel:
     """Inverse-transform kernel: the same checked series at -(c+sigma)."""
-    return _series_kernel(c, sigma, n_k, inverse=True)
+    return _series_kernel(c, sigma, grid, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +248,11 @@ _ROW1 = np.array([5.0, 8.0, -1.0]) / 12.0  # int_0^h g via nodes {0, h, 2h}
 
 def _volterra_apply(kernel: Kernel, grid: SpatialGrid, u: np.ndarray) -> np.ndarray:
     """out[i] = quadrature of k(x_i, y) u(y) over [0, x_i] for all rows."""
-    return u @ kernel._volterra_matrix(grid.x).T
-
-
-def _require_unit_interval(grid: SpatialGrid):
-    if grid.dim != 1 or abs(grid.domain.x_lo) > 1e-12 or abs(grid.domain.x_hi - 1.0) > 1e-12:
-        raise ValueError("transforms are defined on the unit interval grid")
+    return u @ kernel._volterra_matrix(grid).T
 
 
 def forward_transform(u: Field, kernel: Kernel) -> Field:
-    """w = u + int_0^x k(x,y) u(y) dy on the field's nodes."""
-    _require_unit_interval(u.grid)
-    if kernel.n_k < u.grid.n_x:
-        raise ValueError("kernel resolution must be at least the field resolution")
+    """w = u + int_0^x k(x,y) u(y) dy on the field's nodes (the kernel's grid)."""
     return Field(u.grid, u.values + _volterra_apply(kernel, u.grid, u.values))
 
 
@@ -273,7 +262,6 @@ def inverse_transform(w: Field, inverse_kernel: Kernel) -> Field:
 
 
 def transform_trajectory(traj: Trajectory, kernel: Kernel) -> Trajectory:
-    _require_unit_interval(traj.grid)
     vals = traj.values + _volterra_apply(kernel, traj.grid, traj.values)
     vals.setflags(write=False)  # handed over: Trajectory keeps it without a copy
     return Trajectory(traj.grid, traj.times, vals)
@@ -282,14 +270,13 @@ def transform_trajectory(traj: Trajectory, kernel: Kernel) -> Trajectory:
 def _control(kernel: Kernel, grid: SpatialGrid):
     """U = -int_0^1 k(1, y) u(y) dy by the corrected trapezoid rule, as a
     function of the nodal values of u on ``grid``."""
-    krow = kernel.on_nodes(grid.x)[-1]
+    krow = kernel.on_field(grid)[-1]
     w = volterra_weights(grid.n_x, grid.h_x)
     return lambda vals: float(-np.dot(w, krow * vals))
 
 
 def control_signal(u: Field, kernel: Kernel) -> float:
     """The feedback U of the field ``u`` (see :func:`_control`)."""
-    _require_unit_interval(u.grid)
     return _control(kernel, u.grid)(u.values)
 
 
@@ -310,8 +297,7 @@ class ClosedLoopResult:
 
 def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
                          d0: Expression, d1: Expression, grid: SpatialGrid,
-                         dt: float, horizon: float, n_k: int = 201,
-                         tol: float | None = None) -> ClosedLoopResult:
+                         dt: float, horizon: float, tol: float | None = None) -> ClosedLoopResult:
     """Step the destabilized plant under boundary feedback and check its bound.
 
     Each step is the implicit Crank-Nicolson step of the closed loop, with
@@ -319,10 +305,9 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
     field is v + U s: v has d1 alone at x = 1, and s (computed once) is
     the response to a unit value there; U = control(v) / (1 - control(s)).
     """
-    if c <= 0 or sigma <= 0:
+    if not (c > 0 and sigma > 0):
         raise ValueError("c and sigma must be positive")
-    _require_unit_interval(grid)
-    kernel = kernel_series(c, sigma, n_k=n_k)
+    kernel = kernel_series(c, sigma, grid)
     scenario = make_scenario(
         grid, horizon, dt,
         Coefficients(parse_expression("1"), parse_expression(repr(-float(c)))),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -206,7 +205,6 @@ def superlinear_gain_gap(n: int, volume: float, q: float) -> float:
 SERIES_TOL = 1e-12  # the kernel series stop once a term drops below this
 
 
-@lru_cache(maxsize=None)
 def kernel_bound_constant(c: float, sigma: float) -> float:
     """Uniform bound on the feedback kernels: sum of (c+sigma)^(i+1) 4^i/(i!)^2.
 
@@ -214,7 +212,7 @@ def kernel_bound_constant(c: float, sigma: float) -> float:
     below :data:`SERIES_TOL`.  Raises on overflow before convergence.
     """
     lam = c + sigma
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("c + sigma must be positive")
     term = lam
     total = term
@@ -232,7 +230,7 @@ def kernel_bound_constant(c: float, sigma: float) -> float:
 
 def closed_loop_forcing_gain(c: float) -> float:
     """In-domain gain of the stabilized closed loop: min(8*sqrt2/pi, 2*sqrt2/min(1,c))."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     s2 = math.sqrt(2.0)
     return min(8.0 * s2 / math.pi, 2.0 * s2 / min(1.0, c))
@@ -245,7 +243,7 @@ def closed_loop_iss_bound(t, u0_sup, f_sup, d0_sup, d1_sup, c: float, sigma: flo
     M the kernel bound constant and C the closed-loop forcing gain;
     ``t`` and the sups may be arrays.
     """
-    if c <= 0 or sigma <= 0:
+    if not (c > 0 and sigma > 0):
         raise ValueError("c and sigma must be positive")
     _check_sups(t, u0_sup, f_sup, d0_sup, d1_sup)
     m = kernel_bound_constant(c, sigma)

@@ -170,15 +170,15 @@ def test_criterion_4_kernel_oracle_equivalence():
     t0 = time.monotonic()
     worst = 0.0
     for c, sig in [(1.0, 1.0), (10.0, 1.0), (15.0, 1.0)]:
-        k = kernel_series(c, sig, n_k=101)
+        k = kernel_series(c, sig, grid_1d(101))
         diff = 0.0
         for i, x in enumerate(k.x):
             for j in range(i + 1):
                 diff = max(diff, abs(k.values[i, j] - kernel_bessel_oracle(c, sig, x, k.x[j])))
         worst = max(worst, diff)
     g = grid_1d(201)
-    kf = kernel_series(1.0, 1.0, n_k=201)
-    li = inverse_kernel_series(1.0, 1.0, n_k=201)
+    kf = kernel_series(1.0, 1.0, g)
+    li = inverse_kernel_series(1.0, 1.0, g)
     u = Field(g, np.sin(np.pi * g.x) + 0.3 * g.x ** 2)
     rt = np.max(np.abs(inverse_transform(forward_transform(u, kf), li).values - u.values))
     elapsed = time.monotonic() - t0
@@ -383,10 +383,10 @@ def backstep_results():
     t0 = time.monotonic()
     open_loop = solve(open_loop_preset(15.0, "sin(pi*x)", 101, 1e-3, 1.0))
     clean = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
-                                 g, 1e-3, 2.0, n_k=101)
+                                 g, 1e-3, 2.0)
     disturbed = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero,
                                      E("0.1*sin(t)"), E("0.1*sin(t)"),
-                                     g, 1e-3, 2.0, n_k=101)
+                                     g, 1e-3, 2.0)
     return open_loop, clean, disturbed, time.monotonic() - t0
 
 

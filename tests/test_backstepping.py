@@ -19,9 +19,9 @@ from pdesup.backstepping import (
     transform_trajectory,
     volterra_weights,
 )
-from pdesup.core import DIRICHLET, Field, grid_1d, sup_norm_space
+from pdesup.core import DIRICHLET, Field, Trajectory, grid_1d, grid_2d, sup_norm_space
 from pdesup.expressions import parse_expression
-from pdesup.gains import kernel_bound_constant
+from pdesup.gains import closed_loop_forcing_gain, closed_loop_iss_bound, kernel_bound_constant
 from pdesup.solver import (
     BoundarySpec,
     Coefficients,
@@ -70,7 +70,7 @@ def test_oracle_domain_check():
 
 @pytest.mark.parametrize("c,sigma", [(1.0, 1.0), (10.0, 1.0), (15.0, 1.0)])
 def test_series_matches_oracle(c, sigma):
-    k = kernel_series(c, sigma, n_k=101)
+    k = kernel_series(c, sigma, grid_1d(101))
     X, Y = np.meshgrid(k.x, k.x, indexing="ij")
     mask = Y <= X
     worst = 0.0
@@ -84,35 +84,40 @@ def test_series_matches_oracle(c, sigma):
 
 
 def test_series_edge_zero_and_bound():
-    k = kernel_series(1.0, 1.0, n_k=51)
+    k = kernel_series(1.0, 1.0, grid_1d(51))
     assert np.max(np.abs(k.values[:, 0])) < 1e-12
     assert k.triangle_max_abs() <= kernel_bound_constant(1.0, 1.0) + 1e-12
     assert k.terms_used < 30
 
 
 def test_inverse_series_diagonal():
-    li = inverse_kernel_series(1.0, 1.0, n_k=51)
+    li = inverse_kernel_series(1.0, 1.0, grid_1d(51))
     lam = 2.0
     diag = np.diagonal(li.values)
     assert np.max(np.abs(diag - (-lam * li.x / 2))) < 1e-10
 
 
 def test_series_needs_minimum_grid():
-    with pytest.raises(ValueError):
-        kernel_series(1.0, 1.0, n_k=5)
+    # the kernel grid is the coarsest refinement of the field grid with
+    # at least 201 nodes per edge, so a coarse field still gets 201+
+    for n_x, n_k in [(3, 201), (41, 201), (81, 241), (101, 201), (151, 301), (201, 201),
+                     (401, 401)]:
+        k = kernel_series(1.0, 1.0, grid_1d(n_x))
+        assert k.x.size == n_k
+        assert np.allclose(k.x[:: k.stride], np.linspace(0.0, 1.0, n_x), rtol=0, atol=1e-15)
 
 
 def test_transform_zero_field():
     g = grid_1d(101)
-    k = kernel_series(1.0, 1.0, n_k=101)
+    k = kernel_series(1.0, 1.0, g)
     z = Field(g, np.zeros(101))
     assert np.all(forward_transform(z, k).values == 0.0)
 
 
 def test_transform_roundtrip():
     g = grid_1d(201)
-    k = kernel_series(1.0, 1.0, n_k=201)
-    li = inverse_kernel_series(1.0, 1.0, n_k=201)
+    k = kernel_series(1.0, 1.0, g)
+    li = inverse_kernel_series(1.0, 1.0, g)
     u = Field(g, np.sin(np.pi * g.x) + 0.3 * g.x ** 2)
     back = inverse_transform(forward_transform(u, k), li)
     assert np.max(np.abs(back.values - u.values)) <= 1e-8
@@ -120,7 +125,7 @@ def test_transform_roundtrip():
 
 def test_transform_sup_inflation():
     g = grid_1d(101)
-    k = kernel_series(1.0, 1.0, n_k=101)
+    k = kernel_series(1.0, 1.0, g)
     m = kernel_bound_constant(1.0, 1.0)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -133,21 +138,24 @@ def test_transform_sup_inflation():
 
 def test_transform_resolution_mismatch():
     g = grid_1d(301)
-    k = kernel_series(1.0, 1.0, n_k=101)
+    k = kernel_series(1.0, 1.0, grid_1d(101))
     with pytest.raises(ValueError):
         forward_transform(Field(g, np.zeros(301)), k)
 
 
 def test_transform_wrong_domain():
     g = grid_1d(101, 0, 2.0)
-    k = kernel_series(1.0, 1.0, n_k=101)
+    k = kernel_series(1.0, 1.0, grid_1d(101))
     with pytest.raises(ValueError):
         forward_transform(Field(g, np.zeros(101)), k)
+    for grid in (g, grid_1d(101, -1.0, 1.0), grid_2d(11, 11)):
+        with pytest.raises(ValueError, match="unit interval"):
+            kernel_series(1.0, 1.0, grid)
 
 
 def test_control_signal_zero_and_linearity():
     g = grid_1d(101)
-    k = kernel_series(1.0, 1.0, n_k=101)
+    k = kernel_series(1.0, 1.0, g)
     z = Field(g, np.zeros(101))
     assert control_signal(z, k) == 0.0
     rng = np.random.default_rng(7)
@@ -162,7 +170,7 @@ def test_control_signal_zero_and_linearity():
 def test_control_signal_constant_field_pinned():
     # -int_0^1 k(1,y) dy for c = sigma = 1, pinned from adaptive quadrature
     g = grid_1d(201)
-    k = kernel_series(1.0, 1.0, n_k=201)
+    k = kernel_series(1.0, 1.0, g)
     u = Field(g, np.ones(201))
     assert control_signal(u, k) == pytest.approx(-0.5660829297563506, abs=1e-9)
 
@@ -170,7 +178,7 @@ def test_control_signal_constant_field_pinned():
 def test_control_signal_against_oracle_quadrature():
     for c, sig in [(1.0, 1.0), (5.0, 1.0)]:
         g = grid_1d(201)
-        k = kernel_series(c, sig, n_k=201)
+        k = kernel_series(c, sig, g)
         u = Field(g, np.ones(201))
         val, err = quad(lambda y: kernel_bessel_oracle(c, sig, 1.0, y), 0, 1,
                         epsabs=1e-13, epsrel=1e-13)
@@ -183,10 +191,28 @@ def test_volterra_weights_sum():
         assert w.sum() == pytest.approx(0.1 * (m - 1), rel=1e-14)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: kernel_bound_constant(math.nan, 1.0),
+    lambda: kernel_bound_constant(1.0, math.nan),
+    lambda: kernel_bound_constant(-2.0, 1.0),
+    lambda: closed_loop_forcing_gain(math.nan),
+    lambda: closed_loop_forcing_gain(0.0),
+    lambda: closed_loop_iss_bound(0.0, 1.0, 0.0, 0.0, 0.0, math.nan, 1.0),
+    lambda: closed_loop_iss_bound(0.0, 1.0, 0.0, 0.0, 0.0, 1.0, math.nan),
+    lambda: simulate_closed_loop(math.nan, 1.0, E("0"), E("0"), E("0"), E("0"), grid_1d(11), 0.1, 0.1),
+    lambda: simulate_closed_loop(1.0, math.nan, E("0"), E("0"), E("0"), E("0"), grid_1d(11), 0.1, 0.1),
+    lambda: simulate_closed_loop(1.0, 0.0, E("0"), E("0"), E("0"), E("0"), grid_1d(11), 0.1, 0.1),
+], ids=["bound-c-nan", "bound-sigma-nan", "bound-lam-negative", "gain-c-nan", "gain-c-zero",
+        "envelope-c-nan", "envelope-sigma-nan", "loop-c-nan", "loop-sigma-nan", "loop-sigma-zero"])
+def test_nan_or_nonpositive_closed_loop_parameters_raise(call):
+    with pytest.raises(ValueError, match="must be positive"):
+        call()
+
+
 def test_closed_loop_zero_data():
     g = grid_1d(51)
     res = simulate_closed_loop(2.0, 1.0, E("0"), E("0"), E("0"), E("0"), g,
-                               1e-3, 0.05, n_k=101)
+                               1e-3, 0.05)
     assert np.all(res.u.values == 0.0)
     assert np.all(res.w.values == 0.0)
     assert res.report.passed
@@ -199,7 +225,7 @@ def test_closed_loop_stabilizes_and_open_loop_grows():
     growth = sup_norm_space(open_loop.field(-1))
     assert growth >= 20.0
     closed = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
-                                  g, 1e-3, 2.0, n_k=101)
+                                  g, 1e-3, 2.0)
     assert closed.report.passed
     m = kernel_bound_constant(15.0, 1.0)
     assert sup_norm_space(closed.u.field(-1)) <= (1 + m) ** 2 * math.exp(-2.0)
@@ -210,8 +236,7 @@ def test_closed_loop_stabilizes_and_open_loop_grows():
 def test_closed_loop_with_disturbances_passes_bound():
     g = grid_1d(101)
     res = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), E("0"),
-                               E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 1.0,
-                               n_k=101)
+                               E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 1.0)
     assert res.report.passed
 
 
@@ -219,8 +244,7 @@ def test_target_system_residual_compatible_data():
     # u0 = 0 keeps the closed-loop boundary data compatible at t = 0
     g = grid_1d(201)
     res = simulate_closed_loop(3.0, 1.0, E("0"), E("0.2*sin(2*pi*x)*cos(t)"),
-                               E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 0.5,
-                               n_k=201)
+                               E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 0.5)
     h = g.h_x
     r = target_residual(res, 3.0, 1.0, E("0.2*sin(2*pi*x)*cos(t)"), E("0.1*sin(t)"))
     assert r <= 25 * (h ** 2 + 1e-6)
@@ -229,7 +253,7 @@ def test_target_system_residual_compatible_data():
 def test_target_system_residual_after_burn_in():
     g = grid_1d(201)
     res = simulate_closed_loop(3.0, 1.0, E("sin(pi*x)"), E("0"), E("0"), E("0"),
-                               g, 1e-3, 0.5, n_k=201)
+                               g, 1e-3, 0.5)
     h = g.h_x
     r = target_residual(res, 3.0, 1.0, E("0"), E("0"), t_start=0.1)
     assert r <= 25 * (h ** 2 + 1e-6)
@@ -239,7 +263,7 @@ def test_w_boundary_values_match_disturbances():
     # after the transform the right boundary must read exactly d1
     g = grid_1d(101)
     res = simulate_closed_loop(5.0, 1.0, E("0"), E("0"), E("0.05*sin(2*t)"),
-                               E("0.02*cos(t)-0.02"), g, 1e-3, 0.3, n_k=101)
+                               E("0.02*cos(t)-0.02"), g, 1e-3, 0.3)
     times = res.w.times[1:]
     d1v = 0.02 * np.cos(times) - 0.02
     assert np.max(np.abs(res.w.values[1:, -1] - d1v)) < 1e-14
@@ -247,11 +271,11 @@ def test_w_boundary_values_match_disturbances():
     assert np.max(np.abs(res.w.values[1:, 0] - d0v)) < 1e-12
 
 
-def _swept_closed_loop(c, sigma, u0, f, d0, d1, grid, dt, horizon, n_k=201):
+def _swept_closed_loop(c, sigma, u0, f, d0, d1, grid, dt, horizon):
     """The closed loop by fixed-point control sweeps: each step is repeated
     with the latest control at x = 1 until |dU| <= 1e-13 (1 + |U|)
     (reference for the exact loop step)."""
-    kernel = kernel_series(c, sigma, n_k=n_k)
+    kernel = kernel_series(c, sigma, grid)
     sc = make_scenario(grid, horizon, dt, Coefficients(E("1"), E(repr(-float(c)))),
                        reaction_zero(), f, BoundarySpec(DIRICHLET, E("0")), u0)
     stepper = TimeStepper(sc)
@@ -307,29 +331,42 @@ def test_closed_loop_makes_one_step_per_step_plus_one(monkeypatch):
 
     monkeypatch.setattr(TimeStepper, "step_values", counting)
     res = simulate_closed_loop(5.0, 1.0, E("sin(pi*x)"), E("0"), E("0"), E("0.1*sin(t)"),
-                               grid_1d(41), 1e-2, 0.3, n_k=81)
+                               grid_1d(41), 1e-2, 0.3)
     n_steps = res.u.n_samples - 1
     assert n_steps == 30
     assert len(calls) == n_steps + 1
 
 
-def test_kernel_interpolation_between_nodes():
-    # field nodes not a subset of kernel nodes: bilinear path, O(h_k^2) accurate
-    k = kernel_series(1.0, 1.0, n_k=201)
-    g = grid_1d(151)
-    kmat = k.on_nodes(g.x)
+@pytest.mark.parametrize("n_x", [81, 151, 401])
+def test_kernel_matches_oracle_on_every_field_grid(n_x):
+    # every field node is a kernel node, whether or not n_x - 1 divides 200
+    g = grid_1d(n_x)
+    kmat = kernel_series(15.0, 1.0, g).on_field(g)
     from pdesup.backstepping import _bessel_ratio
-    lam = 2.0
+    lam = 16.0
     X, Y = np.meshgrid(g.x, g.x, indexing="ij")
     oracle = lam * Y * np.vectorize(_bessel_ratio)(lam * (X * X - Y * Y))
-    assert np.max(np.abs(kmat - oracle)) < 5e-5
+    assert np.max(np.abs(kmat - oracle)[Y <= X]) <= 1e-12
+
+
+def test_target_residual_does_not_depend_on_the_field_grid():
+    # the settings of configs/backstep.ini over T = 0.5: a grid whose
+    # n_x - 1 does not divide 200, or a field finer than 201 nodes, keeps
+    # the target-system residual of the 101-node grid
+    f, d = E("0"), E("0.1*sin(t)")
+    residual = {}
+    for n_x in (101, 81, 401):
+        res = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), f, d, d, grid_1d(n_x), 1e-3, 0.5)
+        residual[n_x] = target_residual(res, 15.0, 1.0, f, d, t_start=0.01)
+    assert residual[81] <= 2 * residual[101]
+    assert residual[401] <= 2 * residual[101]
 
 
 def test_bound_hierarchy_u_vs_transformed():
     # at every sample the plant sup is within (1+M) of the target sup
     g = grid_1d(101)
     res = simulate_closed_loop(5.0, 1.0, E("sin(pi*x)"), E("0.1*sin(pi*x)*cos(t)"),
-                               E("0.05*sin(t)"), E("0"), g, 1e-3, 0.5, n_k=101)
+                               E("0.05*sin(t)"), E("0"), g, 1e-3, 0.5)
     m = kernel_bound_constant(5.0, 1.0)
     su = res.u.sup_space_per_sample()
     sw = res.w.sup_space_per_sample()
@@ -365,9 +402,10 @@ def _dense_series_values(lam, n_k, tol):
 
 @pytest.mark.parametrize("lam", [16.0, -16.0, 4.0, -4.0, 2.0, -2.0, 0.5])
 def test_series_matches_dense_polyval_reference(lam):
-    ref, ref_terms = _dense_series_values(lam, 101, 1e-12)
+    ref, ref_terms = _dense_series_values(lam, 201, 1e-12)
     # c + sigma = lam, and the inverse kernel's -(c + sigma) = lam
-    k = kernel_series(lam, 0.0, n_k=101) if lam > 0 else inverse_kernel_series(-lam, 0.0, n_k=101)
+    g = grid_1d(101)
+    k = kernel_series(lam, 0.0, g) if lam > 0 else inverse_kernel_series(-lam, 0.0, g)
     assert k.terms_used == ref_terms
     assert np.max(np.abs(k.values - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -387,29 +425,29 @@ def _volterra_loop(kmat, u, h):
 @pytest.mark.parametrize("n_x", [3, 4, 101, 151, 201])
 def test_volterra_matrix_matches_row_loop(n_x):
     from pdesup.backstepping import _volterra_apply
-    k = kernel_series(15.0, 1.0, n_k=201)
     g = grid_1d(n_x)
+    k = kernel_series(15.0, 1.0, g)
     u = np.random.default_rng(n_x).normal(size=(7, n_x))
-    ref = _volterra_loop(k.on_nodes(g.x), u, g.h_x)
+    ref = _volterra_loop(k.on_field(g), u, g.h_x)
     got = _volterra_apply(k, g, u)
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
     # one row at a time agrees with the stack, and the matrix is built once
     assert np.max(np.abs(_volterra_apply(k, g, u[3]) - ref[3])) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_kernel_caches_tell_same_size_grids_apart():
-    # two uniform grids with the same node count but different ends
-    k = kernel_series(1.0, 1.0, n_k=101)
-    full = np.linspace(0.0, 1.0, 51)
-    half = np.linspace(0.0, 0.5, 51)
-    k_full = k.on_nodes(full)
-    k_half = k.on_nodes(half)
-    assert np.max(np.abs(k_full - k_half)) > 0.1
-    assert np.array_equal(k_half, k.on_nodes(np.linspace(0.0, 0.5, 51)))
-    q_full = k._volterra_matrix(full)
-    q_half = k._volterra_matrix(half)
-    assert np.max(np.abs(q_full - q_half)) > 1e-3
-    # the half grid's quadrature integrates with its own step h = 0.01
+def test_transforms_refuse_a_grid_the_kernel_was_not_built_for():
+    g = grid_1d(51)
+    k = kernel_series(1.0, 1.0, g)
+    # same node count with other ends, another node count, another interval
+    for other in (grid_1d(51, 0.0, 0.5), grid_1d(101), grid_1d(51, 0.0, 2.0)):
+        u = Field(other, np.ones(other.n_x))
+        with pytest.raises(ValueError, match="kernel was built for 51 nodes"):
+            forward_transform(u, k)
+        with pytest.raises(ValueError, match="kernel was built for 51 nodes"):
+            transform_trajectory(Trajectory(other, [0.0], u.values[None]), k)
+        with pytest.raises(ValueError, match="kernel was built for 51 nodes"):
+            control_signal(u, k)
+    # on its own grid the quadrature integrates with that grid's step
     u = np.ones(51)
-    ref = _volterra_loop(k_half, u, 0.01)
-    assert np.max(np.abs(q_half @ u - ref)) <= 1e-13
+    ref = _volterra_loop(k.on_field(g), u, g.h_x)
+    assert np.max(np.abs(k._volterra_matrix(g) @ u - ref)) <= 1e-13
