@@ -10,7 +10,6 @@ from .core import (
     DIRICHLET,
     ROBIN,
     Domain,
-    Field,
     SpatialGrid,
     Trajectory,
     diff_trajectory,
@@ -18,7 +17,6 @@ from .core import (
     grid_2d,
     interval,
     rectangle,
-    sup_norm_space,
     sup_norm_spacetime,
 )
 from .expressions import Expression, ParseError, parse_expression
@@ -28,7 +26,6 @@ __all__ = [
     "ROBIN",
     "Domain",
     "Expression",
-    "Field",
     "ParseError",
     "SpatialGrid",
     "Trajectory",
@@ -38,7 +35,6 @@ __all__ = [
     "interval",
     "parse_expression",
     "rectangle",
-    "sup_norm_space",
     "sup_norm_spacetime",
 ]
 

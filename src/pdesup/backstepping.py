@@ -22,8 +22,9 @@ Two independent routes compute the kernel:
 
 A kernel belongs to the field grid it serves: the series is summed on
 the coarsest refinement of that grid with at least 201 nodes per edge,
-so the transforms and the feedback read it at field nodes, and they
-refuse any other grid.
+so every field node is a kernel node.  The kernel's quadrature matrix
+and feedback weights are built once, with it, for that grid, and
+:func:`transform_trajectory` refuses any other grid.
 
 Volterra integrals use trapezoid weights with Euler-Maclaurin endpoint
 corrections (fourth order, smooth in the row index; the one-panel row
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DIRICHLET, Field, SpatialGrid, Trajectory, time_blocks
+from .core import DIRICHLET, SpatialGrid, Trajectory, time_blocks
 from .expressions import ZERO, Expression, parse_expression
 from .gains import SERIES_TOL, closed_loop_iss_bound, kernel_bound_constant
 from .harness import Report, build_report, data_running_sup
@@ -100,6 +101,11 @@ class Kernel:
     (the polynomial continuation above the diagonal is what makes the
     short-row quadrature possible); the triangle y <= x is the
     meaningful part.
+
+    Built once for ``grid``: ``field_values`` (k at its nodes), the
+    matrix ``quadrature`` with (Q u)[i] ~ int_0^{x_i} k(x_i, y) u(y) dy
+    (row 1 by the three-point rule), and the kernel row ``krow`` and
+    weights ``w`` of :meth:`control`.
     """
 
     def __init__(self, lam: float, grid: SpatialGrid, x: np.ndarray, values: np.ndarray,
@@ -110,36 +116,24 @@ class Kernel:
         self.values = values
         self.terms_used = terms_used
         self.stride = (x.size - 1) // (grid.n_x - 1)
+        n, h = grid.n_x, grid.h_x
+        k = self.field_values = values[:: self.stride, :: self.stride]
+        q = np.zeros((n, n))
+        q[1, :3] = k[1, :3] * _ROW1 * h
+        for i in range(2, n):
+            q[i, : i + 1] = k[i, : i + 1] * volterra_weights(i + 1, h)
+        self.quadrature = q
+        self.krow = k[-1]
+        self.w = volterra_weights(n, h)
 
     def triangle_max_abs(self) -> float:
         X, Y = np.meshgrid(self.x, self.x, indexing="ij")
         return float(np.max(np.abs(self.values[Y <= X + 1e-15])))
 
-    def on_field(self, grid: SpatialGrid) -> np.ndarray:
-        """Kernel matrix K[i, j] = k(x_i, x_j) on the nodes of ``grid``.
-
-        Raises ``ValueError`` unless ``grid`` is the grid the kernel was
-        built for.
-        """
-        if grid != self.grid:
-            raise ValueError(f"kernel was built for {self.grid.n_x} nodes on [0, 1], "
-                             f"not for this grid")
-        return self.values[:: self.stride, :: self.stride]
-
-    def _volterra_matrix(self, grid: SpatialGrid) -> np.ndarray:
-        """Quadrature matrix Q with (Q u)[i] ~ int_0^{x_i} k(x_i, y) u(y) dy.
-
-        Built from :meth:`on_field` and :func:`volterra_weights`; row 1
-        uses the three-point rule.
-        """
-        n, h = grid.n_x, grid.h_x
-        kmat = self.on_field(grid)
-        q = np.zeros((n, n))
-        if n >= 3:
-            q[1, :3] = kmat[1, :3] * _ROW1 * h
-        for i in range(2, n):
-            q[i, : i + 1] = kmat[i, : i + 1] * volterra_weights(i + 1, h)
-        return q
+    def control(self, values: np.ndarray) -> float:
+        """U = -int_0^1 k(1, y) u(y) dy by the corrected trapezoid rule, from
+        the nodal values of u on the kernel's grid."""
+        return float(-np.dot(self.w, self.krow * values))
 
 
 def _series_kernel(c: float, sigma: float, grid: SpatialGrid, inverse: bool) -> Kernel:
@@ -157,8 +151,11 @@ def _series_kernel(c: float, sigma: float, grid: SpatialGrid, inverse: bool) -> 
     vector c with c[j] the coefficient of xi^j eta^(d-j).  The sum stops
     at a term below :data:`SERIES_TOL`, and must vanish on y = 0 and stay
     within :func:`kernel_bound_constant`; a sum that fails any of these
-    raises :class:`~pdesup.solver.SolverError`.
+    raises :class:`~pdesup.solver.SolverError`.  A NaN or nonpositive
+    c + sigma raises ``ValueError`` before any term is summed.
     """
+    if not c + sigma > 0:
+        raise ValueError("c + sigma must be positive")
     if grid.dim != 1 or abs(grid.domain.x_lo) > 1e-12 or abs(grid.domain.x_hi - 1.0) > 1e-12:
         raise ValueError("the kernel serves a grid on the unit interval")
     stride = -(-(KERNEL_NODES - 1) // (grid.n_x - 1))
@@ -246,38 +243,19 @@ def volterra_weights(m: int, h: float) -> np.ndarray:
 _ROW1 = np.array([5.0, 8.0, -1.0]) / 12.0  # int_0^h g via nodes {0, h, 2h}
 
 
-def _volterra_apply(kernel: Kernel, grid: SpatialGrid, u: np.ndarray) -> np.ndarray:
-    """out[i] = quadrature of k(x_i, y) u(y) over [0, x_i] for all rows."""
-    return u @ kernel._volterra_matrix(grid).T
-
-
-def forward_transform(u: Field, kernel: Kernel) -> Field:
-    """w = u + int_0^x k(x,y) u(y) dy on the field's nodes (the kernel's grid)."""
-    return Field(u.grid, u.values + _volterra_apply(kernel, u.grid, u.values))
-
-
-def inverse_transform(w: Field, inverse_kernel: Kernel) -> Field:
-    """u = w + int_0^x l(x,y) w(y) dy; inverts :func:`forward_transform`."""
-    return forward_transform(w, inverse_kernel)
-
-
 def transform_trajectory(traj: Trajectory, kernel: Kernel) -> Trajectory:
-    vals = traj.values + _volterra_apply(kernel, traj.grid, traj.values)
+    """w = u + int_0^x k(x,y) u(y) dy at every sample of ``traj``.
+
+    The inverse transform is this one with the inverse kernel.  Raises
+    ``ValueError`` unless ``traj`` lives on the grid the kernel was built
+    for.
+    """
+    if traj.grid != kernel.grid:
+        raise ValueError(f"kernel was built for {kernel.grid.n_x} nodes on [0, 1], "
+                         f"not for this grid")
+    vals = traj.values + traj.values @ kernel.quadrature.T
     vals.setflags(write=False)  # handed over: Trajectory keeps it without a copy
     return Trajectory(traj.grid, traj.times, vals)
-
-
-def _control(kernel: Kernel, grid: SpatialGrid):
-    """U = -int_0^1 k(1, y) u(y) dy by the corrected trapezoid rule, as a
-    function of the nodal values of u on ``grid``."""
-    krow = kernel.on_field(grid)[-1]
-    w = volterra_weights(grid.n_x, grid.h_x)
-    return lambda vals: float(-np.dot(w, krow * vals))
-
-
-def control_signal(u: Field, kernel: Kernel) -> float:
-    """The feedback U of the field ``u`` (see :func:`_control`)."""
-    return _control(kernel, u.grid)(u.values)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +292,7 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
         reaction_zero(), f,
         BoundarySpec(DIRICHLET, ZERO),
         u0)
-    control_of = _control(kernel, grid)
+    control_of = kernel.control
     stepper = TimeStepper(scenario)
     zero, unit = np.zeros(grid.n_x), np.array([0.0, 1.0])
     s = stepper.step_values(zero, 0.0, f_pair=(zero, zero), b_pair=(unit, unit))
@@ -353,16 +331,15 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
 # target-system residual
 
 
-def target_forcing(kernel: Kernel, grid: SpatialGrid, f_vals: np.ndarray,
-                   d0_val) -> np.ndarray:
+def target_forcing(kernel: Kernel, f_vals: np.ndarray, d0_val) -> np.ndarray:
     """Forcing of the transformed dynamics at one instant (or one per row).
 
     The transform maps f to f + int_0^x k f dy and couples the left
     boundary value in through the kernel's edge slope k_y(x, 0).  A
     stack of rows ``f_vals`` takes ``d0_val`` as a column of values.
     """
-    out = f_vals + _volterra_apply(kernel, grid, f_vals)
-    ky0 = kernel.lam * np.array([_bessel_ratio(kernel.lam * xx * xx) for xx in grid.x])
+    out = f_vals + f_vals @ kernel.quadrature.T
+    ky0 = kernel.lam * np.array([_bessel_ratio(kernel.lam * xx * xx) for xx in kernel.grid.x])
     return out + ky0 * d0_val
 
 
@@ -380,7 +357,7 @@ def target_residual(result: ClosedLoopResult, c: float, sigma: float,
     h = grid.h_x
     times = w.times
     dt = float(times[1] - times[0])
-    fw = target_forcing(result.kernel, grid, data_rows(f, node_coords(grid))(times),
+    fw = target_forcing(result.kernel, data_rows(f, node_coords(grid))(times),
                         data_rows(d0, (grid.x[:1], None))(times))
     wv = w.values
     lap = np.zeros_like(wv)

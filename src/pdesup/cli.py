@@ -34,7 +34,6 @@ from .config import (
 from .core import DIRICHLET, ROBIN
 from .expressions import ParseError, is_zero
 from .gains import (
-    CoefficientBounds,
     closed_loop_forcing_gain,
     embedding_constants,
     geometry_factor,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .cascade import CascadeSpec, SubsystemSpec, build_cascade
@@ -213,23 +213,29 @@ def _boundary_expr(cp, grid, d_key) -> Expression:
     return _expr(cp, "disturbances", d_key, "0")
 
 
-def scenario_from_config(cp, f_key="f", d_key="d") -> Scenario:
+def scenario_from_config(cp) -> Scenario:
     """Assemble the (single-system) scenario a config file describes."""
     grid = grid_from_config(cp)
     dt = _positive(cp, "grid", "dt", 1e-3)
     horizon = _positive(cp, "grid", "T", 1.0)
     kind = cp.get("boundary", "kind", fallback="dirichlet").strip().lower()
-    f = _expr(cp, "disturbances", f_key, "0")
-    d = _boundary_expr(cp, grid, d_key)
+    f = _expr(cp, "disturbances", "f", "0")
+    d = _boundary_expr(cp, grid, "d")
     u0 = _expr(cp, "initial", "u0", "0", _space(cp))
     return make_scenario(grid, horizon, dt, coefficients_from_config(cp),
                          reaction_from_config(cp), f, BoundarySpec(kind, d), u0)
 
 
 def rkes_pair_from_config(cp) -> tuple[Scenario, Scenario]:
-    """The two scenarios of a relative-stability check: (f,d) and (f2,d2)."""
+    """The two scenarios of a relative-stability check: (f,d) and (f2,d2).
+
+    They differ in their data alone, so the second is the first with f2
+    and d2 swapped in: the config is parsed and the scenario made once.
+    """
     first = scenario_from_config(cp)
-    second = scenario_from_config(cp, f_key="f2", d_key="d2")
+    second = replace(first, forcing=_expr(cp, "disturbances", "f2", "0"),
+                     boundary=replace(first.boundary,
+                                      data=_boundary_expr(cp, first.grid, "d2")))
     return first, second
 
 

@@ -1,9 +1,10 @@
-"""Domain geometry, uniform grids, nodal fields and trajectories.
+"""Domain geometry, uniform grids and trajectories.
 
-Everything downstream (solver, bound checkers, cascade machinery) works
-with the immutable containers defined here.  Sup-norms are taken over
-grid nodes only; refinement studies are the tool for quantifying the
-nodal-vs-continuum gap.
+Everything downstream (solver, bound checkers, cascade machinery,
+backstepping) works with the immutable containers defined here: a state
+is a row of nodal values, and a :class:`Trajectory` holds one row per
+time sample.  Sup-norms are taken over grid nodes only; refinement
+studies are the tool for quantifying the nodal-vs-continuum gap.
 """
 
 from __future__ import annotations
@@ -151,27 +152,6 @@ def grid_2d(n_x: int, n_y: int, x_lo=0.0, x_hi=1.0, y_lo=0.0, y_hi=1.0) -> Spati
     return SpatialGrid(rectangle(x_lo, x_hi, y_lo, y_hi), n_x, n_y)
 
 
-class Field:
-    """Immutable nodal values on a grid."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: SpatialGrid, values):
-        values = np.array(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-        bad = np.flatnonzero(~np.isfinite(values.ravel()))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"non-finite field value at node {i} {grid.node_location(i)}")
-        values.setflags(write=False)
-        self.grid = grid
-        self.values = values
-
-    def __repr__(self):
-        return f"Field(shape={self.values.shape}, sup={sup_norm_space(self):.6g})"
-
-
 class Trajectory:
     """Time-indexed fields on a shared grid, sampled at t_0=0 < ... < t_N.
 
@@ -204,9 +184,6 @@ class Trajectory:
     def n_samples(self) -> int:
         return self.times.size
 
-    def field(self, i: int) -> Field:
-        return Field(self.grid, self.values[i])
-
     def sup_space_per_sample(self) -> np.ndarray:
         flat = np.abs(self.values.reshape(self.n_samples, -1))
         return flat.max(axis=1)
@@ -220,11 +197,6 @@ def _read_only(a) -> np.ndarray:
         a = np.array(a, dtype=float)
         a.setflags(write=False)
     return a
-
-
-def sup_norm_space(f: Field) -> float:
-    """max_x |f(x)| over grid nodes (a :class:`Field` holds finite values)."""
-    return float(np.max(np.abs(f.values)))
 
 
 def sup_norm_spacetime(traj: Trajectory) -> float:

@@ -257,7 +257,7 @@ def small_gain_boundary(m_mins) -> float:
     m_mins = list(m_mins)
     if not m_mins:
         raise ValueError("need at least one subsystem")
-    if any(m <= 0 for m in m_mins):
+    if any(not m > 0 for m in m_mins):  # a NaN fails too
         raise ValueError("boundary trace minima must be positive")
     return min(m_mins)
 

@@ -2,7 +2,9 @@
 
 import math
 
-from pdesup.core import DIRICHLET, ROBIN, Field, grid_1d
+import numpy as np
+
+from pdesup.core import DIRICHLET, ROBIN, grid_1d
 from pdesup.expressions import parse_expression
 from pdesup.solver import (
     BoundarySpec,
@@ -62,13 +64,14 @@ def open_loop_preset(c: float, u0: str, n_x: int = 101, dt: float = 1e-3,
         reaction_zero(), zero, BoundarySpec(DIRICHLET, zero), parse_expression(u0))
 
 
-def step(state: Field, t: float, scenario: Scenario) -> Field:
-    """One Crank-Nicolson step of ``scenario`` (its own dt) from the given state."""
-    if state.grid != scenario.grid:
-        raise ValueError("state lives on a different grid")
+def step(state: np.ndarray, t: float, scenario: Scenario) -> np.ndarray:
+    """One Crank-Nicolson step of ``scenario`` (its own dt) from the nodal
+    values ``state`` on its grid."""
+    if np.shape(state) != scenario.grid.shape:
+        raise ValueError("state does not have the shape of the scenario's grid")
     stepper = TimeStepper(scenario)
     times = [t, t + scenario.dt]
     f_pair = data_rows(scenario.forcing, node_coords(scenario.grid))(times)
     b_pair = data_rows(scenario.boundary.data, node_coords(scenario.grid, boundary=True))(times)
-    vals = stepper.step_values(state.values.ravel().copy(), t, f_pair, b_pair)
-    return Field(scenario.grid, vals.reshape(scenario.grid.shape))
+    vals = stepper.step_values(np.ravel(state).astype(float), t, f_pair, b_pair)
+    return vals.reshape(scenario.grid.shape)

@@ -15,8 +15,6 @@ from scipy.special import iv
 
 from pdesup.backstepping import (
     inverse_kernel_series,
-    inverse_transform,
-    forward_transform,
     kernel_bessel_oracle,
     kernel_series,
     simulate_closed_loop,
@@ -27,10 +25,9 @@ from pdesup.cli import main as cli_main
 from pdesup.core import (
     DIRICHLET,
     ROBIN,
-    Field,
+    Trajectory,
     diff_trajectory,
     grid_1d,
-    sup_norm_space,
     sup_norm_spacetime,
 )
 from pdesup.expressions import parse_expression
@@ -179,8 +176,8 @@ def test_criterion_4_kernel_oracle_equivalence():
     g = grid_1d(201)
     kf = kernel_series(1.0, 1.0, g)
     li = inverse_kernel_series(1.0, 1.0, g)
-    u = Field(g, np.sin(np.pi * g.x) + 0.3 * g.x ** 2)
-    rt = np.max(np.abs(inverse_transform(forward_transform(u, kf), li).values - u.values))
+    u = Trajectory(g, [0.0], (np.sin(np.pi * g.x) + 0.3 * g.x ** 2)[None])
+    rt = np.max(np.abs(transform_trajectory(transform_trajectory(u, kf), li).values - u.values))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and rt <= 1e-8 and elapsed < 30.0
     assert _line(4, "kernel oracle equivalence", ok,
@@ -392,7 +389,8 @@ def backstep_results():
 
 def test_criterion_8_backstepping(backstep_results):
     open_loop, clean, disturbed, elapsed = backstep_results
-    growth = sup_norm_space(open_loop.field(-1)) / sup_norm_space(open_loop.field(0))
+    sups = open_loop.sup_space_per_sample()
+    growth = sups[-1] / sups[0]
     ok = (growth >= 20.0 and clean.report.passed and disturbed.report.passed
           and elapsed < 60.0)
     assert _line(8, "backstepping closed loop", ok,
@@ -513,12 +511,12 @@ def test_criterion_10_level_set_everywhere(decay_suite, iss_suites,
     open_loop, clean, disturbed, _ = backstep_results
     m = kernel_bound_constant(15.0, 1.0)
     for res in (clean, disturbed):
-        u0_sup = sup_norm_space(res.u.field(0))
+        u0_sup = res.u.sup_space_per_sample()[0]
         d_sup = 0.1 if res is disturbed else 0.0
         cap = (1 + m) * ((1 + m) * u0_sup + 2 * d_sup)
         run(res.u, cap, 0.0)
         # target trajectory: single-equation cap with its own gains
-        w0_sup = sup_norm_space(res.w.field(0))
+        w0_sup = res.w.sup_space_per_sample()[0]
         run(res.w, w0_sup + d_sup + 20.0, 0.0)
 
     for family in cascade_results[0].values():

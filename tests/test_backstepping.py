@@ -7,11 +7,8 @@ from scipy.special import iv, jv
 
 from pdesup.backstepping import (
     Kernel,
-    control_signal,
-    forward_transform,
     inverse_kernel_bessel_oracle,
     inverse_kernel_series,
-    inverse_transform,
     kernel_bessel_oracle,
     kernel_series,
     simulate_closed_loop,
@@ -19,7 +16,7 @@ from pdesup.backstepping import (
     transform_trajectory,
     volterra_weights,
 )
-from pdesup.core import DIRICHLET, Field, Trajectory, grid_1d, grid_2d, sup_norm_space
+from pdesup.core import DIRICHLET, Trajectory, grid_1d, grid_2d
 from pdesup.expressions import parse_expression
 from pdesup.gains import closed_loop_forcing_gain, closed_loop_iss_bound, kernel_bound_constant
 from pdesup.solver import (
@@ -107,19 +104,23 @@ def test_series_needs_minimum_grid():
         assert np.allclose(k.x[:: k.stride], np.linspace(0.0, 1.0, n_x), rtol=0, atol=1e-15)
 
 
+def _state(grid, values) -> Trajectory:
+    """One state as a trajectory of the single sample t = 0."""
+    return Trajectory(grid, [0.0], np.asarray(values, dtype=float)[None])
+
+
 def test_transform_zero_field():
     g = grid_1d(101)
     k = kernel_series(1.0, 1.0, g)
-    z = Field(g, np.zeros(101))
-    assert np.all(forward_transform(z, k).values == 0.0)
+    assert np.all(transform_trajectory(_state(g, np.zeros(101)), k).values == 0.0)
 
 
 def test_transform_roundtrip():
     g = grid_1d(201)
     k = kernel_series(1.0, 1.0, g)
     li = inverse_kernel_series(1.0, 1.0, g)
-    u = Field(g, np.sin(np.pi * g.x) + 0.3 * g.x ** 2)
-    back = inverse_transform(forward_transform(u, k), li)
+    u = _state(g, np.sin(np.pi * g.x) + 0.3 * g.x ** 2)
+    back = transform_trajectory(transform_trajectory(u, k), li)
     assert np.max(np.abs(back.values - u.values)) <= 1e-8
 
 
@@ -131,23 +132,23 @@ def test_transform_sup_inflation():
     for _ in range(5):
         coefs = rng.normal(size=4)
         vals = sum(c_ * np.sin((j + 1) * np.pi * g.x) for j, c_ in enumerate(coefs))
-        u = Field(g, vals)
-        w = forward_transform(u, k)
-        assert sup_norm_space(w) <= (1 + m) * sup_norm_space(u) + 1e-9
+        u = _state(g, vals)
+        w = transform_trajectory(u, k)
+        assert w.sup_space_per_sample()[0] <= (1 + m) * u.sup_space_per_sample()[0] + 1e-9
 
 
 def test_transform_resolution_mismatch():
     g = grid_1d(301)
     k = kernel_series(1.0, 1.0, grid_1d(101))
     with pytest.raises(ValueError):
-        forward_transform(Field(g, np.zeros(301)), k)
+        transform_trajectory(_state(g, np.zeros(301)), k)
 
 
 def test_transform_wrong_domain():
     g = grid_1d(101, 0, 2.0)
     k = kernel_series(1.0, 1.0, grid_1d(101))
     with pytest.raises(ValueError):
-        forward_transform(Field(g, np.zeros(101)), k)
+        transform_trajectory(_state(g, np.zeros(101)), k)
     for grid in (g, grid_1d(101, -1.0, 1.0), grid_2d(11, 11)):
         with pytest.raises(ValueError, match="unit interval"):
             kernel_series(1.0, 1.0, grid)
@@ -156,33 +157,28 @@ def test_transform_wrong_domain():
 def test_control_signal_zero_and_linearity():
     g = grid_1d(101)
     k = kernel_series(1.0, 1.0, g)
-    z = Field(g, np.zeros(101))
-    assert control_signal(z, k) == 0.0
+    assert k.control(np.zeros(101)) == 0.0
     rng = np.random.default_rng(7)
     a = rng.normal(size=101)
     b = rng.normal(size=101)
-    ua, ub = Field(g, a), Field(g, b)
-    uab = Field(g, 2 * a + 3 * b)
-    assert control_signal(uab, k) == pytest.approx(
-        2 * control_signal(ua, k) + 3 * control_signal(ub, k), rel=1e-12, abs=1e-12)
+    assert k.control(2 * a + 3 * b) == pytest.approx(
+        2 * k.control(a) + 3 * k.control(b), rel=1e-12, abs=1e-12)
 
 
 def test_control_signal_constant_field_pinned():
     # -int_0^1 k(1,y) dy for c = sigma = 1, pinned from adaptive quadrature
     g = grid_1d(201)
     k = kernel_series(1.0, 1.0, g)
-    u = Field(g, np.ones(201))
-    assert control_signal(u, k) == pytest.approx(-0.5660829297563506, abs=1e-9)
+    assert k.control(np.ones(201)) == pytest.approx(-0.5660829297563506, abs=1e-9)
 
 
 def test_control_signal_against_oracle_quadrature():
     for c, sig in [(1.0, 1.0), (5.0, 1.0)]:
         g = grid_1d(201)
         k = kernel_series(c, sig, g)
-        u = Field(g, np.ones(201))
         val, err = quad(lambda y: kernel_bessel_oracle(c, sig, 1.0, y), 0, 1,
                         epsabs=1e-13, epsrel=1e-13)
-        assert control_signal(u, k) == pytest.approx(-val, abs=1e-9)
+        assert k.control(np.ones(201)) == pytest.approx(-val, abs=1e-9)
 
 
 def test_volterra_weights_sum():
@@ -222,15 +218,15 @@ def test_closed_loop_stabilizes_and_open_loop_grows():
     g = grid_1d(101)
     zero = E("0")
     open_loop = solve(open_loop_preset(15.0, "sin(pi*x)", 101, 1e-3, 1.0))
-    growth = sup_norm_space(open_loop.field(-1))
+    growth = open_loop.sup_space_per_sample()[-1]
     assert growth >= 20.0
     closed = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
                                   g, 1e-3, 2.0)
     assert closed.report.passed
     m = kernel_bound_constant(15.0, 1.0)
-    assert sup_norm_space(closed.u.field(-1)) <= (1 + m) ** 2 * math.exp(-2.0)
+    assert closed.u.sup_space_per_sample()[-1] <= (1 + m) ** 2 * math.exp(-2.0)
     # the feedback actually decays the state
-    assert sup_norm_space(closed.u.field(-1)) < 1e-3
+    assert closed.u.sup_space_per_sample()[-1] < 1e-3
 
 
 def test_closed_loop_with_disturbances_passes_bound():
@@ -283,13 +279,13 @@ def _swept_closed_loop(c, sigma, u0, f, d0, d1, grid, dt, horizon):
     f_vals = data_rows(f, node_coords(grid))(times)
     d_vals = np.hstack([data_rows(d, (grid.x[i:i + 1], None))(times) for d, i in ((d0, 0), (d1, -1))])
     u = sc.initial_values().astype(float)
-    out, controls = [u], [control_signal(Field(grid, u), kernel)]
+    out, controls = [u], [kernel.control(u)]
     for i in range(times.size - 1):
         U = controls[-1]
         for _ in range(200):
             b1 = d_vals[i + 1] + [0.0, U]
             cand = stepper.step_values(u, times[i], f_pair=f_vals[i:i + 2], b_pair=(b1, b1))
-            U_new = control_signal(Field(grid, cand), kernel)
+            U_new = kernel.control(cand)
             done = abs(U_new - U) <= 1e-13 * (1.0 + abs(U))
             U = U_new
             if done:
@@ -341,7 +337,7 @@ def test_closed_loop_makes_one_step_per_step_plus_one(monkeypatch):
 def test_kernel_matches_oracle_on_every_field_grid(n_x):
     # every field node is a kernel node, whether or not n_x - 1 divides 200
     g = grid_1d(n_x)
-    kmat = kernel_series(15.0, 1.0, g).on_field(g)
+    kmat = kernel_series(15.0, 1.0, g).field_values
     from pdesup.backstepping import _bessel_ratio
     lam = 16.0
     X, Y = np.meshgrid(g.x, g.x, indexing="ij")
@@ -424,15 +420,15 @@ def _volterra_loop(kmat, u, h):
 
 @pytest.mark.parametrize("n_x", [3, 4, 101, 151, 201])
 def test_volterra_matrix_matches_row_loop(n_x):
-    from pdesup.backstepping import _volterra_apply
     g = grid_1d(n_x)
     k = kernel_series(15.0, 1.0, g)
     u = np.random.default_rng(n_x).normal(size=(7, n_x))
-    ref = _volterra_loop(k.on_field(g), u, g.h_x)
-    got = _volterra_apply(k, g, u)
+    ref = _volterra_loop(k.field_values, u, g.h_x)
+    got = transform_trajectory(Trajectory(g, np.arange(7.0), u), k).values - u
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
-    # one row at a time agrees with the stack, and the matrix is built once
-    assert np.max(np.abs(_volterra_apply(k, g, u[3]) - ref[3])) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+    # one row at a time agrees with the stack
+    one = transform_trajectory(_state(g, u[3]), k).values[0] - u[3]
+    assert np.max(np.abs(one - ref[3])) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_transforms_refuse_a_grid_the_kernel_was_not_built_for():
@@ -440,14 +436,33 @@ def test_transforms_refuse_a_grid_the_kernel_was_not_built_for():
     k = kernel_series(1.0, 1.0, g)
     # same node count with other ends, another node count, another interval
     for other in (grid_1d(51, 0.0, 0.5), grid_1d(101), grid_1d(51, 0.0, 2.0)):
-        u = Field(other, np.ones(other.n_x))
         with pytest.raises(ValueError, match="kernel was built for 51 nodes"):
-            forward_transform(u, k)
-        with pytest.raises(ValueError, match="kernel was built for 51 nodes"):
-            transform_trajectory(Trajectory(other, [0.0], u.values[None]), k)
-        with pytest.raises(ValueError, match="kernel was built for 51 nodes"):
-            control_signal(u, k)
+            transform_trajectory(_state(other, np.ones(other.n_x)), k)
     # on its own grid the quadrature integrates with that grid's step
     u = np.ones(51)
-    ref = _volterra_loop(k.on_field(g), u, g.h_x)
-    assert np.max(np.abs(k._volterra_matrix(g) @ u - ref)) <= 1e-13
+    ref = _volterra_loop(k.field_values, u, g.h_x)
+    assert np.max(np.abs(transform_trajectory(_state(g, u), k).values[0] - u - ref)) <= 1e-13
+
+
+def test_kernel_builds_its_quadrature_once(monkeypatch):
+    # the quadrature matrix and the feedback weights come with the kernel:
+    # transforms and controls afterwards compute no weights
+    import pdesup.backstepping as bs
+    g = grid_1d(41)
+    k = kernel_series(5.0, 1.0, g)
+    calls = []
+    real = bs.volterra_weights
+    monkeypatch.setattr(bs, "volterra_weights", lambda *a: calls.append(a) or real(*a))
+    u = _state(g, np.sin(np.pi * g.x))
+    first, second = transform_trajectory(u, k), transform_trajectory(u, k)
+    assert np.array_equal(first.values, second.values)
+    k.control(u.values[0])
+    assert calls == []
+
+
+@pytest.mark.parametrize("build", [kernel_series, inverse_kernel_series])
+@pytest.mark.parametrize("c", [math.nan, -1.0, -2.0])
+def test_series_refuses_nan_or_nonpositive_c_plus_sigma(build, c):
+    # refused before any term is summed, as the kernel bound refuses it
+    with pytest.raises(ValueError, match=r"c \+ sigma must be positive"):
+        build(c, 1.0, grid_1d(11))

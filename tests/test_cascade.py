@@ -9,7 +9,7 @@ from pdesup.cascade import (
     simulate_cascade,
     verify_cascade,
 )
-from pdesup.core import ROBIN, Trajectory, grid_1d, sup_norm_space, time_blocks
+from pdesup.core import ROBIN, Trajectory, grid_1d, time_blocks
 from pdesup.expressions import parse_expression
 from pdesup.harness import NOT_ASSERTED, PASS
 from pdesup.solver import (
@@ -106,7 +106,7 @@ def test_robin_cycle_consistency_and_bounds():
     # test_cycle_blocks_reproduce_their_own_steps; spot check: each
     # trajectory is bounded by the cycle bound at t=0
     for tr in trajs:
-        assert sup_norm_space(tr.field(0)) <= 2 * spec.phis[-1] + 1e-12
+        assert tr.sup_space_per_sample()[0] <= 2 * spec.phis[-1] + 1e-12
 
 
 def test_dirichlet_open_chain_passes_bounds():

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import math
 import os
@@ -246,6 +247,46 @@ def test_verify_rkes_cli_explicit_pair(tmp_path):
     assert main(["verify-rkes", "--config", str(p), "--out", str(out)]) == 0
     rep = (out / "report.csv").read_text().splitlines()
     assert rep[1].startswith("rkes,pass,")
+
+
+def _pair_by_two_parses(cp):
+    """The RKES pair as two separately parsed scenarios: the second from a
+    copy of the config with f2 and d2 (or d2_left/d2_right) as f and d."""
+    copy = configparser.ConfigParser(interpolation=None)
+    copy.optionxform = str
+    copy.read_dict(cp)
+    dist = copy["disturbances"]
+    for key in ("f", "d", "d_left", "d_right"):
+        dist.pop(key, None)
+    for key in [k for k in dist if k.startswith(("f2", "d2"))]:
+        dist[key[0] + key[2:]] = dist[key]
+    return scenario_from_config(cp), scenario_from_config(copy)
+
+
+@pytest.mark.parametrize("text", [
+    RKES_PAIR,
+    RKES_PAIR.replace("d2 = 3*sin(t)*sin(x)", "d2_left = 0\nd2_right = 3*sin(t)")
+    .replace("T = 2.0", "T = 0.2"),
+], ids=["d2", "d2-left-right"])
+def test_verify_rkes_makes_one_scenario_and_writes_what_two_parses_wrote(
+        tmp_path, capsys, monkeypatch, text):
+    import pdesup.cli as cli
+    import pdesup.config as config
+    p = _write(tmp_path, text)
+    made = []
+    real = config.make_scenario
+    monkeypatch.setattr(config, "make_scenario", lambda *a: made.append(a) or real(*a))
+    assert main(["verify-rkes", "--config", str(p), "--out", str(tmp_path / "once")]) == 0
+    once = capsys.readouterr().out
+    assert len(made) == 1
+    monkeypatch.setattr(cli, "rkes_pair_from_config", _pair_by_two_parses)
+    assert main(["verify-rkes", "--config", str(p), "--out", str(tmp_path / "twice")]) == 0
+    assert capsys.readouterr().out == once
+    assert len(made) == 3
+    written = sorted(f.name for f in (tmp_path / "once").iterdir())
+    assert written == sorted(f.name for f in (tmp_path / "twice").iterdir())
+    for name in written:
+        assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "twice" / name).read_bytes()
 
 
 @pytest.mark.parametrize("text, need", [

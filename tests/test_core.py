@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pdesup.core import (
-    Field,
     Trajectory,
     diff_trajectory,
     grid_1d,
     grid_2d,
     interval,
     rectangle,
-    sup_norm_space,
     sup_norm_spacetime,
 )
 
@@ -44,31 +42,27 @@ def test_grid_spacing_and_boundary_nodes():
         grid_1d(2)
 
 
+def _sup_space(grid, values) -> float:
+    """The spatial sup of one state, as a trajectory of one sample reads it."""
+    return Trajectory(grid, [0.0], np.asarray(values)[None]).sup_space_per_sample()[0]
+
+
 def test_sup_norm_zero_field():
     g = grid_1d(11)
-    assert sup_norm_space(Field(g, np.zeros(11))) == 0.0
+    assert _sup_space(g, np.zeros(11)) == 0.0
 
 
 def test_sup_norm_sine_on_node():
     g = grid_1d(101, 0, 1)
-    f = Field(g, np.sin(np.pi * g.x))
-    assert sup_norm_space(f) == pytest.approx(1.0, abs=1e-12)
+    assert _sup_space(g, np.sin(np.pi * g.x)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sup_norm_explicit_solution_sample():
     # 2 * sin(1) * sin(x) on (0, pi/2): the max sits on the right endpoint node
     g = grid_1d(101, 0, math.pi / 2)
-    f = Field(g, 2 * math.sin(1.0) * np.sin(g.x))
-    assert sup_norm_space(f) == pytest.approx(2 * math.sin(1.0), rel=1e-15)
-    assert sup_norm_space(f) == pytest.approx(1.68294, abs=5e-6)
-
-
-def test_field_nonfinite_diagnostic():
-    g = grid_1d(11)
-    vals = np.zeros(11)
-    vals[7] = np.inf
-    with pytest.raises(ValueError, match="node 7"):
-        Field(g, vals)
+    sup = _sup_space(g, 2 * math.sin(1.0) * np.sin(g.x))
+    assert sup == pytest.approx(2 * math.sin(1.0), rel=1e-15)
+    assert sup == pytest.approx(1.68294, abs=5e-6)
 
 
 def test_spacetime_sup_single_zero_field():
@@ -98,6 +92,10 @@ def test_trajectory_validation():
         Trajectory(g, [0.0, 0.0], np.zeros((2, 11)))
     with pytest.raises(ValueError):
         Trajectory(g, [0.5, 1.0], np.zeros((2, 11)))
+    vals = np.zeros((2, 11))
+    vals[1, 7] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        Trajectory(g, [0.0, 1.0], vals)
     with pytest.raises(ValueError):
         Trajectory(g, [0.0], np.zeros((2, 11)))
 
@@ -148,12 +146,11 @@ def test_properties_on_random_trajectories(av, bv):
     ta = Trajectory(g, times, av)
     tb = Trajectory(g, times, bv)
     # spacetime sup == max over per-sample space sups
-    per = [sup_norm_space(ta.field(i)) for i in range(4)]
+    per = ta.sup_space_per_sample()
     assert sup_norm_spacetime(ta) == max(per)
     # triangle inequality on each sample
     d = diff_trajectory(ta, tb)
-    for i in range(4):
-        assert sup_norm_space(d.field(i)) <= sup_norm_space(ta.field(i)) + sup_norm_space(tb.field(i)) + 1e-12
+    assert np.all(d.sup_space_per_sample() <= per + tb.sup_space_per_sample() + 1e-12)
     # antisymmetry
     d2 = diff_trajectory(tb, ta)
     assert np.array_equal(d.values, -d2.values)

@@ -177,6 +177,13 @@ def test_small_gain_boundary():
         small_gain_boundary([])
 
 
+@pytest.mark.parametrize("m_mins", [[math.nan], [1.0, math.nan], [math.nan, 1.0]])
+def test_small_gain_boundary_refuses_a_nan_trace_minimum(m_mins):
+    # min() would pass a NaN through, or hide it behind a number
+    with pytest.raises(ValueError, match="must be positive"):
+        small_gain_boundary(m_mins)
+
+
 def test_small_gain_domain_preset():
     a0 = small_gain_domain([(10, 1)] * 3, 1.0, C_S, C_P)
     # exact: tau = (4/pi)/10, a0 = 10 pi / (4 * 2^(3/2))

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 
 import pdesup.solver as solver_mod
 from pdesup.cascade import SubsystemSpec, build_cascade
-from pdesup.core import (DIRICHLET, ROBIN, Field, Trajectory, grid_1d, grid_2d, sup_norm_space,
+from pdesup.core import (DIRICHLET, ROBIN, Trajectory, grid_1d, grid_2d,
                          time_blocks)
 from pdesup.expressions import parse_expression
 from pdesup.solver import (
@@ -209,10 +209,9 @@ def test_zero_fixed_point():
 def test_single_step_heat_mode():
     # pure heat: one CN step on the first Dirichlet eigenmode
     sc = _scenario_1d(c="0", n_x=201, dt=1e-3)
-    f0 = Field(sc.grid, np.sin(np.pi * sc.grid.x))
-    f1 = step(f0, 0.0, sc)
+    f1 = step(np.sin(np.pi * sc.grid.x), 0.0, sc)
     expect = math.exp(-math.pi ** 2 * 1e-3) * np.sin(np.pi * sc.grid.x)
-    err = np.max(np.abs(f1.values - expect))
+    err = np.max(np.abs(f1 - expect))
     assert err < 5e-7  # O(dt^3 + dt*h^2) with pi^4/12-sized constants
 
 
@@ -233,17 +232,17 @@ def test_manufactured_residual_after_substitution():
     sc = explicit_solution_preset(k=1.0, n_x=201, dt=1e-3)
     X = sc.grid.x
     t = 0.7
-    f0 = Field(sc.grid, np.sin(t) * np.sin(X))
-    f1 = step(f0, t, sc)
+    f1 = step(np.sin(t) * np.sin(X), t, sc)
     expect = np.sin(t + sc.dt) * np.sin(X)
-    assert np.max(np.abs(f1.values - expect)) < 5e-9
+    assert np.max(np.abs(f1 - expect)) < 5e-9
 
 
 def test_destabilized_growth():
     # u_t = u_xx + 15 u grows like e^{(15-pi^2) t} on the first mode
     sc = _scenario_1d(c="-15", n_x=101, dt=1e-3, T=1.0)
     traj = solve(sc)
-    growth = sup_norm_space(traj.field(-1)) / sup_norm_space(traj.field(0))
+    sups = traj.sup_space_per_sample()
+    growth = sups[-1] / sups[0]
     assert growth > 20.0
     assert growth == pytest.approx(math.exp(15 - math.pi ** 2), rel=0.05)
 
@@ -323,7 +322,7 @@ def test_2d_heat_decay_dirichlet():
         reaction_zero(), E("0"), BoundarySpec(DIRICHLET, E("0")),
         E("sin(pi*x)*sin(pi*y)"))
     traj = solve(sc)
-    decay = sup_norm_space(traj.field(-1))
+    decay = traj.sup_space_per_sample()[-1]
     assert decay == pytest.approx(math.exp(-2 * math.pi ** 2 * 0.05), rel=2e-3)
 
 
