@@ -9,7 +9,8 @@ large for memory).
 
 CSV outputs are byte-deterministic for a fixed config and version:
 floats are printed with repr-faithful 17 significant digits, UTF-8,
-LF line endings.
+LF line endings.  Trajectory CSVs are written one time sample at a
+time, so writing one holds a single sample's text, whatever the horizon.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import backstepping, cascade as cascade_mod, harness
 from .config import (
+    backstep_data_from_config,
     cascade_from_config,
     check_settings_from_config,
     checked_tol,
@@ -60,9 +62,9 @@ def _column(values) -> list[str]:
     return list(map(format, np.asarray(values, dtype=float).ravel().tolist(), repeat(".17g")))
 
 
-def _each(column: list[str], k: int) -> list[str]:
-    """Every entry of ``column`` repeated ``k`` times in place."""
-    return list(chain.from_iterable(map(repeat, column, repeat(k))))
+def _rows(*columns):
+    """One CSV row per index of equal-length columns of strings."""
+    return map((",".join(["{}"] * len(columns)) + "\n").format, *columns)
 
 
 def _quote(text: str) -> str:
@@ -72,53 +74,51 @@ def _quote(text: str) -> str:
     return text
 
 
-def _write_csv(path: Path, header, columns):
-    """Write equal-length columns of strings, one CSV row per index."""
+def _write_csv(path: Path, header, chunks):
+    """Write the header line, then each text chunk (whole rows) as it comes."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    row = ",".join(["{}"] * len(header)) + "\n"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(row.format, *columns))
+        fh.writelines(chunks)
 
 
 def _write_rows(path: Path, header, rows):
     """A small table given row by row; a column of str is written as it is."""
     columns = [[row[k] for row in rows] for k in range(len(header))]
-    _write_csv(path, header, [c if all(isinstance(v, str) for v in c) else _column(c)
-                              for c in columns])
+    _write_csv(path, header, _rows(*(c if all(isinstance(v, str) for v in c) else _column(c)
+                                     for c in columns)))
 
 
 def _write_trajectory(path: Path, traj):
+    """``t,x[,y],u`` rows, one sample at a time: its time joined with the nodes
+    into one ``%.17g`` template (``format(v, ".17g")``'s text), filled with its values."""
     g = traj.grid
-    if g.dim == 1:
-        header, nodes = ("t", "x", "u"), [_column(g.x)]
-    else:  # x runs fastest, as in the row-major values
-        header, nodes = ("t", "x", "y", "u"), [_column(g.x) * g.n_y, _each(_column(g.y), g.n_x)]
-    times = _column(traj.times)
-    _write_csv(path, header, [_each(times, len(nodes[0])), *(c * len(times) for c in nodes),
-                              _column(traj.values)])
+    header, nodes = ("t", "x", "u"), _column(g.x)
+    if g.dim == 2:  # x runs fastest, as in the row-major values
+        header, nodes = ("t", "x", "y", "u"), [f"{x},{y}" for y in _column(g.y) for x in nodes]
+    pieces = ["", *(f",{node},%.17g\n" for node in nodes)]
+    values = np.asarray(traj.values, dtype=float).reshape(len(traj.times), -1)
+    _write_csv(path, header, (t.join(pieces) % tuple(row.tolist())
+                              for t, row in zip(_column(traj.times), values)))
 
 
 def _write_supnorms(path: Path, traj, f_sups, d_sups, bounds):
     sups = traj.sup_space_per_sample()
     bounds = np.full(sups.size, math.nan) if bounds is None else np.asarray(bounds, dtype=float)
     _write_csv(path, ("t", "sup_space", "running_sup_f", "running_sup_d", "bound", "margin"),
-               [_column(c) for c in (traj.times, sups, f_sups, d_sups, bounds, bounds - sups)])
+               _rows(*map(_column, (traj.times, sups, f_sups, d_sups, bounds, bounds - sups))))
 
 
 def _write_report(path: Path, reports):
     """One row per check; a missing witness reads nan, and so does y in 1-D."""
-    locs = [rep.worst_location or (math.nan, math.nan) for rep in reports]
-    _write_csv(path, ("check", "verdict", "worst_margin", "witness_x", "witness_y",
-                      "witness_t", "notes"), [
-        [rep.check for rep in reports],
-        [rep.verdict for rep in reports],
-        _column([rep.worst_margin for rep in reports]),
-        _column([loc[0] for loc in locs]),
-        _column([loc[1] if len(loc) == 3 else math.nan for loc in locs]),
-        _column([loc[-1] for loc in locs]),
-        [_quote(rep.notes) for rep in reports],
-    ])
+    rows = []
+    for rep in reports:
+        loc = rep.worst_location or (math.nan, math.nan)
+        y = loc[1] if len(loc) == 3 else math.nan
+        rows.append((rep.check, rep.verdict, rep.worst_margin, loc[0], y, loc[-1],
+                     _quote(rep.notes)))
+    _write_rows(path, ("check", "verdict", "worst_margin", "witness_x", "witness_y",
+                       "witness_t", "notes"), rows)
 
 
 def _gain_set(scenario, settings):
@@ -130,9 +130,7 @@ def _gain_set(scenario, settings):
 
 
 def _exit_from_report(rep) -> int:
-    if rep.verdict == harness.FAIL:
-        return EXIT_BOUND_FAILED
-    return EXIT_PASS
+    return EXIT_BOUND_FAILED if rep.verdict == harness.FAIL else EXIT_PASS
 
 
 def _iss_gains(sc, settings):
@@ -168,8 +166,7 @@ def cmd_gains(cp, out: Path, settings, args) -> int:
         ("c_p_1d", c_p, "1-D embedding constant, zero-trace gradient form"),
     ]
     sc = scenario_from_config(cp)
-    vol = sc.grid.domain.volume
-    q = settings.q
+    vol, q = sc.grid.domain.volume, settings.q
     rows.append(("geometry_factor", geometry_factor(vol, q),
                  f"volume^((q-2)/q) * 2^((3q-4)/(2q-4)) at volume={_fmt(vol)}, q={_fmt(q)}"))
     defined = harness.rkes_gains_defined(sc)
@@ -236,7 +233,6 @@ def cmd_verify_decay(cp, out: Path, settings, args) -> int:
 
 
 def cmd_backstep(cp, out: Path, settings, args) -> int:
-    from .config import _expr
     if settings.c is None or settings.sigma is None:
         raise ConfigError("[check] needs c and sigma for the closed loop")
     sc = scenario_from_config(cp)
@@ -248,10 +244,8 @@ def cmd_backstep(cp, out: Path, settings, args) -> int:
             raise ConfigError(f"[domain] {key}: backstep needs {key} = {end:g}, got {value!r}")
     if sc.boundary.kind != DIRICHLET:  # the loop sets u(0) = d0 and u(1) = d1 + U
         raise ConfigError(f"[boundary] kind: backstep needs dirichlet, got {sc.boundary.kind}")
-    d0 = _expr(cp, "disturbances", "d0", "0", ("t",))
-    d1 = _expr(cp, "disturbances", "d1", "0", ("t",))
     res = backstepping.simulate_closed_loop(
-        settings.c, settings.sigma, sc.u0, sc.forcing, d0, d1,
+        settings.c, settings.sigma, sc.u0, sc.forcing, *backstep_data_from_config(cp),
         sc.grid, sc.dt, sc.horizon, tol=settings.tol)
     _write_trajectory(out / "trajectory.csv", res.u)
     _write_trajectory(out / "trajectory_target.csv", res.w)
@@ -273,7 +267,7 @@ def cmd_cascade(cp, out: Path, settings, args) -> int:
     rep = cascade_mod.verify_cascade(spec, trajs, settings.tol)
     for j, tr in enumerate(trajs, start=1):
         _write_csv(out / f"supnorms_{j}.csv", ("t", "sup_space"),
-                   [_column(tr.times), _column(tr.sup_space_per_sample())])
+                   _rows(_column(tr.times), _column(tr.sup_space_per_sample())))
     _write_report(out / "report.csv", [rep])
     print(f"cascade[{spec.topology}]: {rep.verdict} "
           f"(small-gain {_fmt(spec.small_gain)}; worst margin {_fmt(rep.worst_margin)})")

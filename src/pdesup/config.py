@@ -239,6 +239,11 @@ def rkes_pair_from_config(cp) -> tuple[Scenario, Scenario]:
     return first, second
 
 
+def backstep_data_from_config(cp) -> tuple[Expression, Expression]:
+    """The closed loop's boundary data (d0 at x = 0, d1 beside the control at x = 1) over t."""
+    return tuple(_expr(cp, "disturbances", key, "0", ("t",)) for key in ("d0", "d1"))
+
+
 def cascade_from_config(cp, settings: CheckSettings | None = None) -> CascadeSpec:
     """The cascade of the [cascade] section; embedding constants and q come
     from ``settings`` (by default the config's own [check] section)."""

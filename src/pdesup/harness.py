@@ -166,17 +166,18 @@ def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = 
     """Space-time sup of the solution difference against the linear RKES bound.
 
     Both scenarios must share everything except (f, d); the bound is
-    checked on every growing window [0, T_i].  ``g`` may be None when
-    :func:`rkes_gains_defined` says the gains do not exist (the verdict is
-    then "not-asserted").
+    checked on every growing window [0, T_i].  The verdict is
+    "not-asserted" when the reaction is not monotone, or when ``g`` is
+    None because :func:`rkes_gains_defined` says the gains do not exist.
     """
     traj1, traj2 = traj_pair
     sc1, sc2 = scenario_pair
     same_data = replace(sc2.boundary, data=sc1.boundary.data)
     if replace(sc2, forcing=sc1.forcing, boundary=same_data) != sc1:
         raise ValueError("scenarios differ beyond the disturbance pair (f, d)")
-    if g is None:
-        return Report("rkes", NOT_ASSERTED, math.nan, None, 0, notes=gains_undefined_note(sc1))
+    if g is None or not sc1.reaction.monotone:
+        why = "hypotheses not met: need a monotone reaction" if g else gains_undefined_note(sc1)
+        return Report("rkes", NOT_ASSERTED, math.nan, None, 0, notes=why)
     d = diff_trajectory(traj1, traj2)
     observed = np.maximum.accumulate(d.sup_space_per_sample())
     f_run = data_running_sup(sc1.forcing, node_coords(sc1.grid), d.times, minus=sc2.forcing)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from pdesup.cli import _write_report, _write_trajectory, main
-from pdesup.config import cascade_from_config, load_config, scenario_from_config
+from pdesup.config import (backstep_data_from_config, cascade_from_config, load_config,
+                            scenario_from_config)
 from pdesup.core import ROBIN, Trajectory, grid_1d, grid_2d
 from pdesup.harness import Report
 from pdesup.solver import ConfigError
@@ -294,18 +296,36 @@ def test_verify_rkes_makes_one_scenario_and_writes_what_two_parses_wrote(
     (RKES_PAIR.replace("kind = dirichlet", "kind = robin"),
      "need c_min > 0 for Robin data (c_min 0)"),
 ], ids=["c-negative", "robin-c-zero"])
-def test_verify_rkes_without_gains_is_not_asserted(tmp_path, text, need):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+def test_verify_rkes_without_gains_is_not_asserted(tmp_path, capsys, text, need):
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-m", "pdesup", "verify-rkes", "--config",
-                           str(_write(tmp_path, text.replace("T = 2.0", "T = 0.2"))),
-                           "--out", str(out)], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert "Traceback" not in proc.stderr
+    # an exception escaping main() would be a traceback for the user
+    code = main(["verify-rkes", "--config",
+                 str(_write(tmp_path, text.replace("T = 2.0", "T = 0.2"))), "--out", str(out)])
+    assert code == 0
     rows = (out / "report.csv").read_text().splitlines()[1:]
     assert len(rows) == 1 and rows[0].startswith("rkes,not-asserted,")
-    assert need in rows[0] and need in proc.stdout
+    assert need in rows[0] and need in capsys.readouterr().out
+
+
+RKES_PAIR_CONFIG = (Path(__file__).resolve().parents[1] / "configs"
+                    / "rkes_explicit_pair.ini").read_text()
+
+
+def test_verify_rkes_without_a_monotone_reaction_is_not_asserted(tmp_path, capsys):
+    # -5u is not monotone: the difference grows past the linear bound, which
+    # is not a failed bound but a hypothesis the reaction does not meet
+    text = RKES_PAIR_CONFIG + ("\n[reaction]\nkind = custom\nexpr = -5*u\nlambda = 1\n"
+                               "monotone = false\n")
+    p, out = _write(tmp_path, text), tmp_path / "out"
+    assert main(["verify-rkes", "--config", str(p), "--out", str(out)]) == 0
+    need = "hypotheses not met: need a monotone reaction"
+    assert capsys.readouterr().out == f"rkes: not-asserted (worst margin nan; {need})\n"
+    (row,) = _report_rows(out / "report.csv")
+    assert row["verdict"] == "not-asserted" and row["notes"] == need
+    # the gains themselves need c_min alone, so `gains` still writes them
+    assert main(["gains", "--config", str(p), "--out", str(tmp_path / "g")]) == 0
+    names = [r["name"] for r in _report_rows(tmp_path / "g" / "gains.csv")]
+    assert "l_f" in names and "l_d" in names
 
 
 def test_gains_cli_values(tmp_path):
@@ -427,6 +447,18 @@ sigma = 1
 """
 
 
+def test_backstep_data_from_config(tmp_path):
+    d0, d1 = backstep_data_from_config(load_config(_write(tmp_path, BACKSTEP)))
+    assert d0(t=1.0) == d1(t=1.0) == 0.1 * math.sin(1.0)
+    # both default to zero, and each is an expression over t alone
+    text = BACKSTEP.replace("d0 = 0.1*sin(t)\nd1 = 0.1*sin(t)\n", "")
+    d0, d1 = backstep_data_from_config(load_config(_write(tmp_path, text)))
+    assert d0(t=1.0) == d1(t=1.0) == 0.0
+    with pytest.raises(ConfigError, match=r"^\[disturbances\] d1: "):
+        backstep_data_from_config(load_config(_write(tmp_path, BACKSTEP.replace(
+            "d1 = 0.1*sin(t)", "d1 = x*sin(t)"))))
+
+
 def test_backstep_cli(tmp_path):
     p = _write(tmp_path, BACKSTEP)
     out = tmp_path / "out"
@@ -492,20 +524,19 @@ ISS_ROBIN_CONFIG = (Path(__file__).resolve().parents[1] / "configs" / "iss_robin
     ISS_ROBIN_CONFIG.replace("d = 0.05", "d = 1/(t-0.002)"),
 ], ids=["log_poly-101", "linear-21", "overflow-log_poly-101", "overflow-linear-81",
         "infinite-d-log_poly-101"])
-def test_non_finite_data_is_a_numerical_failure(tmp_path, text):
+def test_non_finite_data_is_a_numerical_failure(tmp_path, capsys, text):
     # ln(t-1) is NaN on the whole run, 1/(t-0.002) infinite at the first
     # step's end, and 1e308 sin(pi x) finite but overflowing in A u: the
     # first step refuses its residual (there is no scan of the state)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "pdesup", "verify-iss", "--config",
-                           str(_write(tmp_path, text)), "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    assert "numerical failure: non-finite residual at t=0.002" in proc.stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # an exception escaping main() would be a traceback for the user
+        code = main(["verify-iss", "--config", str(_write(tmp_path, text)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
     # numpy's floating-point warnings stay quiet: the failure line is all
-    assert proc.stderr == "numerical failure: non-finite residual at t=0.002\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == "numerical failure: non-finite residual at t=0.002\n"
 
 
 @pytest.mark.parametrize("config, command", [("iss_robin.ini", "verify-iss"),
@@ -634,16 +665,12 @@ def _declare(key_value):
      "coefficient a is nonpositive at x=0, y=0 (value -0.5)"),
 ], ids=["a_min-nan", "m_min-nan", "a_min-zero", "c_min-inf", "c_min-nan", "a-sqrt", "m-sqrt",
         "a-nan-at-0", "gains-a-sqrt", "a-inf-at-0", "c-ln", "a-zero-at-1", "2d-a-negative"])
-def test_coefficient_errors_name_the_key_or_a_witness(tmp_path, command, text, message):
-    # one stderr line, with the coefficient, its witness node and value
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "pdesup", command, "--config",
-                           str(_write(tmp_path, text)), "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr == f"config error: {message}\n"
+def test_coefficient_errors_name_the_key_or_a_witness(tmp_path, capsys, command, text, message):
+    # one stderr line, with the coefficient, its witness node and value; an
+    # exception escaping main() would be a traceback for the user
+    code = main([command, "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
@@ -811,6 +838,38 @@ def test_trajectory_csv_matches_row_wise_writer(tmp_path, grid):
     _write_trajectory(tmp_path / "new.csv", traj)
     _row_wise_trajectory(tmp_path / "ref.csv", traj)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("grid, n_samples", [
+    (grid_1d(5, 0.0, 2.0), 1),
+    (grid_2d(4, 3, 0.0, 1.0, 0.0, 1.0), 1),
+    (grid_2d(5, 7, -1.0, 0.5, 0.25, 3.0), 6),
+], ids=["1d-one-sample", "2d-one-sample", "2d-5x7-six-samples"])
+def test_trajectory_csv_matches_row_wise_writer_on_more_shapes(tmp_path, grid, n_samples):
+    rng = np.random.default_rng(n_samples)
+    traj = Trajectory(grid, np.linspace(0.0, 0.3, n_samples),
+                      rng.normal(size=(n_samples, *grid.shape)))
+    _write_trajectory(tmp_path / "new.csv", traj)
+    _row_wise_trajectory(tmp_path / "ref.csv", traj)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("grid, n_samples", [(grid_1d(101), 2001), (grid_2d(61, 41), 101)],
+                         ids=["1d-2001x101", "2d-101x61x41"])
+def test_trajectory_csv_is_written_one_sample_at_a_time(tmp_path, grid, n_samples):
+    # the whole file is 10.6 MB (1-D) or 17.7 MB (2-D) of text; writing it
+    # holds one sample's rows, not columns of the whole trajectory
+    traj = Trajectory(grid, np.linspace(0.0, 2.0, n_samples),
+                      np.random.default_rng(0).normal(size=(n_samples, *grid.shape)))
+    tracemalloc.start()
+    try:
+        _write_trajectory(tmp_path / "trajectory.csv", traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1 + n_samples * grid.n_nodes
 
 
 def _report_rows(path):

@@ -4,6 +4,7 @@ A stdlib-only stand-in for a linter's unused-import rule: each module is
 parsed with ``ast``, and an imported name counts as used when it is read
 anywhere in the module (annotations included).  Names listed in the
 module's ``__all__`` are exempt, and so are ``from __future__`` imports.
+No module imports a sibling's private (underscore) name, at any depth.
 """
 
 import ast
@@ -31,6 +32,13 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used and name not in exported]
 
 
+def private_imports(source: str) -> list[str]:
+    """The underscore names ``source`` imports from a sibling module."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for a in node.names if a.name.startswith("_")]
+
+
 def test_the_check_finds_an_unused_import():
     source = ("from __future__ import annotations\nimport math\nimport os.path\n"
               "from .core import Trajectory as T, grid_1d\n__all__ = ['grid_1d']\n"
@@ -41,3 +49,14 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_private_import():
+    source = ("from .core import grid_1d\nfrom os import _exit\n"
+              "def f():\n    from .config import _expr\n    return _expr, grid_1d, _exit\n")
+    assert private_imports(source) == ["_expr"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_is_imported_from_a_sibling(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
