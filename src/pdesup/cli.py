@@ -102,23 +102,19 @@ def _write_trajectory(path: Path, traj):
                               for t, row in zip(_column(traj.times), values)))
 
 
-def _write_supnorms(path: Path, traj, f_sups, d_sups, bounds):
-    sups = traj.sup_space_per_sample()
-    bounds = np.full(sups.size, math.nan) if bounds is None else np.asarray(bounds, dtype=float)
-    _write_csv(path, ("t", "sup_space", "running_sup_f", "running_sup_d", "bound", "margin"),
-               _rows(*map(_column, (traj.times, sups, f_sups, d_sups, bounds, bounds - sups))))
-
-
 def _write_report(path: Path, reports):
     """One row per check; a missing witness reads nan, and so does y in 1-D."""
-    rows = []
-    for rep in reports:
-        loc = rep.worst_location or (math.nan, math.nan)
-        y = loc[1] if len(loc) == 3 else math.nan
-        rows.append((rep.check, rep.verdict, rep.worst_margin, loc[0], y, loc[-1],
-                     _quote(rep.notes)))
-    _write_rows(path, ("check", "verdict", "worst_margin", "witness_x", "witness_y",
-                       "witness_t", "notes"), rows)
+    locs = [rep.worst_location or (math.nan, math.nan) for rep in reports]
+    _write_csv(path, ("check", "verdict", "worst_margin", "witness_x", "witness_y",
+                      "witness_t", "notes"), _rows(
+        [rep.check for rep in reports],
+        [rep.verdict for rep in reports],
+        _column([rep.worst_margin for rep in reports]),
+        _column([loc[0] for loc in locs]),
+        _column([loc[1] if len(loc) == 3 else math.nan for loc in locs]),
+        _column([loc[-1] for loc in locs]),
+        [_quote(rep.notes) for rep in reports],
+    ))
 
 
 def _gain_set(scenario, settings):
@@ -130,7 +126,17 @@ def _gain_set(scenario, settings):
 
 
 def _exit_from_report(rep) -> int:
-    return EXIT_BOUND_FAILED if rep.verdict == harness.FAIL else EXIT_PASS
+    if rep.verdict == harness.FAIL:
+        return EXIT_BOUND_FAILED
+    return EXIT_PASS
+
+
+def _conclude(out: Path, label: str, rep) -> int:
+    """Write ``report.csv``, print the verdict line and return the exit code."""
+    _write_report(out / "report.csv", [rep])
+    why = f"; {rep.notes}" if rep.notes else ""
+    print(f"{label}: {rep.verdict} (worst margin {_fmt(rep.worst_margin)}{why})")
+    return _exit_from_report(rep)
 
 
 def _iss_gains(sc, settings):
@@ -143,8 +149,11 @@ def _write_iss(out: Path, sc, traj, g, settings):
     f_sups = harness.running_sup_forcing(sc, traj.times)
     d_sups = harness.running_sup_boundary(sc, traj.times)
     rep = harness.check_iss(traj, sc, g, settings.tol, f_sups=f_sups, d_sups=d_sups)
-    bounds = rep.details.bound if len(rep.details) else None
-    _write_supnorms(out / "supnorms.csv", traj, f_sups, d_sups, bounds)
+    sups = traj.sup_space_per_sample()
+    bounds = rep.details.bound if len(rep.details) else np.full(sups.size, math.nan)
+    _write_csv(out / "supnorms.csv", ("t", "sup_space", "running_sup_f", "running_sup_d",
+                                      "bound", "margin"),
+               _rows(*map(_column, (traj.times, sups, f_sups, d_sups, bounds, bounds - sups))))
     return rep
 
 
@@ -166,7 +175,8 @@ def cmd_gains(cp, out: Path, settings, args) -> int:
         ("c_p_1d", c_p, "1-D embedding constant, zero-trace gradient form"),
     ]
     sc = scenario_from_config(cp)
-    vol, q = sc.grid.domain.volume, settings.q
+    vol = sc.grid.domain.volume
+    q = settings.q
     rows.append(("geometry_factor", geometry_factor(vol, q),
                  f"volume^((q-2)/q) * 2^((3q-4)/(2q-4)) at volume={_fmt(vol)}, q={_fmt(q)}"))
     defined = harness.rkes_gains_defined(sc)
@@ -198,22 +208,14 @@ def cmd_verify_iss(cp, out: Path, settings, args) -> int:
     sc = scenario_from_config(cp)
     g = _iss_gains(sc, settings)
     traj = solve(sc)
-    rep = _write_iss(out, sc, traj, g, settings)
-    _write_report(out / "report.csv", [rep])
-    why = f"; {rep.notes}" if rep.notes else ""
-    print(f"iss: {rep.verdict} (worst margin {_fmt(rep.worst_margin)}{why})")
-    return _exit_from_report(rep)
+    return _conclude(out, "iss", _write_iss(out, sc, traj, g, settings))
 
 
 def cmd_verify_rkes(cp, out: Path, settings, args) -> int:
     sc1, sc2 = rkes_pair_from_config(cp)
     g = _gain_set(sc1, settings) if harness.rkes_gains_defined(sc1) else None
     t1, t2 = solve(sc1), solve(sc2)
-    rep = harness.check_rkes((t1, t2), (sc1, sc2), g, settings.tol)
-    _write_report(out / "report.csv", [rep])
-    why = f"; {rep.notes}" if rep.notes else ""
-    print(f"rkes: {rep.verdict} (worst margin {_fmt(rep.worst_margin)}{why})")
-    return _exit_from_report(rep)
+    return _conclude(out, "rkes", harness.check_rkes((t1, t2), (sc1, sc2), g, settings.tol))
 
 
 def cmd_verify_decay(cp, out: Path, settings, args) -> int:
@@ -227,9 +229,7 @@ def cmd_verify_decay(cp, out: Path, settings, args) -> int:
     traj = solve(sc)
     u0_sup = float(np.max(np.abs(sc.initial_values())))
     rep = harness.check_decay(traj, sc.bounds.c_min, u0_sup, settings.tol, scenario=sc)
-    _write_report(out / "report.csv", [rep])
-    print(f"decay: {rep.verdict} (worst margin {_fmt(rep.worst_margin)})")
-    return _exit_from_report(rep)
+    return _conclude(out, "decay", rep)
 
 
 def cmd_backstep(cp, out: Path, settings, args) -> int:
@@ -249,16 +249,13 @@ def cmd_backstep(cp, out: Path, settings, args) -> int:
         sc.grid, sc.dt, sc.horizon, tol=settings.tol)
     _write_trajectory(out / "trajectory.csv", res.u)
     _write_trajectory(out / "trajectory_target.csv", res.w)
-    _write_report(out / "report.csv", [res.report])
     m = kernel_bound_constant(settings.c, settings.sigma)
     _write_rows(out / "gains.csv", ("name", "value", "provenance"), [
         ("M", m, "kernel series bound"),
         ("C", closed_loop_forcing_gain(settings.c), "closed-loop in-domain gain"),
         ("max_kernel", res.kernel.triangle_max_abs(), "series kernel sup"),
     ])
-    print(f"closed loop: {res.report.verdict} "
-          f"(worst margin {_fmt(res.report.worst_margin)})")
-    return _exit_from_report(res.report)
+    return _conclude(out, "closed loop", res.report)
 
 
 def cmd_cascade(cp, out: Path, settings, args) -> int:

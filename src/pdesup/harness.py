@@ -175,9 +175,11 @@ def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = 
     same_data = replace(sc2.boundary, data=sc1.boundary.data)
     if replace(sc2, forcing=sc1.forcing, boundary=same_data) != sc1:
         raise ValueError("scenarios differ beyond the disturbance pair (f, d)")
-    if g is None or not sc1.reaction.monotone:
-        why = "hypotheses not met: need a monotone reaction" if g else gains_undefined_note(sc1)
-        return Report("rkes", NOT_ASSERTED, math.nan, None, 0, notes=why)
+    why = [gains_undefined_note(sc1)] if g is None else []
+    if not sc1.reaction.monotone:
+        why.append("hypotheses not met: need a monotone reaction")
+    if why:
+        return Report("rkes", NOT_ASSERTED, math.nan, None, 0, notes="; ".join(why))
     d = diff_trajectory(traj1, traj2)
     observed = np.maximum.accumulate(d.sup_space_per_sample())
     f_run = data_running_sup(sc1.forcing, node_coords(sc1.grid), d.times, minus=sc2.forcing)

@@ -174,6 +174,25 @@ def test_check_rkes_rejects_mismatched_scenarios(change):
         check_rkes((None, None), (sc1, change(sc2)), _gains_for(sc1))
 
 
+NON_MONOTONE = "hypotheses not met: need a monotone reaction"
+
+
+@pytest.mark.parametrize("c, reaction, notes", [
+    ("1", ReactionTerm("odd_cubic", scale=-1.0, monotone=False), NON_MONOTONE),
+    ("-1", None, "gains undefined: need c_min > 0 for Robin data (c_min -1)"),
+    ("-1", ReactionTerm("odd_cubic", scale=-1.0, monotone=False),
+     f"gains undefined: need c_min > 0 for Robin data (c_min -1); {NON_MONOTONE}"),
+], ids=["non-monotone", "no-gains", "both"])
+def test_check_rkes_names_every_unmet_hypothesis(c, reaction, notes):
+    sc1 = _robin_scenario(f="0.1*sin(t)", d="0.2", c=c, reaction=reaction)
+    sc2 = _robin_scenario(f="0", d="0", c=c, reaction=reaction)
+    g = _gains_for(sc1) if sc1.c_min_raw > 0 else None
+    # nothing is asserted, so the trajectories are never read
+    rep = check_rkes((None, None), (sc1, sc2), g)
+    assert rep.verdict == NOT_ASSERTED and math.isnan(rep.worst_margin)
+    assert rep.notes == notes
+
+
 def test_composition_rkes_decay_implies_iss():
     # RKES(u vs zero-input twin) + decay of the twin => the ISS envelope holds
     sc = _robin_scenario(f="0.3*sin(2*t)*sin(pi*x)", d="0.1*cos(t)")
