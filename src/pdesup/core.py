@@ -185,8 +185,10 @@ class Trajectory:
         return self.times.size
 
     def sup_space_per_sample(self) -> np.ndarray:
-        flat = np.abs(self.values.reshape(self.n_samples, -1))
-        return flat.max(axis=1)
+        """max |u| over the nodes of each sample, as max(|max u|, |min u|):
+        no full-size |u| is made."""
+        flat = self.values.reshape(self.n_samples, -1)
+        return np.maximum(np.abs(flat.max(axis=1)), np.abs(flat.min(axis=1)))
 
     def __repr__(self):
         return f"Trajectory(samples={self.n_samples}, T={self.times[-1]:.6g})"

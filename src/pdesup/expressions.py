@@ -234,6 +234,20 @@ _BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
             "/": operator.truediv, "^": np.power}
 
 
+def _cube(a, _):
+    return np.multiply(np.multiply(a, a), a)
+
+
+def _fourth_power(a, _):
+    square = np.multiply(a, a)
+    return np.multiply(square, square)
+
+
+# x^3 and x^4 as products: np.power calls pow, which is several times
+# slower than the products and slower still for negative bases
+_PRODUCT_POWERS = {3.0: _cube, 4.0: _fourth_power}
+
+
 def _compile(node, bound):
     """Partially evaluate ``node`` with the variables in ``bound`` fixed.
 
@@ -258,6 +272,8 @@ def _compile(node, bound):
     else:
         op, args = _FUNCS_1.get(node.func) or _FUNCS_2[node.func], node.args
     parts = [_compile(a, bound) for a in args]
+    if isinstance(node, Bin) and node.op == "^" and not _used_vars(node.rhs):
+        op = _PRODUCT_POWERS.get(parts[1][1], op)  # the exponent is a constant
     if all(fixed for fixed, _ in parts):
         try:
             return True, op(*(v for _, v in parts))
@@ -316,6 +332,11 @@ class Expression:
     (broadcast together) for each declared variable.  The AST is compiled
     once, when the instance is made; a constant subexpression that cannot
     be evaluated raises :class:`ParseError` there.
+
+    ``^`` is ``np.power``, except for a constant exponent (one that reads
+    no variable) of 3 or 4: those are the products ``(x*x)*x`` and
+    ``(x*x)*(x*x)``, in compiled, bound and folded subtrees alike.
+    ``x^2`` stays ``np.power``, which numpy already computes as ``x*x``.
     """
 
     __slots__ = ("root", "variables", "source", "_used", "_call")
@@ -329,6 +350,11 @@ class Expression:
 
     def __call__(self, **env):
         return self._call(**env)
+
+    @property
+    def used_variables(self) -> frozenset:
+        """The variables the expression reads (a subset of ``variables``)."""
+        return frozenset(self._used)
 
     def bind(self, **coords):
         """A callable of the remaining variables, with ``coords`` fixed.

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ROBIN, SpatialGrid, Trajectory, diff_trajectory, running_sup
+from .core import ROBIN, SpatialGrid, Trajectory, running_sup
 from .expressions import is_zero
 from .gains import GainSet, iss_bound
 from .solver import ReactionTerm, Scenario, data_rows, node_coords
@@ -86,17 +86,23 @@ def build_report(name: str, parts, tol, grid: SpatialGrid, dt: float, notes: str
     witness is the sup-norm node of that sample's field.
     """
     details = sample_details(parts, tol, grid, dt, **labels)
-    ok = bool(np.all(details.margin >= -details.tol))
     worst = int(np.argmin(details.margin))
     i = worst
     for traj, observed, _ in parts:  # the part and sample that row belongs to
         if i < len(observed):
             break
         i -= len(observed)
-    node = int(np.argmax(np.abs(traj.values[i].ravel())))
+    return _report(name, details, worst, traj.grid, traj.values[i], traj.times[i], notes)
+
+
+def _report(name: str, details, worst: int, grid: SpatialGrid, field, t, notes: str) -> Report:
+    """The report on ``details``, whose row ``worst`` is the first smallest
+    margin: the sample at ``t`` with ``field``, whose sup-norm node is the witness."""
+    ok = bool(np.all(details.margin >= -details.tol))
+    node = int(np.argmax(np.abs(field.ravel())))
     return Report(check=name, verdict=PASS if ok else FAIL,
                   worst_margin=float(details.margin[worst]),
-                  worst_location=(*traj.grid.node_location(node), float(traj.times[i])),
+                  worst_location=(*grid.node_location(node), float(t)),
                   samples_checked=len(details), details=details, notes=notes)
 
 
@@ -180,13 +186,19 @@ def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = 
         why.append("hypotheses not met: need a monotone reaction")
     if why:
         return Report("rkes", NOT_ASSERTED, math.nan, None, 0, notes="; ".join(why))
-    d = diff_trajectory(traj1, traj2)
-    observed = np.maximum.accumulate(d.sup_space_per_sample())
-    f_run = data_running_sup(sc1.forcing, node_coords(sc1.grid), d.times, minus=sc2.forcing)
-    d_run = data_running_sup(sc1.boundary.data, node_coords(sc1.grid, boundary=True), d.times,
+    # the difference is taken one block of samples at a time, never whole
+    if traj1.grid != traj2.grid or not np.array_equal(traj1.times, traj2.times):
+        raise ValueError("trajectories differ in grid or time samples")
+    v1, v2 = (tr.values.reshape(tr.n_samples, -1) for tr in (traj1, traj2))
+    observed = running_sup(lambda sl: v1[sl] - v2[sl], *v1.shape)
+    times = traj1.times
+    f_run = data_running_sup(sc1.forcing, node_coords(sc1.grid), times, minus=sc2.forcing)
+    d_run = data_running_sup(sc1.boundary.data, node_coords(sc1.grid, boundary=True), times,
                              minus=sc2.boundary.data)
     bounds = g.l_f * f_run + g.l_d * d_run
-    return build_report("rkes", [(d, observed, bounds)], tol, sc1.grid, sc1.dt)
+    details = sample_details([(traj1, observed, bounds)], tol, sc1.grid, sc1.dt)
+    i = int(np.argmin(details.margin))  # the witness is a node of v1 - v2 at the worst sample
+    return _report("rkes", details, i, sc1.grid, v1[i] - v2[i], times[i], "")
 
 
 def check_decay(traj: Trajectory, c_min: float, u0_sup: float,

@@ -11,9 +11,10 @@ scheme second order (the diffusion expression is therefore evaluated at
 midpoints half a cell outside the domain).  Time stepping is
 Crank-Nicolson with M+ = I + dt/2 A factored once per stepper, at its
 scenario's dt; the nonlinear reaction is handled by a chord Newton
-iteration per step with a damped full-Newton fallback, on intervals and
-rectangles alike (see TimeStepper).  Every sparse factorization (M+ off
-a single interval, and the fallback's Jacobians) goes through
+iteration per step, started from a predicted iterate, with a damped
+full-Newton fallback, on intervals and rectangles alike (see
+TimeStepper).  Every sparse factorization (M+ off intervals and their
+uncoupled stacks, and the fallback's Jacobians) goes through
 :func:`_sparse_lu`: minimum-degree ordering on Aᵀ+A, which suits the
 structurally symmetric five-point pattern, and no pivoting when every
 row is strictly diagonally dominant, as one scenario's M+ is whenever
@@ -69,9 +70,9 @@ class ReactionTerm:
     """Nonlinear reaction h(x[,y],t,u) from a small catalog.
 
     ``log_poly`` is u*ln(1+u^2) (odd, increasing, super-linear growth);
-    ``odd_cubic`` is u^3.  Custom entries supply an expression over
-    (x, y, t, u) and get a finite-difference derivative (relative step
-    1e-7).  ``growth_exponent``/``growth_constant`` declare the envelope
+    ``odd_cubic`` is u^3, computed as the product u*u*u.  Custom entries
+    supply an expression over (x, y, t, u) and get a finite-difference
+    derivative (relative step 1e-7).  ``growth_exponent``/``growth_constant`` declare the envelope
     |h| <= c0 (1 + |u|^lambda); ``monotone`` declares that h is
     nondecreasing in u.
 
@@ -99,6 +100,11 @@ class ReactionTerm:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
+    @property
+    def reads_time(self) -> bool:
+        """Whether h depends on t (only a custom expression can)."""
+        return self.kind == "custom" and "t" in self.expr.used_variables
+
     def at_nodes(self, x, y):
         """h as a function of (t, u) alone at the nodes (x[, y]), y None on
         an interval: the kind is dispatched and a custom expression bound
@@ -109,7 +115,7 @@ class ReactionTerm:
         if self.kind == "log_poly":
             return lambda t, u: s * u * np.log1p(u * u)
         if self.kind == "odd_cubic":
-            return lambda t, u: s * u ** 3
+            return lambda t, u: s * (u * u * u)
         bound = _on_nodes(self.expr.bind, x, y)
         return lambda t, u: _nodal(bound(t=t, u=u), u)
 
@@ -308,12 +314,14 @@ def node_coords(grid: SpatialGrid, boundary: bool = False):
     With ``boundary`` only the boundary nodes, ordered as in
     :func:`_boundary_indices`.
     """
-    X, Y = grid.meshes()
-    x, y = np.ravel(X), None if Y is None else np.ravel(Y)
-    if boundary:
+    if boundary:  # indexed off the axes, without the full meshes
         idx = _boundary_indices(grid)
-        return x[idx], None if y is None else y[idx]
-    return x, y
+        if grid.n_y is None:
+            return grid.x[idx], None
+        iy, ix = np.divmod(idx, grid.n_x)
+        return grid.x[ix], grid.y[iy]
+    X, Y = grid.meshes()
+    return np.ravel(X), None if Y is None else np.ravel(Y)
 
 
 def data_rows(expr: Expression, coords):
@@ -422,7 +430,9 @@ class TimeStepper:
     residual of every step.
 
     ``M+ = I + dt/2 A`` is factored once, here, at the scenario's ``dt``:
-    LAPACK ``dgttrf`` on its three diagonals on an interval, SuperLU
+    LAPACK ``dgttrf`` on its three diagonals on an interval, or on a stack
+    of intervals that is not a cycle (its block-diagonal ``M+`` is
+    tridiagonal, with zero couplings at the block edges), SuperLU
     otherwise, through :func:`_sparse_lu`: minimum degree on ``Aᵀ + A``,
     and no pivoting, in symmetric mode, when every row of the matrix is
     strictly diagonally dominant, which keeps the elimination's growth
@@ -433,13 +443,19 @@ class TimeStepper:
     A step meets the tolerance ``1e-12 max(1, |rhs|)`` within 50 Newton
     iterations (see :meth:`_measure`).  With a reaction each
     step iterates the chord (simplified) Newton step
-    ``v += M+^{-1}(-F(v))`` (Kelley, *Iterative Methods for Linear and
-    Nonlinear Equations*, ch. 5).  A chord step that fails to halve the
-    residual switches the rest of that step to damped full Newton.  With
-    a nonlinear reaction one more chord step follows the one that meets
-    the tolerance: chord iterates converge only linearly and meet it just
-    barely, and the extra step brings them to the accuracy full Newton
-    reaches.  Dirichlet data is written into every iterate, so the
+    ``v -= M+^{-1} F(v)`` (Kelley, *Iterative Methods for Linear and
+    Nonlinear Equations*, ch. 5), starting from a predictor: the linear
+    step's solve, with h at t+dt extrapolated as ``2 h(u_n) - h(u_{n-1})``
+    when u is the state the previous call returned, and as ``h(u_n)``
+    otherwise.  The returned state is read-only, and the stepper keeps
+    ``h(t+dt, v)`` of its last accepted iterate: a next call whose u is
+    that very array reuses it as ``h(t, u)`` when t is the same float as
+    that t+dt or no block's reaction reads t.  A chord step that fails
+    to halve the residual switches the rest of that step to damped full
+    Newton.  With a nonlinear reaction one more chord step follows the
+    one that meets the tolerance: chord iterates converge only linearly
+    and meet it just barely, and the extra step brings them to the
+    accuracy full Newton reaches.  Dirichlet data is written into every iterate, so the
     boundary nodes hold it exactly.
 
     Products with ``A`` and ``M+`` call scipy's CSR kernel directly
@@ -457,7 +473,11 @@ class TimeStepper:
     ``boundary`` rows hold the k blocks side by side.  Each block has its
     own reaction, data and tolerance: the step's residual is the largest
     block sup of F in units of that block's tolerance, and
-    ``residual_log`` records it in those units.  :meth:`solve_stack`
+    ``residual_log`` records it in those units.  Blocks that share one
+    reaction have h evaluated in one call over the whole state.  Without
+    ``cycle`` the blocks are independent scenarios; a linear stack steps
+    each bitwise as it steps alone on an interval, and a nonlinear one
+    iterates until every block meets its tolerance.  :meth:`solve_stack`
     returns one trajectory per block.
     """
 
@@ -479,7 +499,8 @@ class TimeStepper:
         self.A = self.op.A if k == 1 else sp.block_diag([op.A for op in ops], format="csr")
         if cycle:
             self.A = (self.A + self._cycle_coupling(ops)).tocsr()
-        self._banded = g.dim == 1 and self.A is self.op.A  # tridiagonal M+
+        # tridiagonal M+: one interval, or a stack of them with zero couplings
+        self._banded = g.dim == 1 and not cycle
         self._a_mul = _csr_product(self.A)
         self.bindex = (self.op.bindex + g.n_nodes * np.arange(k)[:, None]).ravel()
         self._linear = all(sc.reaction.is_zero for sc in self.scenarios)
@@ -491,10 +512,15 @@ class TimeStepper:
         self._b_rows = _side_by_side([data_rows(sc.boundary.data, bnodes) for sc in self.scenarios])
         # each block's h as a function of (t, u), coordinates bound once; h'
         # (the full-Newton fallback) stays a ReactionTerm.derivative call,
-        # which perfbench's tracer counts
-        reactions = [sc.reaction for sc in self.scenarios]
-        self._h_fns = [r.at_nodes(*self._nodes) for r in reactions]
-        self._dh_fns = [partial(r.derivative, *self._nodes) for r in reactions]
+        # which perfbench's tracer counts.  Blocks that share one reaction
+        # share one call over the whole state, on the coordinates tiled k times.
+        reactions, nodes = [sc.reaction for sc in self.scenarios], self._nodes
+        if all(r == reactions[0] for r in reactions):
+            reactions, nodes = reactions[:1], [None if c is None else np.tile(c, k) for c in nodes]
+        self._h_fns = [r.at_nodes(*nodes) for r in reactions]
+        self._dh_fns = [partial(r.derivative, *nodes) for r in reactions]
+        self._reads_t = any(r.reads_time for r in reactions)
+        self._last = None  # the last returned state, its time, h there and h one step before
         if self.kind == ROBIN:
             self._g_bd = np.concatenate([op.g_coef[op.bindex] for op in ops])
         self._m_plus = sp.identity(self.A.shape[0], format="csr") + dt / 2 * self.A
@@ -537,18 +563,25 @@ class TimeStepper:
     def _h(self, t, u, derivative=False):
         """Each block's reaction (or its u-derivative), zero on Dirichlet rows."""
         fns = self._dh_fns if derivative else self._h_fns
-        vals = fns[0](t, u) if self.k == 1 else np.concatenate(
+        vals = fns[0](t, u) if len(fns) == 1 else np.concatenate(
             [fn(t, ub) for fn, ub in zip(fns, u.reshape(self.k, -1))])
         if self.kind == DIRICHLET:
             vals[self.bindex] = 0.0
         return vals
 
-    def _residual(self, v, t1, dt, rhs):
-        fv = self._m_mul(v)
-        fv -= rhs
+    def _iterate(self, w, t1, b1, rhs, measure):
+        """A Newton iterate ``w`` with Dirichlet data written in, and its
+        residual ``F(w) = M+ w + dt/2 h(t1, w) - rhs``, ``h(t1, w)`` (None
+        without a reaction) and the measure of F."""
+        if self.kind == DIRICHLET:
+            w[self.bindex] = b1
+        fw = self._m_mul(w)
+        fw -= rhs
+        hw = None
         if not self._linear:
-            fv += dt / 2 * self._h(t1, v)
-        return fv
+            hw = self._h(t1, w)
+            fw += self.dt / 2 * hw
+        return w, fw, hw, measure(fw)
 
     def _measure(self, rhs):
         """The step's residual measure and the tolerance it must meet.
@@ -561,7 +594,7 @@ class TimeStepper:
         if self.k == 1:
             return _sup, rel * max(1.0, float(np.abs(rhs).max()))
         tols = rel * np.maximum(1.0, np.abs(rhs).reshape(self.k, -1).max(axis=1))
-        return (lambda fv: float((np.abs(fv).reshape(self.k, -1).max(axis=1) / tols).max())), 1.0
+        return partial(_block_sup, tols), 1.0
 
     def _newton_solve(self, v, t1, dt, b):
         """Solve with the full Newton Jacobian M+ + dt/2 h'(v)."""
@@ -570,13 +603,13 @@ class TimeStepper:
         hp = dt / 2 * self._h(t1, v, derivative=True)
         if self._banded:
             lower, diag, upper = self._tridiag
-            ab = np.zeros((3, self.op.n))
+            ab = np.zeros((3, diag.size))
             ab[0, 1:], ab[1], ab[2, :-1] = upper, diag + hp, lower
             return solve_banded((1, 1), ab, b)
         return _sparse_lu(self._m_plus + sp.diags(hp)).solve(b)
 
     def step_values(self, u: np.ndarray, t: float, f_pair, b_pair) -> np.ndarray:
-        """Advance nodal values from t to t+dt; returns the new values.
+        """Advance nodal values from t to t+dt; returns the new values, read-only.
 
         ``f_pair``/``b_pair`` are (value at t, value at t+dt) of the
         forcing field and the boundary data.
@@ -589,26 +622,28 @@ class TimeStepper:
         b0, b1 = b_pair
         bindex = self.bindex
         au = self._a_mul(u)
+        hu = h_before = None
         if not self._linear:
-            au += self._h(t, u)
+            if self._last is not None and u is self._last[0]:  # read-only since it was returned
+                _, t_last, h_last, h_before = self._last
+                if t == t_last or not self._reads_t:
+                    hu = h_last
+            if hu is None:
+                hu = self._h(t, u)
+            au += hu
         rhs = u - dt / 2 * au + dt / 2 * (f0 + f1)
         if self.kind == ROBIN:
             rhs[bindex] -= dt / 2 * (self._g_bd * b0 + self._g_bd * b1)
         else:
             rhs[bindex] = b1
         measure, tol = self._measure(rhs)
-
-        def iterate(w):
-            # Newton on F(v) = M+ v + dt/2 h(t1, v) - rhs, Dirichlet data imposed
-            if self.kind == DIRICHLET:
-                w[bindex] = b1
-            fw = self._residual(w, t1, dt, rhs)
-            return w, fw, measure(fw)
-
-        # a linear step is one solve, for the change v - u: its rounding
-        # error scales with that O(dt) change, where solving M+ v = rhs for
-        # v outright leaves eps cond(M+) |v| per step to accumulate
-        v, fv, res = iterate(u + self._solve(rhs - u - dt / 2 * au) if self._linear else u.copy())
+        # the first iterate solves for the change v - u: its rounding error
+        # scales with that O(dt) change, where solving M+ v = rhs for v
+        # outright leaves eps cond(M+) |v| per step to accumulate.  That is
+        # the whole linear step; with a reaction, h at t+dt is taken as
+        # 2 h(u) - h(u_prev) when u continues the last step, else as h(u)
+        change = rhs - u - dt / 2 * (au if h_before is None else au + (hu - h_before))
+        v, fv, hv, res = self._iterate(u + self._solve(change), t1, b1, rhs, measure)
         history = []
         chord = True
         for _ in range(50):
@@ -619,18 +654,19 @@ class TimeStepper:
                 raise SolverError(f"non-finite residual at t={t1:.6g}", history)
             if res <= tol:
                 break
-            if chord:
-                v_try, fv_try, res_try = iterate(v + self._solve(-fv))
+            if chord:  # v - M+^{-1} F(v): bitwise v + M+^{-1}(-F(v))
+                v_try, fv_try, hv_try, res_try = self._iterate(
+                    v - self._solve(fv), t1, b1, rhs, measure)
                 if res_try <= res / 2 or res_try <= tol:
-                    v, fv, res = v_try, fv_try, res_try
+                    v, fv, hv, res = v_try, fv_try, hv_try, res_try
                     continue
                 chord = False
             delta = self._newton_solve(v, t1, dt, -fv)
             s = 1.0
             while True:
-                v_try, fv_try, res_try = iterate(v + s * delta)
+                v_try, fv_try, hv_try, res_try = self._iterate(v + s * delta, t1, b1, rhs, measure)
                 if res_try < res or res_try <= tol:
-                    v, fv, res = v_try, fv_try, res_try
+                    v, fv, hv, res = v_try, fv_try, hv_try, res_try
                     break
                 s /= 2
                 if s < 1e-6:
@@ -641,11 +677,13 @@ class TimeStepper:
                 raise SolverError(
                     f"Newton failed to reach tolerance at t={t1:.6g} (residual {res:.3e})", history)
         if chord and not self._linear:
-            v_try, _, res_try = iterate(v + self._solve(-fv))
+            v_try, _, hv_try, res_try = self._iterate(v - self._solve(fv), t1, b1, rhs, measure)
             if res_try < res:
-                v, res = v_try, res_try
+                v, hv, res = v_try, hv_try, res_try
         history.append(res)
         self.residual_log.append(res)
+        v.setflags(write=False)
+        self._last = (v, t1, hv, hu)
         return v
 
     def solve(self) -> Trajectory:
@@ -694,6 +732,11 @@ def _sparse_lu(m):
 
 def _sup(fv) -> float:
     return float(np.abs(fv).max())
+
+
+def _block_sup(tols, fv) -> float:
+    """The largest block sup |F| of a stack, each in units of its block's tolerance."""
+    return float((np.abs(fv).reshape(tols.size, -1).max(axis=1) / tols).max())
 
 
 def _csr_product(M):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from compare_outputs import differing, largest_move  # noqa: E402
+from compare_outputs import differing, largest_move, summary  # noqa: E402
 
 
 def _pair(tmp_path, text_a, text_b, name="supnorms.csv"):
@@ -45,3 +45,23 @@ def test_csvs_that_are_not_two_tables_of_numbers_are_not_sized(tmp_path, text_b)
 def test_a_nan_against_a_number_is_an_infinite_move(tmp_path):
     assert math.isinf(largest_move(*_pair(tmp_path, "t,sup\n0,1.5\n", "t,sup\n0,nan\n")))
     assert largest_move(*_pair(tmp_path, "t,sup\n0,nan\n", "t,sup\n0,nan\n")) == 0.0
+
+
+def test_numbers_in_stdout_are_sized_and_other_text_is_not(tmp_path):
+    line = "iss: pass (worst margin {})\n"
+    a, b = _pair(tmp_path, line.format("0.5"), line.format("0.50000000001"), name="stdout.txt")
+    assert largest_move(a, b) == pytest.approx(1e-11, rel=1e-3)
+    a, b = _pair(tmp_path, line.format("0.5"), "iss: fail (worst margin 0.5)\n", name="stdout.txt")
+    assert largest_move(a, b) is None
+    # the exit code and stderr are text: any change there is not numeric
+    assert largest_move(*_pair(tmp_path, "0\n", "1\n", name="exit_code.txt")) is None
+
+
+def test_summary_is_one_line_with_the_largest_move_and_every_other_file(tmp_path):
+    line = summary(378, tmp_path, {"a/supnorms.csv": 1.3e-13, "b/stdout.txt": 2e-15,
+                                   "c/report.csv": None, "d/exit_code.txt": None})
+    assert "\n" not in line
+    assert line == (f"378 files compared under {tmp_path}; 4 differ; largest relative move "
+                    "1.3e-13; not numeric: c/report.csv, d/exit_code.txt")
+    assert summary(10, tmp_path, {}) == (f"10 files compared under {tmp_path}; 0 differ; "
+                                         "largest relative move 0; not numeric: none")

@@ -52,6 +52,22 @@ def test_sup_norm_zero_field():
     assert _sup_space(g, np.zeros(11)) == 0.0
 
 
+def test_sup_per_sample_is_bitwise_the_max_of_abs():
+    # max(|max u|, |min u|) per row, without a full-size |u|: -0 reads +0
+    g = grid_2d(5, 3)
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(6, 3, 5)) * 10.0 ** rng.uniform(-300, 300, size=(6, 3, 5))
+    values[1] = -0.0
+    values[2] = 0.0
+    values[3] = -np.abs(values[3])
+    values[4, 0, 0] = -0.0
+    values[5] = np.abs(values[5])
+    sups = Trajectory(g, np.arange(6.0), values).sup_space_per_sample()
+    expect = np.abs(values.reshape(6, -1)).max(axis=1)
+    assert np.array_equal(sups.view(np.int64), expect.view(np.int64))
+    assert math.copysign(1.0, sups[1]) == 1.0
+
+
 def test_sup_norm_sine_on_node():
     g = grid_1d(101, 0, 1)
     assert _sup_space(g, np.sin(np.pi * g.x)) == pytest.approx(1.0, abs=1e-12)

@@ -228,3 +228,28 @@ def test_constant_division_by_zero_is_a_parse_error():
     # non-constant division by zero is left to numpy at evaluation time
     with np.errstate(divide="ignore"):
         assert parse_expression("1/x")(x=np.array([0.0]))[0] == math.inf
+
+
+def test_constant_cubes_and_fourth_powers_are_products():
+    # pow is slow, and slower for negative bases: x^3 and x^4 with a
+    # constant exponent are products, compiled, bound and folded alike
+    x = np.linspace(-2.5, 1.5, 41)
+    t = np.linspace(-1.0, 3.0, 41)
+    cube, fourth = (x * x) * x, (x * x) * (x * x)
+    for text, expect in (("x^3", cube), ("x^(1+2)", cube), ("x^4", fourth), ("x^(2*2)", fourth),
+                         ("(x-t)^3", ((x - t) * (x - t)) * (x - t))):
+        e = parse_expression(text)
+        assert np.array_equal(e(x=x, t=t), expect), text
+        assert np.array_equal(e.bind(x=x)(t=t), expect), text
+        if "t" not in text:
+            assert np.array_equal(e.bind(x=x, t=0.0)(), expect), text  # folded
+    assert np.array_equal(parse_expression("x^2")(x=x), np.power(x, 2.0))
+    assert np.array_equal(parse_expression("x^2")(x=x), x * x)
+    # any other exponent, or one that reads a variable, stays np.power
+    with np.errstate(invalid="ignore"):  # a negative base to the power 3.5 is NaN
+        for text, expect in (("x^5", np.power(x, 5.0)), ("x^3.5", np.power(x, 3.5)),
+                             ("x^(t*0+3)", np.power(x, t * 0 + 3))):
+            assert np.array_equal(parse_expression(text)(x=x, t=t), expect, equal_nan=True), text
+    # a folded constant keeps numpy's scalar type, so 1/0 stays an inf
+    with np.errstate(divide="ignore"):
+        assert parse_expression("x + 1/(2^3-8)")(x=0.0) == math.inf

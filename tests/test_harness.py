@@ -1,11 +1,12 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from pdesup.cascade import SubsystemSpec, build_cascade, simulate_cascade, verify_cascade
-from pdesup.core import DIRICHLET, ROBIN, Trajectory, diff_trajectory, grid_1d
+from pdesup.core import DIRICHLET, ROBIN, Trajectory, diff_trajectory, grid_1d, grid_2d, time_blocks
 from pdesup.expressions import parse_expression
 from pdesup.gains import (
     CoefficientBounds,
@@ -172,6 +173,51 @@ def test_check_rkes_rejects_mismatched_scenarios(change):
     # use of the trajectories, so none are needed to see it refuse
     with pytest.raises(ValueError, match="beyond the disturbance pair"):
         check_rkes((None, None), (sc1, change(sc2)), _gains_for(sc1))
+
+
+def _rkes_pair(dim):
+    """A Dirichlet pair on an interval or a rectangle, several time blocks long;
+    their boundary data differ in 2-D only."""
+    if dim == 1:
+        return (_dirichlet_scenario(f="0.5*sin(pi*x)*sin(3*t)", d="0.2*sin(t)", T=2.0),
+                _dirichlet_scenario(f="-0.3*cos(2*pi*x)*t", d="0.2*sin(t)", T=2.0))
+    grid = grid_2d(21, 17, x_hi=1.5)
+    make = partial(make_scenario, grid, 2.0, 5e-3, Coefficients(E("1+0.2*x"), E("1"), E("1")),
+                   reaction_zero())
+    return (make(E("0.5*sin(pi*x)*sin(y+3*t)"), BoundarySpec(DIRICHLET, E("0.2*sin(t)*y")),
+                 E("sin(pi*x)*sin(pi*y)")),
+            make(E("-0.3*cos(2*pi*x*y)*t"), BoundarySpec(DIRICHLET, E("0.2*sin(t)*y+1e-4*x*t")),
+                 E("sin(pi*x)*sin(pi*y)")))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("scale", [1.0, 0.01], ids=["pass", "fail"])
+def test_check_rkes_matches_the_difference_trajectory_formula(dim, scale):
+    # blockwise sups of v1 - v2 against the full difference trajectory they replaced
+    pair = _rkes_pair(dim)
+    sc1, sc2 = pair
+    t1, t2 = map(solve, pair)
+    assert len(time_blocks(t1.n_samples, sc1.grid.n_nodes)) > 1
+    g0 = _gains_for(sc1)
+    g = replace(g0, l_f=g0.l_f * scale)  # a Dirichlet l_d is exactly 1
+    rep = check_rkes((t1, t2), pair, g, tol=1e-6)
+    d = diff_trajectory(t1, t2)
+    flat = np.abs(d.values.reshape(d.n_samples, -1))
+    observed = np.maximum.accumulate(flat.max(axis=1))
+    f_run = data_running_sup(sc1.forcing, node_coords(sc1.grid), d.times, minus=sc2.forcing)
+    d_run = data_running_sup(sc1.boundary.data, node_coords(sc1.grid, boundary=True), d.times,
+                             minus=sc2.boundary.data)
+    bound = g.l_f * f_run + g.l_d * d_run
+    margin = bound - observed
+    assert np.array_equal(rep.details.observed, observed)
+    assert np.array_equal(rep.details.bound, bound)
+    assert np.array_equal(rep.details.margin, margin)
+    assert np.array_equal(rep.details.t, d.times)
+    worst = int(np.argmin(margin))
+    node = int(np.argmax(flat[worst]))
+    assert rep.worst_margin == margin[worst]
+    assert rep.worst_location == (*sc1.grid.node_location(node), float(d.times[worst]))
+    assert rep.verdict == (PASS if scale == 1.0 else FAIL)
 
 
 NON_MONOTONE = "hypotheses not met: need a monotone reaction"

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -767,7 +768,7 @@ def _reference_value(r, x, y, t, u, bound=None):
     if r.kind == "log_poly":
         return r.scale * u * np.log1p(u * u)
     if r.kind == "odd_cubic":
-        return r.scale * u ** 3
+        return r.scale * (u * u * u)
     if bound is not None:
         vals = bound(t=t, u=u)
     else:
@@ -781,10 +782,14 @@ def _reference_value(r, x, y, t, u, bound=None):
 class _ReferenceStepper(TimeStepper):
     """The step before the direct CSR kernel (the reference): ``@`` products,
     reactions as partials of a kind-dispatching value, Dirichlet rows zeroed
-    through ``np.where``, and a finiteness scan of every new state."""
+    through ``np.where``, and a finiteness scan of every new state.  With a
+    reaction it starts from the same predictor as the stepper: the linear
+    solve, with h at t+dt taken as 2 h(u) - h(u_prev) when u is the state
+    it returned last, and h computed afresh at every step."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self._previous = None  # the state returned last and h at the start of its step
         reactions = [(sc.reaction, _reference_bind(sc.reaction, *self._nodes))
                      for sc in self.scenarios]
         self._h_fns = [partial(_reference_value, r, *self._nodes, bound=b) for r, b in reactions]
@@ -814,8 +819,10 @@ class _ReferenceStepper(TimeStepper):
         b0, b1 = b_pair
         bindex = self.bindex
         au = self.A @ u
+        hu = None
         if not self._linear:
-            au += self._h(t, u)
+            hu = self._h(t, u)
+            au += hu
         rhs = u - dt / 2 * au + dt / 2 * (f0 + f1)
         if self.kind == ROBIN:
             rhs[bindex] -= dt / 2 * (self._g_bd * b0 + self._g_bd * b1)
@@ -829,7 +836,10 @@ class _ReferenceStepper(TimeStepper):
             fw = self._residual(w, t1, dt, rhs)
             return w, fw, measure(fw)
 
-        v, fv, res = iterate(u + self._solve(rhs - u - dt / 2 * au) if self._linear else u.copy())
+        au_pred = au
+        if hu is not None and self._previous is not None and u is self._previous[0]:
+            au_pred = au + (hu - self._previous[1])
+        v, fv, res = iterate(u + self._solve(rhs - u - dt / 2 * au_pred))
         history = []
         chord = True
         for _ in range(50):
@@ -868,6 +878,7 @@ class _ReferenceStepper(TimeStepper):
         if not np.all(np.isfinite(v)):
             raise solver_mod.SolverError(f"non-finite state after step to t={t1:.6g}", history)
         self.residual_log.append(res)
+        self._previous = (v, hu)
         return v
 
 
@@ -948,6 +959,154 @@ def test_infinite_data_is_refused_not_stepped_over(d):
 
 
 # ---------------------------------------------------------------------------
+# stacks of independent intervals, the predicted first iterate and cubes
+
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# a suite-like manufactured solution: its forcing carries h(U), so the
+# Newton iterations solve a genuinely nonlinear step
+_U = "0.9*sin(1.4*x+0.8)*exp(-0.7*t)"
+_U_T, _U_X = "(-0.7)*" + _U, "0.9*1.4*cos(1.4*x+0.8)*exp(-0.7*t)"
+_U_XX = "(-1.96)*" + _U
+
+
+def _manufactured_1d(kind, reaction, extra="0", T=0.8):
+    """U = _U + extra on 81 nodes, dt = 2.5e-3, with a = 1.1+0.3x, c = 1.2+0.5x^2, m = 1.3."""
+    u = f"({_U}+{extra})"
+    h = {"zero": "0", "log_poly": f"{reaction.scale!r}*{u}*ln(1+{u}^2)",
+         "odd_cubic": f"{reaction.scale!r}*{u}^3"}[reaction.kind]
+    f = f"{_U_T}-0.3*{_U_X}-(1.1+0.3*x)*{_U_XX}+(1.2+0.5*x^2)*{u}+{h}+{extra}"
+    d = u if kind == DIRICHLET else f"(1.1+0.3*x)*({_U_X})*(2*x-1)+1.3*{u}"
+    return make_scenario(grid_1d(81), T, 2.5e-3, Coefficients(E("1.1+0.3*x"), E("1.2+0.5*x^2"),
+                                                             E("1.3")),
+                         reaction, E(f), BoundarySpec(kind, E(d)), E("0.9*sin(1.4*x+0.8)"))
+
+
+def _rkes_pair_1d(kind, reaction):
+    """Two scenarios that differ only in (f, d): the second adds 0.3 sin(2t) cos(x)."""
+    return [_manufactured_1d(kind, reaction),
+            _manufactured_1d(kind, reaction, "0.3*sin(2*t)*cos(x)")]
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+def test_linear_stack_steps_each_interval_bitwise_as_alone(monkeypatch, kind):
+    lu, gttrf = _count(monkeypatch, "splu"), _count(monkeypatch, "dgttrf")
+    # blocks with different coefficients and data, as well as an RKES pair
+    other = _scenario_1d(a="0.7+x", c="2", m="0.5", f="sin(3*t)*x", kind=kind, d="0.2*cos(t)",
+                         u0="0.9*sin(1.4*x+0.8)", n_x=81, dt=2.5e-3, T=0.8)
+    scs = _rkes_pair_1d(kind, reaction_zero()) + [other]
+    st = TimeStepper(scs)
+    assert (len(lu), len(gttrf)) == (0, 1)  # one tridiagonal factorization for the stack
+    for got, sc in zip(st.solve_stack(), scs, strict=True):
+        assert _bitwise_equal(got.values, solve(sc).values)
+
+
+def test_rkes_explicit_pair_stack_is_bitwise_the_pair_alone():
+    from pdesup.config import load_config, rkes_pair_from_config
+
+    pair = rkes_pair_from_config(load_config(_CONFIGS / "rkes_explicit_pair.ini"))
+    for got, sc in zip(TimeStepper(pair).solve_stack(), pair, strict=True):
+        assert _bitwise_equal(got.values, solve(sc).values)
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("reaction", [reaction_log_poly(1.4), reaction_odd_cubic(1.4)],
+                         ids=["log_poly", "odd_cubic"])
+def test_nonlinear_stack_is_within_1e_12_of_solving_alone(kind, reaction):
+    scs = _rkes_pair_1d(kind, reaction)
+    st = TimeStepper(scs)
+    trajs = st.solve_stack()
+    # the stack's residual is each block's sup |F| in units of its own tolerance
+    assert len(st.residual_log) == scs[0].n_steps and max(st.residual_log) <= 1.0
+    for got, sc in zip(trajs, scs, strict=True):
+        alone = solve(sc).values
+        assert np.max(np.abs(got.values - alone)) <= 1e-12 * max(1.0, np.max(np.abs(alone)))
+
+
+def test_stack_full_newton_fallback_solves_one_band_of_k_blocks(monkeypatch):
+    banded = _count(monkeypatch, "solve_banded")
+    scs = [_scenario_1d(a="1+0.2*x", reaction=_stiff_reaction(), f=f, d="0.05*t*x", n_x=9,
+                        dt=0.5, T=1.0) for f in ("0.1*sin(t)*x", "0.2*cos(t)")]
+    st = TimeStepper(scs)
+    trajs = st.solve_stack()
+    assert banded and all(args[1].shape == (3, 18) for args, _ in banded)
+    assert len(st.residual_log) == 2 and max(st.residual_log) <= 1.0
+    for got, sc in zip(trajs, scs, strict=True):
+        alone = solve(sc).values
+        assert np.max(np.abs(got.values - alone)) <= 1e-12 * max(1.0, np.max(np.abs(alone)))
+
+
+def _counted_products(st):
+    """Count the residual evaluations of ``st``: each one is one product with M+."""
+    calls, m_mul = [], st._m_mul
+    st._m_mul = lambda v: calls.append(1) or m_mul(v)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("reaction", [reaction_log_poly(1.4), reaction_odd_cubic(1.4)],
+                         ids=["log_poly", "odd_cubic"])
+def test_predicted_first_iterate_saves_residual_evaluations(kind, reaction):
+    # starting from u, each step took 6 residual evaluations here
+    sc = _manufactured_1d(kind, reaction)
+    st = TimeStepper(sc)
+    calls = _counted_products(st)
+    st.solve()
+    assert len(calls) / sc.n_steps <= 4.7
+
+
+def _recording_h(st):
+    """Record the time of every h evaluation of the one-scenario stepper ``st``."""
+    times, h = [], st._h_fns[0]
+
+    def recording(t, u):
+        times.append(t)
+        return h(t, u)
+
+    st._h_fns = [recording]
+    return times
+
+
+@pytest.mark.parametrize("reads_t", [False, True], ids=["h(u)", "h(t,u)"])
+def test_h_is_reused_only_for_the_state_last_returned(reads_t):
+    expr = "u*abs(u)+u" + ("*(1+0.1*sin(t))" if reads_t else "")
+    sc = _scenario_1d(reaction=ReactionTerm("custom", expr=E(expr, XYTU), growth_exponent=2.0,
+                                            growth_constant=2.0),
+                      f="0.1*sin(t)*x", kind=ROBIN, d="0.05*t", n_x=21, dt=1e-2, T=0.1)
+    st = TimeStepper(sc)
+    times = _recording_h(st)
+    nodes, bnodes = node_coords(sc.grid), node_coords(sc.grid, boundary=True)
+    f, b = data_rows(sc.forcing, nodes), data_rows(sc.boundary.data, bnodes)
+
+    def step(u, t):
+        t1 = t + sc.dt
+        return st.step_values(u, t, f([t, t1]), b([t, t1]))
+
+    v = step(sc.initial_values(), 0.0)
+    assert not v.flags.writeable
+    with pytest.raises(ValueError):
+        v[0] = 1.0
+    t1 = 0.0 + sc.dt
+    times.clear()
+    w = step(v, t1)  # the very array, at its own time: h(t1, v) is reused
+    assert t1 not in times
+    t2 = t1 + sc.dt
+    times.clear()
+    x = step(w.copy(), t2)  # equal values in another array: h is evaluated
+    assert times[0] == t2
+    t_off = np.nextafter(t2 + sc.dt, 1.0)  # the very array, one ulp past its time
+    times.clear()
+    step(x, t_off)
+    assert (t_off in times) == reads_t
+
+
+def test_odd_cubic_is_the_product_on_negative_states():
+    u = np.linspace(-3.0, 2.0, 81)
+    h = reaction_odd_cubic(0.7).at_nodes(u * 0.0, None)(0.0, u)
+    assert _bitwise_equal(h, 0.7 * (u * u * u))
+
+
+# ---------------------------------------------------------------------------
 # forcing and boundary data as (times × nodes) rows
 
 
@@ -1005,6 +1164,16 @@ def test_data_rows_match_the_per_time_providers_bitwise(kind, dim, boundary):
         assert _bitwise_equal(got, np.array([ref(t) for t in times[sl]]))
         if kind != "t-dependent":  # evaluated once and broadcast, without a copy
             assert got.strides[0] == 0 and not got.flags.writeable
+
+
+@pytest.mark.parametrize("grid", [grid_1d(11), grid_2d(7, 5, x_hi=1.5), grid_2d(801, 801)],
+                         ids=["interval", "rectangle", "801x801"])
+def test_boundary_coords_are_the_meshes_at_the_boundary_bitwise(grid):
+    X, Y = grid.meshes()
+    idx = np.flatnonzero(grid.boundary_mask().ravel())
+    x, y = node_coords(grid, boundary=True)
+    assert _bitwise_equal(x, np.ravel(X)[idx])
+    assert (y is None) if Y is None else _bitwise_equal(y, np.ravel(Y)[idx])
 
 
 def test_solve_holds_one_block_of_data_at_a_time():

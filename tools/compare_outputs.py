@@ -9,10 +9,13 @@ size for each seed, and runs them one after another in-process through
 go to ``OUT/<parent|change>/<workload>/seed<k>/<index>-<command>/``.  The
 two output trees are then compared byte for byte: every file that differs
 or exists on one side only is listed, and the exit code is 1 if there is
-any.  A differing CSV that both sides read as numbers is listed with its
-largest relative move ``|b - a| / max(1, |a|)`` (see :func:`largest_move`),
-so that a rounding-level move can be told from a real change.  ``--out``
-defaults to a fresh temporary directory.
+any.  A differing file whose every difference is a number (a CSV cell, or
+a number in the text of ``stdout.txt``) is listed with its largest
+relative move ``|b - a| / max(1, |a|)`` (see :func:`largest_move`), so that
+a rounding-level move can be told from a real change.  The last line
+(:func:`summary`) gives the largest move over all differing files and
+names every file whose difference is not numeric.  ``--out`` defaults to
+a fresh temporary directory.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import csv
 import filecmp
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -73,15 +77,32 @@ def differing(a: Path, b: Path) -> tuple[int, list[str]]:
     return len(files_a | files_b), bad
 
 
+# a number in running text: a decimal or nan/inf, with its sign
+_NUMBER = re.compile(r"([-+]?(?:(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?|nan|inf))")
+
+
+def _cells(path: Path) -> list[list[str]]:
+    """A CSV's rows of cells; any other text is one row of the text split
+    around its numbers, so text and numbers alternate."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        return list(csv.reader(text.splitlines()))
+    return [_NUMBER.split(text)]
+
+
 def largest_move(a: Path, b: Path) -> float | None:
-    """The largest ``|y - x| / max(1, |x|)`` over the cells where CSV ``a``
-    holds x and CSV ``b`` holds y; infinite where that is not a number.
+    """The largest ``|y - x| / max(1, |x|)`` over the cells where file ``a``
+    holds x and file ``b`` holds y (see :func:`_cells`); infinite where that
+    is not a number.
 
     None unless both files have the same rows of the same lengths, and
-    every pair of cells is either one text twice or two numbers.
+    every pair of cells is either one text twice or two numbers.  Only a
+    CSV and ``stdout.txt`` are read as numbers: any other file (stderr,
+    the exit code) gives None.
     """
-    rows_a, rows_b = (list(csv.reader(p.read_text(encoding="utf-8").splitlines()))
-                      for p in (a, b))
+    if a.suffix != ".csv" and a.name != "stdout.txt":
+        return None
+    rows_a, rows_b = _cells(a), _cells(b)
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return None
     move = 0.0
@@ -116,12 +137,27 @@ def main() -> int:
         subprocess.run([sys.executable, "-c", _CHILD, str(tree), str(target),
                         *map(str, args.seeds)], env=env, check=True)
     n, bad = differing(out / "parent", out / "change")
+    moves = {}
     for path in bad:
         a, b = out / "parent" / path, out / "change" / path
-        move = largest_move(a, b) if path.endswith(".csv") and a.is_file() and b.is_file() else None
+        moves[path] = largest_move(a, b) if a.is_file() and b.is_file() else None
+        move = moves[path]
         print(f"differs: {path}" + ("" if move is None else f" (largest relative move {move:.2g})"))
-    print(f"{n} files compared under {out}; {len(bad)} differ")
+    print(summary(n, out, moves))
     return 1 if bad else 0
+
+
+def summary(n: int, out: Path, moves: dict) -> str:
+    """The closing line: files compared, how many differ, the largest
+    relative move over the numeric ones, and every other differing file.
+
+    ``moves`` maps each differing file to its :func:`largest_move`, None
+    when its difference is not numeric (or it exists on one side only).
+    """
+    numeric = [m for m in moves.values() if m is not None]
+    other = [path for path, m in moves.items() if m is None]
+    return (f"{n} files compared under {out}; {len(moves)} differ; largest relative move "
+            f"{max(numeric, default=0.0):.2g}; not numeric: {', '.join(other) or 'none'}")
 
 
 if __name__ == "__main__":
