@@ -294,8 +294,8 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
         u0)
     control_of = kernel.control
     stepper = TimeStepper(scenario)
-    zero, unit = np.zeros(grid.n_x), np.array([0.0, 1.0])
-    s = stepper.step_values(zero, 0.0, f_pair=(zero, zero), b_pair=(unit, unit))
+    zero = np.zeros(grid.n_x)
+    s = stepper.step_values(zero, 0.0, zero, np.array([0.0, 1.0]))
     loop_gain = 1.0 - control_of(s)
     u = scenario.initial_values().astype(float)
     times = scenario.times()
@@ -308,10 +308,9 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
                         data_rows(d1, (grid.x[-1:], None))(times)])
     f_rows = data_rows(f, nodes)
     for sl in time_blocks(times.size, grid.n_x):
-        f_block = f_rows(times[sl])
+        s_rows, d_rows = stepper.data_terms(f_rows(times[sl]), d_vals[sl])
         for i in range(sl.start, sl.stop - 1):
-            f_pair = (f_block[i - sl.start], f_block[i - sl.start + 1])
-            v = stepper.step_values(u, times[i], f_pair=f_pair, b_pair=d_vals[i:i + 2])
+            v = stepper.step_values(u, times[i], s_rows[i - sl.start], d_rows[i - sl.start])
             controls[i + 1] = U = control_of(v) / loop_gain
             u = out[i + 1] = v + U * s
     out.setflags(write=False)  # handed over: Trajectory keeps it without a copy

@@ -144,11 +144,13 @@ def _iss_gains(sc, settings):
     return _gain_set(sc, settings) if harness.iss_hypotheses_met(sc) else None
 
 
-def _write_iss(out: Path, sc, traj, g, settings):
-    """Check ``traj`` against the ISS envelope and write ``supnorms.csv``;
-    returns the report and the per-sample sups of ``traj``."""
-    f_sups = harness.running_sup_forcing(sc, traj.times)
-    d_sups = harness.running_sup_boundary(sc, traj.times)
+def _solve_iss(out: Path, sc, g, settings):
+    """Solve ``sc``, check it against the ISS envelope and write
+    ``supnorms.csv``, with the running data sups read off the rows the
+    solve evaluated; returns the trajectory, the report and its per-sample sups."""
+    record, running = harness.block_data_sups(sc.n_steps + 1, pair=False)
+    traj = TimeStepper(sc).solve(record)
+    f_sups, d_sups = running()
     rep = harness.check_iss(traj, sc, g, settings.tol, f_sups=f_sups, d_sups=d_sups)
     if len(rep.details):  # the sups the check observed
         sups, bounds = rep.details.observed, rep.details.bound
@@ -158,15 +160,14 @@ def _write_iss(out: Path, sc, traj, g, settings):
     _write_csv(out / "supnorms.csv", ("t", "sup_space", "running_sup_f", "running_sup_d",
                                       "bound", "margin"),
                _rows(*map(_column, (traj.times, sups, f_sups, d_sups, bounds, bounds - sups))))
-    return rep, sups
+    return traj, rep, sups
 
 
 def cmd_simulate(cp, out: Path, settings, args) -> int:
     sc = scenario_from_config(cp)
     g = _iss_gains(sc, settings)  # a config error here comes before the solve
-    traj = solve(sc)
+    traj, _, sups = _solve_iss(out, sc, g, settings)
     _write_trajectory(out / "trajectory.csv", traj)
-    _, sups = _write_iss(out, sc, traj, g, settings)
     print(f"simulated {traj.n_samples} samples; final sup-norm {sups[-1]:.6g}")
     return EXIT_PASS
 
@@ -210,15 +211,17 @@ def cmd_gains(cp, out: Path, settings, args) -> int:
 def cmd_verify_iss(cp, out: Path, settings, args) -> int:
     sc = scenario_from_config(cp)
     g = _iss_gains(sc, settings)
-    traj = solve(sc)
-    return _conclude(out, "iss", _write_iss(out, sc, traj, g, settings)[0])
+    return _conclude(out, "iss", _solve_iss(out, sc, g, settings)[1])
 
 
 def cmd_verify_rkes(cp, out: Path, settings, args) -> int:
     sc1, sc2 = rkes_pair_from_config(cp)
     g = _gain_set(sc1, settings) if harness.rkes_gains_defined(sc1) else None
-    t1, t2 = TimeStepper([sc1, sc2]).solve_stack()  # the pair steps as one stack
-    return _conclude(out, "rkes", harness.check_rkes((t1, t2), (sc1, sc2), g, settings.tol))
+    record, running = harness.block_data_sups(sc1.n_steps + 1, pair=True)
+    t1, t2 = TimeStepper([sc1, sc2]).solve_stack(record)  # the pair steps as one stack
+    f_sups, d_sups = running()
+    return _conclude(out, "rkes", harness.check_rkes((t1, t2), (sc1, sc2), g, settings.tol,
+                                                     f_sups=f_sups, d_sups=d_sups))
 
 
 def cmd_verify_decay(cp, out: Path, settings, args) -> int:

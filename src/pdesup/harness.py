@@ -128,6 +128,29 @@ def running_sup_boundary(scenario: Scenario, times) -> np.ndarray:
                             times)
 
 
+def block_data_sups(n_times: int, pair: bool):
+    """An ``on_block`` for :meth:`pdesup.solver.TimeStepper.solve_stack` that
+    records the sup over the nodes of |f| and of |d| at each of ``n_times``
+    samples, and a function that returns their running sups ``(f, d)``.
+
+    With ``pair`` the rows are those of a stack of two scenarios, and the
+    sups are of |f1 - f2| and |d1 - d2|.  Each value is the one
+    :func:`running_sup_forcing`/:func:`running_sup_boundary` (or
+    :func:`data_running_sup` with ``minus``) computes, from the rows the
+    stepper has evaluated anyway.
+    """
+    sups = np.empty((2, n_times))
+
+    def on_block(sl, f, b):
+        for row, rows in zip(sups, (f, b)):
+            if pair:
+                half = rows.shape[1] // 2
+                rows = rows[:, :half] - rows[:, half:]
+            row[sl] = np.abs(rows).max(axis=1)
+
+    return on_block, lambda: tuple(np.maximum.accumulate(sups, axis=1))
+
+
 def iss_hypotheses_met(scenario: Scenario) -> bool:
     """Whether :func:`check_iss` asserts its envelope: c_min > 0, monotone h."""
     return scenario.c_min_raw > 0 and scenario.reaction.monotone
@@ -168,13 +191,16 @@ def gains_undefined_note(scenario: Scenario) -> str:
     return f"gains undefined: need {need} (c_min {scenario.c_min_raw:.6g})"
 
 
-def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = None) -> Report:
+def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = None,
+               f_sups=None, d_sups=None) -> Report:
     """Space-time sup of the solution difference against the linear RKES bound.
 
     Both scenarios must share everything except (f, d); the bound is
     checked on every growing window [0, T_i].  The verdict is
     "not-asserted" when the reaction is not monotone, or when ``g`` is
     None because :func:`rkes_gains_defined` says the gains do not exist.
+    ``f_sups``/``d_sups`` pass in the running sups of |f1 - f2| and
+    |d1 - d2| the caller has already computed over the trajectories' times.
     """
     traj1, traj2 = traj_pair
     sc1, sc2 = scenario_pair
@@ -192,10 +218,12 @@ def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = 
     v1, v2 = (tr.values.reshape(tr.n_samples, -1) for tr in (traj1, traj2))
     observed = running_sup(lambda sl: v1[sl] - v2[sl], *v1.shape)
     times = traj1.times
-    f_run = data_running_sup(sc1.forcing, node_coords(sc1.grid), times, minus=sc2.forcing)
-    d_run = data_running_sup(sc1.boundary.data, node_coords(sc1.grid, boundary=True), times,
-                             minus=sc2.boundary.data)
-    bounds = g.l_f * f_run + g.l_d * d_run
+    if f_sups is None:
+        f_sups = data_running_sup(sc1.forcing, node_coords(sc1.grid), times, minus=sc2.forcing)
+    if d_sups is None:
+        d_sups = data_running_sup(sc1.boundary.data, node_coords(sc1.grid, boundary=True), times,
+                                  minus=sc2.boundary.data)
+    bounds = g.l_f * f_sups + g.l_d * d_sups
     details = sample_details([(traj1, observed, bounds)], tol, sc1.grid, sc1.dt)
     i = int(np.argmin(details.margin))  # the witness is a node of v1 - v2 at the worst sample
     return _report("rkes", details, i, sc1.grid, v1[i] - v2[i], times[i], "")

@@ -10,10 +10,14 @@ through the centered boundary-derivative formula, which keeps the full
 scheme second order (the diffusion expression is therefore evaluated at
 midpoints half a cell outside the domain).  Time stepping is
 Crank-Nicolson with M+ = I + dt/2 A factored once per stepper, at its
-scenario's dt; the nonlinear reaction is handled by a chord Newton
-iteration per step, started from a predicted iterate, with a damped
-full-Newton fallback, on intervals and rectangles alike (see
-TimeStepper).  Every sparse factorization (M+ off intervals and their
+scenario's dt.  The nonlinear reaction is handled per step from a
+predicted iterate: by damped full Newton on intervals and their uncoupled
+stacks, whose tridiagonal Jacobians LAPACK ``dgtsv`` solves for about the
+cost of one solve with M+'s factors, and by chord Newton with a damped
+full-Newton fallback on rectangles and cycles, where a Jacobian is a
+sparse factorization of its own (see TimeStepper).  A linear stepper
+takes a block of steps one solve each and checks all their residuals in
+one product.  Every sparse factorization (M+ off intervals and their
 uncoupled stacks, and the fallback's Jacobians) goes through
 :func:`_sparse_lu`: minimum-degree ordering on Aᵀ+A, which suits the
 structurally symmetric five-point pattern, and no pivoting when every
@@ -40,9 +44,8 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.sparse.linalg import splu
 
 from .core import DIRICHLET, ROBIN, ConfigError, SpatialGrid, Trajectory, time_blocks
@@ -50,6 +53,7 @@ from .expressions import Expression
 from .gains import CoefficientBounds
 
 MINIMUM_SAMPLING_FACTOR = 10  # coefficient minima sampled at 10x grid resolution
+_REL_TOL = 1e-12  # a step's residual tolerance, relative to max(1, sup |rhs|)
 
 
 class SolverError(RuntimeError):
@@ -78,7 +82,7 @@ class ReactionTerm:
 
     :meth:`at_nodes` gives h at fixed nodes as a plain function of
     (t, u), which is what the stepper and the hypothesis probes call;
-    :meth:`derivative` gives h' (the stepper's full-Newton fallback).
+    :meth:`derivative` gives h' (the stepper's full-Newton Jacobians).
     """
 
     kind: str = "zero"
@@ -193,30 +197,37 @@ class Coefficients:
     def sampled_minima(self, grid: SpatialGrid):
         """(a, c, m) as (minimum, witness) pairs from one pass over the nodes
         of ``grid`` refined 10x (for m, its boundary nodes); see
-        :func:`_sampled_minimum`.  Without m its pair is (None, None)."""
+        :func:`_sampled_minimum`.  Without m its pair is (None, None).
+
+        a and c are evaluated on the axes, x as a row and y as a column (x
+        alone on an interval), which broadcast to the refined grid without
+        its coordinate meshes being built.
+        """
         fine = _refined(grid, MINIMUM_SAMPLING_FACTOR)
-        nodes = node_coords(fine)
-        bindex = _boundary_indices(fine)
-        return [(declared, None) if expr is None else
-                _sampled_minimum(expr, [None if c is None else c[idx] for c in nodes], declared)
-                for expr, declared, idx in ((self.a, self.declared_a_min, slice(None)),
-                                            (self.c, self.declared_c_min, slice(None)),
-                                            (self.m, self.declared_m_min, bindex))]
+        axes = (fine.x, None) if fine.n_y is None else (fine.x[None, :], fine.y[:, None])
+        return [(declared, None) if expr is None else _sampled_minimum(expr, xy, declared)
+                for expr, declared, xy in ((self.a, self.declared_a_min, axes),
+                                           (self.c, self.declared_c_min, axes),
+                                           (self.m, self.declared_m_min,
+                                            node_coords(fine, boundary=True)))]
 
 
 def _sampled_minimum(expr: Expression, xy, declared: float | None):
     """``expr``'s minimum over the nodes ``xy`` = (x, y), y None on an
-    interval, and its witness: the first node (x[, y]) where it is attained.
+    interval, and its witness: the first node (x[, y]), in row-major order
+    of the broadcast coordinates, where it is attained.
 
     The first non-finite sample, if any, stands in for the minimum.  A
     declared minimum replaces a finite sampled one and has no witness.
     """
-    vals = np.broadcast_to(np.asarray(_on_nodes(expr, *xy), dtype=float), xy[0].shape)
+    coords = [c for c in xy if c is not None]
+    shape = np.broadcast_shapes(*(c.shape for c in coords))
+    vals = np.broadcast_to(np.asarray(_on_nodes(expr, *xy), dtype=float), shape)
     bad = np.flatnonzero(~np.isfinite(vals))
     if declared is not None and not bad.size:
         return declared, None
-    i = int(bad[0]) if bad.size else int(np.argmin(vals))
-    return float(vals[i]), tuple(float(c[i]) for c in xy if c is not None)
+    at = np.unravel_index(int(bad[0]) if bad.size else int(np.argmin(vals)), shape)
+    return float(vals[at]), tuple(float(np.broadcast_to(c, shape)[at]) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -439,23 +450,45 @@ class TimeStepper:
     factor at most 2.  One scenario's ``M+`` is dominant for every ``dt``
     when ``c >= 0``; a negative ``c`` or a cycle's coupling may break
     that, and then threshold pivoting is kept.  The full-Newton Jacobians
-    follow the same rule.  A linear step is one solve with those factors.
-    A step meets the tolerance ``1e-12 max(1, |rhs|)`` within 50 Newton
-    iterations (see :meth:`_measure`).  With a reaction each
-    step iterates the chord (simplified) Newton step
-    ``v -= M+^{-1} F(v)`` (Kelley, *Iterative Methods for Linear and
-    Nonlinear Equations*, ch. 5), starting from a predictor: the linear
-    step's solve, with h at t+dt extrapolated as ``2 h(u_n) - h(u_{n-1})``
-    when u is the state the previous call returned, and as ``h(u_n)``
-    otherwise.  The returned state is read-only, and the stepper keeps
-    ``h(t+dt, v)`` of its last accepted iterate: a next call whose u is
-    that very array reuses it as ``h(t, u)`` when t is the same float as
-    that t+dt or no block's reaction reads t.  A chord step that fails
-    to halve the residual switches the rest of that step to damped full
-    Newton.  With a nonlinear reaction one more chord step follows the
-    one that meets the tolerance: chord iterates converge only linearly
-    and meet it just barely, and the extra step brings them to the
-    accuracy full Newton reaches.  Dirichlet data is written into every iterate, so the
+    off intervals follow the same rule.  A step meets the tolerance
+    ``1e-12 max(1, |rhs|)`` within 50 Newton iterations (see
+    :meth:`_measure`).
+
+    The step's data enter as two terms (:meth:`data_terms`), which
+    :meth:`solve_stack` forms once per time block: ``s = dt/2 (f0 + f1)``
+    and ``d``, the Robin term ``dt/2 (g b0 + g b1)`` or the Dirichlet
+    values at t+dt.  A linear stepper (no block has a reaction) takes each
+    time block one solve with ``M+``'s factors per step, and then checks
+    every step's residual ``M+ v - rhs`` in one ``csr_matvecs`` product
+    against that step's own tolerance (:meth:`_linear_block`).  From the
+    first step that misses it, a NaN included, the block is stepped again
+    through :meth:`step_values`, which iterates, or raises at the same t
+    with the same history, so values, errors and ``residual_log`` are
+    those of stepping every step alone.
+
+    With a reaction, :meth:`step_values` starts each step from a
+    predictor: the linear step's solve, with h at t+dt extrapolated as
+    ``2 h(u_n) - h(u_{n-1})`` when u is the state the previous call
+    returned, and as ``h(u_n)`` otherwise.  The returned state is
+    read-only, and the stepper keeps ``h(t+dt, v)`` of its last accepted
+    iterate: a next call whose u is that very array reuses it as
+    ``h(t, u)`` when t is the same float as that t+dt or no block's
+    reaction reads t.  On an interval or an uncoupled stack of them, the
+    step then takes damped full-Newton steps on ``M+ + dt/2 diag(h'(v))``,
+    solved by :func:`solve_banded` (LAPACK ``dgtsv``): a tridiagonal
+    Jacobian costs little more than a solve with ``M+``'s factors, and
+    Newton meets the tolerance in one step where the chord step needs
+    two or three.  On a rectangle or a cycle, where a Jacobian is a
+    sparse factorization of its own, the step iterates the chord
+    (simplified) Newton step ``v -= M+^{-1} F(v)`` (Kelley, *Iterative
+    Methods for Linear and Nonlinear Equations*, ch. 5); a chord step
+    that fails to halve the residual switches the rest of that step to
+    damped full Newton.  Every nonlinear step makes at least one
+    correction after its predictor: a chord step follows the iterate that
+    met the tolerance when that is the predictor itself, or when the
+    chord iteration found it (its iterates converge only linearly and
+    meet the tolerance just barely), and is kept when it lowers the
+    residual.  Dirichlet data is written into every iterate, so the
     boundary nodes hold it exactly.
 
     Products with ``A`` and ``M+`` call scipy's CSR kernel directly
@@ -511,7 +544,7 @@ class TimeStepper:
         self._f_rows = _side_by_side([data_rows(sc.forcing, self._nodes) for sc in self.scenarios])
         self._b_rows = _side_by_side([data_rows(sc.boundary.data, bnodes) for sc in self.scenarios])
         # each block's h as a function of (t, u), coordinates bound once; h'
-        # (the full-Newton fallback) stays a ReactionTerm.derivative call,
+        # (the full-Newton Jacobians) stays a ReactionTerm.derivative call,
         # which perfbench's tracer counts.  Blocks that share one reaction
         # share one call over the whole state, on the coordinates tiled k times.
         reactions, nodes = [sc.reaction for sc in self.scenarios], self._nodes
@@ -525,6 +558,7 @@ class TimeStepper:
             self._g_bd = np.concatenate([op.g_coef[op.bindex] for op in ops])
         self._m_plus = sp.identity(self.A.shape[0], format="csr") + dt / 2 * self.A
         self._m_mul = _csr_product(self._m_plus)
+        self._m_csr = (self._m_plus.indptr, self._m_plus.indices, self._m_plus.data)
         if self._banded:
             self._tridiag = [self._m_plus.diagonal(off) for off in (-1, 0, 1)]
             *factors, info = dgttrf(*self._tridiag)
@@ -569,12 +603,12 @@ class TimeStepper:
             vals[self.bindex] = 0.0
         return vals
 
-    def _iterate(self, w, t1, b1, rhs, measure):
-        """A Newton iterate ``w`` with Dirichlet data written in, and its
-        residual ``F(w) = M+ w + dt/2 h(t1, w) - rhs``, ``h(t1, w)`` (None
+    def _iterate(self, w, t1, d, rhs, measure):
+        """A Newton iterate ``w`` with the Dirichlet values ``d`` written in, and
+        its residual ``F(w) = M+ w + dt/2 h(t1, w) - rhs``, ``h(t1, w)`` (None
         without a reaction) and the measure of F."""
         if self.kind == DIRICHLET:
-            w[self.bindex] = b1
+            w[self.bindex] = d
         fw = self._m_mul(w)
         fw -= rhs
         hw = None
@@ -583,44 +617,71 @@ class TimeStepper:
             fw += self.dt / 2 * hw
         return w, fw, hw, measure(fw)
 
+    def _tolerances(self, rhs):
+        """Each block's tolerance ``1e-12 max(1, sup |rhs|)``, for ``rhs`` of
+        shape (..., k n): shape (..., k)."""
+        blocks = rhs.reshape(*rhs.shape[:-1], self.k, -1)
+        sups = np.maximum(blocks.max(axis=-1), -blocks.min(axis=-1))  # no copy of |rhs|
+        return _REL_TOL * np.maximum(1.0, sups)
+
     def _measure(self, rhs):
         """The step's residual measure and the tolerance it must meet.
 
-        One scenario: sup |F| against ``1e-12 max(1, |rhs|)``.  A stack
-        takes each block's sup |F| in units of that block's own such
-        tolerance and reports the largest, against 1.
+        One scenario: sup |F| against its tolerance (:meth:`_tolerances`,
+        here in scalar arithmetic).  A stack takes each block's sup |F| in
+        units of that block's own tolerance and reports the largest, against 1.
         """
-        rel = 1e-12
         if self.k == 1:
-            return _sup, rel * max(1.0, float(np.abs(rhs).max()))
-        tols = rel * np.maximum(1.0, np.abs(rhs).reshape(self.k, -1).max(axis=1))
-        return partial(_block_sup, tols), 1.0
+            return _sup, _REL_TOL * max(1.0, _sup(rhs))
+        return partial(_block_sup, self._tolerances(rhs)), 1.0
 
     def _newton_solve(self, v, t1, dt, b):
-        """Solve with the full Newton Jacobian M+ + dt/2 h'(v)."""
+        """Solve with the Newton Jacobian M+ + dt/2 h'(v): :func:`solve_banded`
+        on a tridiagonal stack, a SuperLU factorization of its own otherwise."""
         if self._linear:
             return self._solve(b)
         hp = dt / 2 * self._h(t1, v, derivative=True)
         if self._banded:
             lower, diag, upper = self._tridiag
-            ab = np.zeros((3, diag.size))
-            ab[0, 1:], ab[1], ab[2, :-1] = upper, diag + hp, lower
-            return solve_banded((1, 1), ab, b)
+            return solve_banded(lower, diag + hp, upper, b)
         return _sparse_lu(self._m_plus + sp.diags(hp)).solve(b)
 
-    def step_values(self, u: np.ndarray, t: float, f_pair, b_pair) -> np.ndarray:
+    def _rhs(self, out, u, half_au, s, d):
+        """``u - dt/2 A u + s`` into ``out`` (``half_au`` is dt/2 A u, plus
+        dt/2 h(t, u) with a reaction), with the Robin term ``d`` subtracted
+        at, or the Dirichlet values ``d`` written into, the boundary nodes."""
+        rhs = np.add(s, u - half_au, out=out)
+        if self.kind == ROBIN:
+            rhs[self.bindex] -= d
+        else:
+            rhs[self.bindex] = d
+        return rhs
+
+    def data_terms(self, f_rows, b_rows):
+        """The data terms of the steps between consecutive rows (samples ×
+        nodes) of forcing ``f_rows`` and boundary data ``b_rows``, one row per
+        step: ``s = dt/2 (f0 + f1)``, and ``d`` the Robin term
+        ``dt/2 (g b0 + g b1)`` or the Dirichlet values ``b1``.
+
+        Each term is the same element-wise arithmetic on the same values
+        whether it is formed for one step or for a block of them.
+        """
+        half = self.dt / 2
+        s = half * (f_rows[:-1] + f_rows[1:])
+        if self.kind == ROBIN:
+            return s, half * (self._g_bd * b_rows[:-1] + self._g_bd * b_rows[1:])
+        return s, b_rows[1:]
+
+    def step_values(self, u: np.ndarray, t: float, s, d) -> np.ndarray:
         """Advance nodal values from t to t+dt; returns the new values, read-only.
 
-        ``f_pair``/``b_pair`` are (value at t, value at t+dt) of the
-        forcing field and the boundary data.
+        ``s``/``d`` are the step's data terms: one row of each of
+        :meth:`data_terms`.
         """
         if u.shape != self.A.shape[:1]:  # the CSR kernel reads u unchecked
             raise ValueError(f"state has shape {u.shape}; the stepper needs {self.A.shape[:1]}")
         dt = self.dt
         t1 = t + dt
-        f0, f1 = f_pair
-        b0, b1 = b_pair
-        bindex = self.bindex
         au = self._a_mul(u)
         hu = h_before = None
         if not self._linear:
@@ -631,21 +692,20 @@ class TimeStepper:
             if hu is None:
                 hu = self._h(t, u)
             au += hu
-        rhs = u - dt / 2 * au + dt / 2 * (f0 + f1)
-        if self.kind == ROBIN:
-            rhs[bindex] -= dt / 2 * (self._g_bd * b0 + self._g_bd * b1)
-        else:
-            rhs[bindex] = b1
+        half_au = dt / 2 * au
+        rhs = self._rhs(np.empty(u.size), u, half_au, s, d)
         measure, tol = self._measure(rhs)
         # the first iterate solves for the change v - u: its rounding error
         # scales with that O(dt) change, where solving M+ v = rhs for v
         # outright leaves eps cond(M+) |v| per step to accumulate.  That is
         # the whole linear step; with a reaction, h at t+dt is taken as
         # 2 h(u) - h(u_prev) when u continues the last step, else as h(u)
-        change = rhs - u - dt / 2 * (au if h_before is None else au + (hu - h_before))
-        v, fv, hv, res = self._iterate(u + self._solve(change), t1, b1, rhs, measure)
+        change = rhs - u - (half_au if h_before is None else dt / 2 * (au + (hu - h_before)))
+        v, fv, hv, res = self._iterate(u + self._solve(change), t1, d, rhs, measure)
         history = []
-        chord = True
+        # a tridiagonal Jacobian costs about one solve with M+'s factors, so
+        # a nonlinear interval stack takes full Newton steps from the start
+        chord = self._linear or not self._banded
         for _ in range(50):
             history.append(res)
             # before the tolerance, which infinite data makes infinite too:
@@ -656,28 +716,33 @@ class TimeStepper:
                 break
             if chord:  # v - M+^{-1} F(v): bitwise v + M+^{-1}(-F(v))
                 v_try, fv_try, hv_try, res_try = self._iterate(
-                    v - self._solve(fv), t1, b1, rhs, measure)
+                    v - self._solve(fv), t1, d, rhs, measure)
                 if res_try <= res / 2 or res_try <= tol:
                     v, fv, hv, res = v_try, fv_try, hv_try, res_try
                     continue
                 chord = False
             delta = self._newton_solve(v, t1, dt, -fv)
-            s = 1.0
+            damp = 1.0
             while True:
-                v_try, fv_try, hv_try, res_try = self._iterate(v + s * delta, t1, b1, rhs, measure)
+                v_try, fv_try, hv_try, res_try = self._iterate(v + damp * delta, t1, d, rhs,
+                                                               measure)
                 if res_try < res or res_try <= tol:
                     v, fv, hv, res = v_try, fv_try, hv_try, res_try
                     break
-                s /= 2
-                if s < 1e-6:
+                damp /= 2
+                if damp < 1e-6:
                     raise SolverError(
                         f"Newton damping stalled at t={t1:.6g} (residual {res:.3e})", history)
         else:
             if res > tol:
                 raise SolverError(
                     f"Newton failed to reach tolerance at t={t1:.6g} (residual {res:.3e})", history)
-        if chord and not self._linear:
-            v_try, _, hv_try, res_try = self._iterate(v - self._solve(fv), t1, b1, rhs, measure)
+        # with a reaction, a chord step follows the iterate that met the
+        # tolerance when the chord iteration found it (its iterates converge
+        # only linearly and meet the tolerance just barely) or when it is the
+        # predictor itself: every step makes at least one correction
+        if not self._linear and (chord or len(history) == 1):
+            v_try, _, hv_try, res_try = self._iterate(v - self._solve(fv), t1, d, rhs, measure)
             if res_try < res:
                 v, hv, res = v_try, hv_try, res_try
         history.append(res)
@@ -686,14 +751,65 @@ class TimeStepper:
         self._last = (v, t1, hv, hu)
         return v
 
-    def solve(self) -> Trajectory:
+    def _linear_block(self, vals, s, d) -> int:
+        """Step a linear stack from ``vals[0]`` into ``vals[1:]`` with the data
+        terms ``s``/``d`` of :meth:`data_terms`: one solve per step, as
+        :meth:`step_values` takes it, and then every step's residual checked
+        in one product (:meth:`_row_measures`).  Returns the number of leading
+        steps that met their tolerance; their residuals go to ``residual_log``."""
+        rhs = np.empty(s.shape)
+        u = vals[0]
+        for j in range(len(s)):
+            half_au = self.dt / 2 * self._a_mul(u)
+            self._rhs(rhs[j], u, half_au, s[j], d[j])
+            v = u + self._solve(rhs[j] - u - half_au)
+            if self.kind == DIRICHLET:
+                v[self.bindex] = d[j]
+            vals[j + 1] = u = v
+        res, tol = self._row_measures(vals[1:], rhs)
+        met = np.isfinite(res) & (res <= tol)  # infinite data makes tol infinite too
+        passed = len(met) if met.all() else int(met.argmin())
+        self.residual_log += res[:passed].tolist()
+        return passed
+
+    def _row_measures(self, states, rhs):
+        """The residual measure of each row of :meth:`_residuals` and the
+        tolerance it must meet, as :meth:`_measure` takes them for one step."""
+        m = rhs.shape[0]
+        fv = self._residuals(states, rhs)
+        sups = np.abs(fv, out=fv).reshape(self.k, -1, m).max(axis=1).T
+        tols = self._tolerances(rhs)
+        if self.k == 1:
+            return sups[:, 0], tols[:, 0]
+        return (sups / tols).max(axis=1), np.ones(m)
+
+    def _residuals(self, states, rhs):
+        """``M+ v - rhs`` for each row v of ``states`` with its row of ``rhs``,
+        as columns (nodes × rows): one ``csr_matvecs`` product, which sums
+        each row of M+ in the order of ``csr_matvec``, so bitwise the
+        residual of each step alone."""
+        m, n = rhs.shape
+        fv = np.zeros((n, m))
+        csr_matvecs(n, n, m, *self._m_csr, np.ascontiguousarray(states.T), fv)
+        fv -= rhs.T
+        return fv
+
+    def solve(self, on_block=None) -> Trajectory:
         """The scenario's trajectory over its horizon (a stack: :meth:`solve_stack`)."""
         if self.k != 1:
             raise ValueError("a stack of scenarios is solved by solve_stack")
-        return self.solve_stack()[0]
+        return self.solve_stack(on_block)[0]
 
-    def solve_stack(self) -> list[Trajectory]:
-        """One trajectory per scenario of the stack, each a column block of one array."""
+    def solve_stack(self, on_block=None) -> list[Trajectory]:
+        """One trajectory per scenario of the stack, each a column block of one array.
+
+        ``on_block(sl, f, b)``, if given, is called with each time block's
+        slice of samples and its forcing and boundary rows before they are
+        stepped, so a caller can read the data without evaluating it again.
+        A linear stack takes each block through :meth:`_linear_block`, and
+        from its first step that misses its tolerance on through
+        :meth:`step_values`, which iterates, or raises as it would have.
+        """
         sc, n = self.scenario, self.grid.n_nodes
         u = np.concatenate([s.initial_values().ravel() for s in self.scenarios]).astype(float)
         times = sc.times()
@@ -702,15 +818,35 @@ class TimeStepper:
         for sl in time_blocks(times.size, u.size):
             f = self.forcing[sl] if self.forcing is not None else self._f_rows(times[sl])
             b = self.boundary[sl] if self.boundary is not None else self._b_rows(times[sl])
-            for i in range(sl.start, sl.stop - 1):
-                k = i - sl.start
-                u = self.step_values(u, times[i], f_pair=(f[k], f[k + 1]),
-                                     b_pair=(b[k], b[k + 1]))
-                out[i + 1] = u
+            if on_block is not None:
+                on_block(sl, f, b)
+            s, d = self.data_terms(f, b)
+            del f, b  # spent: freed before the linear block's buffers are made
+            first = sl.start
+            if self._linear:
+                first += self._linear_block(out[sl], s, d)
+                u = out[first]
+            for i in range(first, sl.stop - 1):
+                u = out[i + 1] = self.step_values(u, times[i], s[i - sl.start], d[i - sl.start])
         out.setflags(write=False)  # handed over: each Trajectory keeps its block without a copy
         shape = (times.size, *sc.grid.shape)
         return [Trajectory(sc.grid, times, out[:, j * n:(j + 1) * n].reshape(shape))
                 for j in range(self.k)]
+
+
+def solve_banded(lower, diag, upper, b):
+    """x with T x = b for the tridiagonal T of sub-, main and super-diagonals
+    ``lower``, ``diag``, ``upper``; ``diag`` and ``b`` are overwritten.
+
+    LAPACK ``dgtsv`` (elimination with partial pivoting): the routine that
+    ``scipy.linalg.solve_banded((1, 1), ...)`` calls, so the same bits,
+    without its argument checks.  The name is kept from that call, since
+    perfbench's tracer counts the Newton Jacobian solves by it.
+    """
+    *_, x, info = dgtsv(lower, diag, upper, b, overwrite_d=1, overwrite_b=1)
+    if info:
+        raise SolverError("singular Newton Jacobian")
+    return x
 
 
 def _sparse_lu(m):

@@ -73,5 +73,13 @@ def step(state: np.ndarray, t: float, scenario: Scenario) -> np.ndarray:
     times = [t, t + scenario.dt]
     f_pair = data_rows(scenario.forcing, node_coords(scenario.grid))(times)
     b_pair = data_rows(scenario.boundary.data, node_coords(scenario.grid, boundary=True))(times)
-    vals = stepper.step_values(np.ravel(state).astype(float), t, f_pair, b_pair)
+    vals = stepper.step_values(np.ravel(state).astype(float), t,
+                               *step_terms(stepper, f_pair, b_pair))
     return vals.reshape(scenario.grid.shape)
+
+
+def step_terms(stepper: TimeStepper, f_pair, b_pair):
+    """The data terms ``(s, d)`` of one step of ``stepper`` from its (value at t,
+    value at t+dt) pairs of forcing and boundary data."""
+    s, d = stepper.data_terms(np.asarray(f_pair), np.asarray(b_pair))
+    return s[0], d[0]

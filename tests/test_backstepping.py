@@ -30,7 +30,7 @@ from pdesup.solver import (
     solve,
 )
 
-from helpers import open_loop_preset
+from helpers import open_loop_preset, step_terms
 
 E = parse_expression
 
@@ -284,7 +284,7 @@ def _swept_closed_loop(c, sigma, u0, f, d0, d1, grid, dt, horizon):
         U = controls[-1]
         for _ in range(200):
             b1 = d_vals[i + 1] + [0.0, U]
-            cand = stepper.step_values(u, times[i], f_pair=f_vals[i:i + 2], b_pair=(b1, b1))
+            cand = stepper.step_values(u, times[i], *step_terms(stepper, f_vals[i:i + 2], (b1, b1)))
             U_new = kernel.control(cand)
             done = abs(U_new - U) <= 1e-13 * (1.0 + abs(U))
             U = U_new

@@ -25,6 +25,8 @@ from pdesup.solver import (
     reaction_zero,
 )
 
+from helpers import step_terms
+
 E = parse_expression
 
 
@@ -215,8 +217,8 @@ def _gauss_seidel_cycle(spec, tol=1e-10, max_sweeps=30):
                         f_pair, b_pair = pair, (src_old[bindex], src_new[bindex])
                     else:
                         f_pair, b_pair = (src_old, src_new), pair
-                    cand[j] = steppers[j].step_values(state[j], t0,
-                                                      f_pair=f_pair, b_pair=b_pair)
+                    cand[j] = steppers[j].step_values(
+                        state[j], t0, *step_terms(steppers[j], f_pair, b_pair))
                 if float(np.max(np.abs(cand - prev_cand))) < tol:
                     break
             else:
@@ -276,7 +278,7 @@ def test_cycle_blocks_reproduce_their_own_steps(topology):
         for i in range(times.size - 1):
             own_pair, up_pair = (own[i], own[i + 1]), (up[i], up[i + 1])
             f_pair, b_pair = (own_pair, up_pair) if robin else (up_pair, own_pair)
-            v = st.step_values(fields[j][i], times[i], f_pair=f_pair, b_pair=b_pair)
+            v = st.step_values(fields[j][i], times[i], *step_terms(st, f_pair, b_pair))
             assert np.max(np.abs(v - fields[j][i + 1])) <= tols[-1], (j, i)
 
 

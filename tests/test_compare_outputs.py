@@ -62,6 +62,19 @@ def test_summary_is_one_line_with_the_largest_move_and_every_other_file(tmp_path
                                    "c/report.csv": None, "d/exit_code.txt": None})
     assert "\n" not in line
     assert line == (f"378 files compared under {tmp_path}; 4 differ; largest relative move "
-                    "1.3e-13; not numeric: c/report.csv, d/exit_code.txt")
+                    "1.3e-13 (by workload: a 1.3e-13, b 2e-15); "
+                    "not numeric: c/report.csv, d/exit_code.txt")
     assert summary(10, tmp_path, {}) == (f"10 files compared under {tmp_path}; 0 differ; "
-                                         "largest relative move 0; not numeric: none")
+                                         "largest relative move 0 (by workload: none); "
+                                         "not numeric: none")
+
+
+def test_summary_gives_the_largest_move_of_each_workload(tmp_path):
+    moves = {"suite-1d/seed1/003-verify-iss/supnorms.csv": 2.9e-13,
+             "suite-1d/seed2/001-verify-iss/stdout.txt": 4e-14,
+             "cascade-1d/seed1/000-cascade/supnorms.csv": 8.4e-13,
+             "cascade-1d/seed2/000-cascade/report.csv": 1e-15,
+             "rect-2d/seed1/000-verify-iss/stderr.txt": None}
+    line = summary(500, tmp_path, moves)
+    assert ("largest relative move 8.4e-13 (by workload: cascade-1d 8.4e-13, suite-1d 2.9e-13); "
+            "not numeric: rect-2d/seed1/000-verify-iss/stderr.txt") in line

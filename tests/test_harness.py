@@ -21,6 +21,7 @@ from pdesup.harness import (
     FAIL,
     NOT_ASSERTED,
     PASS,
+    block_data_sups,
     build_report,
     check_decay,
     check_iss,
@@ -37,6 +38,7 @@ from pdesup.solver import (
     BoundarySpec,
     Coefficients,
     ReactionTerm,
+    TimeStepper,
     make_scenario,
     node_coords,
     reaction_log_poly,
@@ -188,6 +190,28 @@ def _rkes_pair(dim):
                  E("sin(pi*x)*sin(pi*y)")),
             make(E("-0.3*cos(2*pi*x*y)*t"), BoundarySpec(DIRICHLET, E("0.2*sin(t)*y+1e-4*x*t")),
                  E("sin(pi*x)*sin(pi*y)")))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_data_sups_are_the_running_sups_bitwise(dim):
+    pair = _rkes_pair(dim)
+    for sc in pair:
+        record, running = block_data_sups(sc.n_steps + 1, pair=False)
+        traj = TimeStepper(sc).solve(record)
+        assert len(time_blocks(traj.n_samples, sc.grid.n_nodes)) > 1
+        expect = (running_sup_forcing(sc, traj.times), running_sup_boundary(sc, traj.times))
+        assert [a.tobytes() for a in running()] == [a.tobytes() for a in expect]
+    sc1, sc2 = pair
+    record, running = block_data_sups(sc1.n_steps + 1, pair=True)
+    t1, t2 = TimeStepper(list(pair)).solve_stack(record)
+    f_sups, d_sups = running()
+    expect = (data_running_sup(sc1.forcing, node_coords(sc1.grid), t1.times, minus=sc2.forcing),
+              data_running_sup(sc1.boundary.data, node_coords(sc1.grid, boundary=True),
+                               t1.times, minus=sc2.boundary.data))
+    assert [f_sups.tobytes(), d_sups.tobytes()] == [a.tobytes() for a in expect]
+    g = _gains_for(sc1)
+    given = check_rkes((t1, t2), pair, g, f_sups=f_sups, d_sups=d_sups)
+    assert given.details.tobytes() == check_rkes((t1, t2), pair, g).details.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])

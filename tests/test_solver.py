@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_banded as scipy_solve_banded
 from scipy.sparse.linalg import splu
 
 import pdesup.solver as solver_mod
@@ -30,7 +31,7 @@ from pdesup.solver import (
     solve,
 )
 
-from helpers import explicit_solution_preset, heat_preset, step, superlinear_preset
+from helpers import explicit_solution_preset, heat_preset, step, step_terms, superlinear_preset
 
 E = parse_expression
 XYTU = ("x", "y", "t", "u")
@@ -158,6 +159,46 @@ def test_each_witness_is_a_node_where_the_minimum_is_attained(name):
         hit = x == at[0] if y is None else (x == at[0]) & (y == at[1])
         assert len(at) == grid.dim and hit.any()  # a node of the refined grid
         assert vals[hit][0] == v == vals.min()
+
+
+def _mesh_sampled_minima(coeffs, grid):
+    """The sampler before the broadcast axes: every coefficient on the flat
+    coordinate meshes of the refined grid (m on its boundary nodes), the
+    witness at the flat index of the first non-finite sample or the argmin."""
+    fine = solver_mod._refined(grid, 10)
+    X, Y = fine.meshes()
+    nodes = (np.ravel(X), None if Y is None else np.ravel(Y))
+    bindex = np.flatnonzero(fine.boundary_mask().ravel())
+    out = []
+    for expr, idx in ((coeffs.a, slice(None)), (coeffs.c, slice(None)), (coeffs.m, bindex)):
+        xy = [None if c is None else c[idx] for c in nodes]
+        vals = np.broadcast_to(np.asarray(expr(x=xy[0]) if xy[1] is None else
+                                          expr(x=xy[0], y=xy[1]), dtype=float), xy[0].shape)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        i = int(bad[0]) if bad.size else int(np.argmin(vals))
+        out.append((float(vals[i]), tuple(float(c[i]) for c in xy if c is not None)))
+    return out
+
+
+_MESH_CASES = {
+    **{name: case[:4] for name, case in MINIMA_CASES.items()},
+    "1d-nan": (grid_1d(21), "sqrt(x-0.31)+1", "ln(x-0.52)", "sqrt(0.5-x)"),
+    "2d-nan": (grid_2d(9, 7, 0.0, 1.0, -1.0, 0.5), "1+sqrt(x*y+0.1)", "sqrt(y+0.3)*x",
+               "ln(x-0.5)"),
+    "2d-ties": (grid_2d(7, 9), "1+0*x", "min(x, y)", "abs(x-0.5)+2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MESH_CASES))
+def test_sampled_minima_on_axes_match_the_mesh_sampler_bitwise(name):
+    grid, a, c, m = _MESH_CASES[name]
+    coeffs = Coefficients(E(a), E(c), E(m))
+    with np.errstate(all="ignore"):
+        got, expect = coeffs.sampled_minima(grid), _mesh_sampled_minima(coeffs, grid)
+    assert [(_bits([v]), _bits(at)) for v, at in got] == \
+        [(_bits([v]), _bits(at)) for v, at in expect]
+    if name.endswith("nan"):  # a witness of the first non-finite sample
+        assert all(math.isnan(v) for v, _ in got)
 
 
 def test_declared_minimum_is_reported_without_a_witness():
@@ -510,8 +551,8 @@ def _step_with_scales(st, reaction):
         rhs[st.op.bindex] = data_rows(sc.boundary.data,
                                       node_coords(sc.grid, boundary=True))([t + sc.dt])[0]
         scales.append(max(1.0, float(np.max(np.abs(rhs)))))
-        u = st.step_values(u, t, (f0, f1), data_rows(
-            sc.boundary.data, node_coords(sc.grid, boundary=True))([t, t + sc.dt]))
+        u = st.step_values(u, t, *step_terms(st, (f0, f1), data_rows(
+            sc.boundary.data, node_coords(sc.grid, boundary=True))([t, t + sc.dt])))
     return scales
 
 
@@ -635,12 +676,20 @@ _REACTIONS_1D = [
 @pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
 @pytest.mark.parametrize("reaction", _REACTIONS_1D, ids=["zero", "log_poly", "custom"])
 def test_1d_stepper_factors_once(monkeypatch, kind, reaction):
+    # M+ factored once, and one dgtsv per Newton iteration: each Newton
+    # iteration evaluates h' once
     calls = _count(monkeypatch, "dgttrf")
+    banded = _count(monkeypatch, "solve_banded")
+    jacobians, derivative = [], ReactionTerm.derivative
+    monkeypatch.setattr(ReactionTerm, "derivative",
+                        lambda *args: jacobians.append(1) or derivative(*args))
     sc = _scenario_1d(a="1+0.2*x", reaction=reaction, f="0.1*sin(t)*x", kind=kind,
                       d="0.05*t", n_x=41, dt=5e-3, T=0.1)
     st = TimeStepper(sc)
     st.solve()
     assert len(calls) == 1
+    assert len(banded) == len(jacobians)
+    assert (len(banded) >= sc.n_steps) == (not reaction.is_zero)
     assert len(st.residual_log) == sc.n_steps
     assert max(st.residual_log) <= 1e-12
 
@@ -660,21 +709,21 @@ def test_1d_linear_step_is_one_solve(monkeypatch, kind):
     f = data_rows(sc.forcing, node_coords(sc.grid))(times)
     b = data_rows(sc.boundary.data, node_coords(sc.grid, boundary=True))(times)
     for i in range(sc.n_steps):
-        u = st.step_values(u, times[i], f[i:i + 2], b[i:i + 2])
+        u = st.step_values(u, times[i], *step_terms(st, f[i:i + 2], b[i:i + 2]))
         assert len(solves) == i + 1
     assert max(st.residual_log) <= 1e-12
 
 
-def test_1d_chord_falls_back_to_full_newton(monkeypatch):
-    # as in 2-D: dt/2 h' dwarfs the diagonal of M+, so the chord step
-    # cannot contract and the tridiagonal full Newton finishes the step
+def test_1d_newton_meets_a_stiff_step(monkeypatch):
+    # dt/2 h' dwarfs the diagonal of M+, where a chord step cannot contract
+    # (see the 2-D case): the tridiagonal full Newton meets the tolerance
     banded = _count(monkeypatch, "solve_banded")
     reaction = _stiff_reaction()
     sc = _scenario_1d(a="1+0.2*x", reaction=reaction, f="0.1*sin(t)*x", d="0.05*t*x",
                       n_x=9, dt=0.5, T=1.0)
     st = TimeStepper(sc)
     scales = _step_with_scales(st, reaction)
-    assert banded  # the fallback solved Jacobians of its own
+    assert banded  # Newton solved Jacobians of its own
     assert len(st.residual_log) == sc.n_steps
     assert all(r <= 1e-12 * s for r, s in zip(st.residual_log, scales))
 
@@ -785,7 +834,12 @@ class _ReferenceStepper(TimeStepper):
     through ``np.where``, and a finiteness scan of every new state.  With a
     reaction it starts from the same predictor as the stepper: the linear
     solve, with h at t+dt taken as 2 h(u) - h(u_prev) when u is the state
-    it returned last, and h computed afresh at every step."""
+    it returned last, and h computed afresh at every step.  It iterates by
+    the stepper's rule: full Newton on a tridiagonal stack, its Jacobians
+    solved by scipy's ``solve_banded``, chord Newton with a full-Newton
+    fallback otherwise, and one more chord step after the chord iterate, or
+    the predictor, that meets the tolerance.  Every step, linear ones
+    included, goes through its own ``step_values``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -812,27 +866,36 @@ class _ReferenceStepper(TimeStepper):
             fv += dt / 2 * self._h(t1, v)
         return fv
 
-    def step_values(self, u, t, f_pair, b_pair):
+    def _linear_block(self, vals, s, d):
+        return 0  # no step checked in a block: every one through step_values
+
+    def _newton_solve(self, v, t1, dt, b):
+        if self._linear or not self._banded:
+            return super()._newton_solve(v, t1, dt, b)
+        lower, diag, upper = self._tridiag  # the Jacobian in scipy's banded form
+        ab = np.zeros((3, diag.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag + dt / 2 * self._h(t1, v, derivative=True), lower
+        return scipy_solve_banded((1, 1), ab, b)
+
+    def step_values(self, u, t, s, d):
         dt = self.dt
         t1 = t + dt
-        f0, f1 = f_pair
-        b0, b1 = b_pair
         bindex = self.bindex
         au = self.A @ u
         hu = None
         if not self._linear:
             hu = self._h(t, u)
             au += hu
-        rhs = u - dt / 2 * au + dt / 2 * (f0 + f1)
+        rhs = u - dt / 2 * au + s
         if self.kind == ROBIN:
-            rhs[bindex] -= dt / 2 * (self._g_bd * b0 + self._g_bd * b1)
+            rhs[bindex] -= d
         else:
-            rhs[bindex] = b1
+            rhs[bindex] = d
         measure, tol = self._measure(rhs)
 
         def iterate(w):
             if self.kind == DIRICHLET:
-                w[bindex] = b1
+                w[bindex] = d
             fw = self._residual(w, t1, dt, rhs)
             return w, fw, measure(fw)
 
@@ -841,7 +904,7 @@ class _ReferenceStepper(TimeStepper):
             au_pred = au + (hu - self._previous[1])
         v, fv, res = iterate(u + self._solve(rhs - u - dt / 2 * au_pred))
         history = []
-        chord = True
+        chord = self._linear or not self._banded
         for _ in range(50):
             history.append(res)
             if res <= tol:
@@ -870,7 +933,7 @@ class _ReferenceStepper(TimeStepper):
                 raise solver_mod.SolverError(
                     f"Newton failed to reach tolerance at t={t1:.6g} (residual {res:.3e})",
                     history)
-        if chord and not self._linear:
+        if not self._linear and (chord or len(history) == 1):
             v_try, _, res_try = iterate(v + self._solve(-fv))
             if res_try < res:
                 v, res = v_try, res_try
@@ -930,7 +993,9 @@ def test_full_newton_fallback_matches_the_reference_step_bitwise(monkeypatch, di
     else:
         sc = _scenario_2d(_stiff_reaction(), dt=0.5, T=1.0, n=9)
     _assert_steps_like_the_reference(sc)
-    assert len(banded if dim == 1 else lu) > 2  # both steppers took the fallback
+    # the stepper solved Jacobians: dgtsv in 1-D (the reference called
+    # scipy's solve_banded), SuperLU factors in 2-D (both steppers)
+    assert len(banded if dim == 1 else lu) > 2
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1023,13 +1088,13 @@ def test_nonlinear_stack_is_within_1e_12_of_solving_alone(kind, reaction):
         assert np.max(np.abs(got.values - alone)) <= 1e-12 * max(1.0, np.max(np.abs(alone)))
 
 
-def test_stack_full_newton_fallback_solves_one_band_of_k_blocks(monkeypatch):
+def test_stack_newton_solves_one_band_of_k_blocks(monkeypatch):
     banded = _count(monkeypatch, "solve_banded")
     scs = [_scenario_1d(a="1+0.2*x", reaction=_stiff_reaction(), f=f, d="0.05*t*x", n_x=9,
                         dt=0.5, T=1.0) for f in ("0.1*sin(t)*x", "0.2*cos(t)")]
     st = TimeStepper(scs)
     trajs = st.solve_stack()
-    assert banded and all(args[1].shape == (3, 18) for args, _ in banded)
+    assert banded and all(args[1].shape == (18,) for args, _ in banded)  # the diagonal
     assert len(st.residual_log) == 2 and max(st.residual_log) <= 1.0
     for got, sc in zip(trajs, scs, strict=True):
         alone = solve(sc).values
@@ -1080,7 +1145,7 @@ def test_h_is_reused_only_for_the_state_last_returned(reads_t):
 
     def step(u, t):
         t1 = t + sc.dt
-        return st.step_values(u, t, f([t, t1]), b([t, t1]))
+        return st.step_values(u, t, *step_terms(st, f([t, t1]), b([t, t1])))
 
     v = step(sc.initial_values(), 0.0)
     assert not v.flags.writeable
@@ -1104,6 +1169,168 @@ def test_odd_cubic_is_the_product_on_negative_states():
     u = np.linspace(-3.0, 2.0, 81)
     h = reaction_odd_cubic(0.7).at_nodes(u * 0.0, None)(0.0, u)
     assert _bitwise_equal(h, 0.7 * (u * u * u))
+
+
+# ---------------------------------------------------------------------------
+# Newton on intervals, linear blocks checked in one product, data terms
+
+
+class _PerStep(TimeStepper):
+    """A stepper that takes every step, linear ones too, through ``step_values``."""
+
+    def _linear_block(self, vals, s, d):
+        return 0
+
+
+_LINEAR_BLOCK_CASES = {
+    "robin": lambda: _manufactured_1d(ROBIN, reaction_zero()),
+    "dirichlet": lambda: _manufactured_1d(DIRICHLET, reaction_zero()),
+    "rkes-stack": lambda: _rkes_pair_1d(ROBIN, reaction_zero()),
+    # 31² nodes: 69 samples per time block, so 100 steps take two blocks
+    "rectangle": lambda: make_scenario(
+        grid_2d(31, 31, x_hi=1.5), 1.0, 1e-2, Coefficients(E("1+0.2*x*y"), E("1"), E("1+x")),
+        reaction_zero(), E("0.1*sin(3*t)*x*y"), BoundarySpec(ROBIN, E("0.05*cos(t)*y")),
+        E("sin(pi*x)*sin(pi*y)")),
+}
+
+
+@pytest.mark.parametrize("case", list(_LINEAR_BLOCK_CASES))
+def test_linear_block_steps_bitwise_as_step_values(monkeypatch, case):
+    scs = _LINEAR_BLOCK_CASES[case]()
+    got, expect = TimeStepper(scs), _PerStep(scs)
+    calls = []
+    real = TimeStepper.step_values
+    monkeypatch.setattr(TimeStepper, "step_values",
+                        lambda self, *args: calls.append(self) or real(self, *args))
+    for a, b in zip(got.solve_stack(), expect.solve_stack(), strict=True):
+        assert _bitwise_equal(a.values, b.values)
+    assert got.residual_log == expect.residual_log
+    assert got not in calls and len(calls) == len(expect.residual_log)  # no step of its own
+
+
+@pytest.mark.parametrize("case", ["robin", "dirichlet", "rkes-stack"])
+def test_block_residuals_are_each_steps_own(case):
+    st = TimeStepper(_LINEAR_BLOCK_CASES[case]())
+    rng = np.random.default_rng(5)
+    n = st.A.shape[0]
+    states, rhs = (rng.normal(size=(40, n)) * 10.0 ** rng.uniform(-3, 3, size=(40, n))
+                   for _ in range(2))
+    fv = st._residuals(states, rhs)
+    res, tol = st._row_measures(states, rhs)
+    for j in range(40):
+        alone = st._m_mul(states[j])
+        alone -= rhs[j]
+        assert _bitwise_equal(fv[:, j], alone)
+        measure, step_tol = st._measure(rhs[j])
+        assert res[j] == measure(alone) and tol[j] == step_tol
+
+
+def test_a_step_that_misses_its_tolerance_is_rerun_from_that_step(monkeypatch):
+    sc = _manufactured_1d(DIRICHLET, reaction_zero(), T=0.1)  # 40 steps in one block
+    st = TimeStepper(sc)
+    solves, real_solve = [], st._solve
+
+    def perturbed(b):  # the fifth step's solve lands off its solution
+        solves.append(1)
+        x = real_solve(b)
+        return x + 1e-6 if len(solves) == 5 else x
+
+    st._solve = perturbed
+    stepped, real = [], TimeStepper.step_values
+    monkeypatch.setattr(TimeStepper, "step_values",
+                        lambda self, u, t, s, d: stepped.append(t) or real(self, u, t, s, d))
+    traj = st.solve()
+    times = sc.times()
+    assert stepped == list(times[4:-1])  # from the perturbed step on, each through step_values
+    reference = _PerStep(sc)
+    assert _bitwise_equal(traj.values, reference.solve().values)
+    assert st.residual_log == reference.residual_log
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("f, t_bad", [("sqrt(0.0045-t)*x", "0.005"), ("1/(t*0)", "0.001")],
+                         ids=["nan", "inf"])
+def test_non_finite_data_in_a_linear_block_raises_at_the_same_t(kind, f, t_bad):
+    sc = _scenario_1d(kind=kind, f=f, n_x=21, dt=1e-3, T=0.01)
+    errors = []
+    for st in (TimeStepper(sc), _PerStep(sc)):
+        with np.errstate(all="ignore"), pytest.raises(solver_mod.SolverError) as err:
+            st.solve()
+        errors.append((str(err.value), err.value.history, st.residual_log))
+    assert errors[0][0] == f"non-finite residual at t={t_bad}"
+    assert repr(errors[0]) == repr(errors[1])
+
+
+def test_an_infinite_residual_misses_even_an_infinite_tolerance(monkeypatch):
+    # infinite data makes the tolerance infinite too: as step_values does,
+    # the block check tests finiteness before the tolerance
+    sc = _scenario_1d(kind=ROBIN, f="0.1*sin(t)*x", n_x=21, dt=1e-3, T=0.01)
+    st = TimeStepper(sc)
+    measures = st._row_measures
+
+    def infinite_at_step_3(states, rhs):
+        res, tol = measures(states, rhs)
+        res[3] = tol[3] = math.inf
+        return res, tol
+
+    st._row_measures = infinite_at_step_3
+    stepped, real = [], TimeStepper.step_values
+    monkeypatch.setattr(TimeStepper, "step_values",
+                        lambda self, u, t, s, d: stepped.append(t) or real(self, u, t, s, d))
+    st.solve()
+    assert stepped == list(sc.times()[3:-1])
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("reaction", [reaction_log_poly(1.4), reaction_odd_cubic(1.4)],
+                         ids=["log_poly", "odd_cubic"])
+def test_an_interval_step_is_a_predictor_and_one_newton_step(monkeypatch, kind, reaction):
+    banded = _count(monkeypatch, "solve_banded")
+    for scs in (_manufactured_1d(kind, reaction), _rkes_pair_1d(kind, reaction)):
+        banded.clear()
+        st = TimeStepper(scs)
+        products = _counted_products(st)
+        st.solve_stack()
+        n_steps = len(st.residual_log)
+        assert (len(products), len(banded)) == (2 * n_steps, n_steps)
+
+
+def test_a_predictor_that_meets_the_tolerance_is_corrected_once(monkeypatch):
+    # h = 0 u is not the zero reaction, but its predictor is the exact linear step
+    banded = _count(monkeypatch, "solve_banded")
+    reaction = ReactionTerm("custom", expr=E("0*u", XYTU))
+    st = TimeStepper(replace(_manufactured_1d(ROBIN, reaction_zero()), reaction=reaction))
+    measures, measure = [], st._measure
+
+    def spy(rhs):
+        norm, tol = measure(rhs)
+        return lambda fv: measures.append((norm(fv), tol)) or norm(fv), tol
+
+    st._measure = spy
+    products = _counted_products(st)
+    st.solve()
+    n_steps = len(st.residual_log)
+    assert (len(products), len(banded)) == (2 * n_steps, 0)  # a chord step, no Jacobian
+    predictors, corrections = measures[::2], measures[1::2]
+    assert all(res <= tol for res, tol in predictors)
+    assert st.residual_log == [min(p[0], c[0]) for p, c in zip(predictors, corrections)]
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("k", [1, 2])
+def test_data_terms_are_the_per_step_formulas_bitwise(kind, k):
+    scs = [_scenario_1d(kind=kind, n_x=21, dt=1e-3, T=0.01)] * k
+    st = TimeStepper(scs)
+    rng = np.random.default_rng(7)
+    f = rng.normal(size=(11, 21 * k)) * 10.0 ** rng.uniform(-3, 3, size=(11, 21 * k))
+    b = rng.normal(size=(11, 2 * k)) * 10.0 ** rng.uniform(-3, 3, size=(11, 2 * k))
+    s, d = st.data_terms(f, b)
+    dt = st.dt
+    for j in range(10):
+        (f0, f1), (b0, b1) = f[j:j + 2], b[j:j + 2]
+        assert _bitwise_equal(s[j], dt / 2 * (f0 + f1))
+        expect = dt / 2 * (st._g_bd * b0 + st._g_bd * b1) if kind == ROBIN else b1
+        assert _bitwise_equal(d[j], expect)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ any.  A differing file whose every difference is a number (a CSV cell, or
 a number in the text of ``stdout.txt``) is listed with its largest
 relative move ``|b - a| / max(1, |a|)`` (see :func:`largest_move`), so that
 a rounding-level move can be told from a real change.  The last line
-(:func:`summary`) gives the largest move over all differing files and
-names every file whose difference is not numeric.  ``--out`` defaults to
+(:func:`summary`) gives the largest move over all differing files and per
+workload, and names every file whose difference is not numeric.  ``--out`` defaults to
 a fresh temporary directory.
 """
 
@@ -149,15 +149,23 @@ def main() -> int:
 
 def summary(n: int, out: Path, moves: dict) -> str:
     """The closing line: files compared, how many differ, the largest
-    relative move over the numeric ones, and every other differing file.
+    relative move over the numeric ones, overall and for each workload (the
+    first part of the path) with a numeric difference, and every other
+    differing file.
 
     ``moves`` maps each differing file to its :func:`largest_move`, None
     when its difference is not numeric (or it exists on one side only).
     """
-    numeric = [m for m in moves.values() if m is not None]
+    by_workload = {}
+    for path, m in moves.items():
+        if m is not None:
+            workload = Path(path).parts[0]
+            by_workload[workload] = max(by_workload.get(workload, 0.0), m)
+    per = ", ".join(f"{w} {m:.2g}" for w, m in sorted(by_workload.items())) or "none"
     other = [path for path, m in moves.items() if m is None]
     return (f"{n} files compared under {out}; {len(moves)} differ; largest relative move "
-            f"{max(numeric, default=0.0):.2g}; not numeric: {', '.join(other) or 'none'}")
+            f"{max(by_workload.values(), default=0.0):.2g} (by workload: {per}); "
+            f"not numeric: {', '.join(other) or 'none'}")
 
 
 if __name__ == "__main__":
