@@ -1186,6 +1186,7 @@ _LINEAR_BLOCK_CASES = {
     "robin": lambda: _manufactured_1d(ROBIN, reaction_zero()),
     "dirichlet": lambda: _manufactured_1d(DIRICHLET, reaction_zero()),
     "rkes-stack": lambda: _rkes_pair_1d(ROBIN, reaction_zero()),
+    "robin-cycle": lambda: _cycle_scenarios([reaction_zero()] * 3),
     # 31² nodes: 69 samples per time block, so 100 steps take two blocks
     "rectangle": lambda: make_scenario(
         grid_2d(31, 31, x_hi=1.5), 1.0, 1e-2, Coefficients(E("1+0.2*x*y"), E("1"), E("1+x")),
@@ -1197,7 +1198,8 @@ _LINEAR_BLOCK_CASES = {
 @pytest.mark.parametrize("case", list(_LINEAR_BLOCK_CASES))
 def test_linear_block_steps_bitwise_as_step_values(monkeypatch, case):
     scs = _LINEAR_BLOCK_CASES[case]()
-    got, expect = TimeStepper(scs), _PerStep(scs)
+    cycle = case.endswith("cycle")
+    got, expect = TimeStepper(scs, cycle=cycle), _PerStep(scs, cycle=cycle)
     calls = []
     real = TimeStepper.step_values
     monkeypatch.setattr(TimeStepper, "step_values",
@@ -1208,9 +1210,9 @@ def test_linear_block_steps_bitwise_as_step_values(monkeypatch, case):
     assert got not in calls and len(calls) == len(expect.residual_log)  # no step of its own
 
 
-@pytest.mark.parametrize("case", ["robin", "dirichlet", "rkes-stack"])
+@pytest.mark.parametrize("case", ["robin", "dirichlet", "rkes-stack", "robin-cycle"])
 def test_block_residuals_are_each_steps_own(case):
-    st = TimeStepper(_LINEAR_BLOCK_CASES[case]())
+    st = TimeStepper(_LINEAR_BLOCK_CASES[case](), cycle=case.endswith("cycle"))
     rng = np.random.default_rng(5)
     n = st.A.shape[0]
     states, rhs = (rng.normal(size=(40, n)) * 10.0 ** rng.uniform(-3, 3, size=(40, n))
