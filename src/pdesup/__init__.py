@@ -12,12 +12,10 @@ from .core import (
     Domain,
     SpatialGrid,
     Trajectory,
-    diff_trajectory,
     grid_1d,
     grid_2d,
     interval,
     rectangle,
-    sup_norm_spacetime,
 )
 from .expressions import Expression, ParseError, parse_expression
 
@@ -29,13 +27,11 @@ __all__ = [
     "ParseError",
     "SpatialGrid",
     "Trajectory",
-    "diff_trajectory",
     "grid_1d",
     "grid_2d",
     "interval",
     "parse_expression",
     "rectangle",
-    "sup_norm_spacetime",
 ]
 
 __version__ = "0.1.0"

@@ -163,7 +163,7 @@ def _solve_iss(out: Path, sc, g, settings):
     return traj, rep, sups
 
 
-def cmd_simulate(cp, out: Path, settings, args) -> int:
+def cmd_simulate(cp, out: Path, settings) -> int:
     sc = scenario_from_config(cp)
     g = _iss_gains(sc, settings)  # a config error here comes before the solve
     traj, _, sups = _solve_iss(out, sc, g, settings)
@@ -172,7 +172,7 @@ def cmd_simulate(cp, out: Path, settings, args) -> int:
     return EXIT_PASS
 
 
-def cmd_gains(cp, out: Path, settings, args) -> int:
+def cmd_gains(cp, out: Path, settings) -> int:
     c_s, c_p = sobolev_constants_1d()
     rows = [
         ("c_s_1d", c_s, "1-D embedding constant, norm+gradient form"),
@@ -208,13 +208,13 @@ def cmd_gains(cp, out: Path, settings, args) -> int:
     return EXIT_PASS
 
 
-def cmd_verify_iss(cp, out: Path, settings, args) -> int:
+def cmd_verify_iss(cp, out: Path, settings) -> int:
     sc = scenario_from_config(cp)
     g = _iss_gains(sc, settings)
     return _conclude(out, "iss", _solve_iss(out, sc, g, settings)[1])
 
 
-def cmd_verify_rkes(cp, out: Path, settings, args) -> int:
+def cmd_verify_rkes(cp, out: Path, settings) -> int:
     sc1, sc2 = rkes_pair_from_config(cp)
     g = _gain_set(sc1, settings) if harness.rkes_gains_defined(sc1) else None
     record, running = harness.block_data_sups(sc1.n_steps + 1, pair=True)
@@ -224,7 +224,7 @@ def cmd_verify_rkes(cp, out: Path, settings, args) -> int:
                                                      f_sups=f_sups, d_sups=d_sups))
 
 
-def cmd_verify_decay(cp, out: Path, settings, args) -> int:
+def cmd_verify_decay(cp, out: Path, settings) -> int:
     sc = scenario_from_config(cp)
     if sc.c_min_raw <= 0:
         raise ConfigError(f"[coefficients] c: decay check needs c_min > 0 "
@@ -234,11 +234,11 @@ def cmd_verify_decay(cp, out: Path, settings, args) -> int:
             raise ConfigError(f"[disturbances] {key}: decay check needs zero disturbances")
     traj = solve(sc)
     u0_sup = float(np.max(np.abs(sc.initial_values())))
-    rep = harness.check_decay(traj, sc.bounds.c_min, u0_sup, settings.tol, scenario=sc)
+    rep = harness.check_decay(traj, sc.bounds.c_min, u0_sup, settings.tol)
     return _conclude(out, "decay", rep)
 
 
-def cmd_backstep(cp, out: Path, settings, args) -> int:
+def cmd_backstep(cp, out: Path, settings) -> int:
     if settings.c is None or settings.sigma is None:
         raise ConfigError("[check] needs c and sigma for the closed loop")
     sc = scenario_from_config(cp)
@@ -250,6 +250,15 @@ def cmd_backstep(cp, out: Path, settings, args) -> int:
             raise ConfigError(f"[domain] {key}: backstep needs {key} = {end:g}, got {value!r}")
     if sc.boundary.kind != DIRICHLET:  # the loop sets u(0) = d0 and u(1) = d1 + U
         raise ConfigError(f"[boundary] kind: backstep needs dirichlet, got {sc.boundary.kind}")
+    # the loop steps u_t = u_xx + c u, c from [check]: refuse the plant keys it would ignore
+    for key, expr, value in (("a", sc.coefficients.a, 1.0), ("c", sc.coefficients.c, 0.0)):
+        if np.any(np.asarray(expr(x=sc.grid.x)) != value):
+            raise ConfigError(f"[coefficients] {key}: backstep needs {key} = {value:g} on the "
+                              "nodes (its plant is u_t = u_xx + c u, c from [check])")
+    if not sc.reaction.is_zero:
+        raise ConfigError(f"[reaction] kind: backstep needs zero, got {sc.reaction.kind}")
+    if not is_zero(sc.boundary.data):
+        raise ConfigError("[disturbances] d: backstep needs d = 0 (its data are d0 and d1)")
     res = backstepping.simulate_closed_loop(
         settings.c, settings.sigma, sc.u0, sc.forcing, *backstep_data_from_config(cp),
         sc.grid, sc.dt, sc.horizon, tol=settings.tol)
@@ -264,7 +273,7 @@ def cmd_backstep(cp, out: Path, settings, args) -> int:
     return _conclude(out, "closed loop", res.report)
 
 
-def cmd_cascade(cp, out: Path, settings, args) -> int:
+def cmd_cascade(cp, out: Path, settings) -> int:
     spec = cascade_from_config(cp, settings)
     trajs = cascade_mod.simulate_cascade(spec)
     rep = cascade_mod.verify_cascade(spec, trajs, settings.tol)
@@ -277,7 +286,7 @@ def cmd_cascade(cp, out: Path, settings, args) -> int:
     return _exit_from_report(rep)
 
 
-def cmd_convergence(cp, out: Path, settings, args) -> int:
+def cmd_convergence(cp, out: Path, settings) -> int:
     sc = scenario_from_config(cp)
     if settings.exact is None:
         raise ConfigError("[check] needs exact = <expression> for convergence")
@@ -331,7 +340,7 @@ def main(argv=None) -> int:
         # residual is a SolverError, a NaN margin fails), so numpy's
         # floating-point warnings would only repeat them on stderr
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](cp, out, settings, args)
+            return _COMMANDS[args.command](cp, out, settings)
     except (ConfigError, ParseError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

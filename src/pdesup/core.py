@@ -201,11 +201,6 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-def sup_norm_spacetime(traj: Trajectory) -> float:
-    """max over samples of the spatial sup-norm."""
-    return float(traj.sup_space_per_sample().max())
-
-
 BLOCK_VALUES = 2 ** 16  # data values held at once when a run of samples is streamed
 
 
@@ -230,13 +225,3 @@ def running_sup(rows_of, n_times: int, n: int) -> np.ndarray:
         sups[sl] = np.abs(rows_of(sl)).max(axis=1)
     return np.maximum.accumulate(sups)
 
-
-def diff_trajectory(t1: Trajectory, t2: Trajectory) -> Trajectory:
-    """Pointwise t1 - t2; grids and time samples must match exactly."""
-    if t1.grid is not t2.grid and t1.grid != t2.grid:
-        raise ValueError("trajectories live on different grids")
-    if not np.array_equal(t1.times, t2.times):
-        raise ValueError("trajectories have different time samples")
-    diff = t1.values - t2.values
-    diff.setflags(write=False)  # handed over: Trajectory keeps it without a copy
-    return Trajectory(t1.grid, t1.times, diff)

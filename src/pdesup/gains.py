@@ -1,12 +1,13 @@
 """Explicit stability constants and bound evaluators.
 
-Every gain used by the verification harness is computed here in closed
-form: 1-D embedding constants, the domain geometry factor, linear RKES
-gains for Robin and Dirichlet boundary data, exponential ISS envelopes,
-the super-linear in-domain gain for flat-boundary domains in dimension
-n >= 3, the kernel bound constant for the stabilizing boundary feedback,
-and the small-gain constants plus the one chain bound
-(:func:`cascade_bound`) for boundary- and domain-coupled cascades.
+Every gain a command reports or checks is computed here in closed form:
+1-D embedding constants, the domain geometry factor, linear RKES gains
+for Robin and Dirichlet boundary data, exponential ISS envelopes, the
+super-linear in-domain gain for flat-boundary domains in dimension
+n >= 3 (with its pre-limit form, the test oracle of that limit), the
+kernel bound constant for the stabilizing boundary feedback, and the
+small-gain constants plus the one chain bound (:func:`cascade_bound`)
+for boundary- and domain-coupled cascades.
 
 ``q`` is the free integrability exponent of the underlying embedding;
 ``math.inf`` selects its limit value (the 1-D default).  The envelopes
@@ -83,22 +84,6 @@ def embedding_constants(dim: int, c_s: float | None, c_p: float | None) -> tuple
                           "(conditional on supplied constants)")
     cs1, cp1 = sobolev_constants_1d()
     return (cs1 if c_s is None else c_s), (cp1 if c_p is None else c_p)
-
-
-def sobolev_constant_flat_boundary(n: int, volume: float, q: float) -> float:
-    """Embedding constant 24(n-1)/(n-2) * volume^((2*-q)/(2* q)) for n >= 3.
-
-    Requires a flat piece of boundary; 2* = 2n/(n-2) and q must lie in
-    the open range (2, 2*).
-    """
-    if n < 3:
-        raise ValueError("flat-boundary constant needs dimension n >= 3")
-    if volume <= 0:
-        raise ValueError("volume must be positive")
-    two_star = 2.0 * n / (n - 2.0)
-    if not 2.0 < q < two_star:
-        raise ValueError(f"q must lie in (2, {two_star})")
-    return 24.0 * (n - 1.0) / (n - 2.0) * volume ** ((two_star - q) / (two_star * q))
 
 
 def geometry_factor(volume: float, q: float) -> float:
@@ -178,8 +163,7 @@ def superlinear_gain_prelimit(n: int, volume: float, q: float) -> float:
 
     24^2 (n-1)^2/(n-2)^2 * volume^((q-2)/q + ((2*-q)/(2* q))^2)
     * 2^((5q-8)/(2q-4)) for q in (2, 2*).  At unit volume this converges
-    to :func:`superlinear_gain` as q -> 2*; see
-    :func:`superlinear_gain_gap` for the discrepancy at other volumes.
+    to :func:`superlinear_gain` as q -> 2*.
     """
     if n < 3:
         raise ValueError("needs dimension n >= 3")
@@ -188,18 +172,6 @@ def superlinear_gain_prelimit(n: int, volume: float, q: float) -> float:
         raise ValueError(f"q must lie in (2, {two_star})")
     expo = (q - 2.0) / q + ((two_star - q) / (two_star * q)) ** 2
     return 576.0 * (n - 1.0) ** 2 / (n - 2.0) ** 2 * volume ** expo * 2.0 ** ((5.0 * q - 8.0) / (2.0 * q - 4.0))
-
-
-def superlinear_gain_gap(n: int, volume: float, q: float) -> float:
-    """Relative gap between the pre-limit expression and the limit formula.
-
-    Reported, not resolved: for volume != 1 the pre-limit volume
-    exponent does not match the square of the embedding constant's
-    volume factor, so the two routes can disagree away from the limit.
-    """
-    lim = superlinear_gain(n, volume)
-    pre = superlinear_gain_prelimit(n, volume, q)
-    return abs(pre - lim) / lim
 
 
 SERIES_TOL = 1e-12  # the kernel series stop once a term drops below this

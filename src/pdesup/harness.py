@@ -17,8 +17,8 @@ hypotheses), not bound sharpness; a NaN margin fails.  A
 :class:`Report`'s ``details`` is one record array with a row per
 checked sample and the columns ``t, observed, bound, margin, tol``
 (after any label columns such as a cascade's ``subsystem`` and
-``form``).  Hypothesis probes (monotone reaction, growth envelope) and
-the level-set diagnostic for sup-norm conclusions live here as well.
+``form``).  Hypothesis probes (monotone reaction, growth envelope) live
+here as well.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ROBIN, SpatialGrid, Trajectory, running_sup
-from .expressions import is_zero
 from .gains import GainSet, iss_bound
 from .solver import ReactionTerm, Scenario, data_rows, node_coords
 
@@ -49,10 +48,6 @@ class Report:
     samples_checked: int
     details: np.recarray | tuple = ()
     notes: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == PASS
 
 
 def default_tolerance(bound, grid: SpatialGrid, dt: float):
@@ -230,13 +225,10 @@ def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = 
 
 
 def check_decay(traj: Trajectory, c_min: float, u0_sup: float,
-                tol: float | None = None, scenario: Scenario | None = None) -> Report:
+                tol: float | None = None) -> Report:
     """Zero-input decay: spatial sup at T bounded by u0_sup * exp(-c_min T)."""
     if c_min <= 0:
         raise ValueError("decay check needs c_min > 0")
-    if scenario is not None:
-        if not (is_zero(scenario.forcing) and is_zero(scenario.boundary.data)):
-            raise ValueError("decay check requires zero disturbances in the scenario")
     observed = traj.sup_space_per_sample()
     bounds = u0_sup * np.exp(-c_min * traj.times)
     dt = float(traj.times[1] - traj.times[0]) if traj.n_samples > 1 else 0.0
@@ -269,52 +261,3 @@ def growth_probe(reaction: ReactionTerm, growth_exponent: float,
     env = growth_constant * (1.0 + np.abs(xi) ** growth_exponent)
     return bool(np.all(np.abs(h) <= env + 1e-12))
 
-
-def level_set_diagnostic(traj: Trajectory, k0: float, forcing_term: float,
-                         tol: float | None = None, k0_mirror: float | None = None) -> Report:
-    """Level-set conclusion check for a difference (or zero-input) trajectory.
-
-    (a) pointwise: max w over all samples <= k0 + forcing_term + tol,
-    mirrored for -w with ``k0_mirror`` (defaults to k0); (b) for a
-    ladder of 13 levels k above k0 the discrete measure of {w > k}
-    (node-count fraction times domain volume) is non-increasing in k and
-    vanishes at the top level k0 + forcing_term + tol.
-    """
-    if k0_mirror is None:
-        k0_mirror = k0
-    dt = float(traj.times[1] - traj.times[0]) if traj.n_samples > 1 else 0.0
-    cap_plus = k0 + forcing_term
-    cap_minus = k0_mirror + forcing_term
-    tol_eff = default_tolerance(max(cap_plus, cap_minus), traj.grid, dt) if tol is None else tol
-
-    w = traj.values
-    max_w = float(np.max(w))
-    max_neg = float(np.max(-w))
-    margins = [cap_plus - max_w, cap_minus - max_neg]
-    ok = margins[0] >= -tol_eff and margins[1] >= -tol_eff
-
-    volume = traj.grid.domain.volume
-    n_nodes = traj.grid.n_nodes
-    levels = np.linspace(k0, cap_plus + tol_eff, 13)
-    flat = w.reshape(traj.n_samples, -1)
-    measures = np.array([np.max(np.sum(flat > k, axis=1)) for k in levels]) / n_nodes * volume
-    mono = bool(np.all(measures[:-1] >= measures[1:]))
-    vanish = measures[-1] == 0.0
-    ok = ok and mono and vanish
-
-    worst = min(margins)
-    i_side = int(np.argmin(margins))
-    arr = w if i_side == 0 else -w
-    i_t, i_node = np.unravel_index(int(np.argmax(arr.reshape(traj.n_samples, -1))),
-                                   (traj.n_samples, n_nodes))
-    notes = []
-    if not mono:
-        notes.append("level-set measures not monotone")
-    if not vanish:
-        notes.append("top level-set measure nonzero")
-    return Report(check="level-set", verdict=PASS if ok else FAIL,
-                  worst_margin=float(worst),
-                  worst_location=(*traj.grid.node_location(int(i_node)), float(traj.times[i_t])),
-                  samples_checked=traj.n_samples,
-                  details=np.rec.fromarrays([levels, measures], names="level,measure"),
-                  notes="; ".join(notes))

@@ -913,14 +913,6 @@ class ConvergenceResult:
     time_errors: list
 
     @property
-    def space_exact(self) -> bool:
-        return math.isinf(self.p_space)
-
-    @property
-    def time_exact(self) -> bool:
-        return math.isinf(self.p_time)
-
-    @property
     def non_monotone(self) -> list[tuple[str, list]]:
         """(ladder, errors) of each ladder whose errors, above rounding level, do not decrease."""
         ladders = [(name, [e for _, e in errs])
@@ -947,7 +939,7 @@ def _slope(pairs) -> float:
 
 
 def convergence_order(scenario: Scenario, exact: Expression,
-                      refinements: int = 4) -> ConvergenceResult:
+                      refinements: int) -> ConvergenceResult:
     """Measured convergence orders on h- and dt-refinement ladders.
 
     The space ladder halves h and dt together (both second order, so the

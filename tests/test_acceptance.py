@@ -2,8 +2,8 @@
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
 them).  Expensive trajectory suites are built once in session fixtures
-and shared; the level-set criterion consumes the trajectories produced
-by the decay/ISS/RKES/backstepping/cascade criteria.
+and shared; the pointwise-cap criterion consumes the trajectories
+produced by the decay/ISS/RKES/backstepping/cascade criteria.
 """
 
 import math
@@ -26,9 +26,7 @@ from pdesup.core import (
     DIRICHLET,
     ROBIN,
     Trajectory,
-    diff_trajectory,
     grid_1d,
-    sup_norm_spacetime,
 )
 from pdesup.expressions import parse_expression
 from pdesup.gains import (
@@ -43,10 +41,11 @@ from pdesup.gains import (
 from pdesup.harness import (
     FAIL,
     NOT_ASSERTED,
+    PASS,
     check_decay,
     check_iss,
     check_rkes,
-    level_set_diagnostic,
+    default_tolerance,
 )
 from pdesup.solver import (
     BoundarySpec,
@@ -69,6 +68,16 @@ def _line(num, name, ok, extra=""):
     status = "PASS" if ok else "FAIL"
     print(f"\nACCEPTANCE {num:02d} {name}: {status}" + (f" ({extra})" if extra else ""))
     return ok
+
+
+def _under_pointwise_cap(traj, k0, rhs, tol=None) -> bool:
+    """Both max w and max(-w), over every node and sample, within the cap
+    k0 + rhs up to ``tol`` (by default the default tolerance of the cap)."""
+    cap = k0 + rhs
+    if tol is None:
+        dt = float(traj.times[1] - traj.times[0]) if traj.n_samples > 1 else 0.0
+        tol = default_tolerance(cap, traj.grid, dt)
+    return cap - float(np.max(np.abs(traj.values))) >= -tol
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +242,8 @@ def test_criterion_5_decay_suite(decay_suite):
     all_pass = True
     worst = math.inf
     for sc, traj, u0_sup in runs:
-        rep = check_decay(traj, sc.bounds.c_min, u0_sup, scenario=sc)
-        all_pass = all_pass and rep.passed
+        rep = check_decay(traj, sc.bounds.c_min, u0_sup)
+        all_pass = all_pass and rep.verdict == PASS
         worst = min(worst, rep.worst_margin)
     ok = all_pass and elapsed < 120.0
     assert _line(5, "zero-input decay suite", ok,
@@ -311,7 +320,7 @@ def test_criterion_6_iss_suites(iss_suites):
     for kind in (ROBIN, DIRICHLET):
         for sc, traj, g in suites[kind]:
             rep = check_iss(traj, sc, g)
-            all_pass = all_pass and rep.passed
+            all_pass = all_pass and rep.verdict == PASS
             worst = min(worst, rep.worst_margin)
 
     # falsification fixtures: every checker must fail when its bound is
@@ -334,9 +343,9 @@ def test_criterion_6_iss_suites(iss_suites):
     dtraj = solve(dsc)
     # undersized initial sup: the bound is beaten at t = 0 already
     decay_fails = check_decay(dtraj, dsc.bounds.c_min, 0.4).verdict == FAIL
-    level_fails = level_set_diagnostic(traj, 0.0, 0.0, tol=1e-9).verdict == FAIL
+    cap_fails = not _under_pointwise_cap(traj, 0.0, 0.0, tol=1e-9)
 
-    fixtures_ok = iss_fails and rkes_fails and decay_fails and level_fails
+    fixtures_ok = iss_fails and rkes_fails and decay_fails and cap_fails
     ok = all_pass and fixtures_ok and elapsed < 600.0
     assert _line(6, "ISS suites + falsification", ok,
                  f"100 scenarios, worst margin={worst:.2e}, "
@@ -356,14 +365,13 @@ def rkes_explicit_pair():
 
 def test_criterion_7_rkes_explicit_example(rkes_explicit_pair):
     (sc1, t1), (sc3, t3) = rkes_explicit_pair
-    d = diff_trajectory(t3, t1)
-    observed = sup_norm_spacetime(d)
+    observed = float(np.max(np.abs(t3.values - t1.values)))
     expected = 2.0 * float(np.max(np.sin(t1.times)))  # node at x = pi/2 exists
     err = abs(observed - expected)
     cb = CoefficientBounds(1.0, 0.0, 1.0)
     g = rkes_gains_dirichlet(cb, sc1.grid.domain.volume, C_S, C_P)
     rep = check_rkes((t3, t1), (sc3, sc1), g)
-    ok = err <= 1e-3 and rep.passed
+    ok = err <= 1e-3 and rep.verdict == PASS
     assert _line(7, "explicit RKES pair", ok,
                  f"sup diff={observed:.6f} vs {expected:.6f} (err={err:.2e}), "
                  f"bound margin={rep.worst_margin:.3f}")
@@ -391,7 +399,7 @@ def test_criterion_8_backstepping(backstep_results):
     open_loop, clean, disturbed, elapsed = backstep_results
     sups = open_loop.sup_space_per_sample()
     growth = sups[-1] / sups[0]
-    ok = (growth >= 20.0 and clean.report.passed and disturbed.report.passed
+    ok = (growth >= 20.0 and clean.report.verdict == disturbed.report.verdict == PASS
           and elapsed < 60.0)
     assert _line(8, "backstepping closed loop", ok,
                  f"open-loop growth={growth:.1f}x, clean={clean.report.verdict}, "
@@ -453,12 +461,12 @@ def cascade_results():
 
 def test_criterion_9_cascades(cascade_results):
     results, elapsed = cascade_results
-    open_ok = all(rep.passed for _, _, rep in results["robin-open"]) and \
-        all(rep.passed for _, _, rep in results["dirichlet-open"])
+    open_ok = all(rep.verdict == PASS for _, _, rep in results["robin-open"]) and \
+        all(rep.verdict == PASS for _, _, rep in results["dirichlet-open"])
     rc_spec, _, rc_rep = results["robin-cycle"][0]
     dc_spec, _, dc_rep = results["dirichlet-cycle"][0]
-    cyc_ok = (rc_rep.passed and rc_spec.small_gain == 2.0
-              and dc_rep.passed
+    cyc_ok = (rc_rep.verdict == PASS and rc_spec.small_gain == 2.0
+              and dc_rep.verdict == PASS
               and abs(dc_spec.small_gain - 2.7769) < 2e-3)
     fail_spec, _, fail_rep = results["robin-cycle-small-gain-fail"][0]
     na_ok = (fail_rep.verdict == NOT_ASSERTED and not fail_spec.small_gain_ok
@@ -472,7 +480,7 @@ def test_criterion_9_cascades(cascade_results):
 
 
 # ---------------------------------------------------------------------------
-# criterion 10: level-set diagnostic over every stored trajectory
+# criterion 10: pointwise sup cap over every stored trajectory
 
 
 def test_criterion_10_level_set_everywhere(decay_suite, iss_suites,
@@ -481,13 +489,10 @@ def test_criterion_10_level_set_everywhere(decay_suite, iss_suites,
     checked = 0
     all_pass = True
 
-    def run(traj, k0, rhs, k0_mirror=None):
+    def run(traj, k0, rhs):
         nonlocal checked, all_pass
-        rep = level_set_diagnostic(traj, k0, rhs, k0_mirror=k0_mirror)
         checked += 1
-        all_pass = all_pass and rep.passed
-        measures = [m.measure for m in rep.details]
-        assert all(a >= b for a, b in zip(measures, measures[1:])), "mu_k not monotone"
+        all_pass = all_pass and _under_pointwise_cap(traj, k0, rhs)
 
     for sc, traj, u0_sup in decay_suite[0]:
         run(traj, u0_sup, 0.0)
@@ -501,7 +506,7 @@ def test_criterion_10_level_set_everywhere(decay_suite, iss_suites,
             run(traj, u0_sup + g.l_d * d_sup, g.l_f * f_sup)
 
     (sc1, t1), (sc3, t3) = rkes_explicit_pair
-    d = diff_trajectory(t3, t1)
+    d = Trajectory(t1.grid, t1.times, t3.values - t1.values)
     g = rkes_gains_dirichlet(CoefficientBounds(1.0, 0.0, 1.0),
                              sc1.grid.domain.volume, C_S, C_P)
     d_sup = 2.0 * float(np.max(np.sin(t1.times)))
@@ -530,6 +535,5 @@ def test_criterion_10_level_set_everywhere(decay_suite, iss_suites,
                     cap = float(np.max(np.abs(tr.values)))
                 run(tr, cap, 0.0)
 
-    assert _line(10, "level-set diagnostic", all_pass,
-                 f"{checked} trajectories, mu_k monotone everywhere")
+    assert _line(10, "pointwise sup cap", all_pass, f"{checked} trajectories")
     assert all_pass

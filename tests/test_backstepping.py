@@ -19,6 +19,7 @@ from pdesup.backstepping import (
 from pdesup.core import DIRICHLET, Trajectory, grid_1d, grid_2d
 from pdesup.expressions import parse_expression
 from pdesup.gains import closed_loop_forcing_gain, closed_loop_iss_bound, kernel_bound_constant
+from pdesup.harness import PASS
 from pdesup.solver import (
     BoundarySpec,
     Coefficients,
@@ -211,7 +212,7 @@ def test_closed_loop_zero_data():
                                1e-3, 0.05)
     assert np.all(res.u.values == 0.0)
     assert np.all(res.w.values == 0.0)
-    assert res.report.passed
+    assert res.report.verdict == PASS
 
 
 def test_closed_loop_stabilizes_and_open_loop_grows():
@@ -222,7 +223,7 @@ def test_closed_loop_stabilizes_and_open_loop_grows():
     assert growth >= 20.0
     closed = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
                                   g, 1e-3, 2.0)
-    assert closed.report.passed
+    assert closed.report.verdict == PASS
     m = kernel_bound_constant(15.0, 1.0)
     assert closed.u.sup_space_per_sample()[-1] <= (1 + m) ** 2 * math.exp(-2.0)
     # the feedback actually decays the state
@@ -233,7 +234,7 @@ def test_closed_loop_with_disturbances_passes_bound():
     g = grid_1d(101)
     res = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), E("0"),
                                E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 1.0)
-    assert res.report.passed
+    assert res.report.verdict == PASS
 
 
 def test_target_system_residual_compatible_data():

@@ -740,6 +740,11 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
      "[domain] x_lo"),
     ("backstep", BACKSTEP.replace("kind = interval", "kind = rectangle"), "[domain] kind"),
     ("backstep", BACKSTEP.replace("kind = dirichlet", "kind = robin"), "[boundary] kind"),
+    # the loop steps u_t = u_xx + c u with c from [check]: no plant key is ignored
+    ("backstep", BACKSTEP.replace("a = 1", "a = 2"), "[coefficients] a"),
+    ("backstep", BACKSTEP.replace("c = 0", "c = 5"), "[coefficients] c"),
+    ("backstep", BACKSTEP + "\n[reaction]\nkind = log_poly\n", "[reaction] kind"),
+    ("backstep", BACKSTEP.replace("f = 0", "f = 0\nd = 0.3"), "[disturbances] d"),
 ], ids=["decay-c-zero", "decay-dt-nan", "decay-n_x-2", "decay-n_x-nan", "decay-empty-domain",
         "decay-nonzero-f", "iss-c-negative", "interval-d-y", "u0-t", "a-t", "interval-c-y",
         "backstep-d0-x", "cascade-shared-a-t", "interval-cascade-d-y", "backstep-c-negative",
@@ -749,7 +754,8 @@ def test_constant_division_by_zero_is_a_config_error(tmp_path, capsys):
         "reaction-scale-nan", "reaction-scale-inf", "reaction-c0-nan", "reaction-monotone-maybe",
         "reaction-lambda-nan", "reaction-lambda-inf", "rect-reaction-log_poly",
         "rect-reaction-odd_cubic", "rect-cascade-reaction-log_poly",
-        "backstep-x_hi-2", "backstep-x_lo-negative", "backstep-rectangle", "backstep-robin"])
+        "backstep-x_hi-2", "backstep-x_lo-negative", "backstep-rectangle", "backstep-robin",
+        "backstep-a-2", "backstep-c-5", "backstep-reaction-log_poly", "backstep-d-nonzero"])
 def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
     # an exception escaping main() would be a traceback for the user

@@ -8,12 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from pdesup.core import (
     Trajectory,
-    diff_trajectory,
     grid_1d,
     grid_2d,
     interval,
     rectangle,
-    sup_norm_spacetime,
 )
 
 
@@ -84,13 +82,13 @@ def test_sup_norm_explicit_solution_sample():
 def test_spacetime_sup_single_zero_field():
     g = grid_1d(11)
     tr = Trajectory(g, [0.0], np.zeros((1, 11)))
-    assert sup_norm_spacetime(tr) == 0.0
+    assert tr.sup_space_per_sample().max() == 0.0
 
 
 def test_spacetime_sup_constant_field():
     g = grid_1d(11)
     tr = Trajectory(g, np.linspace(0, 4, 5), np.full((5, 11), 3.0))
-    assert sup_norm_spacetime(tr) == 3.0
+    assert tr.sup_space_per_sample().max() == 3.0
 
 
 def test_spacetime_sup_explicit_solution():
@@ -99,7 +97,7 @@ def test_spacetime_sup_explicit_solution():
     times = np.sort(np.unique(np.concatenate([np.linspace(0, 2, 41), [math.pi / 2]])))
     vals = np.sin(times)[:, None] * np.sin(g.x)[None, :]
     tr = Trajectory(g, times, vals)
-    assert sup_norm_spacetime(tr) == pytest.approx(1.0, abs=1e-12)
+    assert tr.sup_space_per_sample().max() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trajectory_validation():
@@ -126,9 +124,8 @@ def test_diff_trajectory_explicit_solutions():
     times = np.linspace(0, 2, 21)
     t3 = _explicit_pair_traj(g, times, 3.0)
     t1 = _explicit_pair_traj(g, times, 1.0)
-    d = diff_trajectory(t3, t1)
     expect = 2 * np.sin(times)[:, None] * np.sin(g.x)[None, :]
-    assert np.max(np.abs(d.values - expect)) < 1e-12
+    assert np.max(np.abs(t3.values - t1.values - expect)) < 1e-12
 
 
 def test_diff_identity_and_zero():
@@ -136,21 +133,8 @@ def test_diff_identity_and_zero():
     times = np.linspace(0, 1, 5)
     a = Trajectory(g, times, np.random.default_rng(0).normal(size=(5, 11)))
     zero = Trajectory(g, times, np.zeros((5, 11)))
-    assert np.all(diff_trajectory(a, a).values == 0)
-    assert np.array_equal(diff_trajectory(a, zero).values, a.values)
-
-
-def test_diff_mismatch_errors():
-    g = grid_1d(11)
-    g2 = grid_1d(12)
-    times = np.linspace(0, 1, 5)
-    a = Trajectory(g, times, np.zeros((5, 11)))
-    b = Trajectory(g2, times, np.zeros((5, 12)))
-    with pytest.raises(ValueError):
-        diff_trajectory(a, b)
-    c = Trajectory(g, np.linspace(0, 2, 5), np.zeros((5, 11)))
-    with pytest.raises(ValueError):
-        diff_trajectory(a, c)
+    assert np.all(Trajectory(g, times, a.values - a.values).values == 0)
+    assert np.array_equal(Trajectory(g, times, a.values - zero.values).values, a.values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,12 +145,9 @@ def test_properties_on_random_trajectories(av, bv):
     times = np.linspace(0, 3, 4)
     ta = Trajectory(g, times, av)
     tb = Trajectory(g, times, bv)
-    # spacetime sup == max over per-sample space sups
     per = ta.sup_space_per_sample()
-    assert sup_norm_spacetime(ta) == max(per)
     # triangle inequality on each sample
-    d = diff_trajectory(ta, tb)
+    d = Trajectory(g, times, ta.values - tb.values)
     assert np.all(d.sup_space_per_sample() <= per + tb.sup_space_per_sample() + 1e-12)
     # antisymmetry
-    d2 = diff_trajectory(tb, ta)
-    assert np.array_equal(d.values, -d2.values)
+    assert np.array_equal(d.values, -(tb.values - ta.values))

@@ -20,10 +20,8 @@ from pdesup.gains import (
     rkes_gains_robin,
     small_gain_boundary,
     small_gain_domain,
-    sobolev_constant_flat_boundary,
     sobolev_constants_1d,
     superlinear_gain,
-    superlinear_gain_gap,
     superlinear_gain_prelimit,
 )
 
@@ -36,19 +34,6 @@ def test_sobolev_constants_1d():
     assert C_P == pytest.approx(1.1283792, abs=1e-7)
     assert C_S == pytest.approx(0.7071068, abs=1e-7)
     assert C_P**2 == pytest.approx(4 / math.pi, rel=1e-15)
-
-
-def test_sobolev_flat_boundary():
-    assert sobolev_constant_flat_boundary(3, 1.0, 3.0) == 48.0
-    # n=4: 24*(4-1)/(4-2) = 36 at unit volume, any admissible q
-    assert sobolev_constant_flat_boundary(4, 1.0, 3.0) == 36.0
-    # q -> 2* limit: volume exponent vanishes
-    v = sobolev_constant_flat_boundary(3, 2.7, 6.0 - 1e-9)
-    assert v == pytest.approx(48.0, rel=1e-6)
-    with pytest.raises(ValueError):
-        sobolev_constant_flat_boundary(3, 1.0, 6.0)
-    with pytest.raises(ValueError):
-        sobolev_constant_flat_boundary(2, 1.0, 3.0)
 
 
 def test_geometry_factor():
@@ -130,7 +115,7 @@ def test_superlinear_gain():
 def test_superlinear_prelimit_converges_at_unit_volume():
     lim = superlinear_gain(3, 1.0)
     for q in (5.9, 5.99, 5.999):
-        gap = superlinear_gain_gap(3, 1.0, q)
+        gap = abs(superlinear_gain_prelimit(3, 1.0, q) - lim) / lim
         assert gap < 0.05
     assert superlinear_gain_prelimit(3, 1.0, 6.0 - 1e-10) == pytest.approx(lim, rel=1e-8)
 
