@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DIRICHLET, SpatialGrid, Trajectory, time_blocks
+from .core import DIRICHLET, SpatialGrid, Trajectory
 from .expressions import ZERO, Expression, parse_expression
 from .gains import SERIES_TOL, closed_loop_iss_bound, kernel_bound_constant
 from .harness import Report, build_report, data_running_sup
@@ -293,33 +293,26 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
         BoundarySpec(DIRICHLET, ZERO),
         u0)
     control_of = kernel.control
-    stepper = TimeStepper(scenario)
+    times = scenario.times()
+    d_vals = np.hstack([data_rows(d0, (grid.x[:1], None))(times),   # (n_t, 2): x = 0, x = 1
+                        data_rows(d1, (grid.x[-1:], None))(times)])
+    stepper = TimeStepper(scenario, boundary=d_vals)
     zero = np.zeros(grid.n_x)
     s = stepper.step_values(zero, 0.0, zero, np.array([0.0, 1.0]))
     loop_gain = 1.0 - control_of(s)
-    u = scenario.initial_values().astype(float)
-    times = scenario.times()
-    out = np.empty((times.size, grid.n_x))
-    out[0] = u
     controls = np.empty(times.size)
-    controls[0] = control_of(u)
-    nodes = node_coords(grid)
-    d_vals = np.hstack([data_rows(d0, (grid.x[:1], None))(times),   # (n_t, 2): x = 0, x = 1
-                        data_rows(d1, (grid.x[-1:], None))(times)])
-    f_rows = data_rows(f, nodes)
-    for sl in time_blocks(times.size, grid.n_x):
-        s_rows, d_rows = stepper.data_terms(f_rows(times[sl]), d_vals[sl])
-        for i in range(sl.start, sl.stop - 1):
-            v = stepper.step_values(u, times[i], s_rows[i - sl.start], d_rows[i - sl.start])
-            controls[i + 1] = U = control_of(v) / loop_gain
-            u = out[i + 1] = v + U * s
-    out.setflags(write=False)  # handed over: Trajectory keeps it without a copy
-    u_traj = Trajectory(grid, times, out)
+
+    def feedback(i, v):
+        controls[i] = U = control_of(v) / loop_gain
+        return v + U * s
+
+    u_traj = stepper.march(None, feedback)[0]
+    controls[0] = control_of(u_traj.values[0])
     w_traj = transform_trajectory(u_traj, kernel)
 
     observed = u_traj.sup_space_per_sample()
     u0_sup = observed[0]
-    f_sups = data_running_sup(f, nodes, times)
+    f_sups = data_running_sup(f, node_coords(grid), times)
     d0_run, d1_run = np.maximum.accumulate(np.abs(d_vals), axis=0).T
     bounds = closed_loop_iss_bound(times, u0_sup, f_sups, d0_run, d1_run, c, sigma)
     report = build_report("closed-loop", [(u_traj, observed, bounds)], tol, grid, dt)

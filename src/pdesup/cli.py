@@ -8,9 +8,9 @@ a kernel series that fails its checks or overflows, or an array too
 large for memory).
 
 CSV outputs are byte-deterministic for a fixed config and version:
-floats are printed with repr-faithful 17 significant digits, UTF-8,
-LF line endings.  Trajectory CSVs are written one time sample at a
-time, so writing one holds a single sample's text, whatever the horizon.
+every float is the text of ``format(v, ".17g")``, UTF-8, LF line endings.
+Trajectory CSVs are written at most 4096 values at a time, their text
+computed by numpy arithmetic (:mod:`pdesup.floattext`), whatever the horizon.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def _column(values) -> list[str]:
 
 
 def _rows(*columns):
-    """One CSV row per index of equal-length columns of strings."""
-    return map((",".join(["{}"] * len(columns)) + "\n").format, *columns)
+    """One CSV row (UTF-8 bytes) per index of equal-length columns of strings."""
+    return map(str.encode, map((",".join(["{}"] * len(columns)) + "\n").format, *columns))
 
 
 def _quote(text: str) -> str:
@@ -75,10 +75,10 @@ def _quote(text: str) -> str:
 
 
 def _write_csv(path: Path, header, chunks):
-    """Write the header line, then each text chunk (whole rows) as it comes."""
+    """Write the header line, then each chunk (whole rows, bytes) as it comes."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         fh.writelines(chunks)
 
 
@@ -90,16 +90,16 @@ def _write_rows(path: Path, header, rows):
 
 
 def _write_trajectory(path: Path, traj):
-    """``t,x[,y],u`` rows, one sample at a time: its time joined with the nodes
-    into one ``%.17g`` template (``format(v, ".17g")``'s text), filled with its values."""
+    """``t,x[,y],u`` rows, each number ``format(v, ".17g")``'s text, written by
+    :func:`pdesup.floattext.csv_blocks` at most 4096 values at a time."""
+    from .floattext import csv_blocks  # imported by the commands that write one
+
     g = traj.grid
     header, nodes = ("t", "x", "u"), _column(g.x)
     if g.dim == 2:  # x runs fastest, as in the row-major values
         header, nodes = ("t", "x", "y", "u"), [f"{x},{y}" for y in _column(g.y) for x in nodes]
-    pieces = ["", *(f",{node},%.17g\n" for node in nodes)]
     values = np.asarray(traj.values, dtype=float).reshape(len(traj.times), -1)
-    _write_csv(path, header, (t.join(pieces) % tuple(row.tolist())
-                              for t, row in zip(_column(traj.times), values)))
+    _write_csv(path, header, csv_blocks(_column(traj.times), nodes, values))
 
 
 def _write_report(path: Path, reports):

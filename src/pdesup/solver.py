@@ -751,22 +751,26 @@ class TimeStepper:
         self._last = (v, t1, hv, hu)
         return v
 
-    def _linear_block(self, vals, s, d) -> int:
-        """Step a linear stack from ``vals[0]`` into ``vals[1:]`` with the data
-        terms ``s``/``d`` of :meth:`data_terms`: one solve per step, as
-        :meth:`step_values` takes it, and then every step's residual checked
-        in one product (:meth:`_row_measures`).  Returns the number of leading
-        steps that met their tolerance; their residuals go to ``residual_log``."""
+    def _linear_block(self, vals, s, d, on_step, start) -> int:
+        """Step a linear stack from ``vals[0]`` (sample ``start``) into ``vals[1:]``
+        with the data terms ``s``/``d`` of :meth:`data_terms` and ``on_step`` of
+        :meth:`march`: one solve per step, as :meth:`step_values` takes it, and then
+        every step's residual checked in one product (:meth:`_row_measures`).  Returns
+        the number of leading steps that met their tolerance; their residuals go to
+        ``residual_log``."""
         rhs = np.empty(s.shape)
+        stepped = vals if on_step is None else np.empty_like(vals)  # before on_step
         u = vals[0]
         for j in range(len(s)):
             half_au = self.dt / 2 * self._a_mul(u)
             self._rhs(rhs[j], u, half_au, s[j], d[j])
-            v = u + self._solve(rhs[j] - u - half_au)
+            u = u + self._solve(rhs[j] - u - half_au)
             if self.kind == DIRICHLET:
-                v[self.bindex] = d[j]
-            vals[j + 1] = u = v
-        res, tol = self._row_measures(vals[1:], rhs)
+                u[self.bindex] = d[j]
+            stepped[j + 1] = u
+            if on_step is not None:
+                u = vals[j + 1] = on_step(start + j + 1, u)
+        res, tol = self._row_measures(stepped[1:], rhs)
         met = np.isfinite(res) & (res <= tol)  # infinite data makes tol infinite too
         passed = len(met) if met.all() else int(met.argmin())
         self.residual_log += res[:passed].tolist()
@@ -810,6 +814,11 @@ class TimeStepper:
         from its first step that misses its tolerance on through
         :meth:`step_values`, which iterates, or raises as it would have.
         """
+        return self.march(on_block, None)
+
+    def march(self, on_block, on_step) -> list[Trajectory]:
+        """:meth:`solve_stack`, each step's new state v (sample i) replaced by
+        ``on_step(i, v)`` unless that is None; the step's residual is v's."""
         sc, n = self.scenario, self.grid.n_nodes
         u = np.concatenate([s.initial_values().ravel() for s in self.scenarios]).astype(float)
         times = sc.times()
@@ -824,10 +833,11 @@ class TimeStepper:
             del f, b  # spent: freed before the linear block's buffers are made
             first = sl.start
             if self._linear:
-                first += self._linear_block(out[sl], s, d)
+                first += self._linear_block(out[sl], s, d, on_step, sl.start)
                 u = out[first]
             for i in range(first, sl.stop - 1):
-                u = out[i + 1] = self.step_values(u, times[i], s[i - sl.start], d[i - sl.start])
+                u = self.step_values(u, times[i], s[i - sl.start], d[i - sl.start])
+                u = out[i + 1] = u if on_step is None else on_step(i + 1, u)
         out.setflags(write=False)  # handed over: each Trajectory keeps its block without a copy
         shape = (times.size, *sc.grid.shape)
         return [Trajectory(sc.grid, times, out[:, j * n:(j + 1) * n].reshape(shape))

@@ -2,16 +2,16 @@
 
 Each case is one command on one scenario: the README's command pairs on
 the shipped configs, plus scenarios that only their own text describes
-(a Robin cycle, a nonlinear rectangle), stored inside the golden file.
+(a Robin cycle, a nonlinear rectangle, gains that are not asserted), stored inside the golden file.
 A golden file holds the exit code, stdout and stderr, every CSV that is
 not a trajectory in full, and of each trajectory CSV every 100th row plus
 the sup norm of every sample.  The files are gzip-compressed JSON, so that
 the full sup-norm tables fit the size budget of the test directory.
 
 Regenerate (only when a change is meant to move numbers, justified in
-CHANGES.md):
+CHANGES.md), every case or the ones named:
 
-    PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py [CASE ...]
 
 The files come out byte for byte the same for the same outputs.
 """
@@ -25,6 +25,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -99,6 +100,35 @@ c_s = 1
 c_p = 1
 """
 
+# not-asserted linear gains (c_min = 0 on Robin data) and the flat-boundary gain
+ROBIN_C0_GAINS = """\
+[domain]
+kind = interval
+
+[grid]
+n_x = 11
+dt = 1e-2
+T = 0.1
+
+[coefficients]
+a = 1
+c = 0
+m = 1
+
+[initial]
+u0 = sin(pi*x)
+
+[disturbances]
+f = 0
+d = 0
+
+[boundary]
+kind = robin
+
+[check]
+n = 3
+"""
+
 # (command, shipped config name or None, inline config text or None)
 CASES = {
     "verify-decay-heat_decay": ("verify-decay", "heat_decay.ini", None),
@@ -110,6 +140,7 @@ CASES = {
     "gains-iss_robin": ("gains", "iss_robin.ini", None),
     "cascade-robin_cycle": ("cascade", None, ROBIN_CYCLE),
     "simulate-nonlinear_rectangle": ("simulate", None, NONLINEAR_RECTANGLE),
+    "gains-robin_c0_superlinear": ("gains", None, ROBIN_C0_GAINS),
 }
 
 
@@ -251,11 +282,11 @@ def compare(got: dict, ref: dict) -> list[str]:
     return problems
 
 
-def main():
+def main(names):
     GOLDEN.mkdir(exist_ok=True)
-    for name in CASES:
+    for name in names or CASES:
         golden_path(name).write_bytes(encode(capture(name)))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

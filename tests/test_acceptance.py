@@ -32,7 +32,6 @@ from pdesup.expressions import parse_expression
 from pdesup.gains import (
     CoefficientBounds,
     GainSet,
-    geometry_factor,
     kernel_bound_constant,
     rkes_gains_dirichlet,
     rkes_gains_robin,

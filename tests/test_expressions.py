@@ -112,7 +112,7 @@ def _random_tree(rng, depth):
 def test_thousand_random_trees_roundtrip_and_reference():
     import random
 
-    from pdesup.expressions import Expression, _to_string
+    from pdesup.expressions import Expression
 
     rng = random.Random(1234)
     for _ in range(1000):

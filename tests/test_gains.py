@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import iv
 
-from pdesup.core import DIRICHLET, ROBIN
 from pdesup.gains import (
     CoefficientBounds,
     cascade_bound,

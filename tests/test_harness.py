@@ -9,7 +9,6 @@ from pdesup.cascade import SubsystemSpec, build_cascade, simulate_cascade, verif
 from pdesup.core import DIRICHLET, ROBIN, grid_1d, grid_2d, time_blocks
 from pdesup.expressions import parse_expression
 from pdesup.gains import (
-    CoefficientBounds,
     GainSet,
     cascade_bound,
     iss_bound,
@@ -41,7 +40,6 @@ from pdesup.solver import (
     make_scenario,
     node_coords,
     reaction_log_poly,
-    reaction_odd_cubic,
     reaction_zero,
     solve,
 )

@@ -1,4 +1,4 @@
-"""Every name a ``src/pdesup`` module imports is used in that module.
+"""Every name a ``src/pdesup`` module or a test file imports is used in that file.
 
 A stdlib-only stand-in for a linter's unused-import rule: each module is
 parsed with ``ast``, and an imported name counts as used when it is read
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pdesup"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,7 +47,8 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["math"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -2,7 +2,7 @@
 or is listed in ``UNREACHED`` with the reason it stays.
 
 The cases of ``tests/make_golden.py`` (each command on the shipped configs,
-plus two scenarios written inline) run in-process under ``sys.setprofile``,
+plus three scenarios written inline) run in-process under ``sys.setprofile``,
 which records every ``src/pdesup`` code object that is called, keyed by its
 first line: for a decorated function, the line of its first decorator.  The
 public functions and methods (module-level functions and the methods of
@@ -38,9 +38,6 @@ UNREACHED = {
     "harness.monotonicity_probe": ITEM_5,
     "gains.small_gain_domain": PERFBENCH_INPUTS + " (domain-coupled cascades)",
     "solver.reaction_odd_cubic": PERFBENCH_INPUTS + " (odd_cubic reactions)",
-    "gains.superlinear_gain": "reached by gains only when [check] n is set, as no golden case has",
-    "harness.gains_undefined_note": "not-asserted path only: gains and verify-rkes reach it "
-                                    "when c_min leaves the linear gains undefined",
     "expressions.Expression.to_string": "the printer behind Expression's repr and hash; "
                                         "the parser's round-trip tests print through it",
 }

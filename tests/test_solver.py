@@ -866,7 +866,7 @@ class _ReferenceStepper(TimeStepper):
             fv += dt / 2 * self._h(t1, v)
         return fv
 
-    def _linear_block(self, vals, s, d):
+    def _linear_block(self, *block):
         return 0  # no step checked in a block: every one through step_values
 
     def _newton_solve(self, v, t1, dt, b):
@@ -1178,7 +1178,7 @@ def test_odd_cubic_is_the_product_on_negative_states():
 class _PerStep(TimeStepper):
     """A stepper that takes every step, linear ones too, through ``step_values``."""
 
-    def _linear_block(self, vals, s, d):
+    def _linear_block(self, *block):
         return 0
 
 
