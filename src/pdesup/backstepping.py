@@ -306,16 +306,15 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
         controls[i] = U = control_of(v) / loop_gain
         return v + U * s
 
-    u_traj = stepper.march(None, feedback)[0]
+    u_traj = stepper.march(None, feedback, None)[0]
     controls[0] = control_of(u_traj.values[0])
     w_traj = transform_trajectory(u_traj, kernel)
 
-    observed = u_traj.sup_space_per_sample()
-    u0_sup = observed[0]
+    samples = u_traj.sample_sups()
     f_sups = data_running_sup(f, node_coords(grid), times)
     d0_run, d1_run = np.maximum.accumulate(np.abs(d_vals), axis=0).T
-    bounds = closed_loop_iss_bound(times, u0_sup, f_sups, d0_run, d1_run, c, sigma)
-    report = build_report("closed-loop", [(u_traj, observed, bounds)], tol, grid, dt)
+    bounds = closed_loop_iss_bound(times, samples.sups[0], f_sups, d0_run, d1_run, c, sigma)
+    report = build_report("closed-loop", [(samples, samples.sups, bounds)], tol, grid, dt)
     return ClosedLoopResult(u_traj, w_traj, report, kernel, controls)
 
 

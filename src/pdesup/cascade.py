@@ -16,8 +16,9 @@ subsystem, each within its own Newton tolerance (see
 :class:`pdesup.solver.TimeStepper`).  The cycle bounds are asserted only
 when the corresponding small-gain constant exceeds one; otherwise the
 verdict is "not-asserted" and raw norms are still recorded.
-:func:`verify_cascade` hands one ``(trajectory, observed, bounds)`` part
-per subsystem and form, its bounds from one call of the chain bound
+:func:`verify_cascade` hands one ``(samples, observed, bounds)`` part
+per subsystem and form (``samples`` the subsystem's
+:class:`pdesup.core.SampleSups`), its bounds from one call of the chain bound
 :func:`pdesup.gains.cascade_bound`, to :func:`pdesup.harness.build_report`,
 labelled by the ``subsystem`` and ``form`` columns of the report's details.
 """
@@ -227,13 +228,13 @@ def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) ->
         c_min_j = spec.scenarios[j - 1].bounds.c_min
         phi_j = spec.phis[-1] if cycle else spec.phis[j - 1]
         tails = d_runs if cycle else d_runs[:j]
-        sups = tr.sup_space_per_sample()
-        checks = [("spacetime", np.maximum.accumulate(sups), 0.0)]
+        samples = tr.sample_sups()
+        checks = [("spacetime", np.maximum.accumulate(samples.sups), 0.0)]
         if c_min_j > 0:
-            checks.append(("spatial", sups, c_min_j))
+            checks.append(("spatial", samples.sups, c_min_j))
         for form, observed, c in checks:
             bounds = cascade_bound(j, phi_j, ext, tails, spec.small_gain, c, times, mode)
-            parts.append((tr, observed, bounds))
+            parts.append((samples, observed, bounds))
             subsystems.append(j)
             forms.append(form)
     return build_report("cascade", parts, tol, spec.grid, spec.dt, "; ".join(spec.warnings),

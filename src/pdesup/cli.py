@@ -45,7 +45,7 @@ from .gains import (
     sobolev_constants_1d,
     superlinear_gain,
 )
-from .solver import ConfigError, SolverError, TimeStepper, convergence_order, solve
+from .solver import ConfigError, SolverError, TimeStepper, convergence_order
 
 EXIT_PASS = 0
 EXIT_BOUND_FAILED = 1
@@ -83,10 +83,10 @@ def _write_csv(path: Path, header, chunks):
 
 
 def _write_rows(path: Path, header, rows):
-    """A small table given row by row; a column of str is written as it is."""
+    """A small table given row by row; a column of str is written through :func:`_quote`."""
     columns = [[row[k] for row in rows] for k in range(len(header))]
-    _write_csv(path, header, _rows(*(c if all(isinstance(v, str) for v in c) else _column(c)
-                                     for c in columns)))
+    _write_csv(path, header, _rows(*(list(map(_quote, c)) if all(isinstance(v, str) for v in c)
+                                     else _column(c) for c in columns)))
 
 
 def _write_trajectory(path: Path, traj):
@@ -144,29 +144,29 @@ def _iss_gains(sc, settings):
     return _gain_set(sc, settings) if harness.iss_hypotheses_met(sc) else None
 
 
-def _solve_iss(out: Path, sc, g, settings):
+def _solve_iss(out: Path, sc, g, settings, keep: bool):
     """Solve ``sc``, check it against the ISS envelope and write
     ``supnorms.csv``, with the running data sups read off the rows the
-    solve evaluated; returns the trajectory, the report and its per-sample sups."""
+    solve evaluated; returns the trajectory (None unless ``keep``: the
+    sups are then recorded as it steps), the report and its per-sample sups."""
     record, running = harness.block_data_sups(sc.n_steps + 1, pair=False)
-    traj = TimeStepper(sc).solve(record)
+    sink, streamed = harness.sup_sink(sc.grid, sc.times())
+    traj = TimeStepper(sc).solve(record, None if keep else sink)
+    samples = traj.sample_sups() if keep else streamed()
     f_sups, d_sups = running()
-    rep = harness.check_iss(traj, sc, g, settings.tol, f_sups=f_sups, d_sups=d_sups)
-    if len(rep.details):  # the sups the check observed
-        sups, bounds = rep.details.observed, rep.details.bound
-    else:
-        sups = traj.sup_space_per_sample()
-        bounds = np.full(sups.size, math.nan)
+    rep = harness.check_iss(samples, sc, g, settings.tol, f_sups=f_sups, d_sups=d_sups)
+    sups = samples.sups
+    bounds = rep.details.bound if len(rep.details) else np.full(sups.size, math.nan)
     _write_csv(out / "supnorms.csv", ("t", "sup_space", "running_sup_f", "running_sup_d",
                                       "bound", "margin"),
-               _rows(*map(_column, (traj.times, sups, f_sups, d_sups, bounds, bounds - sups))))
+               _rows(*map(_column, (samples.times, sups, f_sups, d_sups, bounds, bounds - sups))))
     return traj, rep, sups
 
 
 def cmd_simulate(cp, out: Path, settings) -> int:
     sc = scenario_from_config(cp)
     g = _iss_gains(sc, settings)  # a config error here comes before the solve
-    traj, _, sups = _solve_iss(out, sc, g, settings)
+    traj, _, sups = _solve_iss(out, sc, g, settings, True)
     _write_trajectory(out / "trajectory.csv", traj)
     print(f"simulated {traj.n_samples} samples; final sup-norm {sups[-1]:.6g}")
     return EXIT_PASS
@@ -211,16 +211,19 @@ def cmd_gains(cp, out: Path, settings) -> int:
 def cmd_verify_iss(cp, out: Path, settings) -> int:
     sc = scenario_from_config(cp)
     g = _iss_gains(sc, settings)
-    return _conclude(out, "iss", _solve_iss(out, sc, g, settings)[1])
+    return _conclude(out, "iss", _solve_iss(out, sc, g, settings, False)[1])
 
 
 def cmd_verify_rkes(cp, out: Path, settings) -> int:
     sc1, sc2 = rkes_pair_from_config(cp)
     g = _gain_set(sc1, settings) if harness.rkes_gains_defined(sc1) else None
     record, running = harness.block_data_sups(sc1.n_steps + 1, pair=True)
-    t1, t2 = TimeStepper([sc1, sc2]).solve_stack(record)  # the pair steps as one stack
+    n = sc1.grid.n_nodes  # the pair steps as one stack: v1 and v2 side by side
+    sink, difference = harness.sup_sink(sc1.grid, sc1.times(),
+                                        lambda sl, states: states[:, :n] - states[:, n:])
+    TimeStepper([sc1, sc2]).march(record, None, sink)
     f_sups, d_sups = running()
-    return _conclude(out, "rkes", harness.check_rkes((t1, t2), (sc1, sc2), g, settings.tol,
+    return _conclude(out, "rkes", harness.check_rkes(difference(), (sc1, sc2), g, settings.tol,
                                                      f_sups=f_sups, d_sups=d_sups))
 
 
@@ -232,9 +235,10 @@ def cmd_verify_decay(cp, out: Path, settings) -> int:
     for key, expr in (("f", sc.forcing), ("d", sc.boundary.data)):
         if not is_zero(expr):
             raise ConfigError(f"[disturbances] {key}: decay check needs zero disturbances")
-    traj = solve(sc)
-    u0_sup = float(np.max(np.abs(sc.initial_values())))
-    rep = harness.check_decay(traj, sc.bounds.c_min, u0_sup, settings.tol)
+    sink, streamed = harness.sup_sink(sc.grid, sc.times())
+    TimeStepper(sc).solve(sink=sink)
+    samples = streamed()  # its first sup is u0's
+    rep = harness.check_decay(samples, sc.bounds.c_min, float(samples.sups[0]), settings.tol)
     return _conclude(out, "decay", rep)
 
 

@@ -3,8 +3,10 @@
 Everything downstream (solver, bound checkers, cascade machinery,
 backstepping) works with the immutable containers defined here: a state
 is a row of nodal values, and a :class:`Trajectory` holds one row per
-time sample.  Sup-norms are taken over grid nodes only; refinement
-studies are the tool for quantifying the nodal-vs-continuum gap.
+time sample; a bound check reads only its :class:`SampleSups`, which a
+solve can also record as it steps (:func:`sup_sink`).  Sup-norms are
+taken over grid nodes only; refinement studies are the tool for
+quantifying the nodal-vs-continuum gap.
 """
 
 from __future__ import annotations
@@ -185,10 +187,17 @@ class Trajectory:
         return self.times.size
 
     def sup_space_per_sample(self) -> np.ndarray:
-        """max |u| over the nodes of each sample, as max(|max u|, |min u|):
-        no full-size |u| is made."""
+        """max |u| over the nodes of each sample (see :func:`row_sups`)."""
+        return self.sample_sups().sups
+
+    def sample_sups(self) -> SampleSups:
+        """Each sample's sup-norm and the first node attaining it, a time block
+        at a time: numpy's argmax copies a read-only array whole."""
         flat = self.values.reshape(self.n_samples, -1)
-        return np.maximum(np.abs(flat.max(axis=1)), np.abs(flat.min(axis=1)))
+        sink, samples = sup_sink(self.grid, self.times)
+        for sl in time_blocks(*flat.shape):
+            sink(sl, flat[sl])
+        return samples()
 
     def __repr__(self):
         return f"Trajectory(samples={self.n_samples}, T={self.times[-1]:.6g})"
@@ -199,6 +208,44 @@ def _read_only(a) -> np.ndarray:
         a = np.array(a, dtype=float)
         a.setflags(write=False)
     return a
+
+
+@dataclass(frozen=True, eq=False)
+class SampleSups:
+    """What a bound check reads of a run of samples on ``grid`` at ``times``:
+    each sample's sup-norm ``sups`` and ``nodes``, the flat index of the
+    first node that attains it (see :func:`row_sups`)."""
+
+    grid: SpatialGrid
+    times: np.ndarray
+    sups: np.ndarray
+    nodes: np.ndarray
+
+    def sample_sups(self) -> SampleSups:
+        """The record itself, as :meth:`Trajectory.sample_sups` gives a trajectory's."""
+        return self
+
+
+def row_sups(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's max |u| as max(|max u|, |min u|), with no full-size |u|
+    made, and the first index where |u| attains it."""
+    hi, lo = rows.argmax(axis=1), rows.argmin(axis=1)
+    top, bottom = (np.abs(np.take_along_axis(rows, i[:, None], 1)[:, 0]) for i in (hi, lo))
+    nodes = np.where(top == bottom, np.minimum(hi, lo), np.where(top > bottom, hi, lo))
+    return np.maximum(top, bottom), nodes
+
+
+def sup_sink(grid: SpatialGrid, times, rows_of=None):
+    """A ``sink`` for :meth:`pdesup.solver.TimeStepper.march` that keeps the
+    :class:`SampleSups` of ``rows_of(sl, states)`` (the states themselves
+    without it) for each block of samples ``sl``, and a function that
+    returns them once every block is in."""
+    sups, nodes = np.empty(len(times)), np.empty(len(times), dtype=np.intp)
+
+    def sink(sl, states):
+        sups[sl], nodes[sl] = row_sups(states if rows_of is None else rows_of(sl, states))
+
+    return sink, lambda: SampleSups(grid, times, sups, nodes)
 
 
 BLOCK_VALUES = 2 ** 16  # data values held at once when a run of samples is streamed
@@ -212,16 +259,3 @@ def time_blocks(n_times: int, n: int) -> list[slice]:
     """
     rows = max(2, BLOCK_VALUES // n)
     return [slice(s, min(s + rows, n_times)) for s in range(0, max(n_times - 1, 1), rows - 1)]
-
-
-def running_sup(rows_of, n_times: int, n: int) -> np.ndarray:
-    """Running max over the samples of the spatial sup of data rows.
-
-    ``rows_of(sl)`` returns the (samples × n) rows of the samples ``sl``;
-    it is called once per block of :func:`time_blocks`.
-    """
-    sups = np.empty(n_times)
-    for sl in time_blocks(n_times, n):
-        sups[sl] = np.abs(rows_of(sl)).max(axis=1)
-    return np.maximum.accumulate(sups)
-

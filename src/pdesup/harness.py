@@ -2,9 +2,14 @@
 
 Each checker evaluates its explicit envelope at every stored sample in
 one array call (the :mod:`pdesup.gains` evaluators take the sample
-arrays) and hands ``(trajectory, observed, bounds)`` arrays to
+arrays) and hands ``(samples, observed, bounds)`` parts to
 :func:`build_report`, the one place where margins, tolerances, the
-verdict and the witness are computed.  Margins are ``bound - observed``;
+verdict and the witness are computed.  ``samples`` is a
+:class:`pdesup.core.SampleSups`, each sample's sup-norm and its first
+node (the witness of the worst sample), so no field goes in: a solve
+records it as it steps (:func:`pdesup.core.sup_sink`, which the CLI
+reaches through this module), or a :class:`Trajectory` gives it.
+Margins are ``bound - observed``;
 a check passes when every margin clears ``-tol`` where the default
 tolerance combines a relative term with an estimated discretization
 slack:
@@ -28,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ROBIN, SpatialGrid, Trajectory, running_sup
+from .core import ROBIN, SampleSups, SpatialGrid, Trajectory, sup_sink, time_blocks
 from .gains import GainSet, iss_bound
 from .solver import ReactionTerm, Scenario, data_rows, node_coords
 
@@ -56,14 +61,14 @@ def default_tolerance(bound, grid: SpatialGrid, dt: float):
 
 
 def sample_details(parts, tol, grid: SpatialGrid, dt: float, **labels) -> np.recarray:
-    """One record per sample of every ``(trajectory, observed, bounds)`` part.
+    """One record per sample of every ``(samples, observed, bounds)`` part.
 
     The columns are ``labels`` (one value per part, repeated over its
     samples) and then ``t, observed, bound, margin, tol``; ``tol=None``
     takes :func:`default_tolerance` of each bound.
     """
     sizes = [len(observed) for _, observed, _ in parts]
-    t = np.concatenate([traj.times for traj, _, _ in parts])
+    t = np.concatenate([samples.times for samples, _, _ in parts])
     observed = np.concatenate([observed for _, observed, _ in parts], dtype=float)
     bound = np.concatenate([bounds for _, _, bounds in parts], dtype=float)
     tols = default_tolerance(bound, grid, dt) if tol is None else np.full(bound.size, float(tol))
@@ -74,30 +79,25 @@ def sample_details(parts, tol, grid: SpatialGrid, dt: float, **labels) -> np.rec
 
 def build_report(name: str, parts, tol, grid: SpatialGrid, dt: float, notes: str = "",
                  **labels) -> Report:
-    """Check every sample of ``parts`` (see :func:`sample_details`).
+    """Check every sample of ``parts``, each ``(samples, observed, bounds)``
+    with ``samples`` a :class:`SampleSups` (see :func:`sample_details`).
 
     The verdict is a pass when every margin clears ``-tol`` (a NaN margin
     does not); the worst sample is the first smallest margin, and its
-    witness is the sup-norm node of that sample's field.
+    witness is that sample's sup-norm node.
     """
     details = sample_details(parts, tol, grid, dt, **labels)
     worst = int(np.argmin(details.margin))
     i = worst
-    for traj, observed, _ in parts:  # the part and sample that row belongs to
+    for samples, observed, _ in parts:  # the part and sample that row belongs to
         if i < len(observed):
             break
         i -= len(observed)
-    return _report(name, details, worst, traj.grid, traj.values[i], traj.times[i], notes)
-
-
-def _report(name: str, details, worst: int, grid: SpatialGrid, field, t, notes: str) -> Report:
-    """The report on ``details``, whose row ``worst`` is the first smallest
-    margin: the sample at ``t`` with ``field``, whose sup-norm node is the witness."""
     ok = bool(np.all(details.margin >= -details.tol))
-    node = int(np.argmax(np.abs(field.ravel())))
     return Report(check=name, verdict=PASS if ok else FAIL,
                   worst_margin=float(details.margin[worst]),
-                  worst_location=(*grid.node_location(node), float(t)),
+                  worst_location=(*samples.grid.node_location(int(samples.nodes[i])),
+                                  float(samples.times[i])),
                   samples_checked=len(details), details=details, notes=notes)
 
 
@@ -105,11 +105,12 @@ def data_running_sup(expr, coords, times, minus=None) -> np.ndarray:
     """Running sup of |expr| (or of |expr - minus|) over the nodes ``coords``
     and the samples up to each of ``times``, evaluated block by block."""
     times = np.asarray(times, dtype=float)
-    rows = data_rows(expr, coords)
-    if minus is None:
-        return running_sup(lambda sl: rows(times[sl]), times.size, coords[0].size)
-    rows2 = data_rows(minus, coords)
-    return running_sup(lambda sl: rows(times[sl]) - rows2(times[sl]), times.size, coords[0].size)
+    rows, rows2 = data_rows(expr, coords), None if minus is None else data_rows(minus, coords)
+    sups = np.empty(times.size)
+    for sl in time_blocks(times.size, coords[0].size):
+        block = rows(times[sl])
+        sups[sl] = np.abs(block if rows2 is None else block - rows2(times[sl])).max(axis=1)
+    return np.maximum.accumulate(sups)
 
 
 def running_sup_forcing(scenario: Scenario, times) -> np.ndarray:
@@ -151,27 +152,28 @@ def iss_hypotheses_met(scenario: Scenario) -> bool:
     return scenario.c_min_raw > 0 and scenario.reaction.monotone
 
 
-def check_iss(traj: Trajectory, scenario: Scenario, g: GainSet | None,
+def check_iss(samples: SampleSups | Trajectory, scenario: Scenario, g: GainSet | None,
               tol: float | None = None, f_sups=None, d_sups=None) -> Report:
     """Spatial sup-norm at every sample against the exponential ISS envelope.
 
+    ``samples`` are the solution's per-sample sups, or its trajectory.
     ``g`` may be None when the hypotheses are not met (the verdict is then
     "not-asserted").  ``f_sups``/``d_sups`` pass in running sups the
-    caller has already computed over ``traj.times``.
+    caller has already computed over the sample times.
     """
     if not iss_hypotheses_met(scenario):
         return Report("iss", NOT_ASSERTED, math.nan, None, 0,
                       notes="hypotheses not met: need c_min > 0 and a monotone reaction")
     if g.boundary_kind != scenario.boundary.kind:
         raise ValueError("gain set boundary kind does not match the scenario")
-    observed = traj.sup_space_per_sample()
-    u0_sup = observed[0]
+    samples = samples.sample_sups()
+    observed, times = samples.sups, samples.times
     if f_sups is None:
-        f_sups = running_sup_forcing(scenario, traj.times)
+        f_sups = running_sup_forcing(scenario, times)
     if d_sups is None:
-        d_sups = running_sup_boundary(scenario, traj.times)
-    bounds = iss_bound(traj.times, u0_sup, f_sups, d_sups, g)
-    return build_report("iss", [(traj, observed, bounds)], tol, scenario.grid, scenario.dt)
+        d_sups = running_sup_boundary(scenario, times)
+    bounds = iss_bound(times, observed[0], f_sups, d_sups, g)
+    return build_report("iss", [(samples, observed, bounds)], tol, scenario.grid, scenario.dt)
 
 
 def rkes_gains_defined(scenario: Scenario) -> bool:
@@ -186,18 +188,19 @@ def gains_undefined_note(scenario: Scenario) -> str:
     return f"gains undefined: need {need} (c_min {scenario.c_min_raw:.6g})"
 
 
-def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = None,
+def check_rkes(difference, scenario_pair, g: GainSet | None, tol: float | None = None,
                f_sups=None, d_sups=None) -> Report:
     """Space-time sup of the solution difference against the linear RKES bound.
 
-    Both scenarios must share everything except (f, d); the bound is
+    ``difference`` is the :class:`SampleSups` of v1 - v2, or the pair of
+    trajectories, whose difference is then taken a block of samples at a
+    time.  Both scenarios must share everything except (f, d); the bound is
     checked on every growing window [0, T_i].  The verdict is
     "not-asserted" when the reaction is not monotone, or when ``g`` is
     None because :func:`rkes_gains_defined` says the gains do not exist.
     ``f_sups``/``d_sups`` pass in the running sups of |f1 - f2| and
-    |d1 - d2| the caller has already computed over the trajectories' times.
+    |d1 - d2| the caller has already computed over the sample times.
     """
-    traj1, traj2 = traj_pair
     sc1, sc2 = scenario_pair
     same_data = replace(sc2.boundary, data=sc1.boundary.data)
     if replace(sc2, forcing=sc1.forcing, boundary=same_data) != sc1:
@@ -207,31 +210,36 @@ def check_rkes(traj_pair, scenario_pair, g: GainSet | None, tol: float | None = 
         why.append("hypotheses not met: need a monotone reaction")
     if why:
         return Report("rkes", NOT_ASSERTED, math.nan, None, 0, notes="; ".join(why))
-    # the difference is taken one block of samples at a time, never whole
-    if traj1.grid != traj2.grid or not np.array_equal(traj1.times, traj2.times):
-        raise ValueError("trajectories differ in grid or time samples")
-    v1, v2 = (tr.values.reshape(tr.n_samples, -1) for tr in (traj1, traj2))
-    observed = running_sup(lambda sl: v1[sl] - v2[sl], *v1.shape)
-    times = traj1.times
+    if not isinstance(difference, SampleSups):
+        traj1, traj2 = difference
+        if traj1.grid != traj2.grid or not np.array_equal(traj1.times, traj2.times):
+            raise ValueError("trajectories differ in grid or time samples")
+        v1, v2 = (tr.values.reshape(tr.n_samples, -1) for tr in (traj1, traj2))
+        sink, sups_of = sup_sink(traj1.grid, traj1.times, lambda sl, _: v1[sl] - v2[sl])
+        for sl in time_blocks(*v1.shape):
+            sink(sl, None)
+        difference = sups_of()
+    times = difference.times
     if f_sups is None:
         f_sups = data_running_sup(sc1.forcing, node_coords(sc1.grid), times, minus=sc2.forcing)
     if d_sups is None:
         d_sups = data_running_sup(sc1.boundary.data, node_coords(sc1.grid, boundary=True), times,
                                   minus=sc2.boundary.data)
     bounds = g.l_f * f_sups + g.l_d * d_sups
-    details = sample_details([(traj1, observed, bounds)], tol, sc1.grid, sc1.dt)
-    i = int(np.argmin(details.margin))  # the witness is a node of v1 - v2 at the worst sample
-    return _report("rkes", details, i, sc1.grid, v1[i] - v2[i], times[i], "")
+    observed = np.maximum.accumulate(difference.sups)
+    return build_report("rkes", [(difference, observed, bounds)], tol, sc1.grid, sc1.dt)
 
 
-def check_decay(traj: Trajectory, c_min: float, u0_sup: float,
+def check_decay(samples: SampleSups | Trajectory, c_min: float, u0_sup: float,
                 tol: float | None = None) -> Report:
     """Zero-input decay: spatial sup at T bounded by u0_sup * exp(-c_min T),
-    which ``verify-decay`` asserts for c_min > 0 and zero disturbances only."""
-    observed = traj.sup_space_per_sample()
-    bounds = u0_sup * np.exp(-c_min * traj.times)
-    dt = float(traj.times[1] - traj.times[0]) if traj.n_samples > 1 else 0.0
-    return build_report("decay", [(traj, observed, bounds)], tol, traj.grid, dt)
+    which ``verify-decay`` asserts for c_min > 0 and zero disturbances only.
+    ``samples`` are the solution's per-sample sups, or its trajectory."""
+    samples = samples.sample_sups()
+    times = samples.times
+    bounds = u0_sup * np.exp(-c_min * times)
+    dt = float(times[1] - times[0]) if times.size > 1 else 0.0
+    return build_report("decay", [(samples, samples.sups, bounds)], tol, samples.grid, dt)
 
 
 def monotonicity_probe(reaction: ReactionTerm, n_samples: int = 256, rng=None) -> bool:

@@ -31,7 +31,9 @@ Forcing and boundary data are (times × nodes) rows: the scenario's
 expressions evaluated by :func:`data_rows` a block of times at a time,
 or arrays of upstream fields and traces that the cascade module passes
 in.  Every consumer (stepping, running sups, error norms) walks a run of
-times in the blocks of :func:`pdesup.core.time_blocks`, so memory stays
+times in the blocks of :func:`pdesup.core.time_blocks`, and a solve given
+a sink (:meth:`TimeStepper.march`) holds one block of states at a time,
+so the checks and error norms that read only per-sample sups take memory
 bounded whatever the horizon.
 """
 
@@ -48,7 +50,7 @@ from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.sparse.linalg import splu
 
-from .core import DIRICHLET, ROBIN, ConfigError, SpatialGrid, Trajectory, time_blocks
+from .core import DIRICHLET, ROBIN, ConfigError, SpatialGrid, Trajectory, sup_sink, time_blocks
 from .expressions import Expression
 from .gains import CoefficientBounds
 
@@ -723,16 +725,22 @@ class TimeStepper:
                 chord = False
             delta = self._newton_solve(v, t1, dt, -fv)
             damp = 1.0
-            while True:
+            while damp >= 1e-6:
                 v_try, fv_try, hv_try, res_try = self._iterate(v + damp * delta, t1, d, rhs,
                                                                measure)
                 if res_try < res or res_try <= tol:
                     v, fv, hv, res = v_try, fv_try, hv_try, res_try
                     break
                 damp /= 2
-                if damp < 1e-6:
+            else:  # stalled: v stands if F(v) is within the rounding of its evaluation,
+                # 4 eps (|M+| |v| + dt/2 |h(v)| + |rhs|) (Oettli & Prager, Numer. Math. 6, 1964)
+                size = abs(self._m_plus) @ np.abs(v) + np.abs(rhs)
+                if hv is not None:
+                    size += dt / 2 * np.abs(hv)
+                if res > 4 * np.finfo(float).eps * measure(size):
                     raise SolverError(
                         f"Newton damping stalled at t={t1:.6g} (residual {res:.3e})", history)
+                break
         else:
             if res > tol:
                 raise SolverError(
@@ -798,11 +806,13 @@ class TimeStepper:
         fv -= rhs.T
         return fv
 
-    def solve(self, on_block=None) -> Trajectory:
-        """The scenario's trajectory over its horizon (a stack: :meth:`solve_stack`)."""
+    def solve(self, on_block=None, sink=None) -> Trajectory | None:
+        """The scenario's trajectory over its horizon (a stack: :meth:`solve_stack`),
+        or with a ``sink`` none (see :meth:`march`)."""
         if self.k != 1:
             raise ValueError("a stack of scenarios is solved by solve_stack")
-        return self.solve_stack(on_block)[0]
+        trajs = self.march(on_block, None, sink)
+        return None if trajs is None else trajs[0]
 
     def solve_stack(self, on_block=None) -> list[Trajectory]:
         """One trajectory per scenario of the stack, each a column block of one array.
@@ -814,30 +824,37 @@ class TimeStepper:
         from its first step that misses its tolerance on through
         :meth:`step_values`, which iterates, or raises as it would have.
         """
-        return self.march(on_block, None)
+        return self.march(on_block, None, None)
 
-    def march(self, on_block, on_step) -> list[Trajectory]:
+    def march(self, on_block, on_step, sink) -> list[Trajectory] | None:
         """:meth:`solve_stack`, each step's new state v (sample i) replaced by
-        ``on_step(i, v)`` unless that is None; the step's residual is v's."""
+        ``on_step(i, v)`` unless that is None; the step's residual is v's.  With
+        a ``sink``, each time block is stepped into a buffer of its own, handed to
+        ``sink(sl, states)`` and dropped, and nothing is returned."""
         sc, n = self.scenario, self.grid.n_nodes
         u = np.concatenate([s.initial_values().ravel() for s in self.scenarios]).astype(float)
         times = sc.times()
-        out = np.empty((times.size, u.size))
-        out[0] = u
+        out = None if sink is not None else np.empty((times.size, u.size))
         for sl in time_blocks(times.size, u.size):
+            vals = out[sl] if sink is None else np.empty((sl.stop - sl.start, u.size))
+            vals[0] = u  # u stays the object step_values returned, for its h reuse
             f = self.forcing[sl] if self.forcing is not None else self._f_rows(times[sl])
             b = self.boundary[sl] if self.boundary is not None else self._b_rows(times[sl])
             if on_block is not None:
                 on_block(sl, f, b)
             s, d = self.data_terms(f, b)
             del f, b  # spent: freed before the linear block's buffers are made
-            first = sl.start
+            first = 0
             if self._linear:
-                first += self._linear_block(out[sl], s, d, on_step, sl.start)
-                u = out[first]
-            for i in range(first, sl.stop - 1):
-                u = self.step_values(u, times[i], s[i - sl.start], d[i - sl.start])
-                u = out[i + 1] = u if on_step is None else on_step(i + 1, u)
+                first = self._linear_block(vals, s, d, on_step, sl.start)
+                u = vals[first]
+            for j in range(first, len(s)):
+                u = self.step_values(u, times[sl.start + j], s[j], d[j])
+                u = vals[j + 1] = u if on_step is None else on_step(sl.start + j + 1, u)
+            if sink is not None:
+                sink(sl, vals)
+        if sink is not None:
+            return None
         out.setflags(write=False)  # handed over: each Trajectory keeps its block without a copy
         shape = (times.size, *sc.grid.shape)
         return [Trajectory(sc.grid, times, out[:, j * n:(j + 1) * n].reshape(shape))
@@ -931,11 +948,12 @@ class ConvergenceResult:
                 if any(b > a * 1.0000001 for a, b in zip(vals, vals[1:])) and max(vals) > 1e-11]
 
 
-def _sup_error(traj: Trajectory, exact: Expression) -> float:
-    vals = traj.values.reshape(traj.n_samples, -1)
-    rows = data_rows(exact, node_coords(traj.grid))
-    return float(max(np.max(np.abs(vals[sl] - rows(traj.times[sl])))
-                     for sl in time_blocks(*vals.shape)))
+def _sup_error(scenario: Scenario, exact: Expression) -> float:
+    """sup |u - exact| over the nodes and samples, a time block at a time as u is stepped."""
+    rows, times = data_rows(exact, node_coords(scenario.grid)), scenario.times()
+    sink, errors = sup_sink(scenario.grid, times, lambda sl, states: states - rows(times[sl]))
+    TimeStepper(scenario).solve(sink=sink)
+    return float(errors().sups.max())
 
 
 def _slope(pairs) -> float:
@@ -966,7 +984,7 @@ def convergence_order(scenario: Scenario, exact: Expression,
     finest, dt0 = space_cases[-1].grid, scenario.horizon / 16.0
     time_cases = [replace(scenario, grid=finest, dt=dt0 / 2 ** lev) for lev in range(refinements)]
 
-    space_errors = [(sc.grid.h_max, _sup_error(solve(sc), exact)) for sc in space_cases]
-    time_errors = [(sc.dt, _sup_error(solve(sc), exact)) for sc in time_cases]
+    space_errors = [(sc.grid.h_max, _sup_error(sc, exact)) for sc in space_cases]
+    time_errors = [(sc.dt, _sup_error(sc, exact)) for sc in time_cases]
     return ConvergenceResult(_slope(space_errors), _slope(time_errors),
                              space_errors, time_errors)

@@ -551,6 +551,28 @@ def test_too_large_a_grid_is_a_numerical_failure(tmp_path, capsys, config, comma
     assert capsys.readouterr().err.startswith("numerical failure: out of memory: ")
 
 
+CONVERGENCE_CONFIG = (Path(__file__).resolve().parents[1] / "configs" /
+                      "convergence.ini").read_text()
+
+
+@pytest.mark.parametrize("command, n_x, dt", [
+    ("simulate", 201, "0.5"), ("simulate", 401, "0.5"), ("simulate", 401, "1"),
+    ("simulate", 401, "2"), ("simulate", 101, "2"), ("convergence", 26, "4e-3")])
+def test_linear_steps_at_their_rounding_floor_exit_0(tmp_path, capsys, command, n_x, dt):
+    # a linear heat equation over T = 8: these steps leave residuals at the
+    # rounding floor of M+ (cond ~1.6e4), above 1e-12 max(1, |rhs|); they
+    # exited 3 with "Newton damping stalled"; convergence's time ladder
+    # starts at dt = T/16 = 0.5 on 201 nodes
+    text = (CONVERGENCE_CONFIG.replace("n_x = 26", f"n_x = {n_x}")
+            .replace("dt = 4e-3", f"dt = {dt}").replace("T = 2.0", "T = 8"))
+    assert f"n_x = {n_x}" in text and f"dt = {dt}" in text and "T = 8" in text
+    code = main([command, "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    if command == "convergence":
+        assert out.startswith("orders: space 2.0000")
+
+
 def test_robin_split_endpoint_data(tmp_path):
     text = HEAT_DECAY.replace("f = 0\nd = 0", "f = 0\nd_left = 0.2\nd_right = 0.1*sin(t)")
     p = _write(tmp_path, text)

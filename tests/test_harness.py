@@ -477,6 +477,6 @@ def test_report_builder_fails_a_nan_bound_the_loop_passed():
     bounds[3] = math.nan
     tols = [default_tolerance(b, sc.grid, sc.dt) for b in bounds]
     assert _reference_report(traj, observed, bounds, tols)[0] == PASS
-    rep = build_report("nan", [(traj, observed, bounds)], None, sc.grid, sc.dt)
+    rep = build_report("nan", [(traj.sample_sups(), observed, bounds)], None, sc.grid, sc.dt)
     assert rep.verdict == FAIL
     assert math.isnan(rep.worst_margin) and rep.worst_location[-1] == traj.times[3]

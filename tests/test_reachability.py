@@ -40,6 +40,8 @@ UNREACHED = {
     "solver.reaction_odd_cubic": PERFBENCH_INPUTS + " (odd_cubic reactions)",
     "expressions.Expression.to_string": "the printer behind Expression's repr and hash; "
                                         "the parser's round-trip tests print through it",
+    "solver.solve": "the one-call solve that tests (test_bench_tracing.py among them) use; "
+                    "commands step through TimeStepper, most keeping per-sample sups only",
 }
 
 

@@ -735,6 +735,36 @@ def test_1d_singular_m_plus_raises_solver_error():
         solve(sc)
 
 
+class _Uphill(TimeStepper):
+    """Full-Newton steps that point uphill, so no damping lowers the residual."""
+
+    def _newton_solve(self, v, t1, dt, b):
+        return -super()._newton_solve(v, t1, dt, b)
+
+
+def test_a_stalled_line_search_above_the_rounding_floor_still_raises():
+    sc = _scenario_1d(reaction=reaction_log_poly(1.0), kind=ROBIN, n_x=41, dt=1e-2, T=0.05,
+                      u0="2*sin(pi*x)")
+    solve(sc)  # the step itself is fine
+    with pytest.raises(solver_mod.SolverError,
+                       match=r"^Newton damping stalled at t=0\.01 \(residual") as err:
+        _Uphill(sc).solve()
+    assert len(err.value.history) == 1 and err.value.history[0] > 1e-9
+
+
+def test_a_linear_step_at_its_rounding_floor_is_accepted():
+    # cond(M+) ~ 1.6e4 at dt = 0.5 on 201 nodes: the attainable residual lies
+    # above 1e-12 max(1, |rhs|), and the damped search could not lower it
+    sc = _scenario_1d(a="1", c="0", f="sqrt(2)*sin(x)*cos(t-pi/4)", d="sin(t)*sin(x)",
+                      u0="0", n_x=201, dt=0.5, T=8.0, x_hi=math.pi / 2)
+    st = TimeStepper(sc)
+    traj = st.solve()
+    assert len(st.residual_log) == sc.n_steps
+    assert max(st.residual_log) > 1e-12  # above the tolerance: at the floor
+    assert max(st.residual_log) < 1e-11
+    assert np.max(np.abs(traj.values[-1] - np.sin(8.0) * np.sin(sc.grid.x))) < 0.05
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
 def test_dirichlet_values_are_the_data_bitwise(dim, nonlinear):
