@@ -42,7 +42,7 @@ import numpy as np
 from .core import DIRICHLET, SpatialGrid, Trajectory
 from .expressions import ZERO, Expression, parse_expression
 from .gains import SERIES_TOL, closed_loop_iss_bound, kernel_bound_constant
-from .harness import Report, build_report, data_running_sup
+from .harness import Report, block_data_sups, build_report
 from .solver import (
     BoundarySpec,
     Coefficients,
@@ -306,12 +306,13 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
         controls[i] = U = control_of(v) / loop_gain
         return v + U * s
 
-    u_traj = stepper.march(None, feedback, None)[0]
+    record, running = block_data_sups(times.size, pair=False)
+    u_traj = stepper.march(record, feedback, None)[0]
     controls[0] = control_of(u_traj.values[0])
     w_traj = transform_trajectory(u_traj, kernel)
 
     samples = u_traj.sample_sups()
-    f_sups = data_running_sup(f, node_coords(grid), times)
+    f_sups = running()[0]
     d0_run, d1_run = np.maximum.accumulate(np.abs(d_vals), axis=0).T
     bounds = closed_loop_iss_bound(times, samples.sups[0], f_sups, d0_run, d1_run, c, sigma)
     report = build_report("closed-loop", [(samples, samples.sups, bounds)], tol, grid, dt)

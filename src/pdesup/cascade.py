@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DIRICHLET, ROBIN, SpatialGrid, Trajectory
+from .core import DIRICHLET, ROBIN, SampleSups, SpatialGrid, Trajectory
 from .expressions import ZERO, Expression
 from .gains import cascade_bound, embedding_constants, small_gain_boundary, small_gain_domain
 from .harness import NOT_ASSERTED, Report, build_report, data_running_sup, sample_details
@@ -153,14 +153,14 @@ def build_cascade(subsystems, topology: str, grid: SpatialGrid, dt: float,
 
 
 def simulate_cascade(spec: CascadeSpec) -> list[Trajectory]:
-    """Solve all subsystems respecting the coupling topology."""
+    """Solve all subsystems respecting the coupling topology (a cycle as one stack)."""
     if spec.topology in (ROBIN_OPEN, DIRICHLET_OPEN):
         return _simulate_open(spec)
-    return _simulate_cycle(spec)
+    return TimeStepper(spec.scenarios, cycle=True).march(None, None, None)
 
 
 def _simulate_open(spec: CascadeSpec) -> list[Trajectory]:
-    bindex = np.flatnonzero(spec.grid.boundary_mask().ravel())
+    bindex = spec.grid.boundary_indices()
     trajs: list[Trajectory] = []
     for j, sc in enumerate(spec.scenarios):
         forcing = None
@@ -175,14 +175,9 @@ def _simulate_open(spec: CascadeSpec) -> list[Trajectory]:
     return trajs
 
 
-def _simulate_cycle(spec: CascadeSpec) -> list[Trajectory]:
-    """All subsystems at once: Crank-Nicolson for A = blockdiag(A_j) + K,
-    where the block K[j, j-1] feeds subsystem j-1 into subsystem j."""
-    return TimeStepper(spec.scenarios, cycle=True).solve_stack()
-
-
-def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) -> Report:
-    """Check every subsystem at every sample against its chain bound.
+def verify_cascade(spec: CascadeSpec, samples: list[SampleSups],
+                   tol: float | None = None) -> Report:
+    """Check every subsystem's sups at every sample against its chain bound.
 
     Space-time sups are checked on growing windows against the
     no-decay forms; when a subsystem's absorption minimum is positive
@@ -192,13 +187,12 @@ def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) ->
     topologies with a failed small-gain constant yield "not-asserted"
     with raw norms recorded (form ``raw``, NaN bound, margin and tol).
     """
-    trajectories = list(trajectories)
-    if len(trajectories) != spec.k:
-        raise ValueError("one trajectory per subsystem required")
-    times = trajectories[0].times
-    for tr in trajectories:
-        if tr.grid != spec.grid or not np.array_equal(tr.times, times):
-            raise ValueError("trajectories do not match the cascade spec")
+    if len(samples) != spec.k:
+        raise ValueError("one record of sups per subsystem required")
+    times = samples[0].times
+    for s in samples:
+        if s.grid != spec.grid or not np.array_equal(s.times, times):
+            raise ValueError("sups do not match the cascade spec")
 
     cycle = spec.topology in (ROBIN_CYCLE, DIRICHLET_CYCLE)
     mode = "cycle" if cycle else "open"
@@ -206,7 +200,7 @@ def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) ->
 
     if not spec.bounds_asserted:
         nan = np.full(times.size, math.nan)
-        details = sample_details([(tr, tr.sup_space_per_sample(), nan) for tr in trajectories],
+        details = sample_details([(s, s.sups, nan) for s in samples],
                                  math.nan, spec.grid, spec.dt, subsystem=k, form=["raw"] * spec.k)
         why = "; ".join(spec.warnings) or "hypotheses not met"
         return Report("cascade", NOT_ASSERTED, math.nan, None, len(details), details,
@@ -224,17 +218,16 @@ def verify_cascade(spec: CascadeSpec, trajectories, tol: float | None = None) ->
         d_runs = [data_running_sup(sc.boundary.data, bnodes, times) for sc in spec.scenarios]
 
     parts, subsystems, forms = [], [], []
-    for j, tr in zip(k, trajectories):
+    for j, sub in zip(k, samples):
         c_min_j = spec.scenarios[j - 1].bounds.c_min
         phi_j = spec.phis[-1] if cycle else spec.phis[j - 1]
         tails = d_runs if cycle else d_runs[:j]
-        samples = tr.sample_sups()
-        checks = [("spacetime", np.maximum.accumulate(samples.sups), 0.0)]
+        checks = [("spacetime", np.maximum.accumulate(sub.sups), 0.0)]
         if c_min_j > 0:
-            checks.append(("spatial", samples.sups, c_min_j))
+            checks.append(("spatial", sub.sups, c_min_j))
         for form, observed, c in checks:
             bounds = cascade_bound(j, phi_j, ext, tails, spec.small_gain, c, times, mode)
-            parts.append((samples, observed, bounds))
+            parts.append((sub, observed, bounds))
             subsystems.append(j)
             forms.append(form)
     return build_report("cascade", parts, tol, spec.grid, spec.dt, "; ".join(spec.warnings),

@@ -33,7 +33,7 @@ from .config import (
     rkes_pair_from_config,
     scenario_from_config,
 )
-from .core import DIRICHLET, ROBIN
+from .core import DIRICHLET, ROBIN, sup_sink
 from .expressions import ParseError, is_zero
 from .gains import (
     closed_loop_forcing_gain,
@@ -150,11 +150,11 @@ def _solve_iss(out: Path, sc, g, settings, keep: bool):
     solve evaluated; returns the trajectory (None unless ``keep``: the
     sups are then recorded as it steps), the report and its per-sample sups."""
     record, running = harness.block_data_sups(sc.n_steps + 1, pair=False)
-    sink, streamed = harness.sup_sink(sc.grid, sc.times())
+    sink, streamed = sup_sink(sc.grid, sc.times())
     traj = TimeStepper(sc).solve(record, None if keep else sink)
     samples = traj.sample_sups() if keep else streamed()
     f_sups, d_sups = running()
-    rep = harness.check_iss(samples, sc, g, settings.tol, f_sups=f_sups, d_sups=d_sups)
+    rep = harness.check_iss(samples, sc, g, f_sups, d_sups, settings.tol)
     sups = samples.sups
     bounds = rep.details.bound if len(rep.details) else np.full(sups.size, math.nan)
     _write_csv(out / "supnorms.csv", ("t", "sup_space", "running_sup_f", "running_sup_d",
@@ -219,12 +219,11 @@ def cmd_verify_rkes(cp, out: Path, settings) -> int:
     g = _gain_set(sc1, settings) if harness.rkes_gains_defined(sc1) else None
     record, running = harness.block_data_sups(sc1.n_steps + 1, pair=True)
     n = sc1.grid.n_nodes  # the pair steps as one stack: v1 and v2 side by side
-    sink, difference = harness.sup_sink(sc1.grid, sc1.times(),
-                                        lambda sl, states: states[:, :n] - states[:, n:])
+    sink, difference = sup_sink(sc1.grid, sc1.times(),
+                                lambda sl, states: states[:, :n] - states[:, n:])
     TimeStepper([sc1, sc2]).march(record, None, sink)
-    f_sups, d_sups = running()
-    return _conclude(out, "rkes", harness.check_rkes(difference(), (sc1, sc2), g, settings.tol,
-                                                     f_sups=f_sups, d_sups=d_sups))
+    return _conclude(out, "rkes", harness.check_rkes(difference(), (sc1, sc2), g, *running(),
+                                                     settings.tol))
 
 
 def cmd_verify_decay(cp, out: Path, settings) -> int:
@@ -235,7 +234,7 @@ def cmd_verify_decay(cp, out: Path, settings) -> int:
     for key, expr in (("f", sc.forcing), ("d", sc.boundary.data)):
         if not is_zero(expr):
             raise ConfigError(f"[disturbances] {key}: decay check needs zero disturbances")
-    sink, streamed = harness.sup_sink(sc.grid, sc.times())
+    sink, streamed = sup_sink(sc.grid, sc.times())
     TimeStepper(sc).solve(sink=sink)
     samples = streamed()  # its first sup is u0's
     rep = harness.check_decay(samples, sc.bounds.c_min, float(samples.sups[0]), settings.tol)
@@ -279,11 +278,11 @@ def cmd_backstep(cp, out: Path, settings) -> int:
 
 def cmd_cascade(cp, out: Path, settings) -> int:
     spec = cascade_from_config(cp, settings)
-    trajs = cascade_mod.simulate_cascade(spec)
-    rep = cascade_mod.verify_cascade(spec, trajs, settings.tol)
-    for j, tr in enumerate(trajs, start=1):
+    samples = [tr.sample_sups() for tr in cascade_mod.simulate_cascade(spec)]
+    rep = cascade_mod.verify_cascade(spec, samples, settings.tol)
+    for j, sub in enumerate(samples, start=1):
         _write_csv(out / f"supnorms_{j}.csv", ("t", "sup_space"),
-                   _rows(_column(tr.times), _column(tr.sup_space_per_sample())))
+                   _rows(_column(sub.times), _column(sub.sups)))
     _write_report(out / "report.csv", [rep])
     print(f"cascade[{spec.topology}]: {rep.verdict} "
           f"(small-gain {_fmt(spec.small_gain)}; worst margin {_fmt(rep.worst_margin)})")

@@ -134,6 +134,10 @@ class SpatialGrid:
         iy, ix = divmod(flat_index, self.n_x)
         return (float(self.x[ix]), float(self.y[iy]))
 
+    def boundary_indices(self) -> np.ndarray:
+        """Flat indices of the boundary nodes, increasing: every boundary row's order."""
+        return np.flatnonzero(self.boundary_mask().ravel())
+
     def boundary_mask(self) -> np.ndarray:
         """Boolean array over the field shape marking boundary nodes."""
         if self.n_y is None:
@@ -186,10 +190,6 @@ class Trajectory:
     def n_samples(self) -> int:
         return self.times.size
 
-    def sup_space_per_sample(self) -> np.ndarray:
-        """max |u| over the nodes of each sample (see :func:`row_sups`)."""
-        return self.sample_sups().sups
-
     def sample_sups(self) -> SampleSups:
         """Each sample's sup-norm and the first node attaining it, a time block
         at a time: numpy's argmax copies a read-only array whole."""
@@ -220,10 +220,6 @@ class SampleSups:
     times: np.ndarray
     sups: np.ndarray
     nodes: np.ndarray
-
-    def sample_sups(self) -> SampleSups:
-        """The record itself, as :meth:`Trajectory.sample_sups` gives a trajectory's."""
-        return self
 
 
 def row_sups(rows) -> tuple[np.ndarray, np.ndarray]:

@@ -7,8 +7,8 @@ arrays) and hands ``(samples, observed, bounds)`` parts to
 verdict and the witness are computed.  ``samples`` is a
 :class:`pdesup.core.SampleSups`, each sample's sup-norm and its first
 node (the witness of the worst sample), so no field goes in: a solve
-records it as it steps (:func:`pdesup.core.sup_sink`, which the CLI
-reaches through this module), or a :class:`Trajectory` gives it.
+records it as it steps (:func:`pdesup.core.sup_sink`), as it records
+the data's running sups from the rows it evaluates (:func:`block_data_sups`).
 Margins are ``bound - observed``;
 a check passes when every margin clears ``-tol`` where the default
 tolerance combines a relative term with an estimated discretization
@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ROBIN, SampleSups, SpatialGrid, Trajectory, sup_sink, time_blocks
+from .core import ROBIN, SampleSups, SpatialGrid, time_blocks
 from .gains import GainSet, iss_bound
 from .solver import ReactionTerm, Scenario, data_rows, node_coords
 
@@ -101,15 +101,13 @@ def build_report(name: str, parts, tol, grid: SpatialGrid, dt: float, notes: str
                   samples_checked=len(details), details=details, notes=notes)
 
 
-def data_running_sup(expr, coords, times, minus=None) -> np.ndarray:
-    """Running sup of |expr| (or of |expr - minus|) over the nodes ``coords``
-    and the samples up to each of ``times``, evaluated block by block."""
+def data_running_sup(expr, coords, times) -> np.ndarray:
+    """Running sup of |expr| over the nodes ``coords`` and the samples up to
+    each of ``times``, evaluated block by block."""
     times = np.asarray(times, dtype=float)
-    rows, rows2 = data_rows(expr, coords), None if minus is None else data_rows(minus, coords)
-    sups = np.empty(times.size)
+    rows, sups = data_rows(expr, coords), np.empty(times.size)
     for sl in time_blocks(times.size, coords[0].size):
-        block = rows(times[sl])
-        sups[sl] = np.abs(block if rows2 is None else block - rows2(times[sl])).max(axis=1)
+        sups[sl] = np.abs(rows(times[sl])).max(axis=1)
     return np.maximum.accumulate(sups)
 
 
@@ -125,15 +123,14 @@ def running_sup_boundary(scenario: Scenario, times) -> np.ndarray:
 
 
 def block_data_sups(n_times: int, pair: bool):
-    """An ``on_block`` for :meth:`pdesup.solver.TimeStepper.solve_stack` that
+    """An ``on_block`` for :meth:`pdesup.solver.TimeStepper.march` that
     records the sup over the nodes of |f| and of |d| at each of ``n_times``
     samples, and a function that returns their running sups ``(f, d)``.
 
     With ``pair`` the rows are those of a stack of two scenarios, and the
-    sups are of |f1 - f2| and |d1 - d2|.  Each value is the one
-    :func:`running_sup_forcing`/:func:`running_sup_boundary` (or
-    :func:`data_running_sup` with ``minus``) computes, from the rows the
-    stepper has evaluated anyway.
+    sups are of |f1 - f2| and |d1 - d2|.  Without it each value is the one
+    :func:`running_sup_forcing`/:func:`running_sup_boundary` computes, from
+    the rows the stepper has evaluated anyway.
     """
     sups = np.empty((2, n_times))
 
@@ -152,28 +149,22 @@ def iss_hypotheses_met(scenario: Scenario) -> bool:
     return scenario.c_min_raw > 0 and scenario.reaction.monotone
 
 
-def check_iss(samples: SampleSups | Trajectory, scenario: Scenario, g: GainSet | None,
-              tol: float | None = None, f_sups=None, d_sups=None) -> Report:
+def check_iss(samples: SampleSups, scenario: Scenario, g: GainSet | None, f_sups, d_sups,
+              tol: float | None = None) -> Report:
     """Spatial sup-norm at every sample against the exponential ISS envelope.
 
-    ``samples`` are the solution's per-sample sups, or its trajectory.
-    ``g`` may be None when the hypotheses are not met (the verdict is then
-    "not-asserted").  ``f_sups``/``d_sups`` pass in running sups the
-    caller has already computed over the sample times.
+    ``samples`` are the solution's per-sample sups, and ``f_sups``/``d_sups``
+    the running sups of |f| and |d| over its sample times.  ``g`` may be
+    None when the hypotheses are not met (the verdict is then
+    "not-asserted").
     """
     if not iss_hypotheses_met(scenario):
         return Report("iss", NOT_ASSERTED, math.nan, None, 0,
                       notes="hypotheses not met: need c_min > 0 and a monotone reaction")
     if g.boundary_kind != scenario.boundary.kind:
         raise ValueError("gain set boundary kind does not match the scenario")
-    samples = samples.sample_sups()
-    observed, times = samples.sups, samples.times
-    if f_sups is None:
-        f_sups = running_sup_forcing(scenario, times)
-    if d_sups is None:
-        d_sups = running_sup_boundary(scenario, times)
-    bounds = iss_bound(times, observed[0], f_sups, d_sups, g)
-    return build_report("iss", [(samples, observed, bounds)], tol, scenario.grid, scenario.dt)
+    bounds = iss_bound(samples.times, samples.sups[0], f_sups, d_sups, g)
+    return build_report("iss", [(samples, samples.sups, bounds)], tol, scenario.grid, scenario.dt)
 
 
 def rkes_gains_defined(scenario: Scenario) -> bool:
@@ -188,18 +179,16 @@ def gains_undefined_note(scenario: Scenario) -> str:
     return f"gains undefined: need {need} (c_min {scenario.c_min_raw:.6g})"
 
 
-def check_rkes(difference, scenario_pair, g: GainSet | None, tol: float | None = None,
-               f_sups=None, d_sups=None) -> Report:
+def check_rkes(difference: SampleSups, scenario_pair, g: GainSet | None, f_sups, d_sups,
+               tol: float | None = None) -> Report:
     """Space-time sup of the solution difference against the linear RKES bound.
 
-    ``difference`` is the :class:`SampleSups` of v1 - v2, or the pair of
-    trajectories, whose difference is then taken a block of samples at a
-    time.  Both scenarios must share everything except (f, d); the bound is
-    checked on every growing window [0, T_i].  The verdict is
+    ``difference`` is the :class:`SampleSups` of v1 - v2, and
+    ``f_sups``/``d_sups`` the running sups of |f1 - f2| and |d1 - d2| over
+    its sample times.  Both scenarios must share everything except (f, d);
+    the bound is checked on every growing window [0, T_i].  The verdict is
     "not-asserted" when the reaction is not monotone, or when ``g`` is
     None because :func:`rkes_gains_defined` says the gains do not exist.
-    ``f_sups``/``d_sups`` pass in the running sups of |f1 - f2| and
-    |d1 - d2| the caller has already computed over the sample times.
     """
     sc1, sc2 = scenario_pair
     same_data = replace(sc2.boundary, data=sc1.boundary.data)
@@ -210,32 +199,16 @@ def check_rkes(difference, scenario_pair, g: GainSet | None, tol: float | None =
         why.append("hypotheses not met: need a monotone reaction")
     if why:
         return Report("rkes", NOT_ASSERTED, math.nan, None, 0, notes="; ".join(why))
-    if not isinstance(difference, SampleSups):
-        traj1, traj2 = difference
-        if traj1.grid != traj2.grid or not np.array_equal(traj1.times, traj2.times):
-            raise ValueError("trajectories differ in grid or time samples")
-        v1, v2 = (tr.values.reshape(tr.n_samples, -1) for tr in (traj1, traj2))
-        sink, sups_of = sup_sink(traj1.grid, traj1.times, lambda sl, _: v1[sl] - v2[sl])
-        for sl in time_blocks(*v1.shape):
-            sink(sl, None)
-        difference = sups_of()
-    times = difference.times
-    if f_sups is None:
-        f_sups = data_running_sup(sc1.forcing, node_coords(sc1.grid), times, minus=sc2.forcing)
-    if d_sups is None:
-        d_sups = data_running_sup(sc1.boundary.data, node_coords(sc1.grid, boundary=True), times,
-                                  minus=sc2.boundary.data)
     bounds = g.l_f * f_sups + g.l_d * d_sups
     observed = np.maximum.accumulate(difference.sups)
     return build_report("rkes", [(difference, observed, bounds)], tol, sc1.grid, sc1.dt)
 
 
-def check_decay(samples: SampleSups | Trajectory, c_min: float, u0_sup: float,
+def check_decay(samples: SampleSups, c_min: float, u0_sup: float,
                 tol: float | None = None) -> Report:
     """Zero-input decay: spatial sup at T bounded by u0_sup * exp(-c_min T),
     which ``verify-decay`` asserts for c_min > 0 and zero disturbances only.
-    ``samples`` are the solution's per-sample sups, or its trajectory."""
-    samples = samples.sample_sups()
+    ``samples`` are the solution's per-sample sups."""
     times = samples.times
     bounds = u0_sup * np.exp(-c_min * times)
     dt = float(times[1] - times[0]) if times.size > 1 else 0.0

@@ -325,10 +325,10 @@ def node_coords(grid: SpatialGrid, boundary: bool = False):
     """Flat coordinates (x, y) of the nodes, y None on an interval.
 
     With ``boundary`` only the boundary nodes, ordered as in
-    :func:`_boundary_indices`.
+    :meth:`SpatialGrid.boundary_indices`.
     """
     if boundary:  # indexed off the axes, without the full meshes
-        idx = _boundary_indices(grid)
+        idx = grid.boundary_indices()
         if grid.n_y is None:
             return grid.x[idx], None
         iy, ix = np.divmod(idx, grid.n_x)
@@ -356,12 +356,6 @@ def data_rows(expr: Expression, coords):
     return rows
 
 
-def _boundary_indices(grid: SpatialGrid) -> np.ndarray:
-    """Flat indices of boundary nodes (1-D: the two endpoints)."""
-    mask = grid.boundary_mask().ravel()
-    return np.flatnonzero(mask)
-
-
 # ---------------------------------------------------------------------------
 # spatial operator assembly
 
@@ -380,7 +374,7 @@ class _Operator:
         nx, ny = grid.n_x, grid.n_y or 1
         self.n = grid.n_nodes
         self.shape = (ny, nx)
-        self.bindex = _boundary_indices(grid)
+        self.bindex = grid.boundary_indices()
         X, Y = grid.meshes()
         X = np.reshape(X, self.shape)
         a_at = partial(_sample, coeffs.a)
@@ -435,9 +429,9 @@ class TimeStepper:
 
     ``forcing``/``boundary`` are None, for the scenario's expressions, or
     a (n_t, n) array of rows aligned with ``scenario.times()``: n is the
-    node count for the forcing and the boundary-node count (in
-    :func:`_boundary_indices` order) for the boundary data.  Cascades pass
-    upstream fields and traces this way.  :meth:`solve` walks the horizon
+    node count for the forcing and the boundary-node count (in the order
+    of :meth:`SpatialGrid.boundary_indices`) for the boundary data.
+    Cascades pass upstream fields and traces this way.  :meth:`solve` walks the horizon
     in the blocks of :func:`time_blocks`, evaluating expression data one
     block at a time.  ``residual_log`` records the accepted Newton
     residual of every step.
@@ -457,7 +451,7 @@ class TimeStepper:
     :meth:`_measure`).
 
     The step's data enter as two terms (:meth:`data_terms`), which
-    :meth:`solve_stack` forms once per time block: ``s = dt/2 (f0 + f1)``
+    :meth:`march` forms once per time block: ``s = dt/2 (f0 + f1)``
     and ``d``, the Robin term ``dt/2 (g b0 + g b1)`` or the Dirichlet
     values at t+dt.  A linear stepper (no block has a reaction) takes each
     time block one solve with ``M+``'s factors per step, and then checks
@@ -512,7 +506,7 @@ class TimeStepper:
     reaction have h evaluated in one call over the whole state.  Without
     ``cycle`` the blocks are independent scenarios; a linear stack steps
     each bitwise as it steps alone on an interval, and a nonlinear one
-    iterates until every block meets its tolerance.  :meth:`solve_stack`
+    iterates until every block meets its tolerance.  :meth:`march`
     returns one trajectory per block.
     """
 
@@ -807,30 +801,26 @@ class TimeStepper:
         return fv
 
     def solve(self, on_block=None, sink=None) -> Trajectory | None:
-        """The scenario's trajectory over its horizon (a stack: :meth:`solve_stack`),
-        or with a ``sink`` none (see :meth:`march`)."""
+        """The scenario's trajectory over its horizon, or with a ``sink`` none
+        (see :meth:`march`, which also steps a stack)."""
         if self.k != 1:
-            raise ValueError("a stack of scenarios is solved by solve_stack")
+            raise ValueError("a stack of scenarios is solved by march")
         trajs = self.march(on_block, None, sink)
         return None if trajs is None else trajs[0]
 
-    def solve_stack(self, on_block=None) -> list[Trajectory]:
-        """One trajectory per scenario of the stack, each a column block of one array.
+    def march(self, on_block, on_step, sink) -> list[Trajectory] | None:
+        """One trajectory per scenario of the stack, each a column block of one
+        array, or with a ``sink`` none: each time block is then stepped into a
+        buffer of its own, handed to ``sink(sl, states)`` and dropped.
 
-        ``on_block(sl, f, b)``, if given, is called with each time block's
-        slice of samples and its forcing and boundary rows before they are
-        stepped, so a caller can read the data without evaluating it again.
-        A linear stack takes each block through :meth:`_linear_block`, and
-        from its first step that misses its tolerance on through
+        ``on_block(sl, f, b)`` gets each block's slice of samples and its
+        forcing and boundary rows before they are stepped, so a caller reads
+        the data without evaluating it again; each step's new state v (sample
+        i) is replaced by ``on_step(i, v)``, the residual v's.  Either may be
+        None.  A linear stack takes each block through :meth:`_linear_block`,
+        and from its first step that misses its tolerance on through
         :meth:`step_values`, which iterates, or raises as it would have.
         """
-        return self.march(on_block, None, None)
-
-    def march(self, on_block, on_step, sink) -> list[Trajectory] | None:
-        """:meth:`solve_stack`, each step's new state v (sample i) replaced by
-        ``on_step(i, v)`` unless that is None; the step's residual is v's.  With
-        a ``sink``, each time block is stepped into a buffer of its own, handed to
-        ``sink(sl, states)`` and dropped, and nothing is returned."""
         sc, n = self.scenario, self.grid.n_nodes
         u = np.concatenate([s.initial_values().ravel() for s in self.scenarios]).astype(float)
         times = sc.times()

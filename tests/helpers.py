@@ -1,11 +1,12 @@
-"""Scenarios and a one-step helper that the tests share."""
+"""Scenarios, the records a check takes, and a one-step helper that the tests share."""
 
 import math
 
 import numpy as np
 
-from pdesup.core import DIRICHLET, ROBIN, grid_1d
+from pdesup.core import DIRICHLET, ROBIN, SampleSups, Trajectory, grid_1d
 from pdesup.expressions import parse_expression
+from pdesup.harness import running_sup_boundary, running_sup_forcing
 from pdesup.solver import (
     BoundarySpec,
     Coefficients,
@@ -83,3 +84,31 @@ def step_terms(stepper: TimeStepper, f_pair, b_pair):
     value at t+dt) pairs of forcing and boundary data."""
     s, d = stepper.data_terms(np.asarray(f_pair), np.asarray(b_pair))
     return s[0], d[0]
+
+
+def data_sups(scenario: Scenario, times):
+    """The running sups of |f| and |d| that a solve of ``scenario`` records
+    (``harness.block_data_sups``), from their oracles."""
+    return running_sup_forcing(scenario, times), running_sup_boundary(scenario, times)
+
+
+def pair_data_sups(sc1: Scenario, sc2: Scenario, times):
+    """The running sups of |f1 - f2| and |d1 - d2| that a solve of the pair
+    as one stack records, from whole (times × nodes) rows."""
+    grid, out = sc1.grid, []
+    for coords, e1, e2 in ((node_coords(grid), sc1.forcing, sc2.forcing),
+                           (node_coords(grid, boundary=True), sc1.boundary.data,
+                            sc2.boundary.data)):
+        rows = data_rows(e1, coords)(times) - data_rows(e2, coords)(times)
+        out.append(np.maximum.accumulate(np.abs(rows).max(axis=1)))
+    return tuple(out)
+
+
+def chain_sups(trajs) -> list[SampleSups]:
+    """One record per subsystem of a cascade's trajectories, as ``cascade`` builds them."""
+    return [tr.sample_sups() for tr in trajs]
+
+
+def difference_sups(traj1: Trajectory, traj2: Trajectory) -> SampleSups:
+    """The per-sample sups of ``traj1 - traj2``, as ``verify-rkes`` records them."""
+    return Trajectory(traj1.grid, traj1.times, traj1.values - traj2.values).sample_sups()

@@ -18,6 +18,7 @@ from pdesup.backstepping import (
     kernel_bessel_oracle,
     kernel_series,
     simulate_closed_loop,
+    target_forcing,
     transform_trajectory,
 )
 from pdesup.cascade import SubsystemSpec, build_cascade, simulate_cascade, verify_cascade
@@ -50,6 +51,7 @@ from pdesup.solver import (
     BoundarySpec,
     Coefficients,
     convergence_order,
+    data_rows,
     make_scenario,
     reaction_log_poly,
     reaction_odd_cubic,
@@ -57,7 +59,14 @@ from pdesup.solver import (
     solve,
 )
 
-from helpers import explicit_solution_preset, open_loop_preset
+from helpers import (
+    chain_sups,
+    data_sups,
+    difference_sups,
+    explicit_solution_preset,
+    open_loop_preset,
+    pair_data_sups,
+)
 
 E = parse_expression
 C_S, C_P = sobolev_constants_1d()
@@ -241,7 +250,7 @@ def test_criterion_5_decay_suite(decay_suite):
     all_pass = True
     worst = math.inf
     for sc, traj, u0_sup in runs:
-        rep = check_decay(traj, sc.bounds.c_min, u0_sup)
+        rep = check_decay(traj.sample_sups(), sc.bounds.c_min, u0_sup)
         all_pass = all_pass and rep.verdict == PASS
         worst = min(worst, rep.worst_margin)
     ok = all_pass and elapsed < 120.0
@@ -318,7 +327,7 @@ def test_criterion_6_iss_suites(iss_suites):
     worst = math.inf
     for kind in (ROBIN, DIRICHLET):
         for sc, traj, g in suites[kind]:
-            rep = check_iss(traj, sc, g)
+            rep = check_iss(traj.sample_sups(), sc, g, *data_sups(sc, traj.times))
             all_pass = all_pass and rep.verdict == PASS
             worst = min(worst, rep.worst_margin)
 
@@ -330,18 +339,19 @@ def test_criterion_6_iss_suites(iss_suites):
     traj = solve(sc)
     g = rkes_gains_robin(sc.bounds, 1.0, C_S)
     bad = GainSet(l_f=g.l_f / 20, l_d=g.l_d, decay_rate=g.decay_rate, boundary_kind=ROBIN)
-    iss_fails = check_iss(traj, sc, bad).verdict == FAIL
+    iss_fails = check_iss(traj.sample_sups(), sc, bad, *data_sups(sc, traj.times)).verdict == FAIL
     twin = make_scenario(grid_1d(81), 2.0, 2e-3,
                          Coefficients(E("1"), E("1"), E("1")), reaction_zero(),
                          E("0"), BoundarySpec(ROBIN, E("0")), E("0"))
     twin_traj = solve(twin)
-    rkes_fails = check_rkes((traj, twin_traj), (sc, twin), bad).verdict == FAIL
+    rkes_fails = check_rkes(difference_sups(traj, twin_traj), (sc, twin), bad,
+                            *pair_data_sups(sc, twin, traj.times)).verdict == FAIL
     dsc = make_scenario(grid_1d(81), 1.0, 2e-3,
                         Coefficients(E("1"), E("0.3"), E("1")), reaction_zero(),
                         E("0"), BoundarySpec(DIRICHLET, E("0")), E("sin(pi*x)"))
     dtraj = solve(dsc)
     # undersized initial sup: the bound is beaten at t = 0 already
-    decay_fails = check_decay(dtraj, dsc.bounds.c_min, 0.4).verdict == FAIL
+    decay_fails = check_decay(dtraj.sample_sups(), dsc.bounds.c_min, 0.4).verdict == FAIL
     cap_fails = not _under_pointwise_cap(traj, 0.0, 0.0, tol=1e-9)
 
     fixtures_ok = iss_fails and rkes_fails and decay_fails and cap_fails
@@ -369,7 +379,7 @@ def test_criterion_7_rkes_explicit_example(rkes_explicit_pair):
     err = abs(observed - expected)
     cb = CoefficientBounds(1.0, 0.0, 1.0)
     g = rkes_gains_dirichlet(cb, sc1.grid.domain.volume, C_S, C_P)
-    rep = check_rkes((t3, t1), (sc3, sc1), g)
+    rep = check_rkes(difference_sups(t3, t1), (sc3, sc1), g, *pair_data_sups(sc3, sc1, t1.times))
     ok = err <= 1e-3 and rep.verdict == PASS
     assert _line(7, "explicit RKES pair", ok,
                  f"sup diff={observed:.6f} vs {expected:.6f} (err={err:.2e}), "
@@ -396,7 +406,7 @@ def backstep_results():
 
 def test_criterion_8_backstepping(backstep_results):
     open_loop, clean, disturbed, elapsed = backstep_results
-    sups = open_loop.sup_space_per_sample()
+    sups = open_loop.sample_sups().sups
     growth = sups[-1] / sups[0]
     ok = (growth >= 20.0 and clean.report.verdict == disturbed.report.verdict == PASS
           and elapsed < 60.0)
@@ -427,7 +437,7 @@ def cascade_results():
         spec = build_cascade(_chain_subs(3, m="2"), "robin-open", grid_1d(61),
                              2e-3, 0.8, external_d=E(_random_boundary_disturbance(rng)))
         trajs = simulate_cascade(spec)
-        robin_open.append((spec, trajs, verify_cascade(spec, trajs)))
+        robin_open.append((spec, trajs, verify_cascade(spec, chain_sups(trajs))))
     results["robin-open"] = robin_open
 
     dir_open = []
@@ -438,22 +448,23 @@ def cascade_results():
                              boundary_exprs=[E(_random_boundary_disturbance(rng))
                                              for _ in range(3)])
         trajs = simulate_cascade(spec)
-        dir_open.append((spec, trajs, verify_cascade(spec, trajs)))
+        dir_open.append((spec, trajs, verify_cascade(spec, chain_sups(trajs))))
     results["dirichlet-open"] = dir_open
 
     spec = build_cascade(_chain_subs(3, m="2"), "robin-cycle", grid_1d(61), 1e-3, 0.5)
     trajs = simulate_cascade(spec)
-    results["robin-cycle"] = [(spec, trajs, verify_cascade(spec, trajs))]
+    results["robin-cycle"] = [(spec, trajs, verify_cascade(spec, chain_sups(trajs)))]
 
     spec = build_cascade(_chain_subs(3, a="10", c="1"), "dirichlet-cycle",
                          grid_1d(61), 1e-3, 0.5,
                          boundary_exprs=[E("0.1*sin(t)"), E("0"), E("0.05*cos(2*t)")])
     trajs = simulate_cascade(spec)
-    results["dirichlet-cycle"] = [(spec, trajs, verify_cascade(spec, trajs))]
+    results["dirichlet-cycle"] = [(spec, trajs, verify_cascade(spec, chain_sups(trajs)))]
 
     spec = build_cascade(_chain_subs(3, m="0.5"), "robin-cycle", grid_1d(41), 5e-4, 0.4)
     trajs = simulate_cascade(spec)
-    results["robin-cycle-small-gain-fail"] = [(spec, trajs, verify_cascade(spec, trajs))]
+    rep = verify_cascade(spec, chain_sups(trajs))
+    results["robin-cycle-small-gain-fail"] = [(spec, trajs, rep)]
 
     return results, time.monotonic() - t0
 
@@ -513,26 +524,30 @@ def test_criterion_10_level_set_everywhere(decay_suite, iss_suites,
     run(d, d_sup, g.l_f * f_sup)
 
     open_loop, clean, disturbed, _ = backstep_results
-    m = kernel_bound_constant(15.0, 1.0)
-    for res in (clean, disturbed):
-        u0_sup = res.u.sup_space_per_sample()[0]
+    m, sigma = kernel_bound_constant(15.0, 1.0), 1.0
+    for res, d0 in ((clean, E("0")), (disturbed, E("0.1*sin(t)"))):
+        u0_sup = res.u.sample_sups().sups[0]
         d_sup = 0.1 if res is disturbed else 0.0
         cap = (1 + m) * ((1 + m) * u0_sup + 2 * d_sup)
         run(res.u, cap, 0.0)
-        # target trajectory: single-equation cap with its own gains
-        w0_sup = res.w.sup_space_per_sample()[0]
-        run(res.w, w0_sup + d_sup + 20.0, 0.0)
+        # target trajectory: w_t = w_xx - sigma w + F with w = d0 at x = 0 and
+        # w = d1 at x = 1, so the max principle caps |w| by its initial and
+        # boundary sups plus sup |F| / sigma (f = 0 on both runs)
+        grid, times = res.w.grid, res.w.times
+        forcing = target_forcing(res.kernel, np.zeros((times.size, grid.n_x)),
+                                 data_rows(d0, (grid.x[:1], None))(times))
+        w0_sup = res.w.sample_sups().sups[0]
+        run(res.w, w0_sup + d_sup, float(np.max(np.abs(forcing))) / sigma)
 
+    # a family whose bounds are not asserted has no cap: only asserted ones are run
     for family in cascade_results[0].values():
         for spec, trajs, rep in family:
+            if not spec.bounds_asserted:
+                continue
             for j, tr in enumerate(trajs, start=1):
-                if spec.bounds_asserted:
-                    caps = [d_.bound for d_ in rep.details
-                            if d_.subsystem == j and d_.form == "spacetime"]
-                    cap = max(caps)
-                else:
-                    cap = float(np.max(np.abs(tr.values)))
-                run(tr, cap, 0.0)
+                caps = [d_.bound for d_ in rep.details
+                        if d_.subsystem == j and d_.form == "spacetime"]
+                run(tr, max(caps), 0.0)
 
     assert _line(10, "pointwise sup cap", all_pass, f"{checked} trajectories")
     assert all_pass

@@ -15,10 +15,10 @@ from pdesup.backstepping import (
     transform_trajectory,
     volterra_weights,
 )
-from pdesup.core import DIRICHLET, Trajectory, grid_1d, grid_2d
+from pdesup.core import DIRICHLET, Trajectory, grid_1d, grid_2d, time_blocks
 from pdesup.expressions import parse_expression
 from pdesup.gains import closed_loop_forcing_gain, closed_loop_iss_bound, kernel_bound_constant
-from pdesup.harness import PASS
+from pdesup.harness import PASS, data_running_sup
 from pdesup.solver import (
     BoundarySpec,
     Coefficients,
@@ -134,7 +134,7 @@ def test_transform_sup_inflation():
         vals = sum(c_ * np.sin((j + 1) * np.pi * g.x) for j, c_ in enumerate(coefs))
         u = _state(g, vals)
         w = transform_trajectory(u, k)
-        assert w.sup_space_per_sample()[0] <= (1 + m) * u.sup_space_per_sample()[0] + 1e-9
+        assert w.sample_sups().sups[0] <= (1 + m) * u.sample_sups().sups[0] + 1e-9
 
 
 def test_transform_resolution_mismatch():
@@ -218,15 +218,15 @@ def test_closed_loop_stabilizes_and_open_loop_grows():
     g = grid_1d(101)
     zero = E("0")
     open_loop = solve(open_loop_preset(15.0, "sin(pi*x)", 101, 1e-3, 1.0))
-    growth = open_loop.sup_space_per_sample()[-1]
+    growth = open_loop.sample_sups().sups[-1]
     assert growth >= 20.0
     closed = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
                                   g, 1e-3, 2.0)
     assert closed.report.verdict == PASS
     m = kernel_bound_constant(15.0, 1.0)
-    assert closed.u.sup_space_per_sample()[-1] <= (1 + m) ** 2 * math.exp(-2.0)
+    assert closed.u.sample_sups().sups[-1] <= (1 + m) ** 2 * math.exp(-2.0)
     # the feedback actually decays the state
-    assert closed.u.sup_space_per_sample()[-1] < 1e-3
+    assert closed.u.sample_sups().sups[-1] < 1e-3
 
 
 def test_closed_loop_with_disturbances_passes_bound():
@@ -234,6 +234,25 @@ def test_closed_loop_with_disturbances_passes_bound():
     res = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), E("0"),
                                E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 1.0)
     assert res.report.verdict == PASS
+
+
+def test_closed_loop_bound_reads_f_off_the_rows_it_steps():
+    # the f running sup comes from the rows the loop steps; on 101 nodes a time
+    # block holds 648 rows, so 800 steps put f in two blocks.  The shipped
+    # configs/backstep.ini has f = 0, so its golden files cannot see this route
+    g, f = grid_1d(101), E("0.5*x*t+0.2*sin(2*pi*x)*cos(5*t)")
+    d0, d1 = E("0.05*sin(t)"), E("0.02*cos(3*t)")
+    res = simulate_closed_loop(4.0, 1.0, E("sin(pi*x)"), f, d0, d1, g, 1e-3, 0.8)
+    times = res.u.times
+    blocks = time_blocks(times.size, g.n_nodes)
+    assert len(blocks) == 2
+    f_sups = data_running_sup(f, node_coords(g), times)
+    assert f_sups[-1] > f_sups[blocks[1].start]  # the second block raises it
+    d0_run, d1_run = (np.maximum.accumulate(np.abs(data_rows(d, (x, None))(times)[:, 0]))
+                      for d, x in ((d0, g.x[:1]), (d1, g.x[-1:])))
+    bound = closed_loop_iss_bound(times, res.u.sample_sups().sups[0], f_sups, d0_run, d1_run,
+                                  4.0, 1.0)
+    assert res.report.details.bound.tobytes() == bound.tobytes()
 
 
 def test_target_system_residual_compatible_data():
@@ -366,8 +385,8 @@ def test_bound_hierarchy_u_vs_transformed():
     res = simulate_closed_loop(5.0, 1.0, E("sin(pi*x)"), E("0.1*sin(pi*x)*cos(t)"),
                                E("0.05*sin(t)"), E("0"), g, 1e-3, 0.5)
     m = kernel_bound_constant(5.0, 1.0)
-    su = res.u.sup_space_per_sample()
-    sw = res.w.sup_space_per_sample()
+    su = res.u.sample_sups().sups
+    sw = res.w.sample_sups().sups
     assert np.all(su <= (1 + m) * sw + 1e-9)
 
 

@@ -16,7 +16,6 @@ from pdesup.solver import (
     Coefficients,
     ConfigError,
     TimeStepper,
-    _boundary_indices,
     _Operator,
     data_rows,
     node_coords,
@@ -25,7 +24,7 @@ from pdesup.solver import (
     reaction_zero,
 )
 
-from helpers import step_terms
+from helpers import chain_sups, step_terms
 
 E = parse_expression
 
@@ -77,7 +76,7 @@ def test_robin_open_chain_passes_bounds():
     spec = build_cascade(_subs(2, m="2"), "robin-open", grid_1d(61), 2e-3, 1.0,
                          external_d=E("0.5"))
     trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, trajs)
+    rep = verify_cascade(spec, chain_sups(trajs))
     assert rep.verdict == PASS
     assert rep.worst_margin > -1e-9
 
@@ -101,14 +100,14 @@ def test_robin_cycle_consistency_and_bounds():
     spec = build_cascade(_subs(3, m="2"), "robin-cycle", grid_1d(41), 1e-3, 0.3)
     assert spec.small_gain_ok
     trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, trajs)
+    rep = verify_cascade(spec, chain_sups(trajs))
     assert rep.verdict == PASS
     # cyclic consistency, each subsystem's step reproduced from its
     # neighbour's fields, is checked step by step in
     # test_cycle_blocks_reproduce_their_own_steps; spot check: each
     # trajectory is bounded by the cycle bound at t=0
     for tr in trajs:
-        assert tr.sup_space_per_sample()[0] <= 2 * spec.phis[-1] + 1e-12
+        assert tr.sample_sups().sups[0] <= 2 * spec.phis[-1] + 1e-12
 
 
 def test_dirichlet_open_chain_passes_bounds():
@@ -117,7 +116,7 @@ def test_dirichlet_open_chain_passes_bounds():
                          external_f=E("0.4*sin(pi*x)*cos(t)"),
                          boundary_exprs=[E("0.1*sin(t)"), E("0"), E("0.05")])
     trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, trajs)
+    rep = verify_cascade(spec, chain_sups(trajs))
     assert rep.verdict == PASS
 
 
@@ -126,7 +125,7 @@ def test_dirichlet_cycle_passes_bounds():
                          grid_1d(61), 2e-3, 0.6,
                          boundary_exprs=[E("0.1*sin(t)"), E("0"), E("0.05*cos(t)")])
     trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, trajs)
+    rep = verify_cascade(spec, chain_sups(trajs))
     assert rep.verdict == PASS
 
 
@@ -134,7 +133,7 @@ def test_cycle_small_gain_violation_not_asserted():
     spec = build_cascade(_subs(3, m="0.5"), "robin-cycle", grid_1d(41), 1e-3, 0.2)
     assert not spec.small_gain_ok
     trajs = simulate_cascade(spec)  # simulation still permitted
-    rep = verify_cascade(spec, trajs)
+    rep = verify_cascade(spec, chain_sups(trajs))
     assert rep.verdict == NOT_ASSERTED
     assert "small-gain" in rep.notes
     # raw norms recorded for every subsystem and sample
@@ -149,7 +148,7 @@ def test_cycle_decay_with_zero_input():
     trajs = simulate_cascade(spec)
     coeff = spec.small_gain / (spec.small_gain - 1) * spec.phis[-1]
     for tr in trajs:
-        sups = tr.sup_space_per_sample()
+        sups = tr.sample_sups().sups
         envelope = coeff * np.exp(-2.0 * tr.times)
         assert np.all(sups <= envelope + 1e-6)
 
@@ -159,7 +158,7 @@ def test_reaction_chain_with_log_poly():
                          "robin-open", grid_1d(41), 2e-3, 0.4,
                          external_d=E("0.2*sin(2*t)"))
     trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, trajs)
+    rep = verify_cascade(spec, chain_sups(trajs))
     assert rep.verdict == PASS
 
 
@@ -168,7 +167,7 @@ def test_verify_rejects_mismatched_trajectories():
                          external_d=E("0"))
     trajs = simulate_cascade(spec)
     with pytest.raises(ValueError):
-        verify_cascade(spec, trajs[:1])
+        verify_cascade(spec, chain_sups(trajs)[:1])
 
 
 def test_robin_open_chain_without_small_gain():
@@ -177,7 +176,7 @@ def test_robin_open_chain_without_small_gain():
                          external_d=E("0.2*sin(t)"))
     assert spec.small_gain == 0.5
     trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, trajs)
+    rep = verify_cascade(spec, chain_sups(trajs))
     assert rep.verdict == PASS
 
 
@@ -189,7 +188,7 @@ def _gauss_seidel_cycle(spec, tol=1e-10, max_sweeps=30):
     """Per time step, sweep the subsystems in order (latest traces win)
     until no field moves by more than ``tol`` (reference for the stacked
     solve)."""
-    bindex = _boundary_indices(spec.grid)
+    bindex = spec.grid.boundary_indices()
     steppers = [TimeStepper(sc) for sc in spec.scenarios]
     n_nodes = spec.grid.n_nodes
     nodes, bnodes = node_coords(spec.grid), node_coords(spec.grid, boundary=True)
@@ -266,7 +265,7 @@ def test_cycle_blocks_reproduce_their_own_steps(topology):
     # its coupled data, lands on the stacked result within its own tolerance
     spec = _cycle(topology, [reaction_log_poly(), reaction_odd_cubic(), reaction_zero()])
     trajs = simulate_cascade(spec)
-    times, bindex = trajs[0].times, _boundary_indices(spec.grid)
+    times, bindex = trajs[0].times, spec.grid.boundary_indices()
     fields = [tr.values.reshape(times.size, -1) for tr in trajs]
     robin = topology == "robin-cycle"
     for j, sc in enumerate(spec.scenarios):

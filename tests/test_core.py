@@ -42,7 +42,7 @@ def test_grid_spacing_and_boundary_nodes():
 
 def _sup_space(grid, values) -> float:
     """The spatial sup of one state, as a trajectory of one sample reads it."""
-    return Trajectory(grid, [0.0], np.asarray(values)[None]).sup_space_per_sample()[0]
+    return Trajectory(grid, [0.0], np.asarray(values)[None]).sample_sups().sups[0]
 
 
 def test_sup_norm_zero_field():
@@ -60,7 +60,7 @@ def test_sup_per_sample_is_bitwise_the_max_of_abs():
     values[3] = -np.abs(values[3])
     values[4, 0, 0] = -0.0
     values[5] = np.abs(values[5])
-    sups = Trajectory(g, np.arange(6.0), values).sup_space_per_sample()
+    sups = Trajectory(g, np.arange(6.0), values).sample_sups().sups
     expect = np.abs(values.reshape(6, -1)).max(axis=1)
     assert np.array_equal(sups.view(np.int64), expect.view(np.int64))
     assert math.copysign(1.0, sups[1]) == 1.0
@@ -82,13 +82,13 @@ def test_sup_norm_explicit_solution_sample():
 def test_spacetime_sup_single_zero_field():
     g = grid_1d(11)
     tr = Trajectory(g, [0.0], np.zeros((1, 11)))
-    assert tr.sup_space_per_sample().max() == 0.0
+    assert tr.sample_sups().sups.max() == 0.0
 
 
 def test_spacetime_sup_constant_field():
     g = grid_1d(11)
     tr = Trajectory(g, np.linspace(0, 4, 5), np.full((5, 11), 3.0))
-    assert tr.sup_space_per_sample().max() == 3.0
+    assert tr.sample_sups().sups.max() == 3.0
 
 
 def test_spacetime_sup_explicit_solution():
@@ -97,7 +97,7 @@ def test_spacetime_sup_explicit_solution():
     times = np.sort(np.unique(np.concatenate([np.linspace(0, 2, 41), [math.pi / 2]])))
     vals = np.sin(times)[:, None] * np.sin(g.x)[None, :]
     tr = Trajectory(g, times, vals)
-    assert tr.sup_space_per_sample().max() == pytest.approx(1.0, abs=1e-12)
+    assert tr.sample_sups().sups.max() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trajectory_validation():
@@ -145,9 +145,9 @@ def test_properties_on_random_trajectories(av, bv):
     times = np.linspace(0, 3, 4)
     ta = Trajectory(g, times, av)
     tb = Trajectory(g, times, bv)
-    per = ta.sup_space_per_sample()
+    per = ta.sample_sups().sups
     # triangle inequality on each sample
     d = Trajectory(g, times, ta.values - tb.values)
-    assert np.all(d.sup_space_per_sample() <= per + tb.sup_space_per_sample() + 1e-12)
+    assert np.all(d.sample_sups().sups <= per + tb.sample_sups().sups + 1e-12)
     # antisymmetry
     assert np.array_equal(d.values, -(tb.values - ta.values))

@@ -44,7 +44,13 @@ from pdesup.solver import (
     solve,
 )
 
-from helpers import superlinear_preset
+from helpers import (
+    chain_sups,
+    data_sups,
+    difference_sups,
+    pair_data_sups,
+    superlinear_preset,
+)
 
 E = parse_expression
 C_S, C_P = sobolev_constants_1d()
@@ -77,14 +83,14 @@ def _gains_for(sc):
 def test_check_decay_zero_initial():
     sc = _robin_scenario(u0="0", T=0.2)
     traj = solve(sc)
-    rep = check_decay(traj, 1.0, 0.0)
+    rep = check_decay(traj.sample_sups(), 1.0, 0.0)
     assert rep.verdict == PASS
 
 
 def test_check_decay_heat_with_reaction():
     sc = _robin_scenario(reaction=reaction_log_poly(), T=1.0)
     traj = solve(sc)
-    rep = check_decay(traj, 1.0, 1.0)
+    rep = check_decay(traj.sample_sups(), 1.0, 1.0)
     assert rep.verdict == PASS
     # true decay rate exceeds c_min, so margins grow with t except at t=0
     assert rep.details[0].margin == pytest.approx(0.0, abs=1e-9)
@@ -94,14 +100,14 @@ def test_check_decay_heat_with_reaction():
 def test_check_iss_zero_disturbances_is_decay():
     sc = _dirichlet_scenario(T=0.5)
     traj = solve(sc)
-    rep = check_iss(traj, sc, _gains_for(sc))
+    rep = check_iss(traj.sample_sups(), sc, _gains_for(sc), *data_sups(sc, traj.times))
     assert rep.verdict == PASS
 
 
 def test_check_iss_superlinear_preset():
     sc = superlinear_preset(n_x=81, dt=2e-3, horizon=2.0)
     traj = solve(sc)
-    rep = check_iss(traj, sc, _gains_for(sc))
+    rep = check_iss(traj.sample_sups(), sc, _gains_for(sc), *data_sups(sc, traj.times))
     assert rep.verdict == PASS
     assert rep.worst_margin > 0
 
@@ -110,7 +116,7 @@ def test_check_iss_not_asserted_without_hypotheses():
     sc = _dirichlet_scenario(c="0", T=0.2)
     g = GainSet(l_f=1.0, l_d=1.0, decay_rate=0.0, boundary_kind=DIRICHLET)
     traj = solve(sc)
-    rep = check_iss(traj, sc, g)
+    rep = check_iss(traj.sample_sups(), sc, g, *data_sups(sc, traj.times))
     assert rep.verdict == NOT_ASSERTED
 
 
@@ -121,7 +127,7 @@ def test_check_iss_falsification_fixture():
     g = _gains_for(sc)
     bad = GainSet(l_f=0.05 * g.l_f, l_d=g.l_d, decay_rate=g.decay_rate,
                   boundary_kind=g.boundary_kind)
-    rep = check_iss(traj, sc, bad)
+    rep = check_iss(traj.sample_sups(), sc, bad, *data_sups(sc, traj.times))
     assert rep.verdict == FAIL
     assert rep.worst_location is not None
 
@@ -129,7 +135,8 @@ def test_check_iss_falsification_fixture():
 def test_check_rkes_identical_pair():
     sc = _robin_scenario(f="sin(t)*sin(pi*x)", d="0.2")
     traj = solve(sc)
-    rep = check_rkes((traj, traj), (sc, sc), _gains_for(sc))
+    rep = check_rkes(difference_sups(traj, traj), (sc, sc), _gains_for(sc),
+                     *pair_data_sups(sc, sc, traj.times))
     assert rep.verdict == PASS
     assert rep.worst_margin >= 0
 
@@ -143,7 +150,8 @@ def test_check_rkes_randomized_pairs():
         sc2 = _robin_scenario(f=f"{a2:.3f}*cos({w2:.3f}*t)*sin(2*pi*x)",
                               d=f"{a1:.3f}*sin(t)")
         t1, t2 = solve(sc1), solve(sc2)
-        rep = check_rkes((t1, t2), (sc1, sc2), _gains_for(sc1))
+        rep = check_rkes(difference_sups(t1, t2), (sc1, sc2), _gains_for(sc1),
+                         *pair_data_sups(sc1, sc2, t1.times))
         assert rep.verdict == PASS, rep.worst_margin
 
 
@@ -162,9 +170,9 @@ def test_check_rkes_rejects_mismatched_scenarios(change):
     sc1 = _robin_scenario(f="0.1*sin(t)", d="0.2")
     sc2 = _robin_scenario(f="0", d="0")
     # the disturbance pair alone may differ; the scenario check comes before any
-    # use of the trajectories, so none are needed to see it refuse
+    # use of the records, so none are needed to see it refuse
     with pytest.raises(ValueError, match="beyond the disturbance pair"):
-        check_rkes((None, None), (sc1, change(sc2)), _gains_for(sc1))
+        check_rkes(None, (sc1, change(sc2)), _gains_for(sc1), None, None)
 
 
 def _rkes_pair(dim):
@@ -193,15 +201,13 @@ def test_block_data_sups_are_the_running_sups_bitwise(dim):
         assert [a.tobytes() for a in running()] == [a.tobytes() for a in expect]
     sc1, sc2 = pair
     record, running = block_data_sups(sc1.n_steps + 1, pair=True)
-    t1, t2 = TimeStepper(list(pair)).solve_stack(record)
+    t1, t2 = TimeStepper(list(pair)).march(record, None, None)
     f_sups, d_sups = running()
-    expect = (data_running_sup(sc1.forcing, node_coords(sc1.grid), t1.times, minus=sc2.forcing),
-              data_running_sup(sc1.boundary.data, node_coords(sc1.grid, boundary=True),
-                               t1.times, minus=sc2.boundary.data))
+    expect = pair_data_sups(sc1, sc2, t1.times)
     assert [f_sups.tobytes(), d_sups.tobytes()] == [a.tobytes() for a in expect]
-    g = _gains_for(sc1)
-    given = check_rkes((t1, t2), pair, g, f_sups=f_sups, d_sups=d_sups)
-    assert given.details.tobytes() == check_rkes((t1, t2), pair, g).details.tobytes()
+    g, difference = _gains_for(sc1), difference_sups(t1, t2)
+    given = check_rkes(difference, pair, g, f_sups, d_sups)
+    assert given.details.tobytes() == check_rkes(difference, pair, g, *expect).details.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -214,13 +220,11 @@ def test_check_rkes_matches_the_difference_trajectory_formula(dim, scale):
     assert len(time_blocks(t1.n_samples, sc1.grid.n_nodes)) > 1
     g0 = _gains_for(sc1)
     g = replace(g0, l_f=g0.l_f * scale)  # a Dirichlet l_d is exactly 1
-    rep = check_rkes((t1, t2), pair, g, tol=1e-6)
     times = t1.times
+    f_run, d_run = pair_data_sups(sc1, sc2, times)
+    rep = check_rkes(difference_sups(t1, t2), pair, g, f_run, d_run, tol=1e-6)
     flat = np.abs((t1.values - t2.values).reshape(t1.n_samples, -1))
     observed = np.maximum.accumulate(flat.max(axis=1))
-    f_run = data_running_sup(sc1.forcing, node_coords(sc1.grid), times, minus=sc2.forcing)
-    d_run = data_running_sup(sc1.boundary.data, node_coords(sc1.grid, boundary=True), times,
-                             minus=sc2.boundary.data)
     bound = g.l_f * f_run + g.l_d * d_run
     margin = bound - observed
     assert np.array_equal(rep.details.observed, observed)
@@ -247,8 +251,8 @@ def test_check_rkes_names_every_unmet_hypothesis(c, reaction, notes):
     sc1 = _robin_scenario(f="0.1*sin(t)", d="0.2", c=c, reaction=reaction)
     sc2 = _robin_scenario(f="0", d="0", c=c, reaction=reaction)
     g = _gains_for(sc1) if sc1.c_min_raw > 0 else None
-    # nothing is asserted, so the trajectories are never read
-    rep = check_rkes((None, None), (sc1, sc2), g)
+    # nothing is asserted, so the records are never read
+    rep = check_rkes(None, (sc1, sc2), g, None, None)
     assert rep.verdict == NOT_ASSERTED and math.isnan(rep.worst_margin)
     assert rep.notes == notes
 
@@ -260,9 +264,10 @@ def test_composition_rkes_decay_implies_iss():
     tr = solve(sc)
     tw = solve(twin)
     g = _gains_for(sc)
-    assert check_rkes((tr, tw), (sc, twin), g).verdict == PASS
-    assert check_decay(tw, sc.bounds.c_min, 1.0).verdict == PASS
-    assert check_iss(tr, sc, g).verdict == PASS
+    assert check_rkes(difference_sups(tr, tw), (sc, twin), g,
+                      *pair_data_sups(sc, twin, tr.times)).verdict == PASS
+    assert check_decay(tw.sample_sups(), sc.bounds.c_min, 1.0).verdict == PASS
+    assert check_iss(tr.sample_sups(), sc, g, *data_sups(sc, tr.times)).verdict == PASS
 
 
 def test_monotonicity_probe():
@@ -294,8 +299,8 @@ def test_reports_are_reproducible():
     sc = _robin_scenario(f="0.2*sin(t)*sin(pi*x)", d="0.1")
     traj = solve(sc)
     g = _gains_for(sc)
-    r1 = check_iss(traj, sc, g)
-    r2 = check_iss(traj, sc, g)
+    r1 = check_iss(traj.sample_sups(), sc, g, *data_sups(sc, traj.times))
+    r2 = check_iss(traj.sample_sups(), sc, g, *data_sups(sc, traj.times))
     assert r1.worst_margin == r2.worst_margin
     assert [d.margin for d in r1.details] == [d.margin for d in r2.details]
 
@@ -353,7 +358,7 @@ def _reference_cascade(spec, trajectories, tol=None):
     ok = True
     for j, tr in enumerate(trajectories, start=1):
         c_min_j = spec.scenarios[j - 1].bounds.c_min
-        sups = tr.sup_space_per_sample()
+        sups = np.abs(tr.values.reshape(tr.n_samples, -1)).max(axis=1)
         running = np.maximum.accumulate(sups)
         phi_j = spec.phis[j - 1] if mode == "open" else spec.phis[-1]
         for i, t in enumerate(times):
@@ -397,7 +402,7 @@ def _assert_same_report(rep, ref, columns):
 
 
 def _iss_reference(traj, sc, g):
-    observed = traj.sup_space_per_sample()
+    observed = np.abs(traj.values.reshape(traj.n_samples, -1)).max(axis=1)
     f_sups = running_sup_forcing(sc, traj.times)
     d_sups = running_sup_boundary(sc, traj.times)
     bounds = np.array([iss_bound(t, observed[0], f_sups[i], d_sups[i], g)
@@ -413,7 +418,7 @@ def test_report_builder_matches_the_loop_on_an_iss_pass():
     sc = _robin_scenario(f="0.2*sin(t)*sin(pi*x)", d="0.1", T=0.5)
     traj = solve(sc)
     g = _gains_for(sc)
-    rep = check_iss(traj, sc, g)
+    rep = check_iss(traj.sample_sups(), sc, g, *data_sups(sc, traj.times))
     assert rep.verdict == PASS
     _assert_same_report(rep, _iss_reference(traj, sc, g), _COLUMNS)
 
@@ -424,7 +429,7 @@ def test_report_builder_matches_the_loop_on_an_iss_fail():
     g = _gains_for(sc)
     bad = GainSet(l_f=0.05 * g.l_f, l_d=g.l_d, decay_rate=g.decay_rate,
                   boundary_kind=g.boundary_kind)
-    rep = check_iss(traj, sc, bad)
+    rep = check_iss(traj.sample_sups(), sc, bad, *data_sups(sc, traj.times))
     assert rep.verdict == FAIL
     _assert_same_report(rep, _iss_reference(traj, sc, bad), _COLUMNS)
 
@@ -435,7 +440,7 @@ def test_report_builder_matches_the_cascade_loop():
     spec = build_cascade(subs, "robin-open", grid_1d(41), 2e-3, 0.3,
                          external_d=E("0.2*sin(t)"))
     trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, trajs)
+    rep = verify_cascade(spec, chain_sups(trajs))
     assert rep.verdict == PASS
     ref = _reference_cascade(spec, trajs)
     # the loop interleaved the forms sample by sample; the builder lists
@@ -461,7 +466,7 @@ def test_report_builder_matches_the_cascade_loop_on_each_topology(topology):
                          boundary_exprs=[E("0.05*sin(3*t)"), E("0"), E("0.02")])
     assert spec.bounds_asserted
     trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, trajs)
+    rep = verify_cascade(spec, chain_sups(trajs))
     assert rep.verdict == PASS
     ref = _reference_cascade(spec, trajs)
     order = {"spacetime": 0, "spatial": 1}
@@ -472,7 +477,7 @@ def test_report_builder_matches_the_cascade_loop_on_each_topology(topology):
 def test_report_builder_fails_a_nan_bound_the_loop_passed():
     sc = _robin_scenario(T=0.1)
     traj = solve(sc)
-    observed = traj.sup_space_per_sample()
+    observed = traj.sample_sups().sups
     bounds = observed + 1.0
     bounds[3] = math.nan
     tols = [default_tolerance(b, sc.grid, sc.dt) for b in bounds]

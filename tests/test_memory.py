@@ -45,6 +45,8 @@ from pdesup.solver import (
     solve,
 )
 
+from helpers import data_sups, difference_sups, pair_data_sups
+
 E = parse_expression
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 MIB = 2 ** 20
@@ -200,13 +202,15 @@ def test_streamed_iss_and_decay_reports_are_the_trajectory_ones(name):
     traj = TimeStepper(sc).solve()
     samples = _streamed(TimeStepper(sc))
     stored = traj.sample_sups()
-    assert samples.sups.tobytes() == traj.sup_space_per_sample().tobytes() == stored.sups.tobytes()
+    flat = traj.values.reshape(traj.n_samples, -1)
+    assert samples.sups.tobytes() == np.abs(flat).max(axis=1).tobytes() == stored.sups.tobytes()
     assert samples.nodes.tolist() == stored.nodes.tolist() == \
-        np.argmax(np.abs(traj.values.reshape(traj.n_samples, -1)), axis=1).tolist()
-    reports = [(check_iss(samples, sc, g), check_iss(traj, sc, g))
+        np.argmax(np.abs(flat), axis=1).tolist()
+    sups = data_sups(sc, traj.times)
+    reports = [(check_iss(samples, sc, g, *sups), check_iss(stored, sc, g, *sups))
                for g in (_gains(sc), _gains(sc, 0.05))]
     # the envelope's u0 part is too small from t = 0: a fail
-    reports += [(check_decay(samples, c_min, u0_sup), check_decay(traj, c_min, u0_sup))
+    reports += [(check_decay(samples, c_min, u0_sup), check_decay(stored, c_min, u0_sup))
                 for c_min, u0_sup in ((1.0, samples.sups[0]), (3.0, 0.5 * samples.sups[0]))]
     assert reports[-1][0].verdict == "fail"
     for got, expect in reports:
@@ -228,15 +232,17 @@ def _pair(dim, kind):
 def test_streamed_rkes_reports_are_the_trajectory_ones(dim, kind):
     pair = _pair(dim, kind)
     n = pair[0].grid.n_nodes
-    t1, t2 = TimeStepper(list(pair)).solve_stack()
+    t1, t2 = TimeStepper(list(pair)).march(None, None, None)
     difference = _streamed(TimeStepper(list(pair)), lambda sl, states: states[:, :n] - states[:, n:])
     diff = (t1.values - t2.values).reshape(t1.n_samples, -1)
     assert difference.sups.tobytes() == np.abs(diff).max(axis=1).tobytes()
     assert difference.nodes.tolist() == np.argmax(np.abs(diff), axis=1).tolist()
+    stored = difference_sups(t1, t2)
+    sups = pair_data_sups(*pair, t1.times)
     for scale in (1.0, 0.01):
         g = _gains(pair[0], scale)
-        got = check_rkes(difference, pair, g)
-        _assert_same_report(got, check_rkes((t1, t2), pair, g))
+        got = check_rkes(difference, pair, g, *sups)
+        _assert_same_report(got, check_rkes(stored, pair, g, *sups))
         i = int(np.argmin(got.details.margin))
         node = int(np.argmax(np.abs(diff[i])))
         assert got.worst_location == (*t1.grid.node_location(node), float(t1.times[i]))

@@ -283,7 +283,7 @@ def test_destabilized_growth():
     # u_t = u_xx + 15 u grows like e^{(15-pi^2) t} on the first mode
     sc = _scenario_1d(c="-15", n_x=101, dt=1e-3, T=1.0)
     traj = solve(sc)
-    sups = traj.sup_space_per_sample()
+    sups = traj.sample_sups().sups
     growth = sups[-1] / sups[0]
     assert growth > 20.0
     assert growth == pytest.approx(math.exp(15 - math.pi ** 2), rel=0.05)
@@ -305,7 +305,7 @@ def test_discrete_maximum_estimate_robin():
     sc = _scenario_1d(c="1", reaction=reaction_log_poly(), kind=ROBIN,
                       u0="sin(pi*x)+0.3*sin(3*pi*x)", n_x=101, dt=1e-3, T=0.5)
     traj = solve(sc)
-    sups = traj.sup_space_per_sample()
+    sups = traj.sample_sups().sups
     assert np.all(sups <= sups[0] + 1e-10)
     assert np.all(np.diff(sups) <= 1e-10)
 
@@ -364,7 +364,7 @@ def test_2d_heat_decay_dirichlet():
         reaction_zero(), E("0"), BoundarySpec(DIRICHLET, E("0")),
         E("sin(pi*x)*sin(pi*y)"))
     traj = solve(sc)
-    decay = traj.sup_space_per_sample()[-1]
+    decay = traj.sample_sups().sups[-1]
     assert decay == pytest.approx(math.exp(-2 * math.pi ** 2 * 0.05), rel=2e-3)
 
 
@@ -375,7 +375,7 @@ def test_2d_robin_maximum_estimate():
         reaction_zero(), E("0"), BoundarySpec(ROBIN, E("0")),
         E("sin(pi*x)*sin(pi*y)+0.2"))
     traj = solve(sc)
-    sups = traj.sup_space_per_sample()
+    sups = traj.sample_sups().sups
     assert np.all(np.diff(sups) <= 1e-10)
 
 
@@ -995,7 +995,7 @@ def _step_case(dim, kind, reaction):
 
 def _assert_steps_like_the_reference(scs, **kwargs):
     new, ref = TimeStepper(scs, **kwargs), _ReferenceStepper(scs, **kwargs)
-    for got, expect in zip(new.solve_stack(), ref.solve_stack(), strict=True):
+    for got, expect in zip(new.march(None, None, None), ref.march(None, None, None), strict=True):
         assert _bitwise_equal(got.values, expect.values)
     assert new.residual_log == ref.residual_log
     assert all(math.isfinite(r) for r in new.residual_log)
@@ -1092,7 +1092,7 @@ def test_linear_stack_steps_each_interval_bitwise_as_alone(monkeypatch, kind):
     scs = _rkes_pair_1d(kind, reaction_zero()) + [other]
     st = TimeStepper(scs)
     assert (len(lu), len(gttrf)) == (0, 1)  # one tridiagonal factorization for the stack
-    for got, sc in zip(st.solve_stack(), scs, strict=True):
+    for got, sc in zip(st.march(None, None, None), scs, strict=True):
         assert _bitwise_equal(got.values, solve(sc).values)
 
 
@@ -1100,7 +1100,7 @@ def test_rkes_explicit_pair_stack_is_bitwise_the_pair_alone():
     from pdesup.config import load_config, rkes_pair_from_config
 
     pair = rkes_pair_from_config(load_config(_CONFIGS / "rkes_explicit_pair.ini"))
-    for got, sc in zip(TimeStepper(pair).solve_stack(), pair, strict=True):
+    for got, sc in zip(TimeStepper(pair).march(None, None, None), pair, strict=True):
         assert _bitwise_equal(got.values, solve(sc).values)
 
 
@@ -1110,7 +1110,7 @@ def test_rkes_explicit_pair_stack_is_bitwise_the_pair_alone():
 def test_nonlinear_stack_is_within_1e_12_of_solving_alone(kind, reaction):
     scs = _rkes_pair_1d(kind, reaction)
     st = TimeStepper(scs)
-    trajs = st.solve_stack()
+    trajs = st.march(None, None, None)
     # the stack's residual is each block's sup |F| in units of its own tolerance
     assert len(st.residual_log) == scs[0].n_steps and max(st.residual_log) <= 1.0
     for got, sc in zip(trajs, scs, strict=True):
@@ -1123,7 +1123,7 @@ def test_stack_newton_solves_one_band_of_k_blocks(monkeypatch):
     scs = [_scenario_1d(a="1+0.2*x", reaction=_stiff_reaction(), f=f, d="0.05*t*x", n_x=9,
                         dt=0.5, T=1.0) for f in ("0.1*sin(t)*x", "0.2*cos(t)")]
     st = TimeStepper(scs)
-    trajs = st.solve_stack()
+    trajs = st.march(None, None, None)
     assert banded and all(args[1].shape == (18,) for args, _ in banded)  # the diagonal
     assert len(st.residual_log) == 2 and max(st.residual_log) <= 1.0
     for got, sc in zip(trajs, scs, strict=True):
@@ -1234,7 +1234,7 @@ def test_linear_block_steps_bitwise_as_step_values(monkeypatch, case):
     real = TimeStepper.step_values
     monkeypatch.setattr(TimeStepper, "step_values",
                         lambda self, *args: calls.append(self) or real(self, *args))
-    for a, b in zip(got.solve_stack(), expect.solve_stack(), strict=True):
+    for a, b in zip(got.march(None, None, None), expect.march(None, None, None), strict=True):
         assert _bitwise_equal(a.values, b.values)
     assert got.residual_log == expect.residual_log
     assert got not in calls and len(calls) == len(expect.residual_log)  # no step of its own
@@ -1322,7 +1322,7 @@ def test_an_interval_step_is_a_predictor_and_one_newton_step(monkeypatch, kind, 
         banded.clear()
         st = TimeStepper(scs)
         products = _counted_products(st)
-        st.solve_stack()
+        st.march(None, None, None)
         n_steps = len(st.residual_log)
         assert (len(products), len(banded)) == (2 * n_steps, n_steps)
 

@@ -1,4 +1,5 @@
-"""Print the size of ``src/pdesup``: its line count and its settable values.
+"""Print the size of ``src/pdesup``: its line count and its settable values,
+in total and then per module.
 
     python tools/src_size.py [TREE]
 
@@ -37,15 +38,25 @@ def settable_values(tree: ast.Module) -> int:
     return count
 
 
+def module_sizes(root: Path) -> dict[str, tuple[int, int]]:
+    """(lines, settable values) of each module of ``root/src/pdesup``, by file name."""
+    sizes = {}
+    for f in sorted((root / "src" / "pdesup").glob("*.py")):
+        text = f.read_text(encoding="utf-8")
+        sizes[f.name] = (text.count("\n"), settable_values(ast.parse(text)))
+    return sizes
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
-    files = sorted((root / "src" / "pdesup").glob("*.py"))
-    texts = [f.read_text(encoding="utf-8") for f in files]
-    lines = sum(text.count("\n") for text in texts)
-    values = sum(settable_values(ast.parse(text)) for text in texts)
-    print(f"src lines: {lines}")
-    print(f"settable values: {values}")
+    sizes = module_sizes(root)
+    print(f"src lines: {sum(lines for lines, _ in sizes.values())}")
+    print(f"settable values: {sum(values for _, values in sizes.values())}")
+    width = max(map(len, sizes))
+    print(f"{'module':<{width}}  {'lines':>5}  {'settable':>8}")
+    for name, (lines, values) in sizes.items():
+        print(f"{name:<{width}}  {lines:>5}  {values:>8}")
     return 0
 
 
