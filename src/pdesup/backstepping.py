@@ -22,9 +22,17 @@ Two independent routes compute the kernel:
 
 A kernel belongs to the field grid it serves: the series is summed on
 the coarsest refinement of that grid with at least 201 nodes per edge,
-so every field node is a kernel node.  The kernel's quadrature matrix
-and feedback weights are built once, with it, for that grid, and
-:func:`transform_trajectory` refuses any other grid.
+so every field node is a kernel node.  A series whose majorant
+lam^(n+1) 4^n / (n!)^2 cannot drop below its stopping tolerance within
+:data:`MAX_SERIES_TERMS` terms is refused before any term is summed.  The
+kernel's quadrature matrix and feedback weights are built once, with it,
+for that grid, and :func:`transform_trajectory` refuses any other grid.
+
+The closed loop holds no trajectory: :func:`simulate_closed_loop` hands
+each chunk of at most :data:`~pdesup.core.CHUNK_VALUES` values of u, and
+its transform w, to a sink as the stepper makes them, and keeps only
+per-sample records (sups, controls), so its memory does not grow with
+the horizon beyond those.
 
 Volterra integrals use trapezoid weights with Euler-Maclaurin endpoint
 corrections (fourth order, smooth in the row index; the one-panel row
@@ -35,11 +43,12 @@ second-order level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DIRICHLET, SpatialGrid, Trajectory
+from .core import CHUNK_VALUES, DIRICHLET, SampleSups, SpatialGrid, Trajectory, sup_sink
 from .expressions import ZERO, Expression, parse_expression
 from .gains import SERIES_TOL, closed_loop_iss_bound, kernel_bound_constant
 from .harness import Report, block_data_sups, build_report
@@ -127,8 +136,8 @@ class Kernel:
         self.w = volterra_weights(n, h)
 
     def triangle_max_abs(self) -> float:
-        X, Y = np.meshgrid(self.x, self.x, indexing="ij")
-        return float(np.max(np.abs(self.values[Y <= X + 1e-15])))
+        x = self.x
+        return float(np.max(np.abs(self.values[x[None, :] <= x[:, None] + 1e-15])))
 
     def control(self, values: np.ndarray) -> float:
         """U = -int_0^1 k(1, y) u(y) dy by the corrected trapezoid rule, from
@@ -151,19 +160,26 @@ def _series_kernel(c: float, sigma: float, grid: SpatialGrid, inverse: bool) -> 
     vector c with c[j] the coefficient of xi^j eta^(d-j).  The sum stops
     at a term below :data:`SERIES_TOL`, and must vanish on y = 0 and stay
     within :func:`kernel_bound_constant`; a sum that fails any of these
-    raises :class:`~pdesup.solver.SolverError`.  A NaN or nonpositive
-    c + sigma raises ``ValueError`` before any term is summed.
+    raises :class:`~pdesup.solver.SolverError`.  So does, before the grid
+    is touched, a |lam| whose majorant |lam|^(n+1) 4^n / (n!)^2 of term n
+    (the terms of :func:`kernel_bound_constant`, taken in logarithms) stays
+    at or above :data:`SERIES_TOL` for every n below
+    :data:`MAX_SERIES_TERMS`.  A NaN or nonpositive c + sigma raises
+    ``ValueError`` before any term is summed.
     """
     if not c + sigma > 0:
         raise ValueError("c + sigma must be positive")
     if grid.dim != 1 or abs(grid.domain.x_lo) > 1e-12 or abs(grid.domain.x_hi - 1.0) > 1e-12:
         raise ValueError("the kernel serves a grid on the unit interval")
+    log_lam, log_tol = math.log(c + sigma), math.log(SERIES_TOL)
+    if all((n + 1) * log_lam + n * math.log(4.0) - 2 * math.lgamma(n + 1) >= log_tol
+           for n in range(1, MAX_SERIES_TERMS)):
+        raise SolverError(f"kernel series did not converge within {MAX_SERIES_TERMS} terms")
     stride = -(-(KERNEL_NODES - 1) // (grid.n_x - 1))
     lam = -(c + sigma) if inverse else c + sigma
     x = np.linspace(0.0, 1.0, stride * (grid.n_x - 1) + 1)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    xi = X + Y
-    eta = X - Y
+    xi = x[:, None] + x[None, :]
+    eta = x[:, None] - x[None, :]
     coef = np.array([-lam / 4.0, lam / 4.0])
     total_vals = _homogeneous_eval(coef, xi, eta)
     n_terms = 1
@@ -243,19 +259,17 @@ def volterra_weights(m: int, h: float) -> np.ndarray:
 _ROW1 = np.array([5.0, 8.0, -1.0]) / 12.0  # int_0^h g via nodes {0, h, 2h}
 
 
-def transform_trajectory(traj: Trajectory, kernel: Kernel) -> Trajectory:
-    """w = u + int_0^x k(x,y) u(y) dy at every sample of ``traj``.
+def transform_trajectory(grid: SpatialGrid, rows: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """w = u + int_0^x k(x,y) u(y) dy for each row u of ``rows`` (samples ×
+    nodes of ``grid``), as new rows.
 
     The inverse transform is this one with the inverse kernel.  Raises
-    ``ValueError`` unless ``traj`` lives on the grid the kernel was built
-    for.
+    ``ValueError`` unless ``grid`` is the grid the kernel was built for.
     """
-    if traj.grid != kernel.grid:
+    if grid != kernel.grid:
         raise ValueError(f"kernel was built for {kernel.grid.n_x} nodes on [0, 1], "
                          f"not for this grid")
-    vals = traj.values + traj.values @ kernel.quadrature.T
-    vals.setflags(write=False)  # handed over: Trajectory keeps it without a copy
-    return Trajectory(traj.grid, traj.times, vals)
+    return rows + rows @ kernel.quadrature.T
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +278,9 @@ def transform_trajectory(traj: Trajectory, kernel: Kernel) -> Trajectory:
 
 @dataclass
 class ClosedLoopResult:
-    """Plant trajectory u, its target image w under ``kernel``, report, controls."""
+    """The plant's per-sample sups u, the report, the kernel and the controls."""
 
-    u: Trajectory
-    w: Trajectory
+    u: SampleSups
     report: Report
     kernel: Kernel
     controls: np.ndarray
@@ -275,13 +288,20 @@ class ClosedLoopResult:
 
 def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
                          d0: Expression, d1: Expression, grid: SpatialGrid,
-                         dt: float, horizon: float, tol: float | None = None) -> ClosedLoopResult:
+                         dt: float, horizon: float, sink,
+                         tol: float | None = None) -> ClosedLoopResult:
     """Step the destabilized plant under boundary feedback and check its bound.
 
     Each step is the implicit Crank-Nicolson step of the closed loop, with
     u(1, t) = d1(t) + U(t) held exactly.  The plant is linear, so the new
     field is v + U s: v has d1 alone at x = 1, and s (computed once) is
     the response to a unit value there; U = control(v) / (1 - control(s)).
+
+    Each sample's row of u is handed to ``sink(start, u_rows, w_rows)``
+    once, in order, in chunks of at most :data:`~pdesup.core.CHUNK_VALUES`
+    values: ``u_rows`` are samples ``start, start + 1, ...`` (a view the
+    sink must copy to keep) and ``w_rows`` their :func:`transform_trajectory`.
+    No trajectory is kept; the result holds u's per-sample sups.
     """
     if not (c > 0 and sigma > 0):
         raise ValueError("c and sigma must be positive")
@@ -307,16 +327,25 @@ def simulate_closed_loop(c: float, sigma: float, u0: Expression, f: Expression,
         return v + U * s
 
     record, running = block_data_sups(times.size, pair=False)
-    u_traj = stepper.march(record, feedback, None)[0]
-    controls[0] = control_of(u_traj.values[0])
-    w_traj = transform_trajectory(u_traj, kernel)
+    record_sups, sups_of = sup_sink(grid, times)
+    rows = max(1, CHUNK_VALUES // grid.n_x)
 
-    samples = u_traj.sample_sups()
+    def hand_on(sl, states):
+        record_sups(sl, states)
+        if sl.start == 0:
+            controls[0] = control_of(states[0])
+        for i in range(1 if sl.start else 0, len(states), rows):  # a shared row goes once
+            u = states[i:i + rows]
+            sink(sl.start + i, u, transform_trajectory(grid, u, kernel))
+
+    stepper.march(record, feedback, hand_on)
+
+    samples = sups_of()
     f_sups = running()[0]
     d0_run, d1_run = np.maximum.accumulate(np.abs(d_vals), axis=0).T
     bounds = closed_loop_iss_bound(times, samples.sups[0], f_sups, d0_run, d1_run, c, sigma)
     report = build_report("closed-loop", [(samples, samples.sups, bounds)], tol, grid, dt)
-    return ClosedLoopResult(u_traj, w_traj, report, kernel, controls)
+    return ClosedLoopResult(samples, report, kernel, controls)
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +364,22 @@ def target_forcing(kernel: Kernel, f_vals: np.ndarray, d0_val) -> np.ndarray:
     return out + ky0 * d0_val
 
 
-def target_residual(result: ClosedLoopResult, c: float, sigma: float,
+def target_residual(w: Trajectory, kernel: Kernel, sigma: float,
                     f: Expression, d0: Expression, t_start: float = 0.0) -> float:
-    """Max interior residual of the w-trajectory under the target dynamics.
+    """Max interior residual of the target trajectory ``w`` (as collected from
+    the rows that :func:`simulate_closed_loop` hands its sink) under the
+    target dynamics of ``kernel``.
 
     Checks (w^{n+1}-w^n)/dt = mean of (w_xx - sigma w + forcing) at the
     two levels, using the coupling-corrected forcing.  ``t_start``
     skips the initial layer left by incompatible data (the feedback
     makes u(1, 0+) jump away from u0(1) in general).
     """
-    w = result.w
     grid = w.grid
     h = grid.h_x
     times = w.times
     dt = float(times[1] - times[0])
-    fw = target_forcing(result.kernel, data_rows(f, node_coords(grid))(times),
+    fw = target_forcing(kernel, data_rows(f, node_coords(grid))(times),
                         data_rows(d0, (grid.x[:1], None))(times))
     wv = w.values
     lap = np.zeros_like(wv)

@@ -9,8 +9,14 @@ large for memory).
 
 CSV outputs are byte-deterministic for a fixed config and version:
 every float is the text of ``format(v, ".17g")``, UTF-8, LF line endings.
-Trajectory CSVs are written at most 4096 values at a time, their text
-computed by numpy arithmetic (:mod:`pdesup.floattext`), whatever the horizon.
+Trajectory CSVs (``simulate``'s and ``backstep``'s) are written while the
+solve steps, from the stepper's sink, at most 4096 values at a time, their
+text computed by numpy arithmetic (:mod:`pdesup.floattext`).  No command
+holds a trajectory: each keeps per-sample records (sups, controls) and
+one time block of states, whatever the horizon; only ``cascade``'s open
+chains still keep each subsystem's trajectory.  A trajectory CSV is
+written under a temporary name and renamed once the solve has succeeded,
+so a run that fails (exit 3) leaves no partial trajectory file.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from itertools import repeat
 from pathlib import Path
 
@@ -89,17 +96,31 @@ def _write_rows(path: Path, header, rows):
                                      else _column(c) for c in columns)))
 
 
-def _write_trajectory(path: Path, traj):
-    """``t,x[,y],u`` rows, each number ``format(v, ".17g")``'s text, written by
-    :func:`pdesup.floattext.csv_blocks` at most 4096 values at a time."""
+@contextmanager
+def _trajectory_csv(path: Path, grid, times):
+    """A writer ``write(start, rows)`` of the ``t,x[,y],u`` lines of the samples
+    ``start, start + 1, ...`` at ``times`` (rows: samples × nodes of ``grid``),
+    each number ``format(v, ".17g")``'s text, made by
+    :func:`pdesup.floattext.csv_blocks` at most 4096 values at a time.
+
+    The file is written as ``path`` plus ``.partial`` and renamed to ``path``
+    when the block ends; if the block raises, it is removed."""
     from .floattext import csv_blocks  # imported by the commands that write one
 
-    g = traj.grid
-    header, nodes = ("t", "x", "u"), _column(g.x)
-    if g.dim == 2:  # x runs fastest, as in the row-major values
-        header, nodes = ("t", "x", "y", "u"), [f"{x},{y}" for y in _column(g.y) for x in nodes]
-    values = np.asarray(traj.values, dtype=float).reshape(len(traj.times), -1)
-    _write_csv(path, header, csv_blocks(_column(traj.times), nodes, values))
+    header, nodes = ("t", "x", "u"), _column(grid.x)
+    if grid.dim == 2:  # x runs fastest, as in the row-major values
+        header, nodes = ("t", "x", "y", "u"), [f"{x},{y}" for y in _column(grid.y) for x in nodes]
+    part = path.with_name(path.name + ".partial")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with part.open("wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            yield lambda start, rows: fh.writelines(
+                csv_blocks(_column(times[start:start + len(rows)]), nodes, rows))
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def _write_report(path: Path, reports):
@@ -144,15 +165,23 @@ def _iss_gains(sc, settings):
     return _gain_set(sc, settings) if harness.iss_hypotheses_met(sc) else None
 
 
-def _solve_iss(out: Path, sc, g, settings, keep: bool):
+def _solve_iss(out: Path, sc, g, settings, write):
     """Solve ``sc``, check it against the ISS envelope and write
-    ``supnorms.csv``, with the running data sups read off the rows the
-    solve evaluated; returns the trajectory (None unless ``keep``: the
-    sups are then recorded as it steps), the report and its per-sample sups."""
+    ``supnorms.csv``, with the sups recorded as it steps and the running
+    data sups read off the rows the solve evaluated; ``write(start, rows)``
+    (of :func:`_trajectory_csv`, or None) gets each sample's row once, as
+    it steps.  Returns the report and the per-sample sups."""
     record, running = harness.block_data_sups(sc.n_steps + 1, pair=False)
-    sink, streamed = sup_sink(sc.grid, sc.times())
-    traj = TimeStepper(sc).solve(record, None if keep else sink)
-    samples = traj.sample_sups() if keep else streamed()
+    record_sups, streamed = sup_sink(sc.grid, sc.times())
+
+    def sink(sl, states):
+        record_sups(sl, states)
+        if write is not None:
+            first = 1 if sl.start else 0  # the row a block shares with the one before
+            write(sl.start + first, states[first:])
+
+    TimeStepper(sc).solve(record, sink)
+    samples = streamed()
     f_sups, d_sups = running()
     rep = harness.check_iss(samples, sc, g, f_sups, d_sups, settings.tol)
     sups = samples.sups
@@ -160,15 +189,15 @@ def _solve_iss(out: Path, sc, g, settings, keep: bool):
     _write_csv(out / "supnorms.csv", ("t", "sup_space", "running_sup_f", "running_sup_d",
                                       "bound", "margin"),
                _rows(*map(_column, (samples.times, sups, f_sups, d_sups, bounds, bounds - sups))))
-    return traj, rep, sups
+    return rep, samples
 
 
 def cmd_simulate(cp, out: Path, settings) -> int:
     sc = scenario_from_config(cp)
     g = _iss_gains(sc, settings)  # a config error here comes before the solve
-    traj, _, sups = _solve_iss(out, sc, g, settings, True)
-    _write_trajectory(out / "trajectory.csv", traj)
-    print(f"simulated {traj.n_samples} samples; final sup-norm {sups[-1]:.6g}")
+    with _trajectory_csv(out / "trajectory.csv", sc.grid, sc.times()) as write:
+        samples = _solve_iss(out, sc, g, settings, write)[1]
+    print(f"simulated {samples.n_samples} samples; final sup-norm {samples.sups[-1]:.6g}")
     return EXIT_PASS
 
 
@@ -211,7 +240,7 @@ def cmd_gains(cp, out: Path, settings) -> int:
 def cmd_verify_iss(cp, out: Path, settings) -> int:
     sc = scenario_from_config(cp)
     g = _iss_gains(sc, settings)
-    return _conclude(out, "iss", _solve_iss(out, sc, g, settings, False)[1])
+    return _conclude(out, "iss", _solve_iss(out, sc, g, settings, None)[0])
 
 
 def cmd_verify_rkes(cp, out: Path, settings) -> int:
@@ -262,11 +291,16 @@ def cmd_backstep(cp, out: Path, settings) -> int:
         raise ConfigError(f"[reaction] kind: backstep needs zero, got {sc.reaction.kind}")
     if not is_zero(sc.boundary.data):
         raise ConfigError("[disturbances] d: backstep needs d = 0 (its data are d0 and d1)")
-    res = backstepping.simulate_closed_loop(
-        settings.c, settings.sigma, sc.u0, sc.forcing, *backstep_data_from_config(cp),
-        sc.grid, sc.dt, sc.horizon, tol=settings.tol)
-    _write_trajectory(out / "trajectory.csv", res.u)
-    _write_trajectory(out / "trajectory_target.csv", res.w)
+    times = sc.times()
+    with (_trajectory_csv(out / "trajectory.csv", sc.grid, times) as write_u,
+          _trajectory_csv(out / "trajectory_target.csv", sc.grid, times) as write_w):
+        def write(start, u, w):
+            write_u(start, u)
+            write_w(start, w)
+
+        res = backstepping.simulate_closed_loop(
+            settings.c, settings.sigma, sc.u0, sc.forcing, *backstep_data_from_config(cp),
+            sc.grid, sc.dt, sc.horizon, write, tol=settings.tol)
     m = kernel_bound_constant(settings.c, settings.sigma)
     _write_rows(out / "gains.csv", ("name", "value", "provenance"), [
         ("M", m, "kernel series bound"),

@@ -221,6 +221,10 @@ class SampleSups:
     sups: np.ndarray
     nodes: np.ndarray
 
+    @property
+    def n_samples(self) -> int:
+        return self.times.size
+
 
 def row_sups(rows) -> tuple[np.ndarray, np.ndarray]:
     """Each row's max |u| as max(|max u|, |min u|), with no full-size |u|
@@ -245,6 +249,7 @@ def sup_sink(grid: SpatialGrid, times, rows_of=None):
 
 
 BLOCK_VALUES = 2 ** 16  # data values held at once when a run of samples is streamed
+CHUNK_VALUES = 2 ** 12  # values of a trajectory CSV formatted, or transformed, at once
 
 
 def time_blocks(n_times: int, n: int) -> list[slice]:

@@ -11,6 +11,8 @@ outside [1e-27, 1e16) and, for p > 22, a lo within 2^-47 of a tie go to format.
 
 import numpy as np
 
+from .core import CHUNK_VALUES
+
 _W = 48  # a value's columns: '-', "0.000", d0 '.' d1 '.' ... d16 '.', "e-XX\n", 3 spare
 
 
@@ -85,13 +87,14 @@ def text_block(v, out):
 
 def csv_blocks(times, nodes, values):
     """The ``t,x[,y],u`` lines (bytes) of the (times × nodes) ``values``, given the
-    text of each time and node, at most 4096 values at a time: a block's lines
-    are the rows of one byte matrix, its NULs dropped."""
+    text of each time and node, at most :data:`~pdesup.core.CHUNK_VALUES` (4096)
+    values at a time: a block's lines are the rows of one byte matrix, its NULs
+    dropped."""
     t_text, x_text = (np.array([s + "," for s in c], dtype="S") for c in (times, nodes))
     t_text, x_text = (a.view(np.uint8).reshape(a.size, -1) for a in (t_text, x_text))
     n, wt, wx = values.shape[1], t_text.shape[1], x_text.shape[1]
     pre = -(-(wt + wx) // 8) * 8  # the value's columns start 8-byte aligned, after NULs
-    rows, cols = max(1, 4096 // n), min(n, 4096)
+    rows, cols = max(1, CHUNK_VALUES // n), min(n, CHUNK_VALUES)
     buf = bytearray(rows * cols * (pre + _W))  # translated without a copy
     line = np.frombuffer(buf, np.uint8).reshape(rows * cols, -1)
     line.reshape(rows, cols, -1)[..., pre - wx:pre] = x_text[:cols]

@@ -16,9 +16,9 @@ stacks, whose tridiagonal Jacobians LAPACK ``dgtsv`` solves for about the
 cost of one solve with M+'s factors, and by chord Newton with a damped
 full-Newton fallback on rectangles and cycles, where a Jacobian is a
 sparse factorization of its own (see TimeStepper).  A linear stepper
-takes a block of steps one solve each and checks all their residuals in
-one product.  Every sparse factorization (M+ off intervals and their
-uncoupled stacks, and the fallback's Jacobians) goes through
+takes a block of steps one solve each and checks their residuals in
+one product per 64 steps.  Every sparse factorization (M+ off intervals
+and their uncoupled stacks, and the fallback's Jacobians) goes through
 :func:`_sparse_lu`: minimum-degree ordering on Aᵀ+A, which suits the
 structurally symmetric five-point pattern, and no pivoting when every
 row is strictly diagonally dominant, as one scenario's M+ is whenever
@@ -33,8 +33,9 @@ or arrays of upstream fields and traces that the cascade module passes
 in.  Every consumer (stepping, running sups, error norms) walks a run of
 times in the blocks of :func:`pdesup.core.time_blocks`, and a solve given
 a sink (:meth:`TimeStepper.march`) holds one block of states at a time,
-so the checks and error norms that read only per-sample sups take memory
-bounded whatever the horizon.
+so the checks and error norms that read only per-sample sups, and the
+trajectory CSVs written from the sink, take memory bounded whatever the
+horizon.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .gains import CoefficientBounds
 
 MINIMUM_SAMPLING_FACTOR = 10  # coefficient minima sampled at 10x grid resolution
 _REL_TOL = 1e-12  # a step's residual tolerance, relative to max(1, sup |rhs|)
+_RESIDUAL_ROWS = 64  # steps of a linear block whose residuals are checked at once
 
 
 class SolverError(RuntimeError):
@@ -454,10 +456,10 @@ class TimeStepper:
     :meth:`march` forms once per time block: ``s = dt/2 (f0 + f1)``
     and ``d``, the Robin term ``dt/2 (g b0 + g b1)`` or the Dirichlet
     values at t+dt.  A linear stepper (no block has a reaction) takes each
-    time block one solve with ``M+``'s factors per step, and then checks
-    every step's residual ``M+ v - rhs`` in one ``csr_matvecs`` product
-    against that step's own tolerance (:meth:`_linear_block`).  From the
-    first step that misses it, a NaN included, the block is stepped again
+    time block one solve with ``M+``'s factors per step, and after every 64
+    steps checks their residuals ``M+ v - rhs`` in one ``csr_matvecs``
+    product, each against its step's own tolerance (:meth:`_linear_block`).
+    From the first step that misses it, a NaN included, the block is stepped again
     through :meth:`step_values`, which iterates, or raises at the same t
     with the same history, so values, errors and ``residual_log`` are
     those of stepping every step alone.
@@ -756,27 +758,37 @@ class TimeStepper:
     def _linear_block(self, vals, s, d, on_step, start) -> int:
         """Step a linear stack from ``vals[0]`` (sample ``start``) into ``vals[1:]``
         with the data terms ``s``/``d`` of :meth:`data_terms` and ``on_step`` of
-        :meth:`march`: one solve per step, as :meth:`step_values` takes it, and then
-        every step's residual checked in one product (:meth:`_row_measures`).  Returns
-        the number of leading steps that met their tolerance; their residuals go to
-        ``residual_log``."""
-        rhs = np.empty(s.shape)
-        stepped = vals if on_step is None else np.empty_like(vals)  # before on_step
+        :meth:`march`: one solve per step, as :meth:`step_values` takes it, and
+        after each run of :data:`_RESIDUAL_ROWS` steps their residuals checked at
+        once (:meth:`_row_measures`), so only that run's rhs rows (and states
+        before ``on_step``) are kept.  Returns the number of leading steps that met
+        their tolerance, and stops stepping at the run of the first that missed
+        it; the residuals of the steps that met it go to ``residual_log``."""
+        rows = min(len(s), _RESIDUAL_ROWS)
+        rhs = np.empty((rows, s.shape[1]))
+        stepped = None if on_step is None else np.empty((rows, vals.shape[1]))  # before on_step
         u = vals[0]
-        for j in range(len(s)):
-            half_au = self.dt / 2 * self._a_mul(u)
-            self._rhs(rhs[j], u, half_au, s[j], d[j])
-            u = u + self._solve(rhs[j] - u - half_au)
-            if self.kind == DIRICHLET:
-                u[self.bindex] = d[j]
-            stepped[j + 1] = u
-            if on_step is not None:
-                u = vals[j + 1] = on_step(start + j + 1, u)
-        res, tol = self._row_measures(stepped[1:], rhs)
-        met = np.isfinite(res) & (res <= tol)  # infinite data makes tol infinite too
-        passed = len(met) if met.all() else int(met.argmin())
-        self.residual_log += res[:passed].tolist()
-        return passed
+        for i in range(0, len(s), rows):
+            m = min(rows, len(s) - i)
+            for j, k in enumerate(range(i, i + m)):
+                half_au = self.dt / 2 * self._a_mul(u)
+                self._rhs(rhs[j], u, half_au, s[k], d[k])
+                u = u + self._solve(rhs[j] - u - half_au)
+                if self.kind == DIRICHLET:
+                    u[self.bindex] = d[k]
+                if stepped is None:
+                    vals[k + 1] = u
+                else:
+                    stepped[j] = u
+                    u = vals[k + 1] = on_step(start + k + 1, u)
+            res, tol = self._row_measures(vals[i + 1:i + m + 1] if stepped is None else stepped[:m],
+                                          rhs[:m])
+            met = np.isfinite(res) & (res <= tol)  # infinite data makes tol infinite too
+            passed = m if met.all() else int(met.argmin())
+            self.residual_log += res[:passed].tolist()
+            if passed < m:
+                return i + passed
+        return len(s)
 
     def _row_measures(self, states, rhs):
         """The residual measure of each row of :meth:`_residuals` and the

@@ -1,9 +1,14 @@
-"""Scenarios, the records a check takes, and a one-step helper that the tests share."""
+"""Scenarios, the records a check takes, a one-step helper, and the closed
+loop's streamed rows and the trajectory writer on whole trajectories, that
+the tests share."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from pdesup.backstepping import simulate_closed_loop, transform_trajectory
+from pdesup.cli import _trajectory_csv
 from pdesup.core import DIRICHLET, ROBIN, SampleSups, Trajectory, grid_1d
 from pdesup.expressions import parse_expression
 from pdesup.harness import running_sup_boundary, running_sup_forcing
@@ -112,3 +117,32 @@ def chain_sups(trajs) -> list[SampleSups]:
 def difference_sups(traj1: Trajectory, traj2: Trajectory) -> SampleSups:
     """The per-sample sups of ``traj1 - traj2``, as ``verify-rkes`` records them."""
     return Trajectory(traj1.grid, traj1.times, traj1.values - traj2.values).sample_sups()
+
+
+def closed_loop(c, sigma, u0, f, d0, d1, grid, dt, horizon, **kwargs):
+    """``simulate_closed_loop``'s result, with the trajectories ``u`` and ``w``
+    collected from the rows its sink is handed (which must come once each, in
+    order) and its per-sample sups as ``sups``."""
+    u_rows, w_rows = [], []
+
+    def sink(start, u, w):
+        assert start == sum(map(len, u_rows)) and len(u) == len(w) >= 1
+        u_rows.append(u.copy())
+        w_rows.append(w)
+
+    res = simulate_closed_loop(c, sigma, u0, f, d0, d1, grid, dt, horizon, sink, **kwargs)
+    times = res.u.times
+    return SimpleNamespace(u=Trajectory(grid, times, np.concatenate(u_rows)),
+                           w=Trajectory(grid, times, np.concatenate(w_rows)), sups=res.u,
+                           report=res.report, kernel=res.kernel, controls=res.controls)
+
+
+def transform(traj: Trajectory, kernel) -> Trajectory:
+    """``transform_trajectory`` of every sample of ``traj``, as a trajectory."""
+    return Trajectory(traj.grid, traj.times, transform_trajectory(traj.grid, traj.values, kernel))
+
+
+def write_trajectory(path, traj):
+    """A whole trajectory's ``t,x[,y],u`` file through the commands' writer, in one call."""
+    with _trajectory_csv(path, traj.grid, np.asarray(traj.times)) as write:
+        write(0, np.asarray(traj.values, dtype=float).reshape(len(traj.times), -1))

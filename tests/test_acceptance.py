@@ -17,9 +17,7 @@ from pdesup.backstepping import (
     inverse_kernel_series,
     kernel_bessel_oracle,
     kernel_series,
-    simulate_closed_loop,
     target_forcing,
-    transform_trajectory,
 )
 from pdesup.cascade import SubsystemSpec, build_cascade, simulate_cascade, verify_cascade
 from pdesup.cli import main as cli_main
@@ -61,11 +59,13 @@ from pdesup.solver import (
 
 from helpers import (
     chain_sups,
+    closed_loop,
     data_sups,
     difference_sups,
     explicit_solution_preset,
     open_loop_preset,
     pair_data_sups,
+    transform,
 )
 
 E = parse_expression
@@ -194,7 +194,7 @@ def test_criterion_4_kernel_oracle_equivalence():
     kf = kernel_series(1.0, 1.0, g)
     li = inverse_kernel_series(1.0, 1.0, g)
     u = Trajectory(g, [0.0], (np.sin(np.pi * g.x) + 0.3 * g.x ** 2)[None])
-    rt = np.max(np.abs(transform_trajectory(transform_trajectory(u, kf), li).values - u.values))
+    rt = np.max(np.abs(transform(transform(u, kf), li).values - u.values))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and rt <= 1e-8 and elapsed < 30.0
     assert _line(4, "kernel oracle equivalence", ok,
@@ -396,11 +396,11 @@ def backstep_results():
     zero = E("0")
     t0 = time.monotonic()
     open_loop = solve(open_loop_preset(15.0, "sin(pi*x)", 101, 1e-3, 1.0))
-    clean = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
-                                 g, 1e-3, 2.0)
-    disturbed = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero,
-                                     E("0.1*sin(t)"), E("0.1*sin(t)"),
-                                     g, 1e-3, 2.0)
+    clean = closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
+                        g, 1e-3, 2.0)
+    disturbed = closed_loop(15.0, 1.0, E("sin(pi*x)"), zero,
+                            E("0.1*sin(t)"), E("0.1*sin(t)"),
+                            g, 1e-3, 2.0)
     return open_loop, clean, disturbed, time.monotonic() - t0
 
 

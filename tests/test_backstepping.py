@@ -10,9 +10,7 @@ from pdesup.backstepping import (
     inverse_kernel_series,
     kernel_bessel_oracle,
     kernel_series,
-    simulate_closed_loop,
     target_residual,
-    transform_trajectory,
     volterra_weights,
 )
 from pdesup.core import DIRICHLET, Trajectory, grid_1d, grid_2d, time_blocks
@@ -30,7 +28,7 @@ from pdesup.solver import (
     solve,
 )
 
-from helpers import open_loop_preset, step_terms
+from helpers import closed_loop, open_loop_preset, step_terms, transform
 
 E = parse_expression
 
@@ -112,7 +110,7 @@ def _state(grid, values) -> Trajectory:
 def test_transform_zero_field():
     g = grid_1d(101)
     k = kernel_series(1.0, 1.0, g)
-    assert np.all(transform_trajectory(_state(g, np.zeros(101)), k).values == 0.0)
+    assert np.all(transform(_state(g, np.zeros(101)), k).values == 0.0)
 
 
 def test_transform_roundtrip():
@@ -120,7 +118,7 @@ def test_transform_roundtrip():
     k = kernel_series(1.0, 1.0, g)
     li = inverse_kernel_series(1.0, 1.0, g)
     u = _state(g, np.sin(np.pi * g.x) + 0.3 * g.x ** 2)
-    back = transform_trajectory(transform_trajectory(u, k), li)
+    back = transform(transform(u, k), li)
     assert np.max(np.abs(back.values - u.values)) <= 1e-8
 
 
@@ -133,7 +131,7 @@ def test_transform_sup_inflation():
         coefs = rng.normal(size=4)
         vals = sum(c_ * np.sin((j + 1) * np.pi * g.x) for j, c_ in enumerate(coefs))
         u = _state(g, vals)
-        w = transform_trajectory(u, k)
+        w = transform(u, k)
         assert w.sample_sups().sups[0] <= (1 + m) * u.sample_sups().sups[0] + 1e-9
 
 
@@ -141,14 +139,14 @@ def test_transform_resolution_mismatch():
     g = grid_1d(301)
     k = kernel_series(1.0, 1.0, grid_1d(101))
     with pytest.raises(ValueError):
-        transform_trajectory(_state(g, np.zeros(301)), k)
+        transform(_state(g, np.zeros(301)), k)
 
 
 def test_transform_wrong_domain():
     g = grid_1d(101, 0, 2.0)
     k = kernel_series(1.0, 1.0, grid_1d(101))
     with pytest.raises(ValueError):
-        transform_trajectory(_state(g, np.zeros(101)), k)
+        transform(_state(g, np.zeros(101)), k)
     for grid in (g, grid_1d(101, -1.0, 1.0), grid_2d(11, 11)):
         with pytest.raises(ValueError, match="unit interval"):
             kernel_series(1.0, 1.0, grid)
@@ -195,9 +193,9 @@ def test_volterra_weights_sum():
     lambda: closed_loop_forcing_gain(0.0),
     lambda: closed_loop_iss_bound(0.0, 1.0, 0.0, 0.0, 0.0, math.nan, 1.0),
     lambda: closed_loop_iss_bound(0.0, 1.0, 0.0, 0.0, 0.0, 1.0, math.nan),
-    lambda: simulate_closed_loop(math.nan, 1.0, E("0"), E("0"), E("0"), E("0"), grid_1d(11), 0.1, 0.1),
-    lambda: simulate_closed_loop(1.0, math.nan, E("0"), E("0"), E("0"), E("0"), grid_1d(11), 0.1, 0.1),
-    lambda: simulate_closed_loop(1.0, 0.0, E("0"), E("0"), E("0"), E("0"), grid_1d(11), 0.1, 0.1),
+    lambda: closed_loop(math.nan, 1.0, E("0"), E("0"), E("0"), E("0"), grid_1d(11), 0.1, 0.1),
+    lambda: closed_loop(1.0, math.nan, E("0"), E("0"), E("0"), E("0"), grid_1d(11), 0.1, 0.1),
+    lambda: closed_loop(1.0, 0.0, E("0"), E("0"), E("0"), E("0"), grid_1d(11), 0.1, 0.1),
 ], ids=["bound-c-nan", "bound-sigma-nan", "bound-lam-negative", "gain-c-nan", "gain-c-zero",
         "envelope-c-nan", "envelope-sigma-nan", "loop-c-nan", "loop-sigma-nan", "loop-sigma-zero"])
 def test_nan_or_nonpositive_closed_loop_parameters_raise(call):
@@ -207,8 +205,8 @@ def test_nan_or_nonpositive_closed_loop_parameters_raise(call):
 
 def test_closed_loop_zero_data():
     g = grid_1d(51)
-    res = simulate_closed_loop(2.0, 1.0, E("0"), E("0"), E("0"), E("0"), g,
-                               1e-3, 0.05)
+    res = closed_loop(2.0, 1.0, E("0"), E("0"), E("0"), E("0"), g,
+                      1e-3, 0.05)
     assert np.all(res.u.values == 0.0)
     assert np.all(res.w.values == 0.0)
     assert res.report.verdict == PASS
@@ -220,8 +218,8 @@ def test_closed_loop_stabilizes_and_open_loop_grows():
     open_loop = solve(open_loop_preset(15.0, "sin(pi*x)", 101, 1e-3, 1.0))
     growth = open_loop.sample_sups().sups[-1]
     assert growth >= 20.0
-    closed = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
-                                  g, 1e-3, 2.0)
+    closed = closed_loop(15.0, 1.0, E("sin(pi*x)"), zero, zero, zero,
+                         g, 1e-3, 2.0)
     assert closed.report.verdict == PASS
     m = kernel_bound_constant(15.0, 1.0)
     assert closed.u.sample_sups().sups[-1] <= (1 + m) ** 2 * math.exp(-2.0)
@@ -231,8 +229,8 @@ def test_closed_loop_stabilizes_and_open_loop_grows():
 
 def test_closed_loop_with_disturbances_passes_bound():
     g = grid_1d(101)
-    res = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), E("0"),
-                               E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 1.0)
+    res = closed_loop(15.0, 1.0, E("sin(pi*x)"), E("0"),
+                      E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 1.0)
     assert res.report.verdict == PASS
 
 
@@ -242,7 +240,7 @@ def test_closed_loop_bound_reads_f_off_the_rows_it_steps():
     # configs/backstep.ini has f = 0, so its golden files cannot see this route
     g, f = grid_1d(101), E("0.5*x*t+0.2*sin(2*pi*x)*cos(5*t)")
     d0, d1 = E("0.05*sin(t)"), E("0.02*cos(3*t)")
-    res = simulate_closed_loop(4.0, 1.0, E("sin(pi*x)"), f, d0, d1, g, 1e-3, 0.8)
+    res = closed_loop(4.0, 1.0, E("sin(pi*x)"), f, d0, d1, g, 1e-3, 0.8)
     times = res.u.times
     blocks = time_blocks(times.size, g.n_nodes)
     assert len(blocks) == 2
@@ -258,27 +256,27 @@ def test_closed_loop_bound_reads_f_off_the_rows_it_steps():
 def test_target_system_residual_compatible_data():
     # u0 = 0 keeps the closed-loop boundary data compatible at t = 0
     g = grid_1d(201)
-    res = simulate_closed_loop(3.0, 1.0, E("0"), E("0.2*sin(2*pi*x)*cos(t)"),
-                               E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 0.5)
+    res = closed_loop(3.0, 1.0, E("0"), E("0.2*sin(2*pi*x)*cos(t)"),
+                      E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 0.5)
     h = g.h_x
-    r = target_residual(res, 3.0, 1.0, E("0.2*sin(2*pi*x)*cos(t)"), E("0.1*sin(t)"))
+    r = target_residual(res.w, res.kernel, 1.0, E("0.2*sin(2*pi*x)*cos(t)"), E("0.1*sin(t)"))
     assert r <= 25 * (h ** 2 + 1e-6)
 
 
 def test_target_system_residual_after_burn_in():
     g = grid_1d(201)
-    res = simulate_closed_loop(3.0, 1.0, E("sin(pi*x)"), E("0"), E("0"), E("0"),
-                               g, 1e-3, 0.5)
+    res = closed_loop(3.0, 1.0, E("sin(pi*x)"), E("0"), E("0"), E("0"),
+                      g, 1e-3, 0.5)
     h = g.h_x
-    r = target_residual(res, 3.0, 1.0, E("0"), E("0"), t_start=0.1)
+    r = target_residual(res.w, res.kernel, 1.0, E("0"), E("0"), t_start=0.1)
     assert r <= 25 * (h ** 2 + 1e-6)
 
 
 def test_w_boundary_values_match_disturbances():
     # after the transform the right boundary must read exactly d1
     g = grid_1d(101)
-    res = simulate_closed_loop(5.0, 1.0, E("0"), E("0"), E("0.05*sin(2*t)"),
-                               E("0.02*cos(t)-0.02"), g, 1e-3, 0.3)
+    res = closed_loop(5.0, 1.0, E("0"), E("0"), E("0.05*sin(2*t)"),
+                      E("0.02*cos(t)-0.02"), g, 1e-3, 0.3)
     times = res.w.times[1:]
     d1v = 0.02 * np.cos(times) - 0.02
     assert np.max(np.abs(res.w.values[1:, -1] - d1v)) < 1e-14
@@ -321,7 +319,7 @@ def test_exact_loop_step_matches_converged_sweeps():
     # the settings of configs/backstep.ini
     g = grid_1d(101)
     args = (15.0, 1.0, E("sin(pi*x)"), E("0"), E("0.1*sin(t)"), E("0.1*sin(t)"), g, 1e-3, 2.0)
-    res = simulate_closed_loop(*args)
+    res = closed_loop(*args)
     ref_u, ref_controls = _swept_closed_loop(*args)
     assert np.max(np.abs(res.u.values - ref_u)) <= 1e-12
     assert np.max(np.abs(res.controls - ref_controls)) <= 1e-12
@@ -330,8 +328,8 @@ def test_exact_loop_step_matches_converged_sweeps():
 def test_closed_loop_holds_boundary_feedback_exactly():
     # u(1, t) = d1(t) + U(t) at every stored sample after the initial one
     g = grid_1d(101)
-    res = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), E("0"), E("0.1*sin(t)"),
-                               E("0.1*sin(t)"), g, 1e-3, 0.2)
+    res = closed_loop(15.0, 1.0, E("sin(pi*x)"), E("0"), E("0.1*sin(t)"),
+                      E("0.1*sin(t)"), g, 1e-3, 0.2)
     times = res.u.times
     assert np.array_equal(res.u.values[1:, -1], 0.1 * np.sin(times[1:]) + res.controls[1:])
     assert np.array_equal(res.u.values[1:, 0], 0.1 * np.sin(times[1:]))
@@ -347,8 +345,8 @@ def test_closed_loop_makes_one_stepper_call(monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(TimeStepper, "step_values", counting)
-    res = simulate_closed_loop(5.0, 1.0, E("sin(pi*x)"), E("0"), E("0"), E("0.1*sin(t)"),
-                               grid_1d(41), 1e-2, 0.3)
+    res = closed_loop(5.0, 1.0, E("sin(pi*x)"), E("0"), E("0"), E("0.1*sin(t)"),
+                      grid_1d(41), 1e-2, 0.3)
     n_steps = res.u.n_samples - 1
     assert n_steps == 30
     assert calls == [0.0]
@@ -373,8 +371,8 @@ def test_target_residual_does_not_depend_on_the_field_grid():
     f, d = E("0"), E("0.1*sin(t)")
     residual = {}
     for n_x in (101, 81, 401):
-        res = simulate_closed_loop(15.0, 1.0, E("sin(pi*x)"), f, d, d, grid_1d(n_x), 1e-3, 0.5)
-        residual[n_x] = target_residual(res, 15.0, 1.0, f, d, t_start=0.01)
+        res = closed_loop(15.0, 1.0, E("sin(pi*x)"), f, d, d, grid_1d(n_x), 1e-3, 0.5)
+        residual[n_x] = target_residual(res.w, res.kernel, 1.0, f, d, t_start=0.01)
     assert residual[81] <= 2 * residual[101]
     assert residual[401] <= 2 * residual[101]
 
@@ -382,8 +380,8 @@ def test_target_residual_does_not_depend_on_the_field_grid():
 def test_bound_hierarchy_u_vs_transformed():
     # at every sample the plant sup is within (1+M) of the target sup
     g = grid_1d(101)
-    res = simulate_closed_loop(5.0, 1.0, E("sin(pi*x)"), E("0.1*sin(pi*x)*cos(t)"),
-                               E("0.05*sin(t)"), E("0"), g, 1e-3, 0.5)
+    res = closed_loop(5.0, 1.0, E("sin(pi*x)"), E("0.1*sin(pi*x)*cos(t)"),
+                      E("0.05*sin(t)"), E("0"), g, 1e-3, 0.5)
     m = kernel_bound_constant(5.0, 1.0)
     su = res.u.sample_sups().sups
     sw = res.w.sample_sups().sups
@@ -445,10 +443,10 @@ def test_volterra_matrix_matches_row_loop(n_x):
     k = kernel_series(15.0, 1.0, g)
     u = np.random.default_rng(n_x).normal(size=(7, n_x))
     ref = _volterra_loop(k.field_values, u, g.h_x)
-    got = transform_trajectory(Trajectory(g, np.arange(7.0), u), k).values - u
+    got = transform(Trajectory(g, np.arange(7.0), u), k).values - u
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
     # one row at a time agrees with the stack
-    one = transform_trajectory(_state(g, u[3]), k).values[0] - u[3]
+    one = transform(_state(g, u[3]), k).values[0] - u[3]
     assert np.max(np.abs(one - ref[3])) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -458,11 +456,11 @@ def test_transforms_refuse_a_grid_the_kernel_was_not_built_for():
     # same node count with other ends, another node count, another interval
     for other in (grid_1d(51, 0.0, 0.5), grid_1d(101), grid_1d(51, 0.0, 2.0)):
         with pytest.raises(ValueError, match="kernel was built for 51 nodes"):
-            transform_trajectory(_state(other, np.ones(other.n_x)), k)
+            transform(_state(other, np.ones(other.n_x)), k)
     # on its own grid the quadrature integrates with that grid's step
     u = np.ones(51)
     ref = _volterra_loop(k.field_values, u, g.h_x)
-    assert np.max(np.abs(transform_trajectory(_state(g, u), k).values[0] - u - ref)) <= 1e-13
+    assert np.max(np.abs(transform(_state(g, u), k).values[0] - u - ref)) <= 1e-13
 
 
 def test_kernel_builds_its_quadrature_once(monkeypatch):
@@ -475,7 +473,7 @@ def test_kernel_builds_its_quadrature_once(monkeypatch):
     real = bs.volterra_weights
     monkeypatch.setattr(bs, "volterra_weights", lambda *a: calls.append(a) or real(*a))
     u = _state(g, np.sin(np.pi * g.x))
-    first, second = transform_trajectory(u, k), transform_trajectory(u, k)
+    first, second = transform(u, k), transform(u, k)
     assert np.array_equal(first.values, second.values)
     k.control(u.values[0])
     assert calls == []

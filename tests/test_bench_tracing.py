@@ -52,7 +52,7 @@ TRACED_SOLVES = textwrap.dedent("""
     from pdesup.core import grid_1d
 
     simulate_closed_loop(5.0, 1.0, E("sin(pi*x)"), E("0"), E("0"), E("0.1*sin(t)"),
-                         grid_1d(21), 1e-2, 0.1)
+                         grid_1d(21), 1e-2, 0.1, lambda start, u, w: None)
     c = tracer.counts
     assert c["backstepping.loop_steps"] == 10, dict(c)
     assert c["backstepping.loop_step_calls"] == 1, dict(c)

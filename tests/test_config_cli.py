@@ -12,12 +12,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pdesup.cli import _write_report, _write_trajectory, main
-from pdesup.config import (backstep_data_from_config, cascade_from_config, load_config,
-                            scenario_from_config)
+from pdesup.cli import _write_report, main
+from pdesup.config import (backstep_data_from_config, cascade_from_config,
+                            check_settings_from_config, load_config, scenario_from_config)
 from pdesup.core import ROBIN, Trajectory, grid_1d, grid_2d
 from pdesup.harness import Report
-from pdesup.solver import ConfigError
+from pdesup.solver import ConfigError, solve
+
+from helpers import closed_loop, write_trajectory
 
 HEAT_DECAY = """
 [domain]
@@ -466,6 +468,32 @@ def test_backstep_cli(tmp_path):
     rep = (out / "report.csv").read_text().splitlines()
     assert rep[1].startswith("closed-loop,pass,")
     assert (out / "trajectory_target.csv").is_file()
+    assert sorted(p.name for p in out.iterdir()) == ["gains.csv", "report.csv", "trajectory.csv",
+                                                     "trajectory_target.csv"]
+
+
+@pytest.mark.parametrize("command", ["backstep", "simulate"])
+def test_trajectory_csvs_are_the_text_of_the_whole_run(tmp_path, command):
+    # written from the stepper's sink while it steps, 1001 samples of 101
+    # nodes in two time blocks (backstep's in chunks of 40 rows), against a
+    # per-value writer over the whole trajectories: the stored solve, or the
+    # u and w that the closed loop hands its sink
+    p = _write(tmp_path, BACKSTEP if command == "backstep" else ISS_ROBIN_CONFIG)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 0
+    cp = load_config(p)
+    settings, sc = check_settings_from_config(cp), scenario_from_config(cp)
+    if command == "backstep":
+        res = closed_loop(settings.c, settings.sigma, sc.u0, sc.forcing,
+                          *backstep_data_from_config(cp), sc.grid, sc.dt, sc.horizon)
+        trajs = {"trajectory.csv": res.u, "trajectory_target.csv": res.w}
+    else:
+        trajs = {"trajectory.csv": solve(sc)}
+    assert sorted(p.name for p in out.glob("trajectory*")) == sorted(trajs)
+    for name, traj in trajs.items():
+        assert traj.n_samples == 1001
+        _row_wise_trajectory(tmp_path / "ref.csv", traj)
+        assert (out / name).read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
 
 
 def test_cli_module_entrypoint(tmp_path):
@@ -537,6 +565,21 @@ def test_non_finite_data_is_a_numerical_failure(tmp_path, capsys, text):
     # numpy's floating-point warnings stay quiet: the failure line is all
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert capsys.readouterr().err == "numerical failure: non-finite residual at t=0.002\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("backstep", BACKSTEP.replace("T = 1.0", "T = 2.0").replace("d1 = 0.1*sin(t)", "d1 = 1/(t-1)")),
+    ("simulate", ISS_ROBIN_CONFIG.replace("d = 0.05", "d = 0.05/(t-1.5)")),
+], ids=["backstep", "simulate"])
+def test_a_solve_that_fails_mid_horizon_leaves_no_trajectory_csv(tmp_path, capsys, command, text):
+    # the data turn infinite at sample 1000 (backstep) or 750 (simulate), in
+    # the second time block of 101 nodes: the first block's rows are in the
+    # file when the solve fails, and it is removed
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 3
+    t_bad = {"backstep": "1", "simulate": "1.5"}[command]
+    assert capsys.readouterr().err == f"numerical failure: non-finite residual at t={t_bad}\n"
+    assert [p.name for p in out.iterdir()] == []
 
 
 @pytest.mark.parametrize("config, command", [("iss_robin.ini", "verify-iss"),
@@ -868,7 +911,7 @@ def test_trajectory_csv_matches_row_wise_writer(tmp_path, grid):
     values.reshape(-1)[:len(_SPECIAL)] = _SPECIAL
     # ...but Trajectory rejects non-finite values, so the writer gets a stand-in
     traj = SimpleNamespace(grid=grid, times=times, values=values)
-    _write_trajectory(tmp_path / "new.csv", traj)
+    write_trajectory(tmp_path / "new.csv", traj)
     _row_wise_trajectory(tmp_path / "ref.csv", traj)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -882,7 +925,7 @@ def test_trajectory_csv_matches_row_wise_writer_on_more_shapes(tmp_path, grid, n
     rng = np.random.default_rng(n_samples)
     traj = Trajectory(grid, np.linspace(0.0, 0.3, n_samples),
                       rng.normal(size=(n_samples, *grid.shape)))
-    _write_trajectory(tmp_path / "new.csv", traj)
+    write_trajectory(tmp_path / "new.csv", traj)
     _row_wise_trajectory(tmp_path / "ref.csv", traj)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -896,7 +939,7 @@ def test_trajectory_csv_is_written_one_sample_at_a_time(tmp_path, grid, n_sample
                       np.random.default_rng(0).normal(size=(n_samples, *grid.shape)))
     tracemalloc.start()
     try:
-        _write_trajectory(tmp_path / "trajectory.csv", traj)
+        write_trajectory(tmp_path / "trajectory.csv", traj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,9 +3,11 @@
 ``verify-iss``, ``verify-decay`` and ``verify-rkes`` hand ``TimeStepper.march``
 a sink (``pdesup.core.sup_sink``) that keeps each sample's sup-norm and the
 first node attaining it, and ``convergence`` reduces its sup errors the same
-way, so none of them holds a (samples x nodes) array.  These tests pin the
-traced heap of those commands, and that a streamed run gives the states,
-residuals and reports of the stored trajectory, bit for bit.
+way; ``simulate`` and ``backstep`` write their trajectory CSVs from the same
+sink, so none of them holds a (samples x nodes) array.  These tests pin the
+traced heap of those commands, at two horizons where a trajectory would
+show, and that a streamed run gives the states, residuals and reports of
+the stored trajectory, bit for bit.
 """
 
 import tracemalloc
@@ -65,10 +67,19 @@ def _traced_peak(fn) -> int:
     ("verify-rkes", "rkes_explicit_pair.ini", None, 4.0),
     ("convergence", "convergence.ini", None, 4.0),
     ("verify-rkes", "rkes_explicit_pair.ini", 8, 4.5),
-], ids=["verify-rkes", "convergence", "verify-rkes-T8"])
+    ("backstep", "backstep.ini", 2, 4.0),
+    ("backstep", "backstep.ini", 8, 4.5),
+    ("simulate", "iss_robin.ini", 2, 3.0),
+    ("simulate", "iss_robin.ini", 8, 3.5),
+], ids=["verify-rkes", "convergence", "verify-rkes-T8", "backstep-T2", "backstep-T8",
+        "simulate-T2", "simulate-T8"])
 def test_streamed_commands_hold_one_time_block(tmp_path, capsys, command, config, horizon,
                                                limit_mib):
-    # a (samples x nodes) array of the T = 2 pair is 2001 x 402 doubles, 6.1 MiB
+    # a (samples x nodes) array of the T = 2 pair is 2001 x 402 doubles, 6.1 MiB;
+    # backstep's u, its transform w and the transform's temporary are 2001 x
+    # 101 each at T = 2 (1.5 MiB) and 8001 x 101 at T = 8 (6.2 MiB); simulate's
+    # u is 4001 x 101 at T = 8 (3.1 MiB).  Per-sample records (sups, controls,
+    # the report's rows) are what grows with T
     text = (CONFIGS / config).read_text()
     if horizon is not None:
         text = text.replace("T = 2.0", f"T = {horizon}")

@@ -4,7 +4,7 @@
 with numpy arithmetic (a Dekker two-product) and lays them out by %g's rule;
 here its text is checked value by value against ``format``, on Hypothesis'
 floats and on values chosen at the edges of its method, and
-``_write_trajectory``'s files against the per-sample ``%.17g`` template writer
+the trajectory writer's files against the per-sample ``%.17g`` template writer
 they replaced.
 """
 
@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdesup.cli import _column, _write_trajectory
+from pdesup.cli import _column
 from pdesup.core import grid_1d, grid_2d
 from pdesup.floattext import text_block
+
+from helpers import write_trajectory
 
 
 def _texts(values) -> list[str]:
@@ -79,6 +81,6 @@ def test_trajectory_csv_matches_the_template_writer(tmp_path, grid, n_samples):
     values = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 20, size=shape)
     values.reshape(-1)[::97] = 0.0
     traj = SimpleNamespace(grid=grid, times=np.linspace(0.0, 0.7, n_samples), values=values)
-    _write_trajectory(tmp_path / "new.csv", traj)
+    write_trajectory(tmp_path / "new.csv", traj)
     _template_trajectory(tmp_path / "ref.csv", traj)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
