@@ -11,7 +11,6 @@ from .core import (
     ROBIN,
     Domain,
     SpatialGrid,
-    Trajectory,
     grid_1d,
     grid_2d,
     interval,
@@ -26,7 +25,6 @@ __all__ = [
     "Expression",
     "ParseError",
     "SpatialGrid",
-    "Trajectory",
     "grid_1d",
     "grid_2d",
     "interval",

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHUNK_VALUES, DIRICHLET, SampleSups, SpatialGrid, Trajectory, sup_sink
+from .core import CHUNK_VALUES, DIRICHLET, SampleSups, SpatialGrid, sup_sink
 from .expressions import ZERO, Expression, parse_expression
 from .gains import SERIES_TOL, closed_loop_iss_bound, kernel_bound_constant
 from .harness import Report, block_data_sups, build_report
@@ -364,11 +364,12 @@ def target_forcing(kernel: Kernel, f_vals: np.ndarray, d0_val) -> np.ndarray:
     return out + ky0 * d0_val
 
 
-def target_residual(w: Trajectory, kernel: Kernel, sigma: float,
+def target_residual(w, kernel: Kernel, sigma: float,
                     f: Expression, d0: Expression, t_start: float = 0.0) -> float:
-    """Max interior residual of the target trajectory ``w`` (as collected from
-    the rows that :func:`simulate_closed_loop` hands its sink) under the
-    target dynamics of ``kernel``.
+    """Max interior residual of the target trajectory ``w`` (its ``grid``,
+    ``times`` and ``values``, as collected from the rows that
+    :func:`simulate_closed_loop` hands its sink) under the target dynamics
+    of ``kernel``.
 
     Checks (w^{n+1}-w^n)/dt = mean of (w_xx - sigma w + forcing) at the
     two levels, using the coupling-corrected forcing.  ``t_start``

@@ -8,7 +8,9 @@ subsystem 1 and each later subsystem consumes the previous FULL field as
 its forcing, with per-subsystem external boundary data; ``dirichlet-
 cycle`` closes the forcing loop.
 
-Open chains are solved in order.  Cycles contain a same-instant
+:func:`simulate_cascade` keeps only each subsystem's per-sample sups.
+Open chains are solved in order, each subsystem's sink keeping the rows
+that the next one reads.  Cycles contain a same-instant
 algebraic loop.  The coupling is linear, so a cycle is Crank-Nicolson for
 one coupled operator ``blockdiag(A_j) + K``, whose block ``K[j, j-1]``
 feeds subsystem j-1 into subsystem j: one stacked step advances every
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DIRICHLET, ROBIN, SampleSups, SpatialGrid, Trajectory
+from .core import DIRICHLET, ROBIN, SampleSups, SpatialGrid, sup_sink
 from .expressions import ZERO, Expression
 from .gains import cascade_bound, embedding_constants, small_gain_boundary, small_gain_domain
 from .harness import NOT_ASSERTED, Report, build_report, data_running_sup, sample_details
@@ -125,8 +127,11 @@ def build_cascade(subsystems, topology: str, grid: SpatialGrid, dt: float,
         else:
             boundary = BoundarySpec(DIRICHLET, boundary_exprs[j])
             fexpr = external_f if (topology == DIRICHLET_OPEN and j == 0) else ZERO
-        sc = make_scenario(grid, horizon, dt, sub.coefficients, sub.reaction,
-                           fexpr, boundary, sub.u0)
+        try:
+            sc = make_scenario(grid, horizon, dt, sub.coefficients, sub.reaction,
+                               fexpr, boundary, sub.u0)
+        except ConfigError as e:
+            raise ConfigError(f"subsystem {j + 1}: {e}") from None
         if sc.c_min_raw < 0:
             raise ConfigError(f"subsystem {j + 1} has negative absorption minimum")
         if not sub.reaction.monotone:
@@ -152,27 +157,35 @@ def build_cascade(subsystems, topology: str, grid: SpatialGrid, dt: float,
                        bounds_asserted=small_gain_ok and hyp_ok, warnings=warnings)
 
 
-def simulate_cascade(spec: CascadeSpec) -> list[Trajectory]:
-    """Solve all subsystems respecting the coupling topology (a cycle as one stack)."""
-    if spec.topology in (ROBIN_OPEN, DIRICHLET_OPEN):
-        return _simulate_open(spec)
-    return TimeStepper(spec.scenarios, cycle=True).march(None, None, None)
+def simulate_cascade(spec: CascadeSpec) -> list[SampleSups]:
+    """Each subsystem's per-sample sups, recorded by :func:`sup_sink` as the
+    chain steps: a cycle as one stack, whose blocks' columns go to their
+    subsystems' records, and an open chain in order, each subsystem's sink
+    also keeping the rows that the next one reads (its boundary trace, or
+    its field), so one upstream array is held at a time."""
+    times = spec.scenarios[0].times()
+    records, samples = zip(*(sup_sink(spec.grid, times) for _ in range(spec.k)))
+    if spec.topology in (ROBIN_CYCLE, DIRICHLET_CYCLE):
+        def sink(sl, states):
+            for record, cols in zip(records, np.hsplit(states, spec.k)):
+                record(sl, cols)
 
+        TimeStepper(spec.scenarios, cycle=True).march(None, None, sink)
+        return [done() for done in samples]
+    robin = spec.boundary_kind == ROBIN
+    keep = spec.grid.boundary_indices() if robin else np.arange(spec.grid.n_nodes)
+    upstream = None
+    for j, (sc, record) in enumerate(zip(spec.scenarios, records), start=1):
+        rows = np.empty((times.size, keep.size)) if j < spec.k else None
 
-def _simulate_open(spec: CascadeSpec) -> list[Trajectory]:
-    bindex = spec.grid.boundary_indices()
-    trajs: list[Trajectory] = []
-    for j, sc in enumerate(spec.scenarios):
-        forcing = None
-        boundary = None
-        if j > 0:  # the upstream (times × nodes) rows: its boundary trace or its field
-            prev = trajs[-1].values.reshape(trajs[-1].n_samples, -1)
-            if spec.boundary_kind == ROBIN:
-                boundary = prev[:, bindex]
-            else:
-                forcing = prev
-        trajs.append(TimeStepper(sc, forcing=forcing, boundary=boundary).solve())
-    return trajs
+        def sink(sl, states):
+            record(sl, states)
+            if rows is not None:
+                rows[sl] = states[:, keep]
+
+        TimeStepper(sc, **{"boundary" if robin else "forcing": upstream}).solve(None, sink)
+        upstream = rows
+    return [done() for done in samples]
 
 
 def verify_cascade(spec: CascadeSpec, samples: list[SampleSups],

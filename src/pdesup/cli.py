@@ -13,8 +13,9 @@ Trajectory CSVs (``simulate``'s and ``backstep``'s) are written while the
 solve steps, from the stepper's sink, at most 4096 values at a time, their
 text computed by numpy arithmetic (:mod:`pdesup.floattext`).  No command
 holds a trajectory: each keeps per-sample records (sups, controls) and
-one time block of states, whatever the horizon; only ``cascade``'s open
-chains still keep each subsystem's trajectory.  A trajectory CSV is
+one time block of states, whatever the horizon; ``cascade``'s open chains
+also keep the rows that the next subsystem reads, one subsystem's at a
+time.  A trajectory CSV is
 written under a temporary name and renamed once the solve has succeeded,
 so a run that fails (exit 3) leaves no partial trajectory file.
 """
@@ -264,7 +265,7 @@ def cmd_verify_decay(cp, out: Path, settings) -> int:
         if not is_zero(expr):
             raise ConfigError(f"[disturbances] {key}: decay check needs zero disturbances")
     sink, streamed = sup_sink(sc.grid, sc.times())
-    TimeStepper(sc).solve(sink=sink)
+    TimeStepper(sc).solve(None, sink)
     samples = streamed()  # its first sup is u0's
     rep = harness.check_decay(samples, sc.bounds.c_min, float(samples.sups[0]), settings.tol)
     return _conclude(out, "decay", rep)
@@ -312,7 +313,7 @@ def cmd_backstep(cp, out: Path, settings) -> int:
 
 def cmd_cascade(cp, out: Path, settings) -> int:
     spec = cascade_from_config(cp, settings)
-    samples = [tr.sample_sups() for tr in cascade_mod.simulate_cascade(spec)]
+    samples = cascade_mod.simulate_cascade(spec)
     rep = cascade_mod.verify_cascade(spec, samples, settings.tol)
     for j, sub in enumerate(samples, start=1):
         _write_csv(out / f"supnorms_{j}.csv", ("t", "sup_space"),

@@ -1,12 +1,13 @@
-"""Domain geometry, uniform grids and trajectories.
+"""Domain geometry, uniform grids and per-sample sups.
 
 Everything downstream (solver, bound checkers, cascade machinery,
 backstepping) works with the immutable containers defined here: a state
-is a row of nodal values, and a :class:`Trajectory` holds one row per
-time sample; a bound check reads only its :class:`SampleSups`, which a
-solve can also record as it steps (:func:`sup_sink`).  Sup-norms are
-taken over grid nodes only; refinement studies are the tool for
-quantifying the nodal-vs-continuum gap.
+is a row of nodal values, and a bound check reads only the
+:class:`SampleSups` of a run of samples, which a solve records as it
+steps (:func:`sup_sink`).  :class:`Trajectory`, one row per time sample
+held whole, is built by no command; tests collect solves into it.
+Sup-norms are taken over grid nodes only; refinement studies are the
+tool for quantifying the nodal-vs-continuum gap.
 """
 
 from __future__ import annotations

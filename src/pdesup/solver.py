@@ -31,11 +31,11 @@ Forcing and boundary data are (times × nodes) rows: the scenario's
 expressions evaluated by :func:`data_rows` a block of times at a time,
 or arrays of upstream fields and traces that the cascade module passes
 in.  Every consumer (stepping, running sups, error norms) walks a run of
-times in the blocks of :func:`pdesup.core.time_blocks`, and a solve given
-a sink (:meth:`TimeStepper.march`) holds one block of states at a time,
-so the checks and error norms that read only per-sample sups, and the
-trajectory CSVs written from the sink, take memory bounded whatever the
-horizon.
+times in the blocks of :func:`pdesup.core.time_blocks`, and a solve
+(:meth:`TimeStepper.march`) holds one block of states at a time, which it
+hands to a sink: the checks and error norms, which read only per-sample
+sups, and the trajectory CSVs written from the sink take memory bounded
+whatever the horizon.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.sparse.linalg import splu
 
-from .core import DIRICHLET, ROBIN, ConfigError, SpatialGrid, Trajectory, sup_sink, time_blocks
+from .core import DIRICHLET, ROBIN, ConfigError, SpatialGrid, sup_sink, time_blocks
 from .expressions import Expression
 from .gains import CoefficientBounds
 
@@ -433,8 +433,8 @@ class TimeStepper:
     a (n_t, n) array of rows aligned with ``scenario.times()``: n is the
     node count for the forcing and the boundary-node count (in the order
     of :meth:`SpatialGrid.boundary_indices`) for the boundary data.
-    Cascades pass upstream fields and traces this way.  :meth:`solve` walks the horizon
-    in the blocks of :func:`time_blocks`, evaluating expression data one
+    Cascades pass upstream fields and traces this way.  :meth:`march` walks the
+    horizon in the blocks of :func:`time_blocks`, evaluating expression data one
     block at a time.  ``residual_log`` records the accepted Newton
     residual of every step.
 
@@ -508,8 +508,8 @@ class TimeStepper:
     reaction have h evaluated in one call over the whole state.  Without
     ``cycle`` the blocks are independent scenarios; a linear stack steps
     each bitwise as it steps alone on an interval, and a nonlinear one
-    iterates until every block meets its tolerance.  :meth:`march`
-    returns one trajectory per block.
+    iterates until every block meets its tolerance.  :meth:`march`'s sink
+    gets the k blocks' states side by side.
     """
 
     def __init__(self, scenario: Scenario | Sequence[Scenario], forcing=None, boundary=None,
@@ -812,18 +812,17 @@ class TimeStepper:
         fv -= rhs.T
         return fv
 
-    def solve(self, on_block=None, sink=None) -> Trajectory | None:
-        """The scenario's trajectory over its horizon, or with a ``sink`` none
-        (see :meth:`march`, which also steps a stack)."""
+    def solve(self, on_block, sink) -> None:
+        """Step the scenario over its horizon into ``sink`` (see :meth:`march`,
+        which also steps a stack)."""
         if self.k != 1:
             raise ValueError("a stack of scenarios is solved by march")
-        trajs = self.march(on_block, None, sink)
-        return None if trajs is None else trajs[0]
+        self.march(on_block, None, sink)
 
-    def march(self, on_block, on_step, sink) -> list[Trajectory] | None:
-        """One trajectory per scenario of the stack, each a column block of one
-        array, or with a ``sink`` none: each time block is then stepped into a
-        buffer of its own, handed to ``sink(sl, states)`` and dropped.
+    def march(self, on_block, on_step, sink) -> None:
+        """Step the stack over its horizon: each time block is stepped into a
+        buffer of its own, handed to ``sink(sl, states)`` and dropped, its
+        rows the samples ``sl`` and its columns the k fields end to end.
 
         ``on_block(sl, f, b)`` gets each block's slice of samples and its
         forcing and boundary rows before they are stepped, so a caller reads
@@ -833,12 +832,10 @@ class TimeStepper:
         and from its first step that misses its tolerance on through
         :meth:`step_values`, which iterates, or raises as it would have.
         """
-        sc, n = self.scenario, self.grid.n_nodes
         u = np.concatenate([s.initial_values().ravel() for s in self.scenarios]).astype(float)
-        times = sc.times()
-        out = None if sink is not None else np.empty((times.size, u.size))
+        times = self.scenario.times()
         for sl in time_blocks(times.size, u.size):
-            vals = out[sl] if sink is None else np.empty((sl.stop - sl.start, u.size))
+            vals = np.empty((sl.stop - sl.start, u.size))
             vals[0] = u  # u stays the object step_values returned, for its h reuse
             f = self.forcing[sl] if self.forcing is not None else self._f_rows(times[sl])
             b = self.boundary[sl] if self.boundary is not None else self._b_rows(times[sl])
@@ -853,14 +850,7 @@ class TimeStepper:
             for j in range(first, len(s)):
                 u = self.step_values(u, times[sl.start + j], s[j], d[j])
                 u = vals[j + 1] = u if on_step is None else on_step(sl.start + j + 1, u)
-            if sink is not None:
-                sink(sl, vals)
-        if sink is not None:
-            return None
-        out.setflags(write=False)  # handed over: each Trajectory keeps its block without a copy
-        shape = (times.size, *sc.grid.shape)
-        return [Trajectory(sc.grid, times, out[:, j * n:(j + 1) * n].reshape(shape))
-                for j in range(self.k)]
+            sink(sl, vals)
 
 
 def solve_banded(lower, diag, upper, b):
@@ -925,11 +915,6 @@ def _side_by_side(row_fns):
     return lambda times: np.hstack([rows(times) for rows in row_fns])
 
 
-def solve(scenario: Scenario) -> Trajectory:
-    """Solve the scenario over its horizon; samples at 0, dt, ..., T."""
-    return TimeStepper(scenario).solve()
-
-
 # ---------------------------------------------------------------------------
 # manufactured-solution convergence measurement
 
@@ -954,7 +939,7 @@ def _sup_error(scenario: Scenario, exact: Expression) -> float:
     """sup |u - exact| over the nodes and samples, a time block at a time as u is stepped."""
     rows, times = data_rows(exact, node_coords(scenario.grid)), scenario.times()
     sink, errors = sup_sink(scenario.grid, times, lambda sl, states: states - rows(times[sl]))
-    TimeStepper(scenario).solve(sink=sink)
+    TimeStepper(scenario).solve(None, sink)
     return float(errors().sups.max())
 
 

@@ -1,6 +1,6 @@
-"""Scenarios, the records a check takes, a one-step helper, and the closed
-loop's streamed rows and the trajectory writer on whole trajectories, that
-the tests share."""
+"""Scenarios, solves collected into whole trajectories, the records a check
+takes, a one-step helper, and the closed loop's streamed rows and the
+trajectory writer on whole trajectories, that the tests share."""
 
 import math
 from types import SimpleNamespace
@@ -68,6 +68,57 @@ def open_loop_preset(c: float, u0: str, n_x: int = 101, dt: float = 1e-3,
         grid_1d(n_x), horizon, dt,
         Coefficients(parse_expression("1"), parse_expression(repr(-float(c)))),
         reaction_zero(), zero, BoundarySpec(DIRICHLET, zero), parse_expression(u0))
+
+
+def _collector(stepper: TimeStepper):
+    """A sink for ``stepper`` that keeps every block it is handed, and a function
+    that returns them, once every block is in, as one trajectory per scenario
+    of the stack."""
+    grid, times = stepper.grid, stepper.scenario.times()
+    out = np.empty((times.size, stepper.k * grid.n_nodes))
+
+    def sink(sl, states):
+        out[sl] = states
+
+    def collected() -> list[Trajectory]:
+        out.setflags(write=False)
+        return [Trajectory(grid, times, cols.reshape(times.size, *grid.shape))
+                for cols in np.hsplit(out, stepper.k)]
+
+    return sink, collected
+
+
+def solve(scenario: Scenario) -> Trajectory:
+    """The scenario's trajectory over its horizon, samples at 0, dt, ..., T,
+    collected through ``TimeStepper.solve``."""
+    stepper = TimeStepper(scenario)
+    sink, collected = _collector(stepper)
+    stepper.solve(None, sink)
+    return collected()[0]
+
+
+def trajectories(stepper: TimeStepper, on_block=None, on_step=None) -> list[Trajectory]:
+    """One trajectory per scenario of ``stepper``'s stack, collected from the
+    blocks that ``march`` hands its sink."""
+    sink, collected = _collector(stepper)
+    stepper.march(on_block, on_step, sink)
+    return collected()
+
+
+def cascade_fields(spec) -> list[Trajectory]:
+    """Each subsystem's field of the cascade ``spec``, stepped as
+    ``simulate_cascade`` steps the chain: a cycle as one stack, an open chain
+    in order, each subsystem reading the previous one's boundary trace
+    (Robin) or field (Dirichlet)."""
+    if spec.topology.endswith("cycle"):
+        return trajectories(TimeStepper(spec.scenarios, cycle=True))
+    robin, fields = spec.boundary_kind == ROBIN, []
+    for sc in spec.scenarios:
+        upstream = fields[-1].values.reshape(fields[-1].n_samples, -1) if fields else None
+        if robin and fields:
+            upstream = upstream[:, spec.grid.boundary_indices()]
+        fields += trajectories(TimeStepper(sc, **{"boundary" if robin else "forcing": upstream}))
+    return fields
 
 
 def step(state: np.ndarray, t: float, scenario: Scenario) -> np.ndarray:

@@ -54,17 +54,17 @@ from pdesup.solver import (
     reaction_log_poly,
     reaction_odd_cubic,
     reaction_zero,
-    solve,
 )
 
 from helpers import (
-    chain_sups,
+    cascade_fields,
     closed_loop,
     data_sups,
     difference_sups,
     explicit_solution_preset,
     open_loop_preset,
     pair_data_sups,
+    solve,
     transform,
 )
 
@@ -432,12 +432,16 @@ def cascade_results():
     t0 = time.monotonic()
     results = {}
 
+    def run(spec):
+        """The spec, its subsystems' fields (for the pointwise caps) and the
+        report on the records that ``cascade`` checks."""
+        return spec, cascade_fields(spec), verify_cascade(spec, simulate_cascade(spec))
+
     robin_open = []
     for _ in range(10):
         spec = build_cascade(_chain_subs(3, m="2"), "robin-open", grid_1d(61),
                              2e-3, 0.8, external_d=E(_random_boundary_disturbance(rng)))
-        trajs = simulate_cascade(spec)
-        robin_open.append((spec, trajs, verify_cascade(spec, chain_sups(trajs))))
+        robin_open.append(run(spec))
     results["robin-open"] = robin_open
 
     dir_open = []
@@ -447,24 +451,19 @@ def cascade_results():
                              external_f=E(_random_forcing(rng)),
                              boundary_exprs=[E(_random_boundary_disturbance(rng))
                                              for _ in range(3)])
-        trajs = simulate_cascade(spec)
-        dir_open.append((spec, trajs, verify_cascade(spec, chain_sups(trajs))))
+        dir_open.append(run(spec))
     results["dirichlet-open"] = dir_open
 
     spec = build_cascade(_chain_subs(3, m="2"), "robin-cycle", grid_1d(61), 1e-3, 0.5)
-    trajs = simulate_cascade(spec)
-    results["robin-cycle"] = [(spec, trajs, verify_cascade(spec, chain_sups(trajs)))]
+    results["robin-cycle"] = [run(spec)]
 
     spec = build_cascade(_chain_subs(3, a="10", c="1"), "dirichlet-cycle",
                          grid_1d(61), 1e-3, 0.5,
                          boundary_exprs=[E("0.1*sin(t)"), E("0"), E("0.05*cos(2*t)")])
-    trajs = simulate_cascade(spec)
-    results["dirichlet-cycle"] = [(spec, trajs, verify_cascade(spec, chain_sups(trajs)))]
+    results["dirichlet-cycle"] = [run(spec)]
 
     spec = build_cascade(_chain_subs(3, m="0.5"), "robin-cycle", grid_1d(41), 5e-4, 0.4)
-    trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, chain_sups(trajs))
-    results["robin-cycle-small-gain-fail"] = [(spec, trajs, rep)]
+    results["robin-cycle-small-gain-fail"] = [run(spec)]
 
     return results, time.monotonic() - t0
 

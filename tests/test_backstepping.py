@@ -25,10 +25,9 @@ from pdesup.solver import (
     make_scenario,
     node_coords,
     reaction_zero,
-    solve,
 )
 
-from helpers import closed_loop, open_loop_preset, step_terms, transform
+from helpers import closed_loop, open_loop_preset, solve, step_terms, transform
 
 E = parse_expression
 

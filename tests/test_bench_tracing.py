@@ -16,8 +16,8 @@ TRACED_SOLVES = textwrap.dedent("""
 
     from pdesup.core import DIRICHLET, grid_2d
     from pdesup.expressions import parse_expression as E
-    from helpers import superlinear_preset
-    from pdesup.solver import BoundarySpec, Coefficients, make_scenario, reaction_zero, solve
+    from helpers import solve, superlinear_preset
+    from pdesup.solver import BoundarySpec, Coefficients, make_scenario, reaction_zero
 
     sl = superlinear_preset(n_x=11, dt=1e-2, horizon=0.05)
     traj = solve(sl)
@@ -36,15 +36,17 @@ TRACED_SOLVES = textwrap.dedent("""
     from pdesup.cascade import SubsystemSpec, build_cascade, simulate_cascade, verify_cascade
     from pdesup.gains import rkes_gains_robin, sobolev_constants_1d
     from pdesup.harness import check_iss
-    from helpers import chain_sups, data_sups
+    from helpers import data_sups
 
     check_iss(traj.sample_sups(), sl, rkes_gains_robin(sl.bounds, 1.0, sobolev_constants_1d()[0]),
               *data_sups(sl, traj.times))
     assert tracer.counts["harness.samples"] == traj.n_samples, dict(tracer.counts)
     sub = SubsystemSpec(Coefficients(E("1"), E("1"), E("2")), reaction_zero(), E("sin(pi*x)"))
     spec = build_cascade([sub, sub], "robin-open", sl.grid, 1e-2, 0.05, external_d=E("0.1"))
-    verify_cascade(spec, chain_sups(simulate_cascade(spec)))
+    verify_cascade(spec, simulate_cascade(spec))
     assert tracer.calls["cascade.verify"] == 1, dict(tracer.calls)
+    # the chain hook reads each record's sample count: 2 subsystems x 5 steps
+    assert tracer.counts["cascade.subsystem_steps"] == 10, dict(tracer.counts)
 
     # the closed loop steps through the stepper's linear block: its one
     # stepper call is the unit response at x = 1

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from pdesup.cascade import (
+    TOPOLOGIES,
     SubsystemSpec,
     build_cascade,
     simulate_cascade,
     verify_cascade,
 )
-from pdesup.core import ROBIN, Trajectory, grid_1d, time_blocks
+from pdesup.core import ROBIN, Trajectory, grid_1d, row_sups, time_blocks
 from pdesup.expressions import parse_expression
 from pdesup.harness import NOT_ASSERTED, PASS
 from pdesup.solver import (
@@ -24,7 +25,7 @@ from pdesup.solver import (
     reaction_zero,
 )
 
-from helpers import chain_sups, step_terms
+from helpers import cascade_fields, step_terms
 
 E = parse_expression
 
@@ -64,19 +65,16 @@ def test_build_requires_external_input():
 def test_zero_cascade_is_zero():
     spec = build_cascade(_subs(3, u0s=["0", "0", "0"]), "robin-open",
                          grid_1d(41), 2e-3, 0.2, external_d=E("0"))
-    trajs = simulate_cascade(spec)
-    assert all(np.all(tr.values == 0.0) for tr in trajs)
+    assert all(np.all(s.sups == 0.0) for s in simulate_cascade(spec))
     spec_c = build_cascade(_subs(2, u0s=["0", "0"], a="10"), "dirichlet-cycle",
                            grid_1d(41), 2e-3, 0.1)
-    trajs = simulate_cascade(spec_c)
-    assert all(np.all(tr.values == 0.0) for tr in trajs)
+    assert all(np.all(s.sups == 0.0) for s in simulate_cascade(spec_c))
 
 
 def test_robin_open_chain_passes_bounds():
     spec = build_cascade(_subs(2, m="2"), "robin-open", grid_1d(61), 2e-3, 1.0,
                          external_d=E("0.5"))
-    trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, chain_sups(trajs))
+    rep = verify_cascade(spec, simulate_cascade(spec))
     assert rep.verdict == PASS
     assert rep.worst_margin > -1e-9
 
@@ -89,25 +87,26 @@ def test_open_chain_causality():
     tweaked = _subs(3, u0s=["sin(pi*x)", "sin(pi*x)", "0.1*sin(2*pi*x)"])
     spec2 = build_cascade(tweaked, "robin-open", grid_1d(41), 2e-3, 0.3,
                           external_d=E("0.3*sin(t)"))
-    t1 = simulate_cascade(spec1)
-    t2 = simulate_cascade(spec2)
-    assert np.array_equal(t1[0].values, t2[0].values)
-    assert np.array_equal(t1[1].values, t2[1].values)
-    assert not np.array_equal(t1[2].values, t2[2].values)
+    s1, s2 = simulate_cascade(spec1), simulate_cascade(spec2)
+    for a, b in zip(s1[:2], s2[:2]):
+        assert a.sups.tobytes() == b.sups.tobytes()
+        assert a.nodes.tobytes() == b.nodes.tobytes()
+    assert not np.array_equal(s1[2].sups, s2[2].sups)
+    assert not np.array_equal(s1[2].nodes, s2[2].nodes)
 
 
 def test_robin_cycle_consistency_and_bounds():
     spec = build_cascade(_subs(3, m="2"), "robin-cycle", grid_1d(41), 1e-3, 0.3)
     assert spec.small_gain_ok
-    trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, chain_sups(trajs))
+    samples = simulate_cascade(spec)
+    rep = verify_cascade(spec, samples)
     assert rep.verdict == PASS
     # cyclic consistency, each subsystem's step reproduced from its
     # neighbour's fields, is checked step by step in
     # test_cycle_blocks_reproduce_their_own_steps; spot check: each
-    # trajectory is bounded by the cycle bound at t=0
-    for tr in trajs:
-        assert tr.sample_sups().sups[0] <= 2 * spec.phis[-1] + 1e-12
+    # subsystem is bounded by the cycle bound at t=0
+    for s in samples:
+        assert s.sups[0] <= 2 * spec.phis[-1] + 1e-12
 
 
 def test_dirichlet_open_chain_passes_bounds():
@@ -115,8 +114,7 @@ def test_dirichlet_open_chain_passes_bounds():
                          grid_1d(61), 2e-3, 0.8,
                          external_f=E("0.4*sin(pi*x)*cos(t)"),
                          boundary_exprs=[E("0.1*sin(t)"), E("0"), E("0.05")])
-    trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, chain_sups(trajs))
+    rep = verify_cascade(spec, simulate_cascade(spec))
     assert rep.verdict == PASS
 
 
@@ -124,20 +122,19 @@ def test_dirichlet_cycle_passes_bounds():
     spec = build_cascade(_subs(3, a="10", c="1"), "dirichlet-cycle",
                          grid_1d(61), 2e-3, 0.6,
                          boundary_exprs=[E("0.1*sin(t)"), E("0"), E("0.05*cos(t)")])
-    trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, chain_sups(trajs))
+    rep = verify_cascade(spec, simulate_cascade(spec))
     assert rep.verdict == PASS
 
 
 def test_cycle_small_gain_violation_not_asserted():
     spec = build_cascade(_subs(3, m="0.5"), "robin-cycle", grid_1d(41), 1e-3, 0.2)
     assert not spec.small_gain_ok
-    trajs = simulate_cascade(spec)  # simulation still permitted
-    rep = verify_cascade(spec, chain_sups(trajs))
+    samples = simulate_cascade(spec)  # simulation still permitted
+    rep = verify_cascade(spec, samples)
     assert rep.verdict == NOT_ASSERTED
     assert "small-gain" in rep.notes
     # raw norms recorded for every subsystem and sample
-    assert len(rep.details) == 3 * trajs[0].n_samples
+    assert len(rep.details) == 3 * samples[0].n_samples
     assert all(np.isfinite(d.observed) for d in rep.details)
 
 
@@ -145,29 +142,25 @@ def test_cycle_decay_with_zero_input():
     # zero external input and positive absorption: spatial sups decay at
     # least as fast as the cycle bound envelope
     spec = build_cascade(_subs(2, m="3", c="2"), "robin-cycle", grid_1d(41), 1e-3, 1.0)
-    trajs = simulate_cascade(spec)
     coeff = spec.small_gain / (spec.small_gain - 1) * spec.phis[-1]
-    for tr in trajs:
-        sups = tr.sample_sups().sups
-        envelope = coeff * np.exp(-2.0 * tr.times)
-        assert np.all(sups <= envelope + 1e-6)
+    for s in simulate_cascade(spec):
+        envelope = coeff * np.exp(-2.0 * s.times)
+        assert np.all(s.sups <= envelope + 1e-6)
 
 
 def test_reaction_chain_with_log_poly():
     spec = build_cascade(_subs(2, m="2", reaction=reaction_log_poly()),
                          "robin-open", grid_1d(41), 2e-3, 0.4,
                          external_d=E("0.2*sin(2*t)"))
-    trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, chain_sups(trajs))
+    rep = verify_cascade(spec, simulate_cascade(spec))
     assert rep.verdict == PASS
 
 
 def test_verify_rejects_mismatched_trajectories():
     spec = build_cascade(_subs(2), "robin-open", grid_1d(41), 2e-3, 0.2,
                          external_d=E("0"))
-    trajs = simulate_cascade(spec)
     with pytest.raises(ValueError):
-        verify_cascade(spec, chain_sups(trajs)[:1])
+        verify_cascade(spec, simulate_cascade(spec)[:1])
 
 
 def test_robin_open_chain_without_small_gain():
@@ -175,8 +168,7 @@ def test_robin_open_chain_without_small_gain():
     spec = build_cascade(_subs(3, m="0.5"), "robin-open", grid_1d(41), 1e-3, 0.3,
                          external_d=E("0.2*sin(t)"))
     assert spec.small_gain == 0.5
-    trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, chain_sups(trajs))
+    rep = verify_cascade(spec, simulate_cascade(spec))
     assert rep.verdict == PASS
 
 
@@ -228,21 +220,39 @@ def _gauss_seidel_cycle(spec, tol=1e-10, max_sweeps=30):
             for j in range(k)]
 
 
-def _cycle(topology, reactions):
-    """A 3-subsystem cycle on 41 nodes, 100 steps, with varied coefficients."""
-    robin = topology == "robin-cycle"
+def _chain(topology, reactions, horizon=0.2):
+    """A 3-subsystem chain on 41 nodes, 100 steps (at the default horizon),
+    with varied coefficients (a cycle takes no external input)."""
+    robin = topology.startswith("robin")
     diffusions = ["1", "1.3+0.2*x", "0.9"] if robin else ["10", "9+x", "11"]
     u0s = ["sin(pi*x)", "0.5*sin(2*pi*x)+0.2", "0.8*cos(pi*x)"]
     subs = [SubsystemSpec(Coefficients(E(a), E(c), E("2.2")), reaction, E(u0))
             for a, c, reaction, u0 in zip(diffusions, ["1", "0.8", "1.2"], reactions, u0s)]
-    extra = {} if robin else {"boundary_exprs": [E("0.1*sin(t)"), E("0"), E("0.05*cos(t)")]}
-    return build_cascade(subs, topology, grid_1d(41), 2e-3, 0.2, **extra)
+    extra = ({"external_d": E("0.3*sin(t)")} if robin else
+             {"external_f": E("0.4*sin(pi*x)*cos(t)"),
+              "boundary_exprs": [E("0.1*sin(t)"), E("0"), E("0.05*cos(t)")]})
+    return build_cascade(subs, topology, grid_1d(41), 2e-3, horizon, **extra)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_streamed_records_are_the_fields_sups(topology):
+    # each record, kept block by block as the steppers step, is the sups and
+    # first sup nodes of that subsystem's whole field; 2001 samples are two
+    # time blocks of one subsystem and four of a 3-cycle's stack
+    spec = _chain(topology, [reaction_log_poly(), reaction_odd_cubic(), reaction_zero()], 4.0)
+    fields = cascade_fields(spec)
+    assert len(time_blocks(fields[0].n_samples, spec.grid.n_nodes)) == 2
+    for got, field in zip(simulate_cascade(spec), fields, strict=True):
+        sups, nodes = row_sups(field.values.reshape(field.n_samples, -1))
+        assert got.times.tobytes() == field.times.tobytes() and got.grid == spec.grid
+        assert got.sups.tobytes() == sups.tobytes()
+        assert got.nodes.tobytes() == nodes.tobytes()
 
 
 @pytest.mark.parametrize("topology", ["robin-cycle", "dirichlet-cycle"])
 def test_linear_cycle_matches_gauss_seidel(topology):
-    spec = _cycle(topology, [reaction_zero()] * 3)
-    for got, ref in zip(simulate_cascade(spec), _gauss_seidel_cycle(spec)):
+    spec = _chain(topology, [reaction_zero()] * 3)
+    for got, ref in zip(cascade_fields(spec), _gauss_seidel_cycle(spec), strict=True):
         assert np.max(np.abs(got.values - ref.values)) <= 1e-12
 
 
@@ -263,8 +273,8 @@ def _tolerance_spy(stepper):
 def test_cycle_blocks_reproduce_their_own_steps(topology):
     # every subsystem, stepped alone with its neighbour's stacked fields as
     # its coupled data, lands on the stacked result within its own tolerance
-    spec = _cycle(topology, [reaction_log_poly(), reaction_odd_cubic(), reaction_zero()])
-    trajs = simulate_cascade(spec)
+    spec = _chain(topology, [reaction_log_poly(), reaction_odd_cubic(), reaction_zero()])
+    trajs = cascade_fields(spec)
     times, bindex = trajs[0].times, spec.grid.boundary_indices()
     fields = [tr.values.reshape(times.size, -1) for tr in trajs]
     robin = topology == "robin-cycle"

@@ -17,9 +17,9 @@ from pdesup.config import (backstep_data_from_config, cascade_from_config,
                             check_settings_from_config, load_config, scenario_from_config)
 from pdesup.core import ROBIN, Trajectory, grid_1d, grid_2d
 from pdesup.harness import Report
-from pdesup.solver import ConfigError, solve
+from pdesup.solver import ConfigError
 
-from helpers import closed_loop, write_trajectory
+from helpers import closed_loop, solve, write_trajectory
 
 HEAT_DECAY = """
 [domain]
@@ -833,6 +833,18 @@ def test_invalid_inputs_exit_cleanly(tmp_path, capsys, command, text, key):
         # destabilizing c: simulated, nothing asserted, and the report says so
         assert code == 0
         assert (out / "report.csv").read_text().splitlines()[1].startswith("iss,not-asserted,")
+
+
+@pytest.mark.parametrize("line, key, message", [
+    ("a = 1", "a_2 = -1", "subsystem 2: coefficient a is nonpositive at x=0 (value -1)"),
+    ("m = 2", "m_3 = 0", "subsystem 3: coefficient m is nonpositive at x=0 (value 0)"),
+], ids=["a_2-negative", "m_3-zero"])
+def test_cascade_coefficient_errors_name_the_subsystem(tmp_path, capsys, line, key, message):
+    text = (Path(__file__).resolve().parents[1] / "configs" / "cascade_robin_open.ini").read_text()
+    assert f"\n{line}\n" in text
+    p = _write(tmp_path, text.replace(f"\n{line}\n", f"\n{line}\n{key}\n"))
+    assert main(["cascade", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("command, sigma, message", [

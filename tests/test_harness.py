@@ -41,15 +41,16 @@ from pdesup.solver import (
     node_coords,
     reaction_log_poly,
     reaction_zero,
-    solve,
 )
 
 from helpers import (
-    chain_sups,
+    cascade_fields,
     data_sups,
     difference_sups,
     pair_data_sups,
+    solve,
     superlinear_preset,
+    trajectories,
 )
 
 E = parse_expression
@@ -195,13 +196,13 @@ def test_block_data_sups_are_the_running_sups_bitwise(dim):
     pair = _rkes_pair(dim)
     for sc in pair:
         record, running = block_data_sups(sc.n_steps + 1, pair=False)
-        traj = TimeStepper(sc).solve(record)
+        traj = trajectories(TimeStepper(sc), record)[0]
         assert len(time_blocks(traj.n_samples, sc.grid.n_nodes)) > 1
         expect = (running_sup_forcing(sc, traj.times), running_sup_boundary(sc, traj.times))
         assert [a.tobytes() for a in running()] == [a.tobytes() for a in expect]
     sc1, sc2 = pair
     record, running = block_data_sups(sc1.n_steps + 1, pair=True)
-    t1, t2 = TimeStepper(list(pair)).march(record, None, None)
+    t1, t2 = trajectories(TimeStepper(list(pair)), record)
     f_sups, d_sups = running()
     expect = pair_data_sups(sc1, sc2, t1.times)
     assert [f_sups.tobytes(), d_sups.tobytes()] == [a.tobytes() for a in expect]
@@ -336,10 +337,10 @@ def _reference_report(traj, observed, bounds, tols):
     return PASS if ok else FAIL, float(worst), where, len(observed), details
 
 
-def _reference_cascade(spec, trajectories, tol=None):
+def _reference_cascade(spec, fields, tol=None):
     """The deleted margin/witness loop of ``verify_cascade`` (asserted bounds);
     its detail rows are (subsystem, form, t, observed, bound, margin, tol)."""
-    times = trajectories[0].times
+    times = fields[0].times
     mode = "cycle" if spec.topology in ("robin-cycle", "dirichlet-cycle") else "open"
     robin = spec.boundary_kind == ROBIN
     nodes, bnodes = node_coords(spec.grid), node_coords(spec.grid, boundary=True)
@@ -356,7 +357,7 @@ def _reference_cascade(spec, trajectories, tol=None):
     worst = math.inf
     worst_where = None
     ok = True
-    for j, tr in enumerate(trajectories, start=1):
+    for j, tr in enumerate(fields, start=1):
         c_min_j = spec.scenarios[j - 1].bounds.c_min
         sups = np.abs(tr.values.reshape(tr.n_samples, -1)).max(axis=1)
         running = np.maximum.accumulate(sups)
@@ -439,10 +440,9 @@ def test_report_builder_matches_the_cascade_loop():
             for u0 in ("sin(pi*x)", "0.5*sin(pi*x)", "2*sin(pi*x)")]
     spec = build_cascade(subs, "robin-open", grid_1d(41), 2e-3, 0.3,
                          external_d=E("0.2*sin(t)"))
-    trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, chain_sups(trajs))
+    rep = verify_cascade(spec, simulate_cascade(spec))
     assert rep.verdict == PASS
-    ref = _reference_cascade(spec, trajs)
+    ref = _reference_cascade(spec, cascade_fields(spec))
     # the loop interleaved the forms sample by sample; the builder lists
     # each (subsystem, form) part in turn, so the rows are compared in that order
     order = {"spacetime": 0, "spatial": 1}
@@ -465,10 +465,9 @@ def test_report_builder_matches_the_cascade_loop_on_each_topology(topology):
                          external_f=E("0.4*sin(pi*x)*cos(t)"),
                          boundary_exprs=[E("0.05*sin(3*t)"), E("0"), E("0.02")])
     assert spec.bounds_asserted
-    trajs = simulate_cascade(spec)
-    rep = verify_cascade(spec, chain_sups(trajs))
+    rep = verify_cascade(spec, simulate_cascade(spec))
     assert rep.verdict == PASS
-    ref = _reference_cascade(spec, trajs)
+    ref = _reference_cascade(spec, cascade_fields(spec))
     order = {"spacetime": 0, "spatial": 1}
     rows = sorted(ref[4], key=lambda row: (row[0], order[row[1]]))
     _assert_same_report(rep, (*ref[:4], rows), ("subsystem", "form", *_COLUMNS))

@@ -1,15 +1,18 @@
 """Checks read per-sample sups, which the streamed commands record as they step.
 
-``verify-iss``, ``verify-decay`` and ``verify-rkes`` hand ``TimeStepper.march``
-a sink (``pdesup.core.sup_sink``) that keeps each sample's sup-norm and the
-first node attaining it, and ``convergence`` reduces its sup errors the same
-way; ``simulate`` and ``backstep`` write their trajectory CSVs from the same
-sink, so none of them holds a (samples x nodes) array.  These tests pin the
+``verify-iss``, ``verify-decay``, ``verify-rkes`` and ``cascade`` hand
+``TimeStepper.march`` a sink (``pdesup.core.sup_sink``) that keeps each
+sample's sup-norm and the first node attaining it, and ``convergence``
+reduces its sup errors the same way; ``simulate`` and ``backstep`` write
+their trajectory CSVs from the same sink, so none of them holds a
+(samples x nodes) array (an open Robin chain keeps each subsystem's
+boundary trace for the next).  These tests pin the
 traced heap of those commands, at two horizons where a trajectory would
 show, and that a streamed run gives the states, residuals and reports of
 the stored trajectory, bit for bit.
 """
 
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -44,10 +47,9 @@ from pdesup.solver import (
     node_coords,
     reaction_log_poly,
     reaction_zero,
-    solve,
 )
 
-from helpers import data_sups, difference_sups, pair_data_sups
+from helpers import data_sups, difference_sups, pair_data_sups, solve, trajectories
 
 E = parse_expression
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -71,19 +73,22 @@ def _traced_peak(fn) -> int:
     ("backstep", "backstep.ini", 8, 4.5),
     ("simulate", "iss_robin.ini", 2, 3.0),
     ("simulate", "iss_robin.ini", 8, 3.5),
+    ("cascade", "cascade_robin_open.ini", 2, 1.75),
+    ("cascade", "cascade_robin_open.ini", 8, 5.5),
 ], ids=["verify-rkes", "convergence", "verify-rkes-T8", "backstep-T2", "backstep-T8",
-        "simulate-T2", "simulate-T8"])
+        "simulate-T2", "simulate-T8", "cascade-T2", "cascade-T8"])
 def test_streamed_commands_hold_one_time_block(tmp_path, capsys, command, config, horizon,
                                                limit_mib):
     # a (samples x nodes) array of the T = 2 pair is 2001 x 402 doubles, 6.1 MiB;
     # backstep's u, its transform w and the transform's temporary are 2001 x
     # 101 each at T = 2 (1.5 MiB) and 8001 x 101 at T = 8 (6.2 MiB); simulate's
-    # u is 4001 x 101 at T = 8 (3.1 MiB).  Per-sample records (sups, controls,
-    # the report's rows) are what grows with T
+    # u is 4001 x 101 at T = 8 (3.1 MiB); the cascade's three fields are 1001 x
+    # 61 each at T = 2 (0.47 MiB) and 4001 x 61 at T = 8 (1.9 MiB).  Per-sample
+    # records (sups, controls, the report's rows) are what grows with T
     text = (CONFIGS / config).read_text()
     if horizon is not None:
-        text = text.replace("T = 2.0", f"T = {horizon}")
-        assert f"T = {horizon}" in text
+        text, count = re.subn(r"(?m)^T = .*$", f"T = {horizon}", text)
+        assert count == 1
     path = tmp_path / "scenario.ini"
     path.write_text(text)
     argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
@@ -165,7 +170,7 @@ def _gains(sc, scale=1.0):
 
 def _streamed(stepper, rows_of=None) -> SampleSups:
     sink, samples = sup_sink(stepper.grid, stepper.scenario.times(), rows_of)
-    assert stepper.march(None, None, sink) is None
+    stepper.march(None, None, sink)
     return samples()
 
 
@@ -193,13 +198,13 @@ def test_a_sink_sees_the_trajectory_rows_and_residuals(name):
     dim, kind, reaction = STEP_CASES[name]
     sc = _scenario(dim, kind, reaction, T=0.5 if dim == 2 else None)
     whole = TimeStepper(sc)
-    traj = whole.solve()
+    traj = trajectories(whole)[0]
     values = traj.values.reshape(traj.n_samples, -1)
     blocks = time_blocks(traj.n_samples, sc.grid.n_nodes)
     assert len(blocks) > 1
     streamed = TimeStepper(sc)
     seen = []
-    assert streamed.solve(sink=lambda sl, states: seen.append((sl, states.copy()))) is None
+    streamed.solve(None, lambda sl, states: seen.append((sl, states.copy())))
     assert [sl for sl, _ in seen] == blocks
     for sl, states in seen:
         assert states.tobytes() == values[sl].tobytes()
@@ -210,7 +215,7 @@ def test_a_sink_sees_the_trajectory_rows_and_residuals(name):
 def test_streamed_iss_and_decay_reports_are_the_trajectory_ones(name):
     dim, kind, reaction = STEP_CASES[name]
     sc = _scenario(dim, kind, reaction)
-    traj = TimeStepper(sc).solve()
+    traj = solve(sc)
     samples = _streamed(TimeStepper(sc))
     stored = traj.sample_sups()
     flat = traj.values.reshape(traj.n_samples, -1)
@@ -243,7 +248,7 @@ def _pair(dim, kind):
 def test_streamed_rkes_reports_are_the_trajectory_ones(dim, kind):
     pair = _pair(dim, kind)
     n = pair[0].grid.n_nodes
-    t1, t2 = TimeStepper(list(pair)).march(None, None, None)
+    t1, t2 = trajectories(TimeStepper(list(pair)))
     difference = _streamed(TimeStepper(list(pair)), lambda sl, states: states[:, :n] - states[:, n:])
     diff = (t1.values - t2.values).reshape(t1.n_samples, -1)
     assert difference.sups.tobytes() == np.abs(diff).max(axis=1).tobytes()

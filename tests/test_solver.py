@@ -28,10 +28,17 @@ from pdesup.solver import (
     reaction_log_poly,
     reaction_odd_cubic,
     reaction_zero,
-    solve,
 )
 
-from helpers import explicit_solution_preset, heat_preset, step, step_terms, superlinear_preset
+from helpers import (
+    explicit_solution_preset,
+    heat_preset,
+    solve,
+    step,
+    step_terms,
+    superlinear_preset,
+    trajectories,
+)
 
 E = parse_expression
 XYTU = ("x", "y", "t", "u")
@@ -315,7 +322,7 @@ def test_newton_residuals_logged():
     sc = _scenario_1d(reaction=reaction_odd_cubic(0.5), kind=ROBIN, T=0.02,
                       n_x=51, dt=1e-3, u0="sin(pi*x)")
     st = TimeStepper(sc)
-    st.solve()
+    trajectories(st)
     assert len(st.residual_log) == sc.n_steps
     assert max(st.residual_log) <= 1e-12
 
@@ -529,7 +536,7 @@ def test_2d_stepper_factors_once(monkeypatch, kind, reaction):
     calls = _count(monkeypatch, "splu")
     sc = _scenario_2d(reaction, dt=5e-3, T=0.1, kind=kind)
     st = TimeStepper(sc)
-    st.solve()
+    trajectories(st)
     assert len(calls) == 1
     assert len(st.residual_log) == sc.n_steps
     assert max(st.residual_log) <= 1e-12
@@ -610,7 +617,7 @@ def test_2d_factor_rule_steps_like_default_splu(monkeypatch, kind, c, dt, n, dom
     st = TimeStepper(sc)
     assert len(calls) == 1 and _row_dominant(st._m_plus) == dominant
     assert calls[0][1] == (_NO_PIVOTING if dominant else _THRESHOLD_PIVOTING)
-    got, expect = st.solve().values, ref.solve().values
+    got, expect = trajectories(st)[0].values, trajectories(ref)[0].values
     assert np.all(np.abs(got - expect) <= 1e-12 * np.maximum(1.0, np.abs(expect)))
 
 
@@ -686,7 +693,7 @@ def test_1d_stepper_factors_once(monkeypatch, kind, reaction):
     sc = _scenario_1d(a="1+0.2*x", reaction=reaction, f="0.1*sin(t)*x", kind=kind,
                       d="0.05*t", n_x=41, dt=5e-3, T=0.1)
     st = TimeStepper(sc)
-    st.solve()
+    trajectories(st)
     assert len(calls) == 1
     assert len(banded) == len(jacobians)
     assert (len(banded) >= sc.n_steps) == (not reaction.is_zero)
@@ -748,7 +755,7 @@ def test_a_stalled_line_search_above_the_rounding_floor_still_raises():
     solve(sc)  # the step itself is fine
     with pytest.raises(solver_mod.SolverError,
                        match=r"^Newton damping stalled at t=0\.01 \(residual") as err:
-        _Uphill(sc).solve()
+        trajectories(_Uphill(sc))
     assert len(err.value.history) == 1 and err.value.history[0] > 1e-9
 
 
@@ -758,7 +765,7 @@ def test_a_linear_step_at_its_rounding_floor_is_accepted():
     sc = _scenario_1d(a="1", c="0", f="sqrt(2)*sin(x)*cos(t-pi/4)", d="sin(t)*sin(x)",
                       u0="0", n_x=201, dt=0.5, T=8.0, x_hi=math.pi / 2)
     st = TimeStepper(sc)
-    traj = st.solve()
+    traj = trajectories(st)[0]
     assert len(st.residual_log) == sc.n_steps
     assert max(st.residual_log) > 1e-12  # above the tolerance: at the floor
     assert max(st.residual_log) < 1e-11
@@ -995,7 +1002,7 @@ def _step_case(dim, kind, reaction):
 
 def _assert_steps_like_the_reference(scs, **kwargs):
     new, ref = TimeStepper(scs, **kwargs), _ReferenceStepper(scs, **kwargs)
-    for got, expect in zip(new.march(None, None, None), ref.march(None, None, None), strict=True):
+    for got, expect in zip(trajectories(new), trajectories(ref), strict=True):
         assert _bitwise_equal(got.values, expect.values)
     assert new.residual_log == ref.residual_log
     assert all(math.isfinite(r) for r in new.residual_log)
@@ -1092,7 +1099,7 @@ def test_linear_stack_steps_each_interval_bitwise_as_alone(monkeypatch, kind):
     scs = _rkes_pair_1d(kind, reaction_zero()) + [other]
     st = TimeStepper(scs)
     assert (len(lu), len(gttrf)) == (0, 1)  # one tridiagonal factorization for the stack
-    for got, sc in zip(st.march(None, None, None), scs, strict=True):
+    for got, sc in zip(trajectories(st), scs, strict=True):
         assert _bitwise_equal(got.values, solve(sc).values)
 
 
@@ -1100,7 +1107,7 @@ def test_rkes_explicit_pair_stack_is_bitwise_the_pair_alone():
     from pdesup.config import load_config, rkes_pair_from_config
 
     pair = rkes_pair_from_config(load_config(_CONFIGS / "rkes_explicit_pair.ini"))
-    for got, sc in zip(TimeStepper(pair).march(None, None, None), pair, strict=True):
+    for got, sc in zip(trajectories(TimeStepper(pair)), pair, strict=True):
         assert _bitwise_equal(got.values, solve(sc).values)
 
 
@@ -1110,7 +1117,7 @@ def test_rkes_explicit_pair_stack_is_bitwise_the_pair_alone():
 def test_nonlinear_stack_is_within_1e_12_of_solving_alone(kind, reaction):
     scs = _rkes_pair_1d(kind, reaction)
     st = TimeStepper(scs)
-    trajs = st.march(None, None, None)
+    trajs = trajectories(st)
     # the stack's residual is each block's sup |F| in units of its own tolerance
     assert len(st.residual_log) == scs[0].n_steps and max(st.residual_log) <= 1.0
     for got, sc in zip(trajs, scs, strict=True):
@@ -1123,7 +1130,7 @@ def test_stack_newton_solves_one_band_of_k_blocks(monkeypatch):
     scs = [_scenario_1d(a="1+0.2*x", reaction=_stiff_reaction(), f=f, d="0.05*t*x", n_x=9,
                         dt=0.5, T=1.0) for f in ("0.1*sin(t)*x", "0.2*cos(t)")]
     st = TimeStepper(scs)
-    trajs = st.march(None, None, None)
+    trajs = trajectories(st)
     assert banded and all(args[1].shape == (18,) for args, _ in banded)  # the diagonal
     assert len(st.residual_log) == 2 and max(st.residual_log) <= 1.0
     for got, sc in zip(trajs, scs, strict=True):
@@ -1146,7 +1153,7 @@ def test_predicted_first_iterate_saves_residual_evaluations(kind, reaction):
     sc = _manufactured_1d(kind, reaction)
     st = TimeStepper(sc)
     calls = _counted_products(st)
-    st.solve()
+    trajectories(st)
     assert len(calls) / sc.n_steps <= 4.7
 
 
@@ -1234,7 +1241,7 @@ def test_linear_block_steps_bitwise_as_step_values(monkeypatch, case):
     real = TimeStepper.step_values
     monkeypatch.setattr(TimeStepper, "step_values",
                         lambda self, *args: calls.append(self) or real(self, *args))
-    for a, b in zip(got.march(None, None, None), expect.march(None, None, None), strict=True):
+    for a, b in zip(trajectories(got), trajectories(expect), strict=True):
         assert _bitwise_equal(a.values, b.values)
     assert got.residual_log == expect.residual_log
     assert got not in calls and len(calls) == len(expect.residual_log)  # no step of its own
@@ -1271,11 +1278,11 @@ def test_a_step_that_misses_its_tolerance_is_rerun_from_that_step(monkeypatch):
     stepped, real = [], TimeStepper.step_values
     monkeypatch.setattr(TimeStepper, "step_values",
                         lambda self, u, t, s, d: stepped.append(t) or real(self, u, t, s, d))
-    traj = st.solve()
+    traj = trajectories(st)[0]
     times = sc.times()
     assert stepped == list(times[4:-1])  # from the perturbed step on, each through step_values
     reference = _PerStep(sc)
-    assert _bitwise_equal(traj.values, reference.solve().values)
+    assert _bitwise_equal(traj.values, trajectories(reference)[0].values)
     assert st.residual_log == reference.residual_log
 
 
@@ -1287,7 +1294,7 @@ def test_non_finite_data_in_a_linear_block_raises_at_the_same_t(kind, f, t_bad):
     errors = []
     for st in (TimeStepper(sc), _PerStep(sc)):
         with np.errstate(all="ignore"), pytest.raises(solver_mod.SolverError) as err:
-            st.solve()
+            trajectories(st)
         errors.append((str(err.value), err.value.history, st.residual_log))
     assert errors[0][0] == f"non-finite residual at t={t_bad}"
     assert repr(errors[0]) == repr(errors[1])
@@ -1309,7 +1316,7 @@ def test_an_infinite_residual_misses_even_an_infinite_tolerance(monkeypatch):
     stepped, real = [], TimeStepper.step_values
     monkeypatch.setattr(TimeStepper, "step_values",
                         lambda self, u, t, s, d: stepped.append(t) or real(self, u, t, s, d))
-    st.solve()
+    trajectories(st)
     assert stepped == list(sc.times()[3:-1])
 
 
@@ -1322,7 +1329,7 @@ def test_an_interval_step_is_a_predictor_and_one_newton_step(monkeypatch, kind, 
         banded.clear()
         st = TimeStepper(scs)
         products = _counted_products(st)
-        st.march(None, None, None)
+        trajectories(st)
         n_steps = len(st.residual_log)
         assert (len(products), len(banded)) == (2 * n_steps, n_steps)
 
@@ -1340,7 +1347,7 @@ def test_a_predictor_that_meets_the_tolerance_is_corrected_once(monkeypatch):
 
     st._measure = spy
     products = _counted_products(st)
-    st.solve()
+    trajectories(st)
     n_steps = len(st.residual_log)
     assert (len(products), len(banded)) == (2 * n_steps, 0)  # a chord step, no Jacobian
     predictors, corrections = measures[::2], measures[1::2]
@@ -1459,7 +1466,7 @@ def test_array_data_steps_like_the_expressions_bitwise(kind):
     times = sc.times()
     f = data_rows(sc.forcing, node_coords(sc.grid))(times)
     b = data_rows(sc.boundary.data, node_coords(sc.grid, boundary=True))(times)
-    traj = TimeStepper(sc, forcing=f, boundary=b).solve()
+    traj = trajectories(TimeStepper(sc, forcing=f, boundary=b))[0]
     assert _bitwise_equal(traj.values, solve(sc).values)
 
 
